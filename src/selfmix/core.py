@@ -12,8 +12,10 @@ the rest have their labels replaced by the model's own sharpened predictions
     + lambda_r * symmetric-KL agreement between two dropout passes
 
 Warm-up epochs of plain cross-entropy precede selection so that early losses
-are informative. A per-class loss standardization switch makes selection
-robust when different classes have different loss scales.
+are informative. One cross-entropy epoch routine serves the warm-up, the
+plain arm and the standalone :func:`warmup`; every loss formula lives in
+:func:`selfmix.encoder.backward`. A per-class loss standardization switch
+makes selection robust when different classes have different loss scales.
 
 Ground-truth corruption flags, when present on a dataset, are used only to
 report selection quality; they never influence training decisions.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .encoder import (
     init_optimizer,
     init_params,
     predict_proba,
-    rdrop_from_probs,
     softmax,
 )
 from .gmm import fit_gmm, posterior_clean
@@ -154,17 +155,7 @@ class EpochStats:
     labeled_count: int
 
 
-REPORT_CSV_FIELDS = (
-    "epoch",
-    "test_acc",
-    "sel_precision",
-    "sel_recall",
-    "sel_f1",
-    "l_mix",
-    "l_p",
-    "l_r",
-    "labeled_count",
-)
+REPORT_CSV_FIELDS = ("epoch",) + tuple(f.name for f in dataclasses.fields(EpochStats))
 
 
 @dataclass
@@ -193,38 +184,13 @@ class TrainReport:
             "epochs": self.epochs,
             "best_acc": self.best_acc,
             "last_acc": self.last_acc,
-            "per_epoch": [
-                {
-                    "test_acc": s.test_acc,
-                    "sel_precision": s.sel_precision,
-                    "sel_recall": s.sel_recall,
-                    "sel_f1": s.sel_f1,
-                    "l_mix": s.l_mix,
-                    "l_p": s.l_p,
-                    "l_r": s.l_r,
-                    "labeled_count": s.labeled_count,
-                }
-                for s in self.per_epoch
-            ],
+            "per_epoch": [dataclasses.asdict(s) for s in self.per_epoch],
         }
 
     def csv_rows(self) -> list[list]:
-        rows = [list(REPORT_CSV_FIELDS)]
-        for e, s in enumerate(self.per_epoch):
-            rows.append(
-                [
-                    e,
-                    s.test_acc,
-                    s.sel_precision,
-                    s.sel_recall,
-                    s.sel_f1,
-                    s.l_mix,
-                    s.l_p,
-                    s.l_r,
-                    s.labeled_count,
-                ]
-            )
-        return rows
+        return [list(REPORT_CSV_FIELDS)] + [
+            [e, *dataclasses.astuple(s)] for e, s in enumerate(self.per_epoch)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +204,13 @@ def per_sample_losses(
     features: list[FeatureVector] | None = None,
 ) -> np.ndarray:
     """Cross-entropy of each observed label with dropout off."""
-    losses, _ = _losses_and_probs(params, dataset, features)
-    return losses
-
-
-def _losses_and_probs(
-    params: ModelParams,
-    dataset: Dataset,
-    features: list[FeatureVector] | None,
-) -> tuple[np.ndarray, np.ndarray]:
     if features is None:
         features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
     losses = np.empty(len(dataset))
-    probs = np.empty((len(dataset), params.num_classes))
     for i, ex in enumerate(dataset):
         p = predict_proba(params, features[i])
-        probs[i] = p
         losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
-    return losses, probs
+    return losses
 
 
 def class_regularize(
@@ -287,25 +242,33 @@ def class_regularize(
     return out
 
 
+def _degenerate(values: np.ndarray) -> bool:
+    """True when no two-component mixture can be fit to ``values``."""
+    return np.unique(values).size < 2
+
+
 def select_split(
     losses: np.ndarray,
     tau: float,
     ids: Iterable[int] | None = None,
     *,
-    seed: int = 0,
     epoch: int = 0,
 ) -> DataSplit:
     """Fit the loss mixture and threshold clean posteriors at ``tau``.
 
     ``ids`` names the sample behind each loss; it defaults to positions
-    0..n-1.
+    0..n-1. Fallback: when the losses hold fewer than two distinct values
+    no mixture can be fit, so every id keeps its label with posterior 1.0,
+    as :func:`~selfmix.gmm.posterior_clean` does for coincident means.
     """
     losses = np.asarray(losses, dtype=np.float64)
     ids = tuple(range(losses.size)) if ids is None else tuple(int(i) for i in ids)
     if losses.size != len(ids):
         raise ValueError("losses and ids must have the same length")
-    params = fit_gmm(losses, seed=seed)
-    w = posterior_clean(params, losses)
+    if _degenerate(losses):
+        w = np.ones(losses.size)
+    else:
+        w = posterior_clean(fit_gmm(losses), losses)
     labeled = tuple(i for i, wi in zip(ids, w) if wi >= tau)
     unlabeled = tuple(i for i, wi in zip(ids, w) if wi < tau)
     return DataSplit(
@@ -351,59 +314,6 @@ def embmix(
     return MixedBatch(embeddings=emb, targets=targets, lam=lam_prime)
 
 
-def mix_loss(
-    params: ModelParams, batch: MixedBatch, *, mask_seed: int | None = None
-) -> float:
-    """Mean cross-entropy of a mixed batch (dropout on when seeded)."""
-    m = batch.embeddings.shape[0]
-    if m == 0:
-        return 0.0
-    items = [
-        BatchItem(
-            batch.embeddings[k],
-            "ce",
-            batch.targets[k],
-            weight=1.0 / m,
-            key=_MIX_KEY_BASE + k,
-        )
-        for k in range(m)
-    ]
-    from .encoder import batch_loss
-
-    total, _ = batch_loss(params, items, mask_seed=mask_seed)
-    return total
-
-
-def pseudo_loss(outputs: Iterable[np.ndarray]) -> float:
-    """Mean negative log of each distribution's top probability.
-
-    Argmax ties resolve to the lowest class index; an empty collection
-    contributes nothing and returns 0.
-    """
-    total = 0.0
-    count = 0
-    for p in outputs:
-        p = np.asarray(p, dtype=np.float64)
-        top = float(p[int(np.argmax(p))])
-        total += -math.log(max(top, 1e-300))
-        count += 1
-    return total / count if count else 0.0
-
-
-def rdrop_loss(p1: np.ndarray, p2: np.ndarray) -> float:
-    """Half the symmetric KL between two class distributions."""
-    return rdrop_from_probs(
-        np.asarray(p1, dtype=np.float64), np.asarray(p2, dtype=np.float64)
-    )
-
-
-def total_loss(
-    l_mix: float, l_p: float, l_r: float, lambda_p: float, lambda_r: float
-) -> float:
-    """Combine the three training terms with their weights."""
-    return l_mix + lambda_p * l_p + lambda_r * l_r
-
-
 def selection_prf(
     unlabeled_ids: Iterable[int], flipped_ids: Iterable[int]
 ) -> tuple[float, float, float]:
@@ -444,6 +354,78 @@ def accuracy(
 # ---------------------------------------------------------------------------
 
 
+def _shuffled_batches(
+    size: int, batch_size: int, seed: int, epoch: int, limit: int | None = None
+) -> list[np.ndarray]:
+    """Deterministic shuffled batches of positions; optionally truncated to a budget."""
+    rng = np.random.default_rng(subseed(seed, "shuffle", epoch))
+    order = rng.permutation(size)[:limit]
+    return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
+
+
+def _warmup_schedule(
+    epochs: int | None, samples: int | None, dataset_size: int
+) -> list[int | None]:
+    """Per-warm-up-epoch sample limits; None means a full pass.
+
+    A ``samples`` budget is spread over ceil(budget / N) passes, the last of
+    which may be partial; each pass still occupies one epoch row.
+    """
+    if epochs is not None:
+        return [None] * epochs
+    budget = samples or 0
+    limits: list[int | None] = []
+    while budget > 0:
+        take = min(budget, dataset_size)
+        limits.append(take if take < dataset_size else None)
+        budget -= take
+    return limits
+
+
+def _ce_epoch(
+    params: ModelParams,
+    features: list[FeatureVector],
+    labels: np.ndarray,
+    num_classes: int,
+    step: Callable[[Gradients], None],
+    *,
+    batch_size: int,
+    seed: int,
+    epoch: int,
+    limit: int | None = None,
+) -> float:
+    """One pass of plain cross-entropy on observed labels; returns the mean loss.
+
+    The warm-up phase, the non-adaptive arm and :func:`warmup` all run this
+    loop, so equal seeds give identical shuffles, dropout masks and updates.
+    ``step`` applies each batch's gradients.
+    """
+    loss_sum = 0.0
+    count = 0
+    batches = _shuffled_batches(len(labels), batch_size, seed, epoch, limit)
+    for b, batch in enumerate(batches):
+        try:
+            items = [
+                BatchItem(
+                    features[i],
+                    "ce",
+                    one_hot(int(labels[i]), num_classes),
+                    weight=1.0 / batch.size,
+                    key=int(i),
+                )
+                for i in batch
+            ]
+            mask_seed = subseed(seed, "dropout", epoch, b)
+            _, grads, breakdown = backward(params, items, mask_seed=mask_seed)
+            step(grads)
+        except NumericError as err:
+            raise NumericError(f"epoch {epoch}, batch {b}: {err}") from err
+        raw, n = breakdown["ce"]
+        loss_sum += raw
+        count += n
+    return loss_sum / count if count else 0.0
+
+
 class _Run:
     """Shared state for one training run (either arm)."""
 
@@ -461,11 +443,11 @@ class _Run:
         self.model = model
         self.cfg = cfg
         self.eval_every = max(1, eval_every)
-        self.record_losses = record_losses
         self.features = [featurize_text(ex.text, model.num_buckets) for ex in train]
         self.test_features = [
             featurize_text(ex.text, model.num_buckets) for ex in test
         ]
+        self.labels = train.observed_labels()
         self.test_labels = test.observed_labels()
         self.params = init_params(
             model.num_buckets,
@@ -496,52 +478,18 @@ class _Run:
         if self.global_step % self.eval_every == 0:
             self.step_acc.append((self.global_step, self.test_accuracy()))
 
-    def shuffled_batches(
-        self, epoch: int, sample_limit: int | None = None
-    ) -> list[np.ndarray]:
-        """Deterministic shuffled batches; optionally truncated to a budget."""
-        rng = np.random.default_rng(subseed(self.cfg.seed, "shuffle", epoch))
-        order = rng.permutation(len(self.train))
-        if sample_limit is not None:
-            order = order[:sample_limit]
-        bs = self.cfg.batch_size
-        return [order[i : i + bs] for i in range(0, len(order), bs)]
-
-    def ce_epoch(self, epoch: int, sample_limit: int | None = None) -> float:
-        """One pass of plain cross-entropy on observed labels.
-
-        Used by the warm-up phase and by the non-adaptive arm; both derive
-        identical shuffles and dropout masks from the same seed, so the two
-        arms coincide exactly for the duration of the warm-up.
-        """
-        loss_sum = 0.0
-        count = 0
-        for b, batch in enumerate(self.shuffled_batches(epoch, sample_limit)):
-            try:
-                m = batch.size
-                items = [
-                    BatchItem(
-                        self.features[i],
-                        "ce",
-                        one_hot(
-                            self.train[i].observed_label, self.train.num_classes
-                        ),
-                        weight=1.0 / m,
-                        key=int(i),
-                    )
-                    for i in batch
-                ]
-                mask_seed = subseed(self.cfg.seed, "dropout", epoch, b)
-                _, grads, breakdown = backward(
-                    self.params, items, mask_seed=mask_seed
-                )
-                self._step(grads)
-            except NumericError as err:
-                raise NumericError(f"epoch {epoch}, batch {b}: {err}") from err
-            raw, n = breakdown["ce"]
-            loss_sum += raw
-            count += n
-        return loss_sum / count if count else 0.0
+    def ce_epoch(self, epoch: int, limit: int | None = None) -> float:
+        return _ce_epoch(
+            self.params,
+            self.features,
+            self.labels,
+            self.train.num_classes,
+            self._step,
+            batch_size=self.cfg.batch_size,
+            seed=self.cfg.seed,
+            epoch=epoch,
+            limit=limit,
+        )
 
     def selfmix_epoch(self, epoch: int) -> tuple[DataSplit, float, float, float]:
         """One adaptive epoch: select, then per batch pseudo-label, mix, step.
@@ -554,17 +502,18 @@ class _Run:
         num_classes = self.train.num_classes
         losses = per_sample_losses(self.params, self.train, self.features)
         values = (
-            class_regularize(losses, self.train.observed_labels(), num_classes)
+            class_regularize(losses, self.labels, num_classes)
             if cfg.class_regularize
             else losses
         )
         split = select_split(
-            values,
-            cfg.tau,
-            [ex.id for ex in self.train],
-            seed=subseed(cfg.seed, "gmm", epoch),
-            epoch=epoch,
+            values, cfg.tau, [ex.id for ex in self.train], epoch=epoch
         )
+        if _degenerate(values):
+            self.warnings.append(
+                f"epoch {epoch}: selection losses hold fewer than two distinct "
+                "values; no mixture was fit and every sample keeps its label"
+            )
         if not split.labeled_ids:
             self.warnings.append(
                 f"epoch {epoch}: selection kept no labeled samples; "
@@ -573,7 +522,8 @@ class _Run:
 
         unlabeled = set(split.unlabeled_ids)
         sums = {"ce": [0.0, 0], "pseudo": [0.0, 0], "rdrop": [0.0, 0]}
-        for b, batch in enumerate(self.shuffled_batches(epoch)):
+        batches = _shuffled_batches(len(self.train), cfg.batch_size, cfg.seed, epoch)
+        for b, batch in enumerate(batches):
             try:
                 m = batch.size
                 rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
@@ -690,27 +640,6 @@ class _Run:
         )
 
 
-def _warmup_schedule(cfg: SelfMixConfig, dataset_size: int) -> list[int | None]:
-    """Per-warm-up-epoch sample limits; None means a full pass.
-
-    In sample mode the budget is spread over ceil(budget / N) passes, the
-    last of which may be partial; each pass still occupies one epoch row.
-    """
-    if cfg.warmup_epochs is not None:
-        return [None] * cfg.warmup_epochs
-    budget = cfg.warmup_samples or 0
-    limits: list[int | None] = []
-    while budget > 0:
-        take = min(budget, dataset_size)
-        limits.append(take if take < dataset_size else None)
-        budget -= take
-    if len(limits) > cfg.total_epochs:
-        raise ValueError(
-            "warmup_samples spans more passes than total_epochs allows"
-        )
-    return limits
-
-
 def warmup(
     params: ModelParams,
     opt: OptimizerState,
@@ -726,47 +655,51 @@ def warmup(
 
     Duration is either ``epochs`` full passes or ``samples`` examples
     (exactly one must be given); the optimizer state supplies the step-size
-    hyperparameters. Useful standalone for bootstrapping models whose losses
-    will later be mixture-split.
+    hyperparameters. It runs the same epoch loop as the training arms, so
+    ``epochs`` passes here match ``epochs`` plain-arm epochs bit for bit.
+    The instance-dependent noise injector trains its auxiliary model with it.
     """
     if (epochs is None) == (samples is None):
         raise ValueError("set exactly one of epochs and samples")
     if features is None:
         features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
     labels = dataset.observed_labels()
-    num_classes = dataset.num_classes
-    schedule: list[int | None]
-    if epochs is not None:
-        schedule = [None] * epochs
-    else:
-        budget = samples
-        schedule = []
-        while budget > 0:
-            take = min(budget, len(dataset))
-            schedule.append(take if take < len(dataset) else None)
-            budget -= take
-    for epoch, limit in enumerate(schedule):
-        rng = np.random.default_rng(subseed(seed, "shuffle", epoch))
-        order = rng.permutation(len(dataset))
-        if limit is not None:
-            order = order[:limit]
-        for b in range(0, len(order), batch_size):
-            batch = order[b : b + batch_size]
-            m = batch.size
-            items = [
-                BatchItem(
-                    features[i],
-                    "ce",
-                    one_hot(int(labels[i]), num_classes),
-                    weight=1.0 / m,
-                    key=int(i),
-                )
-                for i in batch
-            ]
-            mask_seed = subseed(seed, "dropout", epoch, b // batch_size)
-            _, grads, _ = backward(params, items, mask_seed=mask_seed)
-            adam_step(params, grads, opt)
+    for epoch, limit in enumerate(_warmup_schedule(epochs, samples, len(dataset))):
+        _ce_epoch(
+            params,
+            features,
+            labels,
+            dataset.num_classes,
+            lambda grads: adam_step(params, grads, opt),
+            batch_size=batch_size,
+            seed=seed,
+            epoch=epoch,
+            limit=limit,
+        )
     return params, opt
+
+
+def _train(
+    train: Dataset,
+    test: Dataset,
+    model: ModelConfig | None,
+    cfg: SelfMixConfig,
+    warmup_limits: list[int | None],
+    eval_every: int,
+    record_losses: bool,
+) -> TrainReport:
+    """Cross-entropy epochs per ``warmup_limits``, then adaptive epochs."""
+    run = _Run(train, test, model or ModelConfig(), cfg, eval_every, record_losses)
+    per_epoch: list[EpochStats] = []
+    for epoch in range(cfg.total_epochs):
+        if epoch < len(warmup_limits):
+            split = None
+            l_mix, l_p, l_r = run.ce_epoch(epoch, warmup_limits[epoch]), 0.0, 0.0
+        else:
+            split, l_mix, l_p, l_r = run.selfmix_epoch(epoch)
+        run.snapshot_losses()
+        per_epoch.append(run.stats_for(l_mix, l_p, l_r, split))
+    return run.finish(per_epoch)
 
 
 def train_baseline(
@@ -779,15 +712,9 @@ def train_baseline(
     record_losses: bool = False,
 ) -> TrainReport:
     """Plain cross-entropy training for the full epoch budget."""
-    model = model or ModelConfig()
     cfg = cfg or SelfMixConfig()
-    run = _Run(train, test, model, cfg, eval_every, record_losses)
-    per_epoch: list[EpochStats] = []
-    for epoch in range(cfg.total_epochs):
-        mean_ce = run.ce_epoch(epoch)
-        run.snapshot_losses()
-        per_epoch.append(run.stats_for(mean_ce, 0.0, 0.0, None))
-    return run.finish(per_epoch)
+    limits = [None] * cfg.total_epochs
+    return _train(train, test, model, cfg, limits, eval_every, record_losses)
 
 
 def train_selfmix(
@@ -800,17 +727,10 @@ def train_selfmix(
     record_losses: bool = False,
 ) -> TrainReport:
     """Warm-up then adaptive selection/mixing for the remaining epochs."""
-    model = model or ModelConfig()
     cfg = cfg or SelfMixConfig()
-    run = _Run(train, test, model, cfg, eval_every, record_losses)
-    schedule = _warmup_schedule(cfg, len(train))
-    per_epoch: list[EpochStats] = []
-    for epoch, limit in enumerate(schedule):
-        mean_ce = run.ce_epoch(epoch, limit)
-        run.snapshot_losses()
-        per_epoch.append(run.stats_for(mean_ce, 0.0, 0.0, None))
-    for epoch in range(len(schedule), cfg.total_epochs):
-        split, l_mix, l_p, l_r = run.selfmix_epoch(epoch)
-        run.snapshot_losses()
-        per_epoch.append(run.stats_for(l_mix, l_p, l_r, split))
-    return run.finish(per_epoch)
+    limits = _warmup_schedule(cfg.warmup_epochs, cfg.warmup_samples, len(train))
+    if len(limits) > cfg.total_epochs:
+        raise ValueError(
+            "warmup_samples spans more passes than total_epochs allows"
+        )
+    return _train(train, test, model, cfg, limits, eval_every, record_losses)

@@ -11,6 +11,11 @@ Three loss kinds are supported per batch item:
 - ``"pseudo"`` negative log of the model's own top probability (confidence)
 - ``"rdrop"``  half the symmetric KL between two dropout-perturbed passes
 
+:func:`backward` is the single batch evaluator and the only definition of
+each formula (``rdrop_from_probs`` is its agreement helper): it returns the
+weighted total, a per-kind breakdown and, unless ``compute_grads`` is off,
+the exact gradients.
+
 Dropout is inverted dropout with one site (the hidden layer). All masks are
 derived from a ``mask_seed`` plus a per-item key and pass index, so a forward
 pass is a pure function of (params, items, mask_seed), which is exactly what
@@ -188,14 +193,6 @@ class Gradients:
     w2: np.ndarray
     b2: np.ndarray
 
-    def dense_embedding(self, num_buckets: int) -> np.ndarray:
-        """Materialize the full (num_buckets, hidden) gradient for tests."""
-        hidden = self.emb_vals.shape[1] if self.emb_vals.ndim == 2 else 0
-        out = np.zeros((num_buckets, hidden))
-        if self.emb_rows.size:
-            out[self.emb_rows] = self.emb_vals
-        return out
-
 
 def _dropout_mask(
     params: ModelParams, mask_seed: int | None, key: int, pass_index: int
@@ -292,7 +289,7 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, _LOG_FLOOR))
 
 
-def evaluate_batch(
+def backward(
     params: ModelParams,
     items: list[BatchItem] | tuple[BatchItem, ...],
     *,
@@ -301,10 +298,12 @@ def evaluate_batch(
 ) -> tuple[float, Gradients | None, dict[str, tuple[float, int]]]:
     """Evaluate (and optionally differentiate) a weighted sum of loss terms.
 
-    Returns ``(total, grads, breakdown)`` where ``total`` is the weighted
-    objective, ``grads`` accumulates exact parameter gradients of ``total``
-    (or None when ``compute_grads`` is false), and ``breakdown`` maps each
-    loss kind to ``(sum of unweighted item losses, item count)``.
+    This is the one place each loss formula is defined. Returns
+    ``(total, grads, breakdown)`` where ``total`` is the weighted objective
+    (the sum of ``item.weight * loss`` over items), ``grads`` accumulates
+    exact parameter gradients of ``total`` (or None when ``compute_grads``
+    is false), and ``breakdown`` maps each loss kind to ``(sum of
+    unweighted item losses, item count)``.
     """
     acc = _GradAccumulator(params) if compute_grads else None
     total = 0.0
@@ -367,31 +366,6 @@ def rdrop_from_probs(p1: np.ndarray, p2: np.ndarray) -> float:
     """Half the symmetric KL between two class distributions, logs floored."""
     delta = _clamped_log(p1) - _clamped_log(p2)
     return float(0.5 * ((p1 @ delta) + (p2 @ -delta)))
-
-
-def backward(
-    params: ModelParams,
-    items: list[BatchItem] | tuple[BatchItem, ...],
-    *,
-    mask_seed: int | None = None,
-) -> tuple[float, Gradients, dict[str, tuple[float, int]]]:
-    """Loss plus exact gradients for a batch of loss terms."""
-    total, grads, breakdown = evaluate_batch(params, items, mask_seed=mask_seed)
-    assert grads is not None
-    return total, grads, breakdown
-
-
-def batch_loss(
-    params: ModelParams,
-    items: list[BatchItem] | tuple[BatchItem, ...],
-    *,
-    mask_seed: int | None = None,
-) -> tuple[float, dict[str, tuple[float, int]]]:
-    """Forward-only evaluation (used by inference and difference checks)."""
-    total, _, breakdown = evaluate_batch(
-        params, items, mask_seed=mask_seed, compute_grads=False
-    )
-    return total, breakdown
 
 
 def predict_proba(params: ModelParams, features: FeatureVector) -> np.ndarray:

@@ -79,19 +79,16 @@ def _em_update(params: GMMParams, values: np.ndarray) -> GMMParams:
 
 
 def fit_gmm_trace(
-    values: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
+    values: np.ndarray, max_iter: int = 100, tol: float = 1e-6
 ) -> tuple[GMMParams, np.ndarray]:
     """Fit the mixture and return the per-evaluation log-likelihood trace.
 
     The trace starts with the initializer's log-likelihood and then records
     every candidate EM step evaluated, including a final candidate that was
-    rejected for improving by less than ``tol``. ``seed`` is accepted for
-    interface stability but unused: the split initializer is deterministic.
+    rejected for improving by less than ``tol``. Raises ValueError on fewer
+    than two distinct values; ``core.select_split`` handles that case
+    before fitting.
     """
-    del seed
     values = np.asarray(values, dtype=np.float64).ravel()
     if np.unique(values).size < 2:
         raise ValueError(
@@ -109,13 +106,8 @@ def fit_gmm_trace(
     return params, np.array(trace)
 
 
-def fit_gmm(
-    values: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> GMMParams:
-    params, _ = fit_gmm_trace(values, max_iter=max_iter, tol=tol, seed=seed)
+def fit_gmm(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6) -> GMMParams:
+    params, _ = fit_gmm_trace(values, max_iter=max_iter, tol=tol)
     return params
 
 

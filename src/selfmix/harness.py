@@ -33,12 +33,10 @@ import numpy as np
 
 from .common import subseed
 from .core import (
-    DataSplit,
     ModelConfig,
     SelfMixConfig,
     TrainReport,
     per_sample_losses,
-    selection_prf,
     train_baseline,
     train_selfmix,
 )
@@ -261,37 +259,6 @@ def load_transition(path: str | Path, num_classes: int) -> TransitionMap:
     if sorted(targets) != list(range(num_classes)):
         raise ValueError(f"{path}: transition map must cover classes 0..{num_classes - 1}")
     return TransitionMap(tuple(targets[c] for c in range(num_classes)))
-
-
-@dataclass(frozen=True)
-class SelectionMetrics:
-    """How well a selection round isolated the corrupted samples.
-
-    An example sent to the unlabeled set counts as a positive "this label is
-    noisy" call; the corruption manifest supplies the ground truth.
-    """
-
-    precision: float
-    recall: float
-    f1: float
-
-
-def selection_metrics(
-    split: DataSplit, manifest: CorruptionManifest
-) -> SelectionMetrics:
-    """Score a split's unlabeled set against a noise manifest.
-
-    The split and manifest must describe the same dataset: every flipped id
-    has to appear in the split.
-    """
-    universe = set(split.labeled_ids) | set(split.unlabeled_ids)
-    stray = manifest.flipped_ids - universe
-    if stray:
-        raise ValueError(
-            f"manifest references ids outside the split: {sorted(stray)[:5]}"
-        )
-    precision, recall, f1 = selection_prf(split.unlabeled_ids, manifest.flipped_ids)
-    return SelectionMetrics(precision=precision, recall=recall, f1=f1)
 
 
 def emit_loss_histogram(

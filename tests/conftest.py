@@ -15,7 +15,7 @@ from selfmix.encoder import (
     FeatureVector,
     Gradients,
     ModelParams,
-    batch_loss,
+    backward,
     init_params,
 )
 
@@ -80,10 +80,11 @@ def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 
 def grad_lookup(grads: Gradients, params: ModelParams, name: str, flat_index: int) -> float:
-    """Read one analytic gradient coordinate, materializing sparse rows."""
+    """Read one analytic gradient coordinate; untouched embedding rows are 0."""
     if name == "embedding":
-        dense = grads.dense_embedding(params.num_buckets)
-        return float(dense.reshape(-1)[flat_index])
+        row, col = divmod(flat_index, params.hidden)
+        hit = np.flatnonzero(grads.emb_rows == row)
+        return float(grads.emb_vals[hit[0], col]) if hit.size else 0.0
     return float(getattr(grads, name).reshape(-1)[flat_index])
 
 
@@ -99,9 +100,9 @@ def finite_difference(
     arr = dict(param_arrays(params))[name].reshape(-1)
     saved = arr[flat_index]
     arr[flat_index] = saved + step
-    plus, _ = batch_loss(params, items, mask_seed=mask_seed)
+    plus, _, _ = backward(params, items, mask_seed=mask_seed, compute_grads=False)
     arr[flat_index] = saved - step
-    minus, _ = batch_loss(params, items, mask_seed=mask_seed)
+    minus, _, _ = backward(params, items, mask_seed=mask_seed, compute_grads=False)
     arr[flat_index] = saved
     return (plus - minus) / (2.0 * step)
 

@@ -26,16 +26,22 @@ from selfmix.core import (
     SelfMixConfig,
     class_regularize,
     embmix,
-    rdrop_loss,
     select_split,
     selection_prf,
     sharpen,
-    total_loss,
     train_baseline,
     train_selfmix,
 )
 from selfmix.data import one_hot
-from selfmix.encoder import BatchItem, FeatureVector, backward, encode
+from selfmix.encoder import (
+    BatchItem,
+    FeatureVector,
+    backward,
+    encode,
+    featurize_text,
+    init_params,
+    rdrop_from_probs,
+)
 from selfmix.gmm import fit_gmm_trace
 from selfmix.harness import emit_loss_histogram
 from selfmix.noise import (
@@ -174,10 +180,21 @@ def test_criterion_4_formula_micro_checks():
     assert class_regularize(
         np.array([1.0, 2.0, 3.0]), np.array([0, 0, 0])
     ) == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
-    assert rdrop_loss(
+    assert rdrop_from_probs(
         np.array([0.9, 0.1]), np.array([0.1, 0.9])
     ) == pytest.approx(1.7578, abs=1e-4)
-    assert total_loss(1.0, 2.0, 3.0, 0.2, 0.3) == 2.3
+    # the weighted total: l_mix + 0.2 * l_p + 0.3 * l_r, each from the breakdown
+    params = init_params(64, 8, 3, 0.3, seed=4)
+    fv = featurize_text("alpha beta gamma", 64)
+    items = [
+        BatchItem(fv, "ce", np.array([0.2, 0.5, 0.3]), weight=1.0),
+        BatchItem(fv, "pseudo", weight=0.2, key=7),
+        BatchItem(fv, "rdrop", weight=0.3, key=7),
+    ]
+    total, _, breakdown = backward(params, items, mask_seed=11)
+    l_mix, l_p, l_r = (breakdown[k][0] for k in ("ce", "pseudo", "rdrop"))
+    assert l_r > 0.0
+    assert total == pytest.approx(l_mix + 0.2 * l_p + 0.3 * l_r, rel=1e-12)
 
 
 def test_criterion_5_desk_scale_robustness_under_asymmetric_noise():

@@ -13,14 +13,10 @@ from selfmix.core import (
     SelfMixConfig,
     class_regularize,
     embmix,
-    mix_loss,
     per_sample_losses,
-    pseudo_loss,
-    rdrop_loss,
     select_split,
     selection_prf,
     sharpen,
-    total_loss,
     train_baseline,
     train_selfmix,
     warmup,
@@ -28,12 +24,14 @@ from selfmix.core import (
 from selfmix.data import Dataset, one_hot
 from selfmix.encoder import (
     BatchItem,
-    batch_loss,
+    backward,
     featurize_text,
     init_optimizer,
     init_params,
     predict_proba,
+    rdrop_from_probs,
 )
+from selfmix.gmm import fit_gmm_trace
 from selfmix.noise import inject_uniform
 from selfmix.synthetic import make_corpus
 
@@ -115,6 +113,18 @@ def test_select_split_custom_ids_and_epoch():
     assert split.epoch == 3
     assert set(split.labeled_ids) | set(split.unlabeled_ids) == set(ids)
     assert set(split.posteriors) == set(ids)
+
+
+def test_select_split_keeps_every_id_labeled_on_constant_losses():
+    """Fewer than two distinct losses: no mixture is fit, every id keeps its
+    label with posterior 1.0; a direct fit still refuses such values."""
+    losses = np.full(4, 0.7)
+    split = select_split(losses, 0.5, [10, 11, 12, 13], epoch=2)
+    assert split.labeled_ids == (10, 11, 12, 13)
+    assert split.unlabeled_ids == ()
+    assert split.posteriors == {10: 1.0, 11: 1.0, 12: 1.0, 13: 1.0}
+    with pytest.raises(ValueError, match="two distinct"):
+        fit_gmm_trace(losses)
 
 
 def test_select_split_length_mismatch():
@@ -241,22 +251,34 @@ def test_embmix_boundary_coefficients():
     assert np.allclose(halfway.embeddings, [[0.5, 0.5]])
 
 
+def constant_model(p):
+    """A dropout-free model that predicts the distribution ``p`` for every input."""
+    p = np.asarray(p, dtype=np.float64)
+    params = init_params(8, 4, p.size, 0.0, seed=0)
+    params.w2[:] = 0.0
+    params.b2[:] = np.log(np.maximum(p, 1e-300))
+    return params
+
+
+def mean_pseudo(p, copies: int = 1) -> float:
+    """Mean confidence term of ``backward`` over ``copies`` items predicting ``p``."""
+    items = [BatchItem(np.zeros(4), "pseudo")] * copies
+    _, _, breakdown = backward(constant_model(p), items, mask_seed=3, compute_grads=False)
+    raw, count = breakdown["pseudo"]
+    return raw / count
+
+
 def test_pseudo_loss_values():
-    assert pseudo_loss([]) == 0.0
-    assert pseudo_loss([np.array([1.0, 0.0])]) == 0.0
-    assert pseudo_loss([np.array([0.25, 0.75])]) == pytest.approx(-np.log(0.75))
-    uniform = np.full(4, 0.25)
-    assert pseudo_loss([uniform, uniform]) == pytest.approx(np.log(4.0))
+    total, _, breakdown = backward(constant_model([0.5, 0.5]), [])
+    assert total == 0.0 and breakdown == {}
+    assert mean_pseudo([1.0, 0.0]) == 0.0
+    assert mean_pseudo([0.25, 0.75]) == pytest.approx(-np.log(0.75))
+    assert mean_pseudo(np.full(4, 0.25), copies=2) == pytest.approx(np.log(4.0))
 
 
 def test_rdrop_loss_micro_example():
-    value = rdrop_loss(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
+    value = rdrop_from_probs(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
     assert value == pytest.approx(1.7578, abs=1e-4)
-
-
-def test_total_loss_weighting():
-    assert total_loss(1.0, 2.0, 3.0, 0.2, 0.3) == 2.3
-    assert total_loss(1.0, 5.0, 7.0, 0.0, 0.0) == 1.0
 
 
 def test_loss_terms_non_negative_property():
@@ -267,28 +289,24 @@ def test_loss_terms_non_negative_property():
         num_classes = int(rng.integers(2, 6))
         p1 = random_distribution(rng, num_classes)
         p2 = random_distribution(rng, num_classes)
-        assert rdrop_loss(p1, p2) >= 0.0
-        assert rdrop_loss(p1, p1) == 0.0
-        assert pseudo_loss([p1, p2]) >= 0.0
+        assert rdrop_from_probs(p1, p2) >= 0.0
+        assert rdrop_from_probs(p1, p1) == 0.0
+        assert mean_pseudo(p1) >= 0.0 and mean_pseudo(p2) >= 0.0
 
         params = init_params(64, 4, num_classes, 0.0, seed=int(rng.integers(2**31)))
         emb = rng.normal(size=(2, 4))
         targets = np.stack([p1, p2])
         mixed = embmix(emb, targets, emb[::-1], targets[::-1], rng.beta(0.75, 0.75, 2))
-        assert mix_loss(params, mixed) >= 0.0
+        mix_items = [
+            BatchItem(mixed.embeddings[k], "ce", mixed.targets[k], weight=0.5)
+            for k in range(2)
+        ]
+        mix, _, _ = backward(params, mix_items, compute_grads=False)
+        assert mix >= 0.0
 
         fv = featurize_text("alpha beta gamma", 64)
-        loss, _ = batch_loss(params, [BatchItem(fv, "rdrop")], mask_seed=7)
+        loss, _, _ = backward(params, [BatchItem(fv, "rdrop")], mask_seed=7)
         assert loss == 0.0  # dropout_rate 0: both passes identical
-
-
-def test_mix_loss_empty_batch():
-    params = init_params(8, 4, 2, 0.0, seed=0)
-    empty = embmix(
-        np.empty((0, 4)), np.empty((0, 2)), np.empty((0, 4)), np.empty((0, 2)),
-        np.empty(0),
-    )
-    assert mix_loss(params, empty) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +395,26 @@ def test_warmup_requires_exactly_one_budget():
         warmup(params, opt, train)
     with pytest.raises(ValueError, match="exactly one"):
         warmup(params, opt, train, epochs=1, samples=5)
+
+
+def test_warmup_matches_the_plain_arm_bit_for_bit():
+    """The IDN auxiliary model's trainer and the plain arm run one epoch loop:
+    the same init, seed and features give bit-identical parameters."""
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=2, warmup_epochs=2, batch_size=16, seed=5)
+    report = train_baseline(corrupted, test, TINY_MODEL, cfg)
+    params = init_params(
+        TINY_MODEL.num_buckets,
+        TINY_MODEL.hidden,
+        corrupted.num_classes,
+        TINY_MODEL.dropout_rate,
+        subseed(cfg.seed, "init"),
+    )
+    opt = init_optimizer(params, learning_rate=TINY_MODEL.learning_rate)
+    features = [featurize_text(ex.text, TINY_MODEL.num_buckets) for ex in corrupted]
+    warmup(params, opt, corrupted, epochs=2, batch_size=16, seed=cfg.seed, features=features)
+    for name in ("embedding", "w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(params, name), getattr(report.final_params, name))
 
 
 def test_warmup_sample_budget_counts_examples():

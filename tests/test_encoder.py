@@ -17,9 +17,7 @@ from selfmix.encoder import (
     ModelParams,
     adam_step,
     backward,
-    batch_loss,
     encode,
-    evaluate_batch,
     featurize,
     featurize_text,
     fnv1a64,
@@ -251,11 +249,8 @@ def test_backward_mean_invariance_under_duplication():
     loss_b, grads_b, _ = backward(params, doubled)
     assert loss_a == pytest.approx(loss_b, abs=1e-12)
     assert np.allclose(grads_a.w2, grads_b.w2, atol=1e-12)
-    assert np.allclose(
-        grads_a.dense_embedding(params.num_buckets),
-        grads_b.dense_embedding(params.num_buckets),
-        atol=1e-12,
-    )
+    assert np.array_equal(grads_a.emb_rows, grads_b.emb_rows)
+    assert np.allclose(grads_a.emb_vals, grads_b.emb_vals, atol=1e-12)
 
 
 def test_evaluate_batch_breakdown_counts_kinds():
@@ -270,7 +265,7 @@ def test_evaluate_batch_breakdown_counts_kinds():
         BatchItem(fv, "pseudo"),
         BatchItem(fv, "rdrop"),
     ]
-    total, grads, breakdown = evaluate_batch(params, items, mask_seed=4)
+    total, grads, breakdown = backward(params, items, mask_seed=4)
     assert breakdown["ce"][1] == 1
     assert breakdown["pseudo"][1] == 2
     assert breakdown["rdrop"][1] == 1
@@ -285,7 +280,7 @@ def test_evaluate_batch_weights_scale_total_not_breakdown():
     params = small_params(rng, dropout_rate=0.0)
     fv = random_features(rng, params.num_buckets)
     item = BatchItem(fv, "pseudo", weight=0.25)
-    total, _, breakdown = evaluate_batch(params, [item])
+    total, _, breakdown = backward(params, [item])
     raw, count = breakdown["pseudo"]
     assert count == 1
     assert total == pytest.approx(0.25 * raw)
@@ -294,13 +289,13 @@ def test_evaluate_batch_weights_scale_total_not_breakdown():
 def test_evaluate_batch_rejects_unknown_kind():
     params = init_params(8, 4, 2, 0.0, seed=0)
     with pytest.raises(ValueError, match="unknown batch item kind"):
-        evaluate_batch(params, [BatchItem(np.zeros(4), "nope")])
+        backward(params, [BatchItem(np.zeros(4), "nope")])
 
 
 def test_evaluate_batch_requires_ce_target():
     params = init_params(8, 4, 2, 0.0, seed=0)
     with pytest.raises(ValueError, match="target"):
-        evaluate_batch(params, [BatchItem(np.zeros(4), "ce")])
+        backward(params, [BatchItem(np.zeros(4), "ce")])
 
 
 def test_evaluate_batch_names_non_finite_term_and_position():
@@ -308,7 +303,7 @@ def test_evaluate_batch_names_non_finite_term_and_position():
     good = BatchItem(np.zeros(4), "ce", np.array([1.0, 0.0]))
     poisoned = BatchItem(np.zeros(4), "ce", np.array([np.nan, 0.0]))
     with pytest.raises(NumericError, match="non-finite ce loss at batch position 1"):
-        evaluate_batch(params, [good, poisoned])
+        backward(params, [good, poisoned])
 
 
 def test_rdrop_from_probs_basics():
@@ -331,12 +326,15 @@ def test_shared_key_shares_dropout_masks_across_kinds():
     z0 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=0)
     z1 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=1)
     expected = rdrop_from_probs(softmax(z0), softmax(z1))
-    total, _ = batch_loss(params, [BatchItem(fv, "rdrop", key=5)], mask_seed=mask_seed)
+    total, grads, _ = backward(
+        params, [BatchItem(fv, "rdrop", key=5)], mask_seed=mask_seed, compute_grads=False
+    )
+    assert grads is None
     assert total == pytest.approx(expected, abs=1e-12)
     # pseudo with the same key sees exactly the pass-0 mask
     p0 = softmax(z0)
     expected_pseudo = -np.log(p0[int(np.argmax(p0))])
-    got, _ = batch_loss(params, [BatchItem(fv, "pseudo", key=5)], mask_seed=mask_seed)
+    got, _, _ = backward(params, [BatchItem(fv, "pseudo", key=5)], mask_seed=mask_seed)
     assert got == pytest.approx(expected_pseudo, abs=1e-12)
 
 

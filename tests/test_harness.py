@@ -10,19 +10,17 @@ import pytest
 
 from conftest import N_CASES
 from selfmix.common import NumericError, round_half_up, subseed
-from selfmix.core import REPORT_CSV_FIELDS, DataSplit
-from selfmix.data import load_csv, save_csv
+from selfmix.core import REPORT_CSV_FIELDS, selection_prf
+from selfmix.data import Dataset, Example, load_csv, save_csv
 from selfmix.encoder import load_checkpoint
 from selfmix.harness import (
     ARMS,
     ExperimentConfig,
-    SelectionMetrics,
     analyze_losses,
     emit_loss_histogram,
     format_report,
     load_transition,
     run_experiment,
-    selection_metrics,
 )
 from selfmix.noise import CorruptionManifest, load_manifest
 from selfmix.synthetic import make_corpus
@@ -262,26 +260,8 @@ def make_manifest(flipped, num_classes=2):
     )
 
 
-def make_split(labeled, unlabeled):
-    posteriors = {i: 0.9 for i in labeled}
-    posteriors.update({i: 0.1 for i in unlabeled})
-    return DataSplit(
-        labeled_ids=tuple(labeled),
-        unlabeled_ids=tuple(unlabeled),
-        posteriors=posteriors,
-        tau=0.5,
-        epoch=0,
-    )
-
-
 def test_selection_metrics_perfect_split():
-    metrics = selection_metrics(make_split([0, 1], [2, 3]), make_manifest({2, 3}))
-    assert metrics == SelectionMetrics(1.0, 1.0, 1.0)
-
-
-def test_selection_metrics_rejects_stray_ids():
-    with pytest.raises(ValueError, match="outside the split"):
-        selection_metrics(make_split([0, 1], [2]), make_manifest({2, 99}))
+    assert selection_prf([2, 3], make_manifest({2, 3}).flipped_ids) == (1.0, 1.0, 1.0)
 
 
 def test_selection_metrics_brute_force_property():
@@ -291,22 +271,19 @@ def test_selection_metrics_brute_force_property():
         ids = rng.permutation(500)[:n]
         sent = rng.random(n) < rng.uniform(0.1, 0.9)
         unlabeled = {int(i) for i, s in zip(ids, sent) if s}
-        labeled = {int(i) for i in ids} - unlabeled
         flipped = {int(i) for i in ids if rng.random() < 0.4}
-        metrics = selection_metrics(
-            make_split(sorted(labeled), sorted(unlabeled)), make_manifest(flipped)
+        precision, recall, f1 = selection_prf(
+            sorted(unlabeled), make_manifest(flipped).flipped_ids
         )
         hits = len(unlabeled & flipped)
         expect_p = hits / len(unlabeled) if unlabeled else 0.0
         expect_r = hits / len(flipped) if flipped else 0.0
-        assert metrics.precision == pytest.approx(expect_p)
-        assert metrics.recall == pytest.approx(expect_r)
+        assert precision == pytest.approx(expect_p)
+        assert recall == pytest.approx(expect_r)
         if expect_p + expect_r > 0:
-            assert metrics.f1 == pytest.approx(
-                2 * expect_p * expect_r / (expect_p + expect_r)
-            )
+            assert f1 == pytest.approx(2 * expect_p * expect_r / (expect_p + expect_r))
         else:
-            assert metrics.f1 == 0.0
+            assert f1 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +661,33 @@ def test_cli_single_arm_trains_only_that_arm(corpus_dir, tmp_path, capsys):
     assert (out / "baseline" / "report.json").is_file()
     assert not (out / "selfmix").exists()
     assert "baseline: best_acc=" in capsys.readouterr().out
+
+
+def test_cli_degenerate_selection_losses_fall_back_and_warn(tmp_path, capsys):
+    """One fixed text per class makes every class-standardized loss 0; the
+    run keeps all samples labeled and records why, instead of failing."""
+    texts = ("alpha beta", "gamma delta")
+    data = Dataset(tuple(Example(i, texts[i % 2], i % 2) for i in range(32)), 2, "twin")
+    save_csv(data, tmp_path / "train.csv")
+    save_csv(data, tmp_path / "test.csv")
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "twin.cfg"
+    cfg_path.write_text(
+        config_text(
+            tmp_path, out,
+            **{
+                "noise.type": "none", "noise.ratio": None, "noise.seed": None,
+                "selfmix.class_regularize": "true",
+            },
+        ),
+        encoding="utf-8",
+    )
+    assert cli.main(["train-selfmix", "--config", str(cfg_path)]) == 0
+    report = json.loads((out / "selfmix" / "report.json").read_text(encoding="utf-8"))
+    assert [row["labeled_count"] for row in report["per_epoch"]] == [32, 32, 32]
+    assert report["warnings"]
+    assert all("fewer than two distinct values" in w for w in report["warnings"])
+    assert "selfmix: best_acc=" in capsys.readouterr().out
 
 
 def test_cli_analyze_losses(finished_run, tmp_path, capsys):
