@@ -11,9 +11,12 @@ the rest have their labels replaced by the model's own sharpened predictions
     + lambda_p * confidence loss on the unlabeled set
     + lambda_r * symmetric-KL agreement between two dropout passes
 
-Warm-up epochs of plain cross-entropy precede selection so that early losses
-are informative. One cross-entropy epoch routine serves the warm-up, the
-plain arm and the standalone :func:`warmup`; every loss formula lives in
+Each mixed example enters the encoder as the merged feature bag of its two
+parents, so the mixup term trains the embedding rows of both, as mixing
+hidden representations does in the paper. Warm-up epochs of plain
+cross-entropy precede selection so that early losses are informative. One
+cross-entropy epoch routine serves the warm-up, the plain arm and the
+standalone :func:`warmup`; every loss formula lives in
 :func:`selfmix.encoder.backward`. A per-class loss standardization switch
 makes selection robust when different classes have different loss scales.
 
@@ -44,12 +47,14 @@ from .encoder import (
     head_forward,
     init_optimizer,
     init_params,
+    predict_logits,
     predict_proba,
     softmax,
 )
 from .gmm import fit_gmm, posterior_clean
 
 _MIX_KEY_BASE = 1_000_000
+_EVAL_CHUNK = 32  # documents per batched forward in accuracy(); bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,21 @@ class ModelConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.num_buckets < 1:
+            raise ValueError("num_buckets must be at least 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be at least 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError("epsilon must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -314,6 +334,18 @@ def embmix(
     return MixedBatch(embeddings=emb, targets=targets, lam=lam_prime)
 
 
+def _mix_bags(a: FeatureVector, b: FeatureVector, lam: float) -> FeatureVector:
+    """The feature vector whose pooled embedding is ``lam * e(a) + (1 - lam) * e(b)``.
+
+    Feeding a mixed example to the encoder as this bag, rather than as the
+    mixed embedding, lets the mixup loss train the embedding rows of both
+    parents, as mixing hidden representations does in the paper.
+    """
+    rows, inverse = np.unique(np.concatenate([a.indices, b.indices]), return_inverse=True)
+    mass = np.concatenate([lam * a.weights, (1.0 - lam) * b.weights])
+    return FeatureVector(rows, np.bincount(inverse, weights=mass, minlength=rows.size))
+
+
 def selection_prf(
     unlabeled_ids: Iterable[int], flipped_ids: Iterable[int]
 ) -> tuple[float, float, float]:
@@ -339,13 +371,14 @@ def selection_prf(
 def accuracy(
     params: ModelParams, features: list[FeatureVector], labels: np.ndarray
 ) -> float:
-    """Dropout-off classification accuracy."""
+    """Dropout-off classification accuracy, batched in chunks of ``_EVAL_CHUNK``."""
     if not features:
         return 0.0
-    hits = sum(
-        int(np.argmax(predict_proba(params, fv)) == int(label))
-        for fv, label in zip(features, labels)
-    )
+    labels = np.asarray(labels)
+    hits = 0
+    for start in range(0, len(features), _EVAL_CHUNK):
+        logits = predict_logits(params, features[start : start + _EVAL_CHUNK])
+        hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + _EVAL_CHUNK]))
     return hits / len(features)
 
 
@@ -468,6 +501,14 @@ class _Run:
         self.step_acc: list[tuple[int, float]] = []
         self.warnings: list[str] = []
         self.loss_snapshots: list[np.ndarray] | None = [] if record_losses else None
+        self._losses: tuple[int, np.ndarray] | None = None
+
+    def losses(self) -> np.ndarray:
+        """Per-sample losses at the current parameters, computed once per step."""
+        if self._losses is None or self._losses[0] != self.global_step:
+            losses = per_sample_losses(self.params, self.train, self.features)
+            self._losses = (self.global_step, losses)
+        return self._losses[1]
 
     def test_accuracy(self) -> float:
         return accuracy(self.params, self.test_features, self.test_labels)
@@ -500,7 +541,7 @@ class _Run:
         """
         cfg = self.cfg
         num_classes = self.train.num_classes
-        losses = per_sample_losses(self.params, self.train, self.features)
+        losses = self.losses()
         values = (
             class_regularize(losses, self.labels, num_classes)
             if cfg.class_regularize
@@ -547,7 +588,11 @@ class _Run:
                 )
                 items = [
                     BatchItem(
-                        mixed.embeddings[k],
+                        _mix_bags(
+                            self.features[batch[k]],
+                            self.features[batch[partners[k]]],
+                            mixed.lam[k],
+                        ),
                         "ce",
                         mixed.targets[k],
                         weight=1.0 / m,
@@ -595,9 +640,7 @@ class _Run:
 
     def snapshot_losses(self) -> None:
         if self.loss_snapshots is not None:
-            self.loss_snapshots.append(
-                per_sample_losses(self.params, self.train, self.features)
-            )
+            self.loss_snapshots.append(self.losses())
 
     def stats_for(
         self,

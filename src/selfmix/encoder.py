@@ -16,12 +16,21 @@ each formula (``rdrop_from_probs`` is its agreement helper): it returns the
 weighted total, a per-kind breakdown and, unless ``compute_grads`` is off,
 the exact gradients.
 
-Dropout is inverted dropout with one site (the hidden layer). All masks are
-derived from a ``mask_seed`` plus a per-item key and pass index, so a forward
-pass is a pure function of (params, items, mask_seed), which is exactly what
-finite-difference checking and reproducible training need. Items of different
-kinds that share a key also share per-pass masks; this is how a confidence
-term can be evaluated on the same perturbed pass as a consistency term.
+A batch is evaluated as one matrix pass: the inputs are pooled with one
+gather and one ``reduceat``, the head runs on a ``(rows, hidden)`` matrix
+with one row per (item, dropout pass), and the embedding gradient is reduced
+over the touched rows with one stable sort.
+
+Dropout is inverted dropout with one site (the hidden layer). Masks come
+from a counter-based hash (SplitMix64 mixing, in the spirit of Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): unit ``j`` of
+the mask for (``mask_seed``, key, pass) is kept when the hash of those four
+numbers, read as a uniform in [0, 1), clears the dropout rate. A forward
+pass is therefore a pure function of (params, items, mask_seed), which is
+exactly what finite-difference checking and reproducible training need, and
+no random generator is built per item. Items of different kinds that share a
+key also share per-pass masks; this is how a confidence term can be
+evaluated on the same perturbed pass as a consistency term.
 """
 from __future__ import annotations
 
@@ -32,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import NumericError, subseed
+from .common import NumericError
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -140,13 +149,47 @@ def init_params(
     )
 
 
+def _concat(vectors: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated ``(indices, weights, sizes)`` of a list of feature vectors."""
+    if not vectors:
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.intp)
+    sizes = np.array([fv.indices.size for fv in vectors], dtype=np.intp)
+    indices = np.concatenate([fv.indices for fv in vectors])
+    weights = np.concatenate([fv.weights for fv in vectors])
+    return indices, weights, sizes
+
+
+def _pool(
+    params: ModelParams, indices: np.ndarray, weights: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Embedding-bag averages, one row per bag: one gather plus one reduceat.
+
+    Bag ``b`` owns the next ``sizes[b]`` entries of ``indices``/``weights``;
+    an empty bag pools to the zero vector. A single bag is one weighted sum.
+    """
+    if not indices.size:
+        lo = hi = 0
+    elif len(sizes) == 1:  # one feature vector: its ids are sorted
+        lo, hi = indices[0], indices[-1]
+    else:
+        lo, hi = indices.min(), indices.max()
+    if lo < 0 or hi >= params.num_buckets:
+        raise ValueError("feature index out of range for the embedding table")
+    if len(sizes) == 1:
+        return (weights @ params.embedding[indices])[None]
+    pooled = np.zeros((len(sizes), params.hidden))
+    if indices.size:
+        filled = sizes > 0
+        starts = (np.cumsum(sizes) - sizes)[filled]
+        weighted = params.embedding[indices]
+        weighted *= weights[:, None]
+        pooled[filled] = np.add.reduceat(weighted, starts, axis=0)
+    return pooled
+
+
 def encode(params: ModelParams, features: FeatureVector) -> np.ndarray:
     """Weighted average of embedding rows; zero vector for empty input."""
-    if features.indices.size == 0:
-        return np.zeros(params.hidden)
-    if int(features.indices[0]) < 0 or int(features.indices[-1]) >= params.num_buckets:
-        raise ValueError("feature index out of range for the embedding table")
-    return features.weights @ params.embedding[features.indices]
+    return _pool(params, features.indices, features.weights, (features.indices.size,))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -160,8 +203,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Row-wise (last axis) max-shifted log-softmax."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -194,23 +238,43 @@ class Gradients:
     b2: np.ndarray
 
 
-def _dropout_mask(
-    params: ModelParams, mask_seed: int | None, key: int, pass_index: int
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer: a bijective avalanche on uint64 arrays."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _masks(
+    params: ModelParams, mask_seed: int | None, keys: np.ndarray, passes: np.ndarray
 ) -> np.ndarray:
+    """Inverted-dropout masks, one row per (key, pass), from a counter hash.
+
+    Row ``r`` is a SplitMix64 stream whose state is a hash of (mask_seed,
+    keys[r], passes[r]); unit ``j`` reads the stream's ``j``-th output, so
+    a mask is a pure function of (mask_seed, key, pass, unit). With no
+    ``mask_seed`` or a zero rate every mask is all ones.
+    """
     rate = params.dropout_rate
     if mask_seed is None or rate == 0.0:
-        return np.ones(params.hidden)
-    rng = np.random.default_rng(subseed(mask_seed, "mask", key, pass_index))
-    keep = rng.random(params.hidden) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+        return np.ones((len(keys), params.hidden))
+    seed = _mix64(np.array([mask_seed & _MASK64], dtype=np.uint64) + _GOLDEN)
+    state = _mix64(seed ^ np.asarray(keys, dtype=np.int64).astype(np.uint64))
+    state = _mix64(state + (np.asarray(passes, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
+    units = np.arange(1, params.hidden + 1, dtype=np.uint64) * _GOLDEN
+    uniform = (_mix64(state[:, None] + units) >> np.uint64(11)) * 2.0**-53
+    return (uniform >= rate) / (1.0 - rate)
 
 
 @dataclass
 class _Pass:
-    """Forward intermediates for one (input, mask) pass."""
+    """Forward intermediates, one row per (input, mask) pass."""
 
-    e: np.ndarray
-    mask: np.ndarray
     a1: np.ndarray
     h_drop: np.ndarray
     z: np.ndarray
@@ -218,13 +282,18 @@ class _Pass:
     log_p: np.ndarray
 
 
-def _forward(params: ModelParams, e: np.ndarray, mask: np.ndarray) -> _Pass:
+def _forward(params: ModelParams, e: np.ndarray, mask: np.ndarray | None) -> _Pass:
+    """The head on one ``(hidden,)`` row or a ``(rows, hidden)`` matrix of rows.
+
+    ``mask=None`` is dropout off.
+    """
     a1 = e @ params.w1 + params.b1
-    h = np.maximum(a1, 0.0)
-    h_drop = h * mask
+    h_drop = np.maximum(a1, 0.0)
+    if mask is not None:
+        h_drop *= mask
     z = h_drop @ params.w2 + params.b2
     log_p = log_softmax(z)
-    return _Pass(e=e, mask=mask, a1=a1, h_drop=h_drop, z=z, p=np.exp(log_p), log_p=log_p)
+    return _Pass(a1=a1, h_drop=h_drop, z=z, p=np.exp(log_p), log_p=log_p)
 
 
 def head_forward(
@@ -242,51 +311,31 @@ def head_forward(
     mask derived from (mask_seed, key, pass_index); with it off the pass is a
     pure function of (params, e).
     """
-    mask = (
-        _dropout_mask(params, mask_seed, key, pass_index)
-        if dropout_on
-        else np.ones(params.hidden)
-    )
+    mask = _masks(params, mask_seed, [key], [pass_index])[0] if dropout_on else None
     return _forward(params, np.asarray(e, dtype=np.float64), mask).z
 
 
-class _GradAccumulator:
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.emb: dict[int, np.ndarray] = {}
-        self.w1 = np.zeros_like(params.w1)
-        self.b1 = np.zeros_like(params.b1)
-        self.w2 = np.zeros_like(params.w2)
-        self.b2 = np.zeros_like(params.b2)
+def predict_proba(params: ModelParams, features: FeatureVector) -> np.ndarray:
+    """Class probabilities with dropout off."""
+    return _forward(params, encode(params, features), None).p
 
-    def backprop(self, fwd: _Pass, g_z: np.ndarray, features: FeatureVector | None) -> None:
-        """Push a logit gradient back through one pass."""
-        self.w2 += np.outer(fwd.h_drop, g_z)
-        self.b2 += g_z
-        d_hidden = (self.params.w2 @ g_z) * fwd.mask * (fwd.a1 > 0.0)
-        self.w1 += np.outer(fwd.e, d_hidden)
-        self.b1 += d_hidden
-        if features is not None and features.indices.size:
-            d_e = self.params.w1 @ d_hidden
-            for row, weight in zip(features.indices, features.weights):
-                row = int(row)
-                if row in self.emb:
-                    self.emb[row] += weight * d_e
-                else:
-                    self.emb[row] = weight * d_e
 
-    def finish(self) -> Gradients:
-        rows = np.array(sorted(self.emb), dtype=np.int64)
-        vals = (
-            np.stack([self.emb[int(r)] for r in rows])
-            if rows.size
-            else np.empty((0, self.params.hidden))
-        )
-        return Gradients(rows, vals, self.w1, self.b1, self.w2, self.b2)
+def predict_logits(params: ModelParams, features: list[FeatureVector]) -> np.ndarray:
+    """Dropout-off logits of many documents at once, one row each."""
+    return _forward(params, _pool(params, *_concat(features)), None).z
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, _LOG_FLOOR))
+
+
+def rdrop_from_probs(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Half the symmetric KL between class distributions (last axis), logs floored."""
+    delta = _clamped_log(p1) - _clamped_log(p2)
+    return 0.5 * ((p1 * delta).sum(axis=-1) + (p2 * -delta).sum(axis=-1))
+
+
+_KINDS = ("ce", "pseudo", "rdrop")
 
 
 def backward(
@@ -304,74 +353,104 @@ def backward(
     exact parameter gradients of ``total`` (or None when ``compute_grads``
     is false), and ``breakdown`` maps each loss kind to ``(sum of
     unweighted item losses, item count)``.
+
+    The whole batch is one matrix pass: every item gets a pass-0 row and
+    every ``"rdrop"`` item also a pass-1 row, so the cost in array
+    operations does not grow with the number of items.
     """
-    acc = _GradAccumulator(params) if compute_grads else None
-    total = 0.0
-    breakdown: dict[str, list[float]] = {}
-
-    for position, item in enumerate(items):
-        key = item.key if item.key is not None else position
-        if isinstance(item.input, FeatureVector):
-            features: FeatureVector | None = item.input
-            e = encode(params, item.input)
-        else:
-            features = None
-            e = np.asarray(item.input, dtype=np.float64)
-
-        if item.kind == "ce":
-            fwd = _forward(params, e, _dropout_mask(params, mask_seed, key, 0))
-            if item.target is None:
-                raise ValueError("ce items require a target distribution")
-            target = np.asarray(item.target, dtype=np.float64)
-            loss = float(-(target @ fwd.log_p))
-            if acc is not None:
-                acc.backprop(fwd, item.weight * (fwd.p - target), features)
-        elif item.kind == "pseudo":
-            fwd = _forward(params, e, _dropout_mask(params, mask_seed, key, 0))
-            top = int(np.argmax(fwd.p))
-            loss = float(-fwd.log_p[top])
-            if acc is not None:
-                g_z = fwd.p.copy()
-                g_z[top] -= 1.0
-                acc.backprop(fwd, item.weight * g_z, features)
-        elif item.kind == "rdrop":
-            fwd1 = _forward(params, e, _dropout_mask(params, mask_seed, key, 0))
-            fwd2 = _forward(params, e, _dropout_mask(params, mask_seed, key, 1))
-            loss = rdrop_from_probs(fwd1.p, fwd2.p)
-            if acc is not None:
-                delta = _clamped_log(fwd1.p) - _clamped_log(fwd2.p)
-                kl12 = float(fwd1.p @ delta)
-                kl21 = float(fwd2.p @ -delta)
-                g_z1 = 0.5 * (fwd1.p * (delta - kl12) + (fwd1.p - fwd2.p))
-                g_z2 = 0.5 * (fwd2.p * (-delta - kl21) + (fwd2.p - fwd1.p))
-                acc.backprop(fwd1, item.weight * g_z1, features)
-                acc.backprop(fwd2, item.weight * g_z2, features)
-        else:
+    n = len(items)
+    positions: dict[str, list[int]] = {kind: [] for kind in _KINDS}
+    bags: list[int] = []
+    dense: list[int] = []
+    keys: list[int] = []
+    for pos, item in enumerate(items):
+        if item.kind not in positions:
             raise ValueError(f"unknown batch item kind {item.kind!r}")
+        if item.kind == "ce" and item.target is None:
+            raise ValueError("ce items require a target distribution")
+        positions[item.kind].append(pos)
+        (bags if isinstance(item.input, FeatureVector) else dense).append(pos)
+        keys.append(pos if item.key is None else item.key)
+    ce, pseudo, rdrop = (np.array(positions[kind], dtype=np.intp) for kind in _KINDS)
+    weights = np.array([item.weight for item in items], dtype=np.float64)
 
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"non-finite {item.kind} loss at batch position {position}"
-            )
-        total += item.weight * loss
-        entry = breakdown.setdefault(item.kind, [0.0, 0])
-        entry[0] += loss
-        entry[1] += 1
+    indices, bag_weights, sizes = _concat([items[i].input for i in bags])
+    bag_pos = np.array(bags, dtype=np.intp)
+    e = np.empty((n, params.hidden))
+    e[bag_pos] = _pool(params, indices, bag_weights, sizes)
+    if dense:
+        e[dense] = np.array([items[i].input for i in dense], dtype=np.float64)
 
-    grads = acc.finish() if acc is not None else None
-    return total, grads, {k: (s, int(c)) for k, (s, c) in breakdown.items()}
+    # rows 0..n-1 are every item's pass 0; rows n.. are the rdrop items' pass 1
+    row_item = np.concatenate([np.arange(n), rdrop])
+    passes = np.concatenate([np.zeros(n, dtype=np.intp), np.ones(rdrop.size, dtype=np.intp)])
+    e_rows = e[row_item]
+    mask = _masks(params, mask_seed, np.asarray(keys, dtype=np.int64)[row_item], passes)
+    fwd = _forward(params, e_rows, mask)
+    p, log_p = fwd.p, fwd.log_p
+    second = n + np.arange(rdrop.size)
 
+    losses = np.empty(n)
+    targets = (
+        np.array([items[i].target for i in ce], dtype=np.float64)
+        if ce.size
+        else np.empty((0, params.num_classes))
+    )
+    losses[ce] = -(targets * log_p[ce]).sum(axis=1)
+    top = np.argmax(p[pseudo], axis=1)
+    losses[pseudo] = -log_p[pseudo, top]
+    losses[rdrop] = rdrop_from_probs(p[rdrop], p[second])
 
-def rdrop_from_probs(p1: np.ndarray, p2: np.ndarray) -> float:
-    """Half the symmetric KL between two class distributions, logs floored."""
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        position = int(bad[0])
+        raise NumericError(
+            f"non-finite {items[position].kind} loss at batch position {position}"
+        )
+    total = float(weights @ losses)
+    breakdown = {
+        kind: (float(losses[sel].sum()), int(sel.size))
+        for kind, sel in zip(_KINDS, (ce, pseudo, rdrop))
+        if sel.size
+    }
+    if not compute_grads:
+        return total, None, breakdown
+
+    g_z = np.empty_like(p)
+    g_z[ce] = p[ce] - targets
+    g_z[pseudo] = p[pseudo]
+    g_z[pseudo, top] -= 1.0
+    p1, p2 = p[rdrop], p[second]
     delta = _clamped_log(p1) - _clamped_log(p2)
-    return float(0.5 * ((p1 @ delta) + (p2 @ -delta)))
+    kl12 = (p1 * delta).sum(axis=1, keepdims=True)
+    kl21 = (p2 * -delta).sum(axis=1, keepdims=True)
+    g_z[rdrop] = 0.5 * (p1 * (delta - kl12) + (p1 - p2))
+    g_z[second] = 0.5 * (p2 * (-delta - kl21) + (p2 - p1))
+    g_z *= weights[row_item, None]
 
-
-def predict_proba(params: ModelParams, features: FeatureVector) -> np.ndarray:
-    """Class probabilities with dropout off."""
-    fwd = _forward(params, encode(params, features), np.ones(params.hidden))
-    return fwd.p
+    d_hidden = (g_z @ params.w2.T) * mask * (fwd.a1 > 0.0)
+    d_e = d_hidden @ params.w1.T
+    d_item = d_e[:n]
+    d_item[rdrop] += d_e[n:]
+    order = np.argsort(indices, kind="stable")
+    sorted_rows = indices[order]
+    contrib = d_item[np.repeat(bag_pos, sizes)[order]]
+    contrib *= bag_weights[order, None]
+    first = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    emb_vals = (
+        np.add.reduceat(contrib, first, axis=0)
+        if first.size
+        else np.empty((0, params.hidden))
+    )
+    grads = Gradients(
+        emb_rows=sorted_rows[first].astype(np.int64, copy=False),
+        emb_vals=emb_vals,
+        w1=e_rows.T @ d_hidden,
+        b1=d_hidden.sum(axis=0),
+        w2=fwd.h_drop.T @ g_z,
+        b2=g_z.sum(axis=0),
+    )
+    return total, grads, breakdown
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,10 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
         raise ValueError("data.test is required")
     if not cfg.output_dir:
         raise ValueError("run.output_dir is required")
+    cfg.model_config()  # both configs validate their fields when built
+    cfg.selfmix_config()
+    if cfg.histogram_bins < 1:
+        raise ValueError("run.histogram_bins must be at least 1")
     for label, path in (("data.train", cfg.train_path), ("data.test", cfg.test_path)):
         if not Path(path).is_file():
             raise ValueError(f"{label}: no such file: {path}")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import N_CASES, random_distribution
+from selfmix import core
 from selfmix.common import NumericError, subseed
 from selfmix.core import (
     REPORT_CSV_FIELDS,
@@ -25,6 +26,7 @@ from selfmix.data import Dataset, one_hot
 from selfmix.encoder import (
     BatchItem,
     backward,
+    encode,
     featurize_text,
     init_optimizer,
     init_params,
@@ -64,6 +66,27 @@ def test_selfmix_config_defaults():
     assert cfg.warmup_epochs == 2 and cfg.warmup_samples is None
     assert cfg.total_epochs == 6 and cfg.batch_size == 32
     assert cfg.term_normalization == "mean"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"num_buckets": 0},
+        {"hidden": 0},
+        {"dropout_rate": 1.0},
+        {"dropout_rate": -0.1},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1.0},
+        {"learning_rate": float("inf")},
+        {"beta1": 1.0},
+        {"beta2": -0.5},
+        {"epsilon": float("nan")},
+        {"epsilon": -1e-8},
+    ],
+)
+def test_model_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        ModelConfig(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +257,32 @@ def test_embmix_coefficients_and_dominance():
             assert np.allclose(mixed.embeddings[k], expected)
             if labels_a[k] != labels_b[k] and mixed.lam[k] > 0.5:
                 assert int(np.argmax(mixed.targets[k])) == int(labels_a[k])
+
+
+def test_mixed_bag_pools_to_the_mixed_embedding():
+    params = init_params(64, 8, 2, 0.0, seed=3)
+    a = featurize_text("red apple pie red", 64)
+    b = featurize_text("apple tart blue sky", 64)
+    mixed = core._mix_bags(a, b, 0.7)
+    assert np.all(np.diff(mixed.indices) > 0)
+    assert mixed.weights.sum() == pytest.approx(1.0)
+    expected = 0.7 * encode(params, a) + 0.3 * encode(params, b)
+    np.testing.assert_allclose(encode(params, mixed), expected, rtol=1e-12, atol=1e-15)
+
+
+def test_mixup_loss_trains_the_embedding_table():
+    """With the confidence and agreement terms off, only the mixup loss
+    trains an adaptive epoch; it must still reach the embedding rows."""
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(
+        total_epochs=1, warmup_epochs=0, batch_size=16, seed=5, lambda_p=0.0, lambda_r=0.0
+    )
+    report = train_selfmix(corrupted, test, TINY_MODEL, cfg)
+    initial = init_params(
+        TINY_MODEL.num_buckets, TINY_MODEL.hidden, corrupted.num_classes,
+        TINY_MODEL.dropout_rate, subseed(cfg.seed, "init"),
+    )
+    assert not np.array_equal(report.final_params.embedding, initial.embedding)
 
 
 def test_embmix_boundary_coefficients():
@@ -446,6 +495,28 @@ def test_arms_coincide_while_warming_up():
     for name in ("embedding", "w1", "b1", "w2", "b2"):
         assert np.array_equal(
             getattr(base.final_params, name), getattr(mix.final_params, name)
+        )
+
+
+def test_per_sample_losses_run_once_per_parameter_state(monkeypatch):
+    """The losses snapshotted after an epoch are the ones the next adaptive
+    epoch selects on, so each of the 6 epochs costs one full pass."""
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=6, warmup_epochs=2, batch_size=16, seed=5)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return per_sample_losses(*args, **kwargs)
+
+    monkeypatch.setattr(core, "per_sample_losses", counting)
+    recorded = train_selfmix(corrupted, test, TINY_MODEL, cfg, record_losses=True)
+    assert len(calls) == 6
+    assert len(recorded.per_epoch_losses) == 6
+    plain = train_selfmix(corrupted, test, TINY_MODEL, cfg)
+    for name in ("embedding", "w1", "b1", "w2", "b2"):
+        assert np.array_equal(
+            getattr(recorded.final_params, name), getattr(plain.final_params, name)
         )
 
 

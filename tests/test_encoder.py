@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import N_CASES, random_features, small_params
+from conftest import N_CASES, random_distribution, random_features, small_params
 from selfmix.common import NumericError
 from selfmix.encoder import (
     FNV_OFFSET,
@@ -32,6 +32,7 @@ from selfmix.encoder import (
     softmax,
     tokenize,
 )
+from selfmix.encoder import _masks
 
 # ---------------------------------------------------------------------------
 # Tokenizer and feature hashing
@@ -336,6 +337,158 @@ def test_shared_key_shares_dropout_masks_across_kinds():
     expected_pseudo = -np.log(p0[int(np.argmax(p0))])
     got, _, _ = backward(params, [BatchItem(fv, "pseudo", key=5)], mask_seed=mask_seed)
     assert got == pytest.approx(expected_pseudo, abs=1e-12)
+
+
+def _mixed_batch(rng: np.random.Generator, params) -> list[BatchItem]:
+    """Every item shape the trainer produces, plus the awkward cases: a
+    pseudo and an rdrop item sharing a key, bucket ids repeated across
+    items, an empty feature vector, and raw-embedding inputs."""
+    shared = random_features(rng, params.num_buckets)
+    empty = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
+    hard = np.zeros(params.num_classes)
+    hard[int(rng.integers(params.num_classes))] = 1.0
+
+    def weight() -> float:
+        return float(rng.uniform(0.2, 1.5))
+
+    return [
+        BatchItem(shared, "ce", hard, weight(), key=0),
+        BatchItem(rng.normal(scale=0.3, size=params.hidden), "ce",
+                  random_distribution(rng, params.num_classes), weight(), key=1),
+        BatchItem(random_features(rng, params.num_buckets), "pseudo", weight=weight(), key=7),
+        BatchItem(random_features(rng, params.num_buckets), "rdrop", weight=weight(), key=7),
+        BatchItem(shared, "rdrop", weight=weight(), key=3),
+        BatchItem(empty, "pseudo", weight=weight(), key=4),
+        BatchItem(rng.normal(scale=0.3, size=params.hidden), "rdrop", weight=weight(), key=5),
+        BatchItem(empty, "ce", hard, weight(), key=6),
+    ]
+
+
+def test_batch_equals_the_sum_of_its_items():
+    rng = np.random.default_rng(61)
+    for case in range(50):
+        params = small_params(rng, dropout_rate=float(rng.choice([0.0, 0.3, 0.5])))
+        items = _mixed_batch(rng, params)
+        mask_seed = int(rng.integers(2**63))
+        total, grads, breakdown = backward(params, items, mask_seed=mask_seed)
+
+        sum_total = 0.0
+        sum_breakdown: dict[str, list[float]] = {}
+        head = {name: 0.0 for name in ("w1", "b1", "w2", "b2")}
+        emb: dict[int, np.ndarray] = {}
+        for item in items:
+            t, g, b = backward(params, [item], mask_seed=mask_seed)
+            sum_total += t
+            for kind, (raw, count) in b.items():
+                entry = sum_breakdown.setdefault(kind, [0.0, 0])
+                entry[0] += raw
+                entry[1] += count
+            for name in head:
+                head[name] = head[name] + getattr(g, name)
+            for row, vals in zip(g.emb_rows, g.emb_vals):
+                emb[int(row)] = emb.get(int(row), 0.0) + vals
+
+        assert total == pytest.approx(sum_total, rel=1e-10), case
+        assert set(breakdown) == set(sum_breakdown)
+        for kind, (raw, count) in breakdown.items():
+            assert count == sum_breakdown[kind][1]
+            assert raw == pytest.approx(sum_breakdown[kind][0], rel=1e-10, abs=1e-15)
+        for name, expected in head.items():
+            np.testing.assert_allclose(getattr(grads, name), expected, rtol=1e-10, atol=1e-14)
+        assert np.array_equal(grads.emb_rows, np.array(sorted(emb), dtype=np.int64))
+        np.testing.assert_allclose(
+            grads.emb_vals, np.stack([emb[r] for r in sorted(emb)]), rtol=1e-10, atol=1e-14
+        )
+
+
+def test_empty_batch_is_zero_loss_with_zero_gradients():
+    params = init_params(8, 4, 3, 0.3, seed=0)
+    total, grads, breakdown = backward(params, [], mask_seed=1)
+    assert total == 0.0 and breakdown == {}
+    assert grads.emb_rows.dtype == np.int64 and grads.emb_rows.size == 0
+    assert grads.emb_vals.shape == (0, 4)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(grads, name).shape == getattr(params, name).shape
+        assert not np.any(getattr(grads, name))
+
+
+def test_backward_reports_the_first_non_finite_position():
+    params = init_params(8, 4, 2, 0.0, seed=0)
+    good = BatchItem(np.zeros(4), "ce", np.array([1.0, 0.0]))
+    items = [
+        good,
+        BatchItem(np.zeros(4), "pseudo"),
+        BatchItem(np.full(4, np.nan), "rdrop"),
+        good,
+        BatchItem(np.zeros(4), "ce", np.array([np.nan, 0.0])),
+    ]
+    with pytest.raises(NumericError, match="non-finite rdrop loss at batch position 2"):
+        backward(params, items)
+
+
+# ---------------------------------------------------------------------------
+# Dropout masks
+# ---------------------------------------------------------------------------
+
+
+def test_mask_depends_only_on_seed_key_and_pass():
+    params = init_params(8, 16, 2, 0.5, seed=0)
+    keys = np.array([3, 11, 7, 3, 1_000_005])
+    passes = np.array([0, 1, 0, 1, 0])
+    masks = _masks(params, 42, keys, passes)
+    order = np.array([4, 2, 0, 3, 1])
+    assert np.array_equal(_masks(params, 42, keys[order], passes[order]), masks[order])
+    for r in range(keys.size):
+        alone = _masks(params, 42, keys[r : r + 1], passes[r : r + 1])
+        assert np.array_equal(alone[0], masks[r])
+    assert not np.array_equal(masks[0], masks[3])  # key 3: pass 0 vs pass 1
+    assert not np.array_equal(_masks(params, 43, keys, passes), masks)
+
+
+def test_mask_keeps_one_minus_rate_scaled_by_its_inverse():
+    for rate in (0.1, 0.3, 0.5):
+        params = init_params(8, 64, 2, rate, seed=0)
+        masks = _masks(params, 9, np.arange(500), np.zeros(500, dtype=np.int64))
+        kept = masks != 0.0
+        assert abs(kept.mean() - (1.0 - rate)) <= 0.02
+        assert np.all(masks[kept] == 1.0 / (1.0 - rate))
+        assert not np.array_equal(
+            masks, _masks(params, 9, np.arange(500), np.ones(500, dtype=np.int64))
+        )
+
+
+def test_masks_are_all_ones_without_a_seed_or_at_rate_zero():
+    keys, passes = np.arange(6), np.array([0, 1] * 3)
+    assert np.array_equal(_masks(init_params(8, 4, 2, 0.5, seed=0), None, keys, passes),
+                          np.ones((6, 4)))
+    assert np.array_equal(_masks(init_params(8, 4, 2, 0.0, seed=0), 5, keys, passes),
+                          np.ones((6, 4)))
+
+
+def test_an_item_sees_the_same_mask_at_any_batch_position():
+    rng = np.random.default_rng(71)
+    params = small_params(rng, dropout_rate=0.5)
+    fv = random_features(rng, params.num_buckets)
+    probe = BatchItem(fv, "rdrop", key=77)
+    _, _, alone = backward(params, [probe], mask_seed=3)
+    hard = np.eye(params.num_classes)[0]
+    others = [BatchItem(random_features(rng, params.num_buckets), "ce", hard, key=k)
+              for k in range(5)]
+    _, _, crowded = backward(params, others[:3] + [probe] + others[3:], mask_seed=3)
+    assert crowded["rdrop"][0] == pytest.approx(alone["rdrop"][0], rel=1e-12)
+    assert alone["rdrop"][0] > 0.0
+
+
+def test_backward_builds_no_generator(monkeypatch):
+    rng = np.random.default_rng(81)
+    params = small_params(rng, dropout_rate=0.5)
+    items = _mixed_batch(rng, params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("backward must not construct a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    backward(params, items, mask_seed=17)
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,29 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("encoder.hidden", "0"),
+        ("optimizer.beta1", "1.0"),
+        ("optimizer.lr", "-1"),
+        ("encoder.dropout", "1.0"),
+        ("encoder.buckets", "0"),
+        ("selfmix.tau", "2"),
+        ("run.histogram_bins", "0"),
+    ],
+)
+def test_cli_bad_model_selfmix_or_histogram_config_writes_nothing(
+    corpus_dir, tmp_path, capsys, key, value
+):
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(config_text(corpus_dir, out, **{key: value}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_and_report(corpus_dir, tmp_path, capsys):
     out = tmp_path / "cli_run"
     cfg_path = tmp_path / "run.cfg"
