@@ -34,6 +34,8 @@ evaluated on the same perturbed pass as a consistency term.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -570,28 +572,31 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        num_buckets, hidden, num_classes = struct.unpack("<qqq", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        num_buckets, hidden, num_classes = struct.unpack("<qqq", header)
         if num_buckets < 1 or hidden < 1 or num_classes < 2:
             raise ValueError(
                 f"{path}: invalid checkpoint dimensions "
                 f"({num_buckets}, {hidden}, {num_classes})"
             )
-
-        def read_array(shape: tuple[int, ...]) -> np.ndarray:
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-        embedding = read_array((num_buckets, hidden))
-        w1 = read_array((hidden, hidden))
-        b1 = read_array((hidden,))
-        w2 = read_array((hidden, num_classes))
-        b2 = read_array((num_classes,))
-        dropout_rate = float(read_array((1,))[0])
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+        shapes = [(num_buckets, hidden), (hidden, hidden), (hidden,),
+                  (hidden, num_classes), (num_classes,), (1,)]
+        # the header fixes the file size; check it before reading anything
+        expected = 28 + 8 * sum(math.prod(shape) for shape in shapes)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            problem = "truncated" if actual < expected else "trailing bytes in"
+            raise ValueError(
+                f"{path}: {problem} checkpoint: its header implies {expected} bytes, "
+                f"the file has {actual}"
+            )
+        embedding, w1, b1, w2, b2, dropout = (
+            np.frombuffer(fh.read(8 * math.prod(s)), dtype="<f8").astype(np.float64).reshape(s)
+            for s in shapes
+        )
+    dropout_rate = float(dropout[0])
     for name, arr in (
         ("embedding", embedding),
         ("w1", w1),

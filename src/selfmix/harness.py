@@ -18,14 +18,16 @@ self-contained artifact directory:
 
 Outputs embed the config echo and contain no timestamps or absolute paths
 derived from the environment, so rerunning the same config over the same
-inputs reproduces every artifact byte for byte. Config mistakes surface
-before anything is written; failures mid-run leave a partial summary
-recording the failed stage.
+inputs reproduces every artifact byte for byte. Out-of-range settings are
+refused when the config is parsed, and missing inputs before anything is
+written; failures mid-run leave a partial summary recording the failed
+stage. The echo shows the value each setting takes in the run, so a config
+that names no warm-up key echoes ``selfmix.warmup_epochs = 2``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -88,7 +90,12 @@ def _parse_norm(raw: str) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of a flat config file; attribute names mirror the keys."""
+    """Typed view of a flat config file.
+
+    The model and SelfMix settings live on the configs the trainers take;
+    the other fields belong to the harness. ``_CONFIG_KEYS`` maps each key
+    to its field.
+    """
 
     train_path: str | None = None
     test_path: str | None = None
@@ -98,33 +105,21 @@ class ExperimentConfig:
     noise_seed: int | None = None
     transition_path: str | None = None
     aux_subset_fraction: float = 0.1
-    tau: float = 0.5
-    lambda_p: float = 0.2
-    lambda_r: float = 0.3
-    alpha: float = 0.75
-    temperature: float = 0.5
-    warmup_epochs: int | None = None
-    warmup_samples: int | None = None
-    total_epochs: int = 6
-    batch_size: int = 32
-    class_regularize: bool = False
-    term_normalization: str = "mean"
-    buckets: int = 2**18
-    hidden: int = 64
-    dropout: float = 0.3
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    seed: int = 0
     output_dir: str | None = None
     eval_every: int = 50
     histogram_bins: int = 20
+    model: ModelConfig = ModelConfig()
+    selfmix: SelfMixConfig = SelfMixConfig()
+
+    def __post_init__(self) -> None:
+        if self.eval_every < 1:
+            raise ValueError("run.eval_every must be at least 1")
+        if self.histogram_bins < 1:
+            raise ValueError("run.histogram_bins must be at least 1")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
-        overrides: dict[str, object] = {}
-        seen: set[str] = set()
+        sections: dict[str | None, dict[str, object]] = {None: {}, "model": {}, "selfmix": {}}
         for lineno, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
@@ -133,102 +128,79 @@ class ExperimentConfig:
                 raise ValueError(f"{source}: line {lineno}: expected 'key = value'")
             key, _, raw_value = line.partition("=")
             key = key.strip()
-            value = raw_value.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{source}: line {lineno}: unknown key {key!r}")
-            if key in seen:
+            section, name, parse = _CONFIG_KEYS[key]
+            if name in sections[section]:
                 raise ValueError(f"{source}: line {lineno}: duplicate key {key!r}")
-            seen.add(key)
-            attr, parse = _CONFIG_KEYS[key]
             try:
-                overrides[attr] = parse(value)
+                sections[section][name] = parse(raw_value.strip())
             except ValueError as exc:
                 raise ValueError(f"{source}: line {lineno}: {key}: {exc}") from None
-        return cls(**overrides)
+        if sections["selfmix"].get("warmup_samples") is not None:
+            sections["selfmix"].setdefault("warmup_epochs", None)
+        try:
+            return cls(
+                model=ModelConfig(**sections["model"]),
+                selfmix=SelfMixConfig(**sections["selfmix"]),
+                **sections[None],
+            )
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         return cls.from_text(path.read_text(encoding="utf-8"), source=str(path))
 
+    def echo_dict(self) -> dict[str, object]:
+        return {
+            key: getattr(getattr(self, section) if section else self, name)
+            for key, (section, name, _) in sorted(_CONFIG_KEYS.items())
+        }
+
     def echo_lines(self) -> list[str]:
         """The canonical ``key = value`` rendering, sorted by key."""
-        by_attr = {attr: key for key, (attr, _) in _CONFIG_KEYS.items()}
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            lines.append(f"{by_attr[f.name]} = {_format_value(value)}")
-        return sorted(lines)
-
-    def echo_dict(self) -> dict[str, object]:
-        by_attr = {attr: key for key, (attr, _) in _CONFIG_KEYS.items()}
-        return {by_attr[f.name]: getattr(self, f.name) for f in fields(self)}
-
-    def selfmix_config(self) -> SelfMixConfig:
-        warmup_epochs = self.warmup_epochs
-        if warmup_epochs is None and self.warmup_samples is None:
-            warmup_epochs = 2
-        return SelfMixConfig(
-            tau=self.tau,
-            lambda_p=self.lambda_p,
-            lambda_r=self.lambda_r,
-            alpha=self.alpha,
-            temperature=self.temperature,
-            warmup_epochs=warmup_epochs,
-            warmup_samples=self.warmup_samples,
-            total_epochs=self.total_epochs,
-            batch_size=self.batch_size,
-            class_regularize=self.class_regularize,
-            term_normalization=self.term_normalization,
-            seed=self.seed,
-        )
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            num_buckets=self.buckets,
-            hidden=self.hidden,
-            dropout_rate=self.dropout,
-            learning_rate=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-        )
+        return [f"{key} = {_format_value(v)}" for key, v in self.echo_dict().items()]
 
     def effective_noise_seed(self) -> int:
-        return self.noise_seed if self.noise_seed is not None else subseed(self.seed, "noise")
+        if self.noise_seed is not None:
+            return self.noise_seed
+        return subseed(self.selfmix.seed, "noise")
 
 
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "data.train": ("train_path", str),
-    "data.test": ("test_path", str),
-    "data.num_classes": ("num_classes", _parse_opt(int)),
-    "noise.type": ("noise_type", _parse_noise_type),
-    "noise.ratio": ("noise_ratio", float),
-    "noise.seed": ("noise_seed", _parse_opt(int)),
-    "noise.transition": ("transition_path", _parse_opt(str)),
-    "noise.aux_subset_fraction": ("aux_subset_fraction", float),
-    "selfmix.tau": ("tau", float),
-    "selfmix.lambda_p": ("lambda_p", float),
-    "selfmix.lambda_r": ("lambda_r", float),
-    "selfmix.alpha": ("alpha", float),
-    "selfmix.temperature": ("temperature", float),
-    "selfmix.warmup_epochs": ("warmup_epochs", _parse_opt(int)),
-    "selfmix.warmup_samples": ("warmup_samples", _parse_opt(int)),
-    "selfmix.total_epochs": ("total_epochs", int),
-    "selfmix.batch_size": ("batch_size", int),
-    "selfmix.class_regularize": ("class_regularize", _parse_bool),
-    "selfmix.term_normalization": ("term_normalization", _parse_norm),
-    "encoder.buckets": ("buckets", int),
-    "encoder.hidden": ("hidden", int),
-    "encoder.dropout": ("dropout", float),
-    "optimizer.lr": ("lr", float),
-    "optimizer.beta1": ("beta1", float),
-    "optimizer.beta2": ("beta2", float),
-    "optimizer.epsilon": ("epsilon", float),
-    "run.seed": ("seed", int),
-    "run.output_dir": ("output_dir", str),
-    "run.eval_every": ("eval_every", int),
-    "run.histogram_bins": ("histogram_bins", int),
+# key -> (section of ExperimentConfig, or None for its own fields; field; parser)
+_CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
+    "data.train": (None, "train_path", str),
+    "data.test": (None, "test_path", str),
+    "data.num_classes": (None, "num_classes", _parse_opt(int)),
+    "noise.type": (None, "noise_type", _parse_noise_type),
+    "noise.ratio": (None, "noise_ratio", float),
+    "noise.seed": (None, "noise_seed", _parse_opt(int)),
+    "noise.transition": (None, "transition_path", _parse_opt(str)),
+    "noise.aux_subset_fraction": (None, "aux_subset_fraction", float),
+    "selfmix.tau": ("selfmix", "tau", float),
+    "selfmix.lambda_p": ("selfmix", "lambda_p", float),
+    "selfmix.lambda_r": ("selfmix", "lambda_r", float),
+    "selfmix.alpha": ("selfmix", "alpha", float),
+    "selfmix.temperature": ("selfmix", "temperature", float),
+    "selfmix.warmup_epochs": ("selfmix", "warmup_epochs", _parse_opt(int)),
+    "selfmix.warmup_samples": ("selfmix", "warmup_samples", _parse_opt(int)),
+    "selfmix.total_epochs": ("selfmix", "total_epochs", int),
+    "selfmix.batch_size": ("selfmix", "batch_size", int),
+    "selfmix.class_regularize": ("selfmix", "class_regularize", _parse_bool),
+    "selfmix.term_normalization": ("selfmix", "term_normalization", _parse_norm),
+    "encoder.buckets": ("model", "num_buckets", int),
+    "encoder.hidden": ("model", "hidden", int),
+    "encoder.dropout": ("model", "dropout_rate", float),
+    "optimizer.lr": ("model", "learning_rate", float),
+    "optimizer.beta1": ("model", "beta1", float),
+    "optimizer.beta2": ("model", "beta2", float),
+    "optimizer.epsilon": ("model", "epsilon", float),
+    "run.seed": ("selfmix", "seed", int),
+    "run.output_dir": (None, "output_dir", str),
+    "run.eval_every": (None, "eval_every", int),
+    "run.histogram_bins": (None, "histogram_bins", int),
 }
 
 
@@ -252,7 +224,10 @@ def load_transition(path: str | Path, num_classes: int) -> TransitionMap:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'class,target'")
-        c, t = int(parts[0]), int(parts[1])
+        try:
+            c, t = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected integer 'class,target'") from None
         if c in targets:
             raise ValueError(f"{path}: line {lineno}: duplicate class {c}")
         targets[c] = t
@@ -339,10 +314,6 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
         raise ValueError("data.test is required")
     if not cfg.output_dir:
         raise ValueError("run.output_dir is required")
-    cfg.model_config()  # both configs validate their fields when built
-    cfg.selfmix_config()
-    if cfg.histogram_bins < 1:
-        raise ValueError("run.histogram_bins must be at least 1")
     for label, path in (("data.train", cfg.train_path), ("data.test", cfg.test_path)):
         if not Path(path).is_file():
             raise ValueError(f"{label}: no such file: {path}")
@@ -419,8 +390,8 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
             report = trainers[arm](
                 corrupted,
                 test,
-                cfg.model_config(),
-                cfg.selfmix_config(),
+                cfg.model,
+                cfg.selfmix,
                 eval_every=cfg.eval_every,
                 record_losses=True,
             )

@@ -634,9 +634,10 @@ def test_checkpoint_truncated(tmp_path):
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(path)
+    for size in (len(blob) // 2, 20):
+        path.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_trailing_bytes(tmp_path):
@@ -655,6 +656,24 @@ def test_checkpoint_rejects_bad_dimensions(tmp_path):
     path.write_bytes(b"SMX1" + struct.pack("<qqq", 0, 4, 2))
     with pytest.raises(ValueError, match="dimensions"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "dims", [(2**40, 2**30, 2), (2**31, 2**31, 2), (10**9, 64, 4)]
+)
+def test_checkpoint_header_is_checked_against_the_file_size(tmp_path, dims):
+    import struct
+
+    path = tmp_path / "huge.smx"
+    path.write_bytes(b"SMX1" + struct.pack("<qqq", *dims) + bytes(64))
+    b, h, c = dims
+    implied = 28 + 8 * (b * h + h * h + h + h * c + c + 1)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (
+        f"{path}: truncated checkpoint: its header implies {implied} bytes, "
+        f"the file has 92"
+    )
 
 
 def test_checkpoint_rejects_non_finite(tmp_path):

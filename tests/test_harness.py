@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 
 from conftest import N_CASES
 from selfmix.common import NumericError, round_half_up, subseed
-from selfmix.core import REPORT_CSV_FIELDS, selection_prf
+from selfmix.core import REPORT_CSV_FIELDS, ModelConfig, SelfMixConfig, selection_prf
 from selfmix.data import Dataset, Example, load_csv, save_csv
 from selfmix.encoder import load_checkpoint
 from selfmix.harness import (
+    _CONFIG_KEYS,
     ARMS,
     ExperimentConfig,
     analyze_losses,
@@ -79,8 +82,8 @@ def finished_run(corpus_dir, tmp_path_factory):
 def test_config_defaults():
     cfg = ExperimentConfig()
     assert cfg.noise_type == "none" and cfg.noise_ratio == 0.0
-    assert cfg.buckets == 2**18 and cfg.hidden == 64
-    assert cfg.tau == 0.5 and cfg.histogram_bins == 20
+    assert cfg.model.num_buckets == 2**18 and cfg.model.hidden == 64
+    assert cfg.selfmix.tau == 0.5 and cfg.histogram_bins == 20
     assert cfg.train_path is None and cfg.output_dir is None
 
 
@@ -100,9 +103,9 @@ def test_config_parse_example_with_comments():
     assert cfg.train_path == "a/train.csv"
     assert cfg.noise_type == "asymmetric"  # alias canonicalized on parse
     assert cfg.noise_ratio == 0.4
-    assert cfg.class_regularize is True
-    assert cfg.warmup_samples == 4000 and cfg.warmup_epochs is None
-    assert cfg.lr == 0.01
+    assert cfg.selfmix.class_regularize is True
+    assert cfg.selfmix.warmup_samples == 4000 and cfg.selfmix.warmup_epochs is None
+    assert cfg.model.learning_rate == 0.01
 
 
 @pytest.mark.parametrize(
@@ -141,6 +144,8 @@ def test_config_echo_is_sorted_and_complete():
 
 
 def _random_config_value(rng: np.random.Generator, key: str) -> str:
+    """A value for ``key`` from its valid range; the warm-up pair is drawn
+    by ``_random_config_lines``."""
     def path() -> str:
         chars = list("abcdefghij0123456789_./-")
         s = "".join(rng.choice(chars, size=int(rng.integers(1, 12))))
@@ -149,12 +154,14 @@ def _random_config_value(rng: np.random.Generator, key: str) -> str:
     def opt(make):
         return "none" if rng.random() < 0.3 else make()
 
+    def magnitude() -> str:  # positive, spread over eleven decades
+        return repr(float(rng.uniform(0.01, 2.0) * 10.0 ** rng.integers(-8, 3)))
+
     if key in ("data.train", "data.test", "run.output_dir"):
         return path()
     if key == "noise.transition":
         return opt(path)
-    if key in ("data.num_classes", "noise.seed", "selfmix.warmup_epochs",
-               "selfmix.warmup_samples"):
+    if key in ("data.num_classes", "noise.seed"):
         return opt(lambda: str(int(rng.integers(0, 10_000))))
     if key == "noise.type":
         return str(rng.choice(["none", "uniform", "asym", "asymmetric",
@@ -163,12 +170,42 @@ def _random_config_value(rng: np.random.Generator, key: str) -> str:
         return str(rng.choice(["true", "false"]))
     if key == "selfmix.term_normalization":
         return str(rng.choice(["mean", "sum"]))
-    if key in ("selfmix.total_epochs", "selfmix.batch_size", "encoder.buckets",
-               "encoder.hidden", "run.seed", "run.eval_every",
-               "run.histogram_bins"):
+    if key == "selfmix.batch_size":
+        return str(int(rng.integers(2, 100_000)))
+    if key in ("selfmix.total_epochs", "encoder.buckets", "encoder.hidden",
+               "run.seed", "run.eval_every", "run.histogram_bins"):
         return str(int(rng.integers(1, 100_000)))
-    # everything else is a float-valued knob
+    if key == "selfmix.tau":
+        return repr(float(rng.uniform(0.001, 0.999)))
+    if key in ("encoder.dropout", "optimizer.beta1", "optimizer.beta2"):
+        return repr(float(rng.random()))
+    if key in ("selfmix.lambda_p", "selfmix.lambda_r", "selfmix.alpha",
+               "selfmix.temperature", "optimizer.lr", "optimizer.epsilon"):
+        return magnitude()
+    # noise.ratio and noise.aux_subset_fraction are checked at injection
     return repr(float(rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-8, 3)))
+
+
+def _random_config_lines(rng: np.random.Generator, keys: list[str]) -> list[str]:
+    """``key = value`` lines for ``keys``, every value in range. Exactly one
+    warm-up setting is in effect, and warm-up epochs fit in total_epochs."""
+    values = {k: _random_config_value(rng, k) for k in keys}
+    by_samples = "selfmix.warmup_samples" in values and rng.random() < 0.5
+    if "selfmix.warmup_samples" in values:
+        values["selfmix.warmup_samples"] = (
+            str(int(rng.integers(0, 10_000))) if by_samples else "none"
+        )
+    total = 6
+    if "selfmix.total_epochs" in values:
+        # with neither warm-up key in effect the default of 2 epochs applies
+        default_warmup = not by_samples and "selfmix.warmup_epochs" not in values
+        total = int(rng.integers(2 if default_warmup else 1, 100_000))
+        values["selfmix.total_epochs"] = str(total)
+    if "selfmix.warmup_epochs" in values:
+        values["selfmix.warmup_epochs"] = (
+            "none" if by_samples else str(int(rng.integers(0, total + 1)))
+        )
+    return [f"{k} = {v}" for k, v in values.items()]
 
 
 def test_config_echo_round_trip_property():
@@ -179,7 +216,7 @@ def test_config_echo_round_trip_property():
     rng = np.random.default_rng(53)
     for _ in range(N_CASES):
         chosen = [k for k in all_keys if k in required or rng.random() < 0.4]
-        lines = [f"{k} = {_random_config_value(rng, k)}" for k in chosen]
+        lines = _random_config_lines(rng, chosen)
         rng.shuffle(lines)
         noisy_lines = []
         for line in lines:
@@ -197,23 +234,69 @@ def test_config_echo_round_trip_property():
 
 def test_selfmix_config_fills_default_warmup():
     cfg = ExperimentConfig()
-    assert cfg.selfmix_config().warmup_epochs == 2
-    with_samples = ExperimentConfig(warmup_samples=100, total_epochs=50)
-    sm = with_samples.selfmix_config()
+    assert cfg.selfmix.warmup_epochs == 2
+    with_samples = ExperimentConfig.from_text(
+        "selfmix.warmup_samples = 100\nselfmix.total_epochs = 50"
+    )
+    sm = with_samples.selfmix
     assert sm.warmup_epochs is None and sm.warmup_samples == 100
 
 
 def test_model_config_mapping():
-    cfg = ExperimentConfig(buckets=512, hidden=16, dropout=0.1, lr=0.05)
-    model = cfg.model_config()
+    cfg = ExperimentConfig.from_text(
+        "encoder.buckets = 512\nencoder.hidden = 16\n"
+        "encoder.dropout = 0.1\noptimizer.lr = 0.05"
+    )
+    model = cfg.model
     assert model.num_buckets == 512 and model.hidden == 16
     assert model.dropout_rate == 0.1 and model.learning_rate == 0.05
 
 
 def test_effective_noise_seed():
     assert ExperimentConfig(noise_seed=9).effective_noise_seed() == 9
-    derived = ExperimentConfig(seed=4).effective_noise_seed()
+    derived = ExperimentConfig(selfmix=SelfMixConfig(seed=4)).effective_noise_seed()
     assert derived == subseed(4, "noise")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("selfmix.tau = -3", "tau must lie strictly between 0 and 1"),
+        ("selfmix.batch_size = 1", "batch_size must be at least 2"),
+        ("encoder.dropout = 1.0", "dropout_rate must lie in [0, 1)"),
+        ("optimizer.beta2 = -0.5", "beta2 must lie in [0, 1)"),
+        ("selfmix.warmup_epochs = 7\nselfmix.total_epochs = 6",
+         "warmup_epochs must lie in [0, total_epochs]"),
+        ("selfmix.warmup_epochs = 2\nselfmix.warmup_samples = 100",
+         "set exactly one of warmup_epochs and warmup_samples"),
+        ("selfmix.warmup_epochs = none",
+         "set exactly one of warmup_epochs and warmup_samples"),
+        ("run.histogram_bins = 0", "run.histogram_bins must be at least 1"),
+        ("run.eval_every = 0", "run.eval_every must be at least 1"),
+    ],
+)
+def test_out_of_range_values_are_refused_at_parse_time(text, message):
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_text(text, source="exp.cfg")
+    assert str(err.value) == f"exp.cfg: {message}"
+
+
+def test_config_without_warmup_samples_echoes_the_default_warmup_epochs():
+    for text in ("run.seed = 3", "selfmix.warmup_samples = none"):
+        lines = ExperimentConfig.from_text(text).echo_lines()
+        assert "selfmix.warmup_epochs = 2" in lines
+        assert "selfmix.warmup_samples = none" in lines
+
+
+def test_config_keys_cover_every_field_exactly_once():
+    rows = [(section, name) for section, name, _ in _CONFIG_KEYS.values()]
+    assert len(set(rows)) == len(rows) == 30
+    for section, config in (("model", ModelConfig), ("selfmix", SelfMixConfig)):
+        names = sorted(name for s, name in rows if s == section)
+        assert names == sorted(f.name for f in fields(config))
+    own = sorted(f.name for f in fields(ExperimentConfig) if f.name not in ("model", "selfmix"))
+    assert sorted(name for s, name in rows if s is None) == own
+    assert len(fields(ExperimentConfig)) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +318,7 @@ def test_load_transition_good_file(tmp_path):
         ("0,1\n0,1\n", "duplicate class 0"),
         ("0,1\n", "must cover classes 0..1"),
         ("0,0\n1,0\n", "may not map to itself"),
+        ("# header\nx,0\n1,0\n", "line 2: expected integer 'class,target'"),
     ],
 )
 def test_load_transition_errors(tmp_path, body, message):
@@ -637,6 +721,7 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
         ("encoder.buckets", "0"),
         ("selfmix.tau", "2"),
         ("run.histogram_bins", "0"),
+        ("run.eval_every", "0"),
     ],
 )
 def test_cli_bad_model_selfmix_or_histogram_config_writes_nothing(
@@ -723,6 +808,20 @@ def test_cli_analyze_losses(finished_run, tmp_path, capsys):
     ]) == 0
     assert "histogrammed 48 clean and 12 noisy" in capsys.readouterr().out
     assert hist.is_file()
+
+
+def test_cli_analyze_losses_refuses_a_checkpoint_header_larger_than_the_file(
+    finished_run, tmp_path, capsys
+):
+    _, out, _ = finished_run
+    model = tmp_path / "huge.smx"
+    model.write_bytes(b"SMX1" + struct.pack("<qqq", 10**9, 64, 4) + bytes(64))
+    assert cli.main([
+        "analyze-losses", "--model", str(model),
+        "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
+    ]) == 1
+    assert "truncated checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_cli_numeric_failures_exit_2(corpus_dir, tmp_path, capsys, monkeypatch):
