@@ -21,6 +21,18 @@ gather and one ``reduceat``, the head runs on a ``(rows, hidden)`` matrix
 with one row per (item, dropout pass), and the embedding gradient is reduced
 over the touched rows with one stable sort.
 
+The embedding state is sparse, after the hashing trick (Weinberger et al.,
+ICML 2009) and the fastText bag of n-grams (Joulin et al., EACL 2017): only
+the buckets a corpus hashes to carry information. ``ModelParams.embedding``
+is a row table, and ``slot`` maps each bucket to the row it reads. The table
+starts as a codebook of at most ``_CODEBOOK_ROWS`` Gaussian rows drawn from
+the init seed; bucket ``b`` starts at codebook row ``b % codebook_rows``.
+When every bucket has its own codebook row, ``slot`` is the identity and
+Adam updates rows in place. Otherwise a bucket gets a row of its own (a copy
+of its codebook row, appended to the table) the first time Adam updates it,
+and Adam's embedding moments exist only for those owned rows. A checkpoint
+stores the init seed plus the rows of the buckets Adam has updated.
+
 Dropout is inverted dropout with one site (the hidden layer). Masks come
 from a counter-based hash (SplitMix64 mixing, in the spirit of Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): unit ``j`` of
@@ -34,6 +46,7 @@ evaluated on the same perturbed pass as a consistency term.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -50,7 +63,12 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BIGRAM_SEP = "\x1f"
 _LOG_FLOOR = 1e-12
-_MAGIC = b"SMX1"
+_MAGIC_DENSE = b"SMX1"
+_MAGIC = b"SMX2"
+# The most rows an init codebook has; models with more buckets share rows.
+_CODEBOOK_ROWS = 2**16
+# The fewest spare rows a grown row table or moment array gets.
+_MIN_SPARE_ROWS = 1024
 
 
 def tokenize(text: str) -> list[str]:
@@ -105,18 +123,32 @@ def featurize_text(text: str, num_buckets: int) -> FeatureVector:
 
 @dataclass
 class ModelParams:
-    """All learnable arrays, plus the dropout rate baked into the model."""
+    """All learnable arrays, the bucket-to-row map, and the dropout rate.
 
-    embedding: np.ndarray  # (num_buckets, hidden)
+    ``embedding`` holds the ``codebook_rows`` codebook rows, then the rows
+    buckets own, then zeroed spare rows that no bucket reads. Bucket ``b``
+    reads row ``slot[b]``; ``updated[b]`` marks the buckets whose row a
+    checkpoint stores: those Adam has updated, or every bucket of a model
+    read from a dense ``SMX1`` file. ``seed`` and ``fingerprint`` identify
+    the codebook's draw, so a checkpoint can rebuild it instead of storing
+    it; an ``SMX1`` model has no seed.
+    """
+
+    embedding: np.ndarray  # (rows, hidden)
     w1: np.ndarray  # (hidden, hidden)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden, num_classes)
     b2: np.ndarray  # (num_classes,)
     dropout_rate: float
+    slot: np.ndarray  # (num_buckets,) int32
+    updated: np.ndarray  # (num_buckets,) bool
+    codebook_rows: int
+    seed: int | None
+    fingerprint: bytes
 
     @property
     def num_buckets(self) -> int:
-        return self.embedding.shape[0]
+        return self.slot.size
 
     @property
     def hidden(self) -> int:
@@ -126,6 +158,30 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.w2.shape[1]
 
+    @property
+    def first_owned(self) -> int:
+        """The first row that belongs to one bucket alone: 0 when ``slot`` is
+        the identity, else the first row past the shared codebook."""
+        return self.codebook_rows if self.codebook_rows < self.num_buckets else 0
+
+
+def _slots(num_buckets: int, codebook_rows: int) -> np.ndarray:
+    """The initial ``slot``: bucket ``b`` reads codebook row ``b % codebook_rows``."""
+    if num_buckets >= 2**31:
+        raise ValueError("num_buckets must be below 2**31")
+    return np.arange(num_buckets, dtype=np.int32) % np.int32(codebook_rows)
+
+
+def _draw_codebook(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with N(0, 0.1^2) draws, the values ``rng.normal(0, 0.1)`` gives."""
+    rng.standard_normal(out=out)
+    out *= 0.1
+    return out
+
+
+def _fingerprint(codebook: np.ndarray) -> bytes:
+    return hashlib.sha256(np.ascontiguousarray(codebook)).digest()[:8]
+
 
 def init_params(
     num_buckets: int,
@@ -134,11 +190,21 @@ def init_params(
     dropout_rate: float,
     seed: int,
 ) -> ModelParams:
-    """Gaussian init: small embeddings, He-scaled head, zero biases."""
+    """Gaussian init: a small-valued codebook, He-scaled head, zero biases.
+
+    The codebook has ``min(num_buckets, _CODEBOOK_ROWS)`` rows and is drawn
+    first, so up to that many buckets the embedding is the draw of a dense
+    ``(num_buckets, hidden)`` table from the same seed.
+    """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must lie in [0, 1)")
+    if num_buckets < 1:
+        raise ValueError("num_buckets must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64)")
     rng = np.random.default_rng(seed)
-    embedding = rng.normal(0.0, 0.1, size=(num_buckets, hidden))
+    codebook_rows = min(num_buckets, _CODEBOOK_ROWS)
+    embedding = _draw_codebook(rng, np.empty((codebook_rows, hidden)))
     w1 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, hidden))
     w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, num_classes))
     return ModelParams(
@@ -148,6 +214,11 @@ def init_params(
         w2=w2,
         b2=np.zeros(num_classes),
         dropout_rate=float(dropout_rate),
+        slot=_slots(num_buckets, codebook_rows),
+        updated=np.zeros(num_buckets, dtype=bool),
+        codebook_rows=codebook_rows,
+        seed=int(seed),
+        fingerprint=_fingerprint(embedding),
     )
 
 
@@ -166,8 +237,9 @@ def _pool(
 ) -> np.ndarray:
     """Embedding-bag averages, one row per bag: one gather plus one reduceat.
 
-    Bag ``b`` owns the next ``sizes[b]`` entries of ``indices``/``weights``;
-    an empty bag pools to the zero vector. A single bag is one weighted sum.
+    Bag ``b`` owns the next ``sizes[b]`` bucket ids of ``indices`` and their
+    ``weights``; each bucket reads its row through ``params.slot``. An empty
+    bag pools to the zero vector. A single bag is one weighted sum.
     """
     if not indices.size:
         lo = hi = 0
@@ -177,13 +249,14 @@ def _pool(
         lo, hi = indices.min(), indices.max()
     if lo < 0 or hi >= params.num_buckets:
         raise ValueError("feature index out of range for the embedding table")
+    rows = params.slot[indices]
     if len(sizes) == 1:
-        return (weights @ params.embedding[indices])[None]
+        return (weights @ params.embedding[rows])[None]
     pooled = np.zeros((len(sizes), params.hidden))
     if indices.size:
         filled = sizes > 0
         starts = (np.cumsum(sizes) - sizes)[filled]
-        weighted = params.embedding[indices]
+        weighted = params.embedding[rows]
         weighted *= weights[:, None]
         pooled[filled] = np.add.reduceat(weighted, starts, axis=0)
     return pooled
@@ -232,7 +305,7 @@ class BatchItem:
 class Gradients:
     """Sparse embedding gradient (touched rows only) plus dense head grads."""
 
-    emb_rows: np.ndarray  # (R,) int64, sorted
+    emb_rows: np.ndarray  # (R,) int64 bucket ids, sorted
     emb_vals: np.ndarray  # (R, hidden)
     w1: np.ndarray
     b1: np.ndarray
@@ -464,8 +537,11 @@ def backward(
 class OptimizerState:
     """Adam state: hyperparameters, step counter, and per-parameter moments.
 
-    Embedding moments are full-size arrays but only rows that received
-    gradient in a step are ever touched.
+    The embedding moments ``m_emb``/``v_emb`` have one row per owned table
+    row: row ``k`` belongs to table row ``params.first_owned + k``. With an
+    identity ``slot`` that is every row; with a shared codebook the moments
+    grow as buckets gain rows of their own. Only rows that received gradient
+    in a step are ever touched.
     """
 
     learning_rate: float
@@ -492,14 +568,15 @@ def init_optimizer(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> OptimizerState:
+    owned = (len(params.embedding) - params.first_owned, params.hidden)
     return OptimizerState(
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
         step=0,
-        m_emb=np.zeros_like(params.embedding),
-        v_emb=np.zeros_like(params.embedding),
+        m_emb=np.zeros(owned),
+        v_emb=np.zeros(owned),
         m_w1=np.zeros_like(params.w1),
         v_w1=np.zeros_like(params.w1),
         m_b1=np.zeros_like(params.b1),
@@ -511,12 +588,39 @@ def init_optimizer(
     )
 
 
+def _reserve(arr: np.ndarray, rows: int) -> np.ndarray:
+    """``arr`` if it has ``rows`` rows, else a copy padded with zero rows.
+
+    The copy is at least half as long again, so appending rows one step at a
+    time copies each row a bounded number of times. Spare rows that are never
+    written take no resident memory: ``np.zeros`` leaves their pages unmapped.
+    """
+    if rows <= len(arr):
+        return arr
+    length = max(rows, len(arr) + max(len(arr) // 2, _MIN_SPARE_ROWS))
+    grown = np.zeros((length, arr.shape[1]))
+    grown[: len(arr)] = arr
+    return grown
+
+
+def _own_rows(params: ModelParams, opt: OptimizerState, buckets: np.ndarray) -> None:
+    """Give each of ``buckets`` (reading the shared codebook) a row of its own."""
+    start = params.codebook_rows + int(np.count_nonzero(params.updated))
+    end = start + buckets.size
+    params.embedding = _reserve(params.embedding, end)
+    opt.m_emb = _reserve(opt.m_emb, end - params.codebook_rows)
+    opt.v_emb = _reserve(opt.v_emb, end - params.codebook_rows)
+    params.embedding[start:end] = params.embedding[params.slot[buckets]]
+    params.slot[buckets] = np.arange(start, end, dtype=np.int32)
+
+
 def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
     """One bias-corrected Adam update, in place.
 
     Head parameters get the textbook dense update. Embedding rows are
     updated lazily: only rows with gradient this step have their moments
     decayed and applied, with bias correction from the shared global step.
+    A bucket still reading the shared codebook first gets a row of its own.
     """
     if grads.w1.shape != params.w1.shape or grads.w2.shape != params.w2.shape:
         raise ValueError("gradient shapes do not match the parameters")
@@ -538,13 +642,19 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
         v += (1.0 - beta2) * np.square(g)
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-    rows = grads.emb_rows
-    if rows.size:
+    buckets = grads.emb_rows
+    if buckets.size:
+        fresh = buckets[~params.updated[buckets]]
+        if fresh.size and params.first_owned:
+            _own_rows(params, opt, fresh)
+        params.updated[fresh] = True
+        rows = params.slot[buckets]
+        moment_rows = rows - params.first_owned
         g = grads.emb_vals
-        m = beta1 * opt.m_emb[rows] + (1.0 - beta1) * g
-        v = beta2 * opt.v_emb[rows] + (1.0 - beta2) * np.square(g)
-        opt.m_emb[rows] = m
-        opt.v_emb[rows] = v
+        m = beta1 * opt.m_emb[moment_rows] + (1.0 - beta1) * g
+        v = beta2 * opt.v_emb[moment_rows] + (1.0 - beta2) * np.square(g)
+        opt.m_emb[moment_rows] = m
+        opt.v_emb[moment_rows] = v
         params.embedding[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
@@ -552,60 +662,171 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+# SMX2 header after the magic: num_buckets, hidden, num_classes, codebook
+# rows, init seed, codebook fingerprint, number of stored rows.
+_HEADER = struct.Struct("<qqqqQ8sq")
+_DENSE_HEADER = struct.Struct("<qqq")
+
+
+def _checkpoint_chunks(params: ModelParams):
+    """The bytes of an ``SMX2`` checkpoint of ``params``, in order."""
+    stored = np.flatnonzero(params.updated)
+    yield _MAGIC
+    yield _HEADER.pack(
+        params.num_buckets,
+        params.hidden,
+        params.num_classes,
+        params.codebook_rows,
+        params.seed or 0,
+        params.fingerprint,
+        stored.size,
+    )
+    yield np.packbits(params.updated, bitorder="little").tobytes()
+    rows = params.embedding[params.slot[stored]]
+    for arr in (rows, params.w1, params.b1, params.w2, params.b2, [params.dropout_rate]):
+        yield np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Binary checkpoint: magic, little-endian int64 dims, float64 arrays."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<qqq", params.num_buckets, params.hidden, params.num_classes
-            )
+    """Write an ``SMX2`` checkpoint: the init seed plus the updated rows.
+
+    Layout, little-endian: the magic, the ``_HEADER`` fields, a bitmap of
+    the ``updated`` buckets (``np.packbits``, little bit order), their rows
+    in bucket order, then ``w1``, ``b1``, ``w2``, ``b2`` and the dropout
+    rate, all float64. The bytes go to a temporary file beside ``path`` that
+    is renamed into place, so a failed write leaves no partial checkpoint
+    and an existing one untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in _checkpoint_chunks(params):
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_header(fh, path: str | Path, header: struct.Struct) -> tuple:
+    """Unpack ``header``; its first three fields are the model dimensions."""
+    raw = fh.read(header.size)
+    if len(raw) != header.size:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    fields = header.unpack(raw)
+    num_buckets, hidden, num_classes = fields[:3]
+    if num_buckets < 1 or hidden < 1 or num_classes < 2:
+        raise ValueError(
+            f"{path}: invalid checkpoint dimensions ({num_buckets}, {hidden}, {num_classes})"
         )
-        for arr in (params.embedding, params.w1, params.b1, params.w2, params.b2):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        fh.write(np.array([params.dropout_rate], dtype="<f8").tobytes())
+    return fields
+
+
+def _shapes(rows: int, hidden: int, num_classes: int) -> dict[str, tuple]:
+    """The float64 arrays after the header, keyed as ``ModelParams`` fields."""
+    return {"embedding": (rows, hidden), "w1": (hidden, hidden), "b1": (hidden,),
+            "w2": (hidden, num_classes), "b2": (num_classes,), "dropout_rate": (1,)}
+
+
+def _check_file_size(fh, path: str | Path, shapes: dict[str, tuple], offset: int) -> None:
+    """The header fixes the file size; check it before reading anything else."""
+    expected = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != expected:
+        problem = "truncated" if actual < expected else "trailing bytes in"
+        raise ValueError(
+            f"{path}: {problem} checkpoint: its header implies {expected} bytes, "
+            f"the file has {actual}"
+        )
+
+
+def _read_arrays(fh, path: str | Path, shapes: dict[str, tuple]) -> dict:
+    """Read the arrays of ``shapes`` in order, refusing non-finite values."""
+    arrays: dict = {}
+    for name, shape in shapes.items():
+        raw = fh.read(8 * math.prod(shape))
+        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"{path}: non-finite values in {name}")
+    arrays["dropout_rate"] = float(arrays["dropout_rate"][0])
+    if not 0.0 <= arrays["dropout_rate"] < 1.0:
+        raise ValueError(f"{path}: dropout_rate {arrays['dropout_rate']!r} outside [0, 1)")
+    return arrays
+
+
+def _load_dense(fh, path: str | Path) -> ModelParams:
+    """An ``SMX1`` checkpoint: the whole table, which is its own codebook."""
+    num_buckets, hidden, num_classes = _read_header(fh, path, _DENSE_HEADER)
+    shapes = _shapes(num_buckets, hidden, num_classes)
+    _check_file_size(fh, path, shapes, 4 + _DENSE_HEADER.size)
+    return ModelParams(
+        **_read_arrays(fh, path, shapes),
+        slot=_slots(num_buckets, num_buckets),
+        updated=np.ones(num_buckets, dtype=bool),
+        codebook_rows=num_buckets,
+        seed=None,
+        fingerprint=bytes(8),
+    )
+
+
+def _load_sparse(fh, path: str | Path) -> ModelParams:
+    """An ``SMX2`` checkpoint: the codebook is redrawn from the init seed."""
+    header = _read_header(fh, path, _HEADER)
+    num_buckets, hidden, num_classes, codebook_rows, seed, fingerprint, stored = header
+    if not (1 <= codebook_rows <= num_buckets and 0 <= stored <= num_buckets):
+        raise ValueError(
+            f"{path}: invalid checkpoint layout: {codebook_rows} codebook rows and "
+            f"{stored} stored rows for {num_buckets} buckets"
+        )
+    bitmap_size = (num_buckets + 7) // 8
+    shapes = _shapes(stored, hidden, num_classes)
+    _check_file_size(fh, path, shapes, 4 + _HEADER.size + bitmap_size)
+    bitmap = np.frombuffer(fh.read(bitmap_size), dtype=np.uint8)
+    updated = np.unpackbits(bitmap, count=num_buckets, bitorder="little").astype(bool)
+    buckets = np.flatnonzero(updated)
+    if buckets.size != stored:
+        raise ValueError(
+            f"{path}: the bucket bitmap marks {buckets.size} buckets "
+            f"but the checkpoint stores {stored} rows"
+        )
+    arrays = _read_arrays(fh, path, shapes)
+    if stored == num_buckets:  # every row is stored: no codebook to redraw
+        codebook_rows = num_buckets
+    slot = _slots(num_buckets, codebook_rows)
+    if stored < num_buckets:
+        rows = arrays["embedding"]
+        shared = codebook_rows < num_buckets
+        table = np.empty((codebook_rows + (stored if shared else 0), hidden))
+        _draw_codebook(np.random.default_rng(seed), table[:codebook_rows])
+        if _fingerprint(table[:codebook_rows]) != fingerprint:
+            raise ValueError(
+                f"{path}: the codebook NumPy draws from seed {seed} does not match "
+                "the checkpoint's fingerprint; its random stream differs from the "
+                "one that wrote the file"
+            )
+        if shared:
+            table[codebook_rows:] = rows
+            slot[buckets] = np.arange(codebook_rows, codebook_rows + stored, dtype=np.int32)
+        else:
+            table[buckets] = rows
+        arrays["embedding"] = table
+    return ModelParams(
+        **arrays,
+        slot=slot,
+        updated=updated,
+        codebook_rows=codebook_rows,
+        seed=seed,
+        fingerprint=fingerprint,
+    )
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read an ``SMX2`` checkpoint, or a dense ``SMX1`` one of earlier versions."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        header = fh.read(24)
-        if len(header) != 24:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        num_buckets, hidden, num_classes = struct.unpack("<qqq", header)
-        if num_buckets < 1 or hidden < 1 or num_classes < 2:
-            raise ValueError(
-                f"{path}: invalid checkpoint dimensions "
-                f"({num_buckets}, {hidden}, {num_classes})"
-            )
-        shapes = [(num_buckets, hidden), (hidden, hidden), (hidden,),
-                  (hidden, num_classes), (num_classes,), (1,)]
-        # the header fixes the file size; check it before reading anything
-        expected = 28 + 8 * sum(math.prod(shape) for shape in shapes)
-        actual = os.fstat(fh.fileno()).st_size
-        if actual != expected:
-            problem = "truncated" if actual < expected else "trailing bytes in"
-            raise ValueError(
-                f"{path}: {problem} checkpoint: its header implies {expected} bytes, "
-                f"the file has {actual}"
-            )
-        embedding, w1, b1, w2, b2, dropout = (
-            np.frombuffer(fh.read(8 * math.prod(s)), dtype="<f8").astype(np.float64).reshape(s)
-            for s in shapes
-        )
-    dropout_rate = float(dropout[0])
-    for name, arr in (
-        ("embedding", embedding),
-        ("w1", w1),
-        ("b1", b1),
-        ("w2", w2),
-        ("b2", b2),
-    ):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: non-finite values in {name}")
-    if not (np.isfinite(dropout_rate) and 0.0 <= dropout_rate < 1.0):
-        raise ValueError(f"{path}: dropout_rate {dropout_rate!r} outside [0, 1)")
-    return ModelParams(embedding, w1, b1, w2, b2, dropout_rate)
+        if magic == _MAGIC:
+            return _load_sparse(fh, path)
+        if magic == _MAGIC_DENSE:
+            return _load_dense(fh, path)
+    raise ValueError(f"{path}: bad checkpoint magic {magic!r}")

@@ -21,12 +21,15 @@ derived from the environment, so rerunning the same config over the same
 inputs reproduces every artifact byte for byte. Out-of-range settings are
 refused when the config is parsed, and missing inputs before anything is
 written; failures mid-run leave a partial summary recording the failed
-stage. The echo shows the value each setting takes in the run, so a config
-that names no warm-up key echoes ``selfmix.warmup_epochs = 2``.
+stage. A run first removes the files listed above that an earlier run left
+in its directory, so a directory never mixes two runs. The echo shows the
+value each setting takes in the run, so a config that names no warm-up key
+echoes ``selfmix.warmup_epochs = 2``.
 """
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -37,7 +40,6 @@ from .common import subseed
 from .core import (
     ModelConfig,
     SelfMixConfig,
-    TrainReport,
     per_sample_losses,
     train_baseline,
     train_selfmix,
@@ -171,8 +173,8 @@ class ExperimentConfig:
 
 # key -> (section of ExperimentConfig, or None for its own fields; field; parser)
 _CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
-    "data.train": (None, "train_path", str),
-    "data.test": (None, "test_path", str),
+    "data.train": (None, "train_path", _parse_opt(str)),
+    "data.test": (None, "test_path", _parse_opt(str)),
     "data.num_classes": (None, "num_classes", _parse_opt(int)),
     "noise.type": (None, "noise_type", _parse_noise_type),
     "noise.ratio": (None, "noise_ratio", float),
@@ -198,7 +200,7 @@ _CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "optimizer.beta2": ("model", "beta2", float),
     "optimizer.epsilon": ("model", "epsilon", float),
     "run.seed": ("selfmix", "seed", int),
-    "run.output_dir": (None, "output_dir", str),
+    "run.output_dir": (None, "output_dir", _parse_opt(str)),
     "run.eval_every": (None, "eval_every", int),
     "run.histogram_bins": (None, "histogram_bins", int),
 }
@@ -292,6 +294,15 @@ def emit_loss_histogram(
 # ---------------------------------------------------------------------------
 
 ARMS = ("baseline", "selfmix")
+# Everything a run writes into run.output_dir; a new run removes these first.
+_RUN_OUTPUTS = (
+    "config_echo.txt",
+    "corrupted_train.csv",
+    "noise_manifest.csv",
+    "summary.json",
+    "hist",
+    *ARMS,
+)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -333,6 +344,16 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
     return train, test, transition
 
 
+def _clear_run_outputs(out: Path) -> None:
+    """Remove what an earlier run left in ``out``; any other file stays."""
+    for name in _RUN_OUTPUTS:
+        path = out / name
+        if path.is_dir() and not path.is_symlink():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
+
+
 def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
     """Inject noise, train the requested arms, write all artifacts.
 
@@ -346,6 +367,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_run_outputs(out)
     echo = cfg.echo_lines()
     (out / "config_echo.txt").write_text("\n".join(echo) + "\n", encoding="utf-8")
 
@@ -383,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
         noisy_mask = np.array([ex.id in flipped for ex in corrupted], dtype=bool)
         (out / "hist").mkdir(exist_ok=True)
 
-        reports: dict[str, TrainReport] = {}
+        sel_f1: dict[str, float] = {}
         trainers = {"baseline": train_baseline, "selfmix": train_selfmix}
         for arm in arms:
             stage = arm
@@ -395,7 +417,6 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 eval_every=cfg.eval_every,
                 record_losses=True,
             )
-            reports[arm] = report
             arm_dir = out / arm
             arm_dir.mkdir(exist_ok=True)
             _write_json(
@@ -423,13 +444,15 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 "last_acc": report.last_acc,
                 "warnings": report.warnings,
             }
+            sel_f1[arm] = report.per_epoch[-1].sel_f1
+            del report  # free this arm's model before the next arm trains
 
         stage = "summary"
-        if "selfmix" in reports:
-            summary["final_sel_f1"] = reports["selfmix"].per_epoch[-1].sel_f1
+        if "selfmix" in arms:
+            summary["final_sel_f1"] = sel_f1["selfmix"]
         if len(arms) == 2:
             summary["acc_gap_last"] = (
-                reports["selfmix"].last_acc - reports["baseline"].last_acc
+                summary["selfmix"]["last_acc"] - summary["baseline"]["last_acc"]
             )
         _write_json(out / "summary.json", summary)
     except Exception as exc:

@@ -15,7 +15,9 @@ from selfmix.encoder import (
     FeatureVector,
     Gradients,
     ModelParams,
+    adam_step,
     backward,
+    init_optimizer,
     init_params,
 )
 
@@ -69,9 +71,20 @@ def random_distribution(rng: np.random.Generator, num_classes: int) -> np.ndarra
     return p / p.sum()
 
 
+def own_some_rows(rng: np.random.Generator, params: ModelParams, steps: int = 3) -> None:
+    """A few Adam steps on random items, so that in a model with more buckets
+    than codebook rows some buckets own rows and the rest share them."""
+    opt = init_optimizer(params, learning_rate=0.05)
+    for _ in range(steps):
+        target = random_distribution(rng, params.num_classes)
+        item = BatchItem(random_features(rng, params.num_buckets), "ce", target)
+        adam_step(params, backward(params, [item])[1], opt)
+
+
 def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """Every learnable array; the embedding as a view of the rows buckets read."""
     return [
-        ("embedding", params.embedding),
+        ("embedding", params.embedding[: int(params.slot.max()) + 1]),
         ("w1", params.w1),
         ("b1", params.b1),
         ("w2", params.w2),
@@ -80,11 +93,15 @@ def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 
 def grad_lookup(grads: Gradients, params: ModelParams, name: str, flat_index: int) -> float:
-    """Read one analytic gradient coordinate; untouched embedding rows are 0."""
+    """Read one analytic gradient coordinate.
+
+    An embedding row's gradient is the sum over the buckets that read it
+    (one bucket unless the row is a shared codebook row); 0 if none has one.
+    """
     if name == "embedding":
         row, col = divmod(flat_index, params.hidden)
-        hit = np.flatnonzero(grads.emb_rows == row)
-        return float(grads.emb_vals[hit[0], col]) if hit.size else 0.0
+        hit = np.flatnonzero(params.slot[grads.emb_rows] == row)
+        return float(grads.emb_vals[hit, col].sum())
     return float(getattr(grads, name).reshape(-1)[flat_index])
 
 

@@ -15,6 +15,7 @@ from conftest import (
     N_CASES,
     finite_difference,
     grad_lookup,
+    own_some_rows,
     param_arrays,
     random_distribution,
     relative_error,
@@ -32,6 +33,7 @@ from selfmix.core import (
     train_baseline,
     train_selfmix,
 )
+from selfmix import encoder
 from selfmix.data import one_hot
 from selfmix.encoder import (
     BatchItem,
@@ -118,6 +120,23 @@ def test_criterion_1_gradients_match_finite_differences():
                 assert err <= GRAD_TOL, (name, flat, analytic, fd)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"
+
+
+def test_criterion_1_holds_on_a_shared_codebook(monkeypatch):
+    """Criterion 1's composite instances on a 4-row codebook, after a few Adam
+    steps: owned rows and shared codebook rows both match central differences."""
+    monkeypatch.setattr(encoder, "_CODEBOOK_ROWS", 4)
+    rng = np.random.default_rng(1002)
+    for _ in range(50):
+        params, items, mask_seed = _composite_instance(rng)
+        own_some_rows(rng, params)
+        _, grads, _ = backward(params, items, mask_seed=mask_seed)
+        for name, array in param_arrays(params):
+            for _ in range(2):
+                flat = int(rng.integers(array.size))
+                analytic = grad_lookup(grads, params, name, flat)
+                fd = finite_difference(params, items, mask_seed, name, flat, step=GRAD_STEP)
+                assert relative_error(analytic, fd) <= GRAD_TOL, (name, flat, analytic, fd)
 
 
 def test_criterion_2_mixture_recovery_on_bimodal_losses():

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import copy
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import N_CASES, random_distribution, random_features, small_params
+from selfmix import encoder
 from selfmix.common import NumericError
 from selfmix.encoder import (
     FNV_OFFSET,
@@ -26,6 +29,7 @@ from selfmix.encoder import (
     init_params,
     load_checkpoint,
     log_softmax,
+    predict_logits,
     predict_proba,
     rdrop_from_probs,
     save_checkpoint,
@@ -698,3 +702,156 @@ def test_model_params_shape_properties():
     assert params.num_buckets == 16
     assert params.hidden == 6
     assert params.num_classes == 3
+
+
+# ---------------------------------------------------------------------------
+# Sparse embedding state
+# ---------------------------------------------------------------------------
+
+
+def test_sparse_init_allocates_no_dense_table():
+    """2^18 buckets x 64: a 2^16-row codebook, no (2^18, 64) table or moments."""
+    tracemalloc.start()
+    try:
+        params = init_params(2**18, 64, 4, 0.1, seed=0)
+        init_optimizer(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("num_buckets", [100, 2**16])
+def test_init_up_to_the_codebook_size_is_a_dense_draw(num_buckets):
+    params = init_params(num_buckets, 8, 3, 0.0, seed=9)
+    rng = np.random.default_rng(9)
+    assert np.array_equal(params.embedding, rng.normal(0.0, 0.1, size=(num_buckets, 8)))
+    assert np.array_equal(params.w1, rng.normal(0.0, np.sqrt(2.0 / 8), size=(8, 8)))
+    assert np.array_equal(params.w2, rng.normal(0.0, np.sqrt(2.0 / 8), size=(8, 3)))
+    assert np.array_equal(params.slot, np.arange(num_buckets))
+
+
+def test_bucket_init_is_its_codebook_row():
+    params = init_params(2**18, 4, 2, 0.0, seed=3)
+    codebook = np.random.default_rng(3).normal(0.0, 0.1, size=(2**16, 4))
+    assert params.embedding.shape == (2**16, 4)
+    for bucket in (0, 5, 2**16 + 5, 2**18 - 1):
+        fv = FeatureVector(np.array([bucket], dtype=np.int64), np.array([1.0]))
+        assert np.array_equal(encode(params, fv), codebook[bucket % 2**16])
+
+
+def test_shared_codebook_trains_like_a_dense_table(monkeypatch):
+    """A bucket owns a copy of its codebook row from its first update on, so
+    training matches a dense table filled from the codebook bit for bit."""
+    monkeypatch.setattr(encoder, "_CODEBOOK_ROWS", 4)
+    shared = init_params(40, 3, 2, 0.3, seed=7)
+    dense = copy.deepcopy(shared)
+    dense.embedding = shared.embedding[shared.slot].copy()
+    dense.slot = np.arange(40, dtype=np.int32)
+    dense.codebook_rows = 40
+    opts = [init_optimizer(p, learning_rate=0.05) for p in (shared, dense)]
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        items = [
+            BatchItem(random_features(rng, 40), "ce", random_distribution(rng, 2), key=k)
+            for k in range(3)
+        ]
+        for params, opt in zip((shared, dense), opts):
+            adam_step(params, backward(params, items, mask_seed=4)[1], opt)
+    assert np.array_equal(shared.embedding[shared.slot], dense.embedding)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(shared, name), getattr(dense, name))
+    owned = shared.slot >= 4
+    assert np.array_equal(owned, shared.updated) and 0 < owned.sum() < 40
+    assert np.array_equal(np.sort(shared.slot[owned]), 4 + np.arange(owned.sum()))
+
+
+def _trained_sparse_model(rng):
+    params = init_params(2**18, 8, 3, 0.2, seed=11)
+    opt = init_optimizer(params, learning_rate=0.05)
+    for _ in range(4):
+        items = [
+            BatchItem(random_features(rng, 2**18), "ce", random_distribution(rng, 3), key=k)
+            for k in range(8)
+        ]
+        adam_step(params, backward(params, items, mask_seed=2)[1], opt)
+    return params
+
+
+def test_sparse_checkpoint_reproduces_logits(tmp_path):
+    rng = np.random.default_rng(12)
+    params = _trained_sparse_model(rng)
+    trained = np.flatnonzero(params.updated)
+    assert 0 < trained.size < 200
+    path = tmp_path / "model.smx"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    docs = [random_features(rng, 2**18) for _ in range(40)]  # untrained buckets
+    docs.append(FeatureVector(trained[:5], np.full(5, 0.2)))
+    docs.append(FeatureVector(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
+    assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
+    dense_size = 28 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
+    assert path.stat().st_size < dense_size / 10
+
+
+def test_checkpoint_refuses_a_codebook_fingerprint_mismatch(tmp_path):
+    path = tmp_path / "model.smx"
+    save_checkpoint(init_params(16, 4, 2, 0.0, seed=1), path)
+    blob = bytearray(path.read_bytes())
+    blob[44:52] = bytes(8)  # the fingerprint field of the header
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="fingerprint") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_refuses_a_bitmap_that_disagrees_with_the_row_count(tmp_path):
+    params = init_params(16, 4, 2, 0.0, seed=1)
+    params.updated[3] = True
+    path = tmp_path / "model.smx"
+    save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    blob[60] |= 0b1  # mark bucket 0 as well; the file still stores one row
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="bitmap") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_dense_smx1_checkpoints_still_load(tmp_path):
+    params = init_params(16, 4, 3, 0.25, seed=2)
+    path = tmp_path / "old.smx"
+    arrays = (params.embedding, params.w1, params.b1, params.w2, params.b2, [0.25])
+    path.write_bytes(
+        b"SMX1"
+        + struct.pack("<qqq", 16, 4, 3)
+        + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+    )
+    loaded = load_checkpoint(path)
+    for name in ("embedding", "w1", "b1", "w2", "b2", "slot"):
+        assert np.array_equal(getattr(loaded, name), getattr(params, name))
+    assert loaded.dropout_rate == 0.25
+    # written back as SMX2 with every row stored, since no seed rebuilds them
+    resaved = tmp_path / "new.smx"
+    save_checkpoint(loaded, resaved)
+    assert resaved.read_bytes()[:4] == b"SMX2"
+    assert np.array_equal(load_checkpoint(resaved).embedding, params.embedding)
+
+
+def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    params = init_params(16, 4, 2, 0.0, seed=0)
+    path = tmp_path / "model.smx"
+    save_checkpoint(params, path)
+    before = path.read_bytes()
+
+    def failing_chunks(params):
+        yield b"SMX2"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(encoder, "_checkpoint_chunks", failing_chunks)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(params, path)
+    assert path.read_bytes() == before  # the existing checkpoint is untouched
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(params, tmp_path / "fresh.smx")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.smx"]

@@ -4,7 +4,8 @@ Random small models (buckets <= 64, hidden <= 16, classes <= 4) are checked
 for every loss term the trainer uses — cross-entropy (hard and soft targets,
 feature and raw-embedding inputs), confidence, dropout-agreement, and
 weighted composites of all three — with central differences at step 1e-6
-against a relative tolerance of 1e-5.
+against a relative tolerance of 1e-5. One suite also runs on models with more
+buckets than codebook rows, where some buckets own rows and others share.
 """
 from __future__ import annotations
 
@@ -14,12 +15,14 @@ from conftest import (
     N_CASES,
     finite_difference,
     grad_lookup,
+    own_some_rows,
     param_arrays,
     random_distribution,
     random_features,
     relative_error,
     small_params,
 )
+from selfmix import encoder
 from selfmix.encoder import BatchItem, backward, encode
 
 STEP = 1e-6
@@ -91,6 +94,25 @@ def test_composite_batch_gradients_match_finite_differences():
             items.append(
                 _random_item(rng, params, kind, as_embedding=bool(rng.random() < 0.4))
             )
+        worst = max(worst, _check_case(rng, items, params, mask_seed))
+    assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
+
+
+def test_shared_codebook_gradients_match_finite_differences(monkeypatch):
+    """An 8-row codebook under up to 64 buckets: after a few Adam steps some
+    buckets own rows while the rest still share codebook rows, and a shared
+    row's gradient is the sum over the buckets that read it."""
+    monkeypatch.setattr(encoder, "_CODEBOOK_ROWS", 8)
+    rng = np.random.default_rng(606)
+    worst = 0.0
+    for _ in range(N_CASES // 2):
+        params = small_params(rng)
+        own_some_rows(rng, params)
+        mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
+        items = [
+            _random_item(rng, params, str(kind), as_embedding=bool(rng.random() < 0.3))
+            for kind in rng.choice(["ce", "pseudo", "rdrop"], size=int(rng.integers(1, 4)))
+        ]
         worst = max(worst, _check_case(rng, items, params, mask_seed))
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 

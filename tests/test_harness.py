@@ -1,9 +1,12 @@
 """Experiment harness: config files, metrics, artifacts, CLI."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import shutil
 import struct
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from selfmix.harness import (
 )
 from selfmix.noise import CorruptionManifest, load_manifest
 from selfmix.synthetic import make_corpus
-from selfmix import cli
+from selfmix import cli, harness
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,12 @@ def test_config_echo_round_trip_property():
         cfg2 = ExperimentConfig.from_text(echoed)
         assert cfg2 == cfg
         assert cfg2.echo_lines() == cfg.echo_lines()
+
+
+def test_unset_paths_survive_the_echo():
+    """The echo writes an unset path as ``none``, which parses back to unset."""
+    default = ExperimentConfig()
+    assert ExperimentConfig.from_text("\n".join(default.echo_lines())) == default
 
 
 def test_selfmix_config_fills_default_warmup():
@@ -537,6 +546,52 @@ def test_rerun_reproduces_every_artifact_byte_for_byte(finished_run):
     before = _tree_digest(out)
     run_experiment(cfg)
     assert _tree_digest(out) == before
+
+
+def test_rerun_into_a_used_directory_leaves_no_stale_files(corpus_dir, tmp_path):
+    """A run replaces every file an earlier run wrote there and keeps others."""
+    out = tmp_path / "out"
+    single = ExperimentConfig.from_text(
+        config_text(corpus_dir, out, **{"selfmix.total_epochs": "2"})
+    )
+    run_experiment(single, arms=("selfmix",))
+    fresh = _tree_digest(out)
+    shutil.rmtree(out)
+    run_experiment(ExperimentConfig.from_text(config_text(corpus_dir, out)))
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    run_experiment(single, arms=("selfmix",))
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    (out / "notes.txt").unlink()
+    assert _tree_digest(out) == fresh
+    clean = config_text(
+        corpus_dir, out, **{"noise.type": "none", "noise.ratio": "0.0", "noise.seed": "none"}
+    )
+    run_experiment(ExperimentConfig.from_text(clean), arms=("baseline",))
+    assert not (out / "corrupted_train.csv").exists()
+    assert not (out / "noise_manifest.csv").exists()
+    assert not (out / "selfmix").exists()
+
+
+def test_each_arm_model_is_freed_once_its_checkpoint_is_written(
+    corpus_dir, tmp_path, monkeypatch
+):
+    models: list[weakref.ref] = []
+
+    def tracked(trainer):
+        def train(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in models), "an earlier arm's model is held"
+            report = trainer(*args, **kwargs)
+            models.append(weakref.ref(report.final_params))
+            return report
+
+        return train
+
+    monkeypatch.setattr(harness, "train_baseline", tracked(harness.train_baseline))
+    monkeypatch.setattr(harness, "train_selfmix", tracked(harness.train_selfmix))
+    run_experiment(ExperimentConfig.from_text(config_text(corpus_dir, tmp_path / "out")))
+    gc.collect()
+    assert len(models) == 2 and all(ref() is None for ref in models)
 
 
 def test_run_without_noise_skips_noise_artifacts(corpus_dir, tmp_path):
