@@ -16,7 +16,7 @@ import sys
 
 from . import harness
 from .data import load_csv, save_csv
-from .noise import inject, save_manifest
+from .noise import NOISE_TYPE_ALIASES, NOISE_TYPES, inject, save_manifest
 from .synthetic import make_corpus
 
 
@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="selfmix",
         description="Train text classifiers on noisily labeled data with "
-        "mixture-based sample selection and embedding mixup.",
+        "mixture-based sample selection and feature-bag mixup.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--type",
         required=True,
-        choices=["uniform", "asym", "idn", "asymmetric", "instance_dependent"],
+        choices=NOISE_TYPES + tuple(NOISE_TYPE_ALIASES),
     )
     p.add_argument("--ratio", required=True, type=float)
     p.add_argument("--seed", required=True, type=int)

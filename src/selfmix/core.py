@@ -1,4 +1,4 @@
-"""Noise-aware training: loss-based sample selection plus embedding mixup.
+"""Noise-aware training: loss-based sample selection plus feature-bag mixup.
 
 The procedure alternates between two views of the (possibly mislabeled)
 training set. At the start of each adaptive epoch, per-sample losses are fit
@@ -7,13 +7,15 @@ low-loss component clears a threshold keep their labels (the labeled set),
 the rest have their labels replaced by the model's own sharpened predictions
 (the unlabeled set). Training then minimizes
 
-    cross-entropy on convex combinations of embedding/target pairs
+    cross-entropy on convex combinations of bag/target pairs
     + lambda_p * confidence loss on the unlabeled set
     + lambda_r * symmetric-KL agreement between two dropout passes
 
-Each mixed example enters the encoder as the merged feature bag of its two
-parents, so the mixup term trains the embedding rows of both, as mixing
-hidden representations does in the paper. Warm-up epochs of plain
+:func:`embmix` builds each mixed example as the merged feature bag of its two
+parents. The bag pools to the same mix of the parents' embeddings, and the
+mixup term trains the embedding rows of both, as mixing hidden
+representations does in the paper. Only the unlabeled members of a batch
+are encoded on their own, to guess their targets. Warm-up epochs of plain
 cross-entropy precede selection so that early losses are informative. One
 cross-entropy epoch routine serves the warm-up, the plain arm and the
 standalone :func:`warmup`; every loss formula lives in
@@ -153,10 +155,10 @@ class DataSplit:
 
 @dataclass(frozen=True)
 class MixedBatch:
-    """Convex combinations of embedding/target pairs, biased toward the
-    first element of each pair (mixing coefficients lie in [0.5, 1])."""
+    """Convex combinations of bag/target pairs, biased toward the first
+    element of each pair (mixing coefficients lie in [0.5, 1])."""
 
-    embeddings: np.ndarray  # (m, hidden)
+    bags: list[FeatureVector]  # m mixed feature bags
     targets: np.ndarray  # (m, num_classes)
     lam: np.ndarray  # (m,) the realized coefficients, all >= 0.5
 
@@ -315,35 +317,33 @@ def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def embmix(
-    emb_a: np.ndarray,
+    bags_a: list[FeatureVector],
     targets_a: np.ndarray,
-    emb_b: np.ndarray,
+    bags_b: list[FeatureVector],
     targets_b: np.ndarray,
     lam: np.ndarray,
 ) -> MixedBatch:
-    """Mix embedding/target pairs with coefficients folded into [0.5, 1].
+    """Mix bag/target pairs with coefficients folded into [0.5, 1].
 
     Folding ``lam`` to ``max(lam, 1 - lam)`` keeps each mixed example
     dominated by its first parent, so the mixed pair inherits that parent's
-    identity.
+    identity. Mixed bag ``k`` merges its parents' buckets, their weights
+    scaled by ``lam'`` and ``1 - lam'``, so it pools to
+    ``lam' * e(a) + (1 - lam') * e(b)``: the mixup loss then trains the
+    embedding rows of both parents, as mixing hidden representations does.
     """
     lam = np.asarray(lam, dtype=np.float64)
+    sizes = (len(bags_a), len(targets_a), len(bags_b), len(targets_b), lam.size)
+    if len(set(sizes)) > 1:
+        raise ValueError(f"embmix needs equal numbers of bags, targets and lam; got {sizes}")
     lam_prime = np.maximum(lam, 1.0 - lam)
-    emb = lam_prime[:, None] * emb_a + (1.0 - lam_prime)[:, None] * emb_b
+    bags = []
+    for a, b, mix in zip(bags_a, bags_b, lam_prime):
+        rows, inverse = np.unique(np.concatenate([a.indices, b.indices]), return_inverse=True)
+        mass = np.concatenate([mix * a.weights, (1.0 - mix) * b.weights])
+        bags.append(FeatureVector(rows, np.bincount(inverse, mass, minlength=rows.size)))
     targets = lam_prime[:, None] * targets_a + (1.0 - lam_prime)[:, None] * targets_b
-    return MixedBatch(embeddings=emb, targets=targets, lam=lam_prime)
-
-
-def _mix_bags(a: FeatureVector, b: FeatureVector, lam: float) -> FeatureVector:
-    """The feature vector whose pooled embedding is ``lam * e(a) + (1 - lam) * e(b)``.
-
-    Feeding a mixed example to the encoder as this bag, rather than as the
-    mixed embedding, lets the mixup loss train the embedding rows of both
-    parents, as mixing hidden representations does in the paper.
-    """
-    rows, inverse = np.unique(np.concatenate([a.indices, b.indices]), return_inverse=True)
-    mass = np.concatenate([lam * a.weights, (1.0 - lam) * b.weights])
-    return FeatureVector(rows, np.bincount(inverse, weights=mass, minlength=rows.size))
+    return MixedBatch(bags=bags, targets=targets, lam=lam_prime)
 
 
 def selection_prf(
@@ -570,35 +570,23 @@ class _Run:
                 rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
                 lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
                 partners = rng.integers(0, m, size=m)
-                emb = np.stack(
-                    [encode(self.params, self.features[i]) for i in batch]
-                )
+                bags = [self.features[i] for i in batch]
                 batch_targets = np.empty((m, num_classes))
                 u_members: list[int] = []
                 for k, i in enumerate(batch):
                     ex = self.train[int(i)]
                     if ex.id in unlabeled:
                         u_members.append(int(i))
-                        guess = softmax(head_forward(self.params, emb[k]))
+                        emb = encode(self.params, bags[k])
+                        guess = softmax(head_forward(self.params, emb))
                         batch_targets[k] = sharpen(guess, cfg.temperature)
                     else:
                         batch_targets[k] = one_hot(ex.observed_label, num_classes)
-                mixed = embmix(
-                    emb, batch_targets, emb[partners], batch_targets[partners], lam
-                )
+                partner_bags = [bags[j] for j in partners]
+                mixed = embmix(bags, batch_targets, partner_bags, batch_targets[partners], lam)
                 items = [
-                    BatchItem(
-                        _mix_bags(
-                            self.features[batch[k]],
-                            self.features[batch[partners[k]]],
-                            mixed.lam[k],
-                        ),
-                        "ce",
-                        mixed.targets[k],
-                        weight=1.0 / m,
-                        key=_MIX_KEY_BASE + k,
-                    )
-                    for k in range(m)
+                    BatchItem(bag, "ce", target, weight=1.0 / m, key=_MIX_KEY_BASE + k)
+                    for k, (bag, target) in enumerate(zip(mixed.bags, mixed.targets))
                 ]
                 if u_members:
                     norm = len(u_members) if cfg.term_normalization == "mean" else 1
@@ -692,7 +680,6 @@ def warmup(
     samples: int | None = None,
     batch_size: int = 32,
     seed: int = 0,
-    features: list[FeatureVector] | None = None,
 ) -> tuple[ModelParams, OptimizerState]:
     """Plain cross-entropy training on observed labels, in place.
 
@@ -704,8 +691,7 @@ def warmup(
     """
     if (epochs is None) == (samples is None):
         raise ValueError("set exactly one of epochs and samples")
-    if features is None:
-        features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
+    features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
     labels = dataset.observed_labels()
     for epoch, limit in enumerate(_warmup_schedule(epochs, samples, len(dataset))):
         _ce_epoch(

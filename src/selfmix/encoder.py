@@ -287,14 +287,13 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 class BatchItem:
     """One loss term: an input, a kind, an optional target, and a weight.
 
-    ``input`` is either a :class:`FeatureVector` (full path, embedding rows
-    receive gradient) or a precomputed embedding array entering at the head
-    (head-only gradient). ``target`` is a class distribution for ``"ce"``
+    ``input`` is the :class:`FeatureVector` the item pools; every bucket it
+    names receives gradient. ``target`` is a class distribution for ``"ce"``
     and ignored otherwise. ``key`` names the item's dropout streams; it
     defaults to the item's position in the batch.
     """
 
-    input: FeatureVector | np.ndarray
+    input: FeatureVector
     kind: str = "ce"
     target: np.ndarray | None = None
     weight: float = 1.0
@@ -435,26 +434,24 @@ def backward(
     """
     n = len(items)
     positions: dict[str, list[int]] = {kind: [] for kind in _KINDS}
-    bags: list[int] = []
-    dense: list[int] = []
     keys: list[int] = []
     for pos, item in enumerate(items):
         if item.kind not in positions:
             raise ValueError(f"unknown batch item kind {item.kind!r}")
         if item.kind == "ce" and item.target is None:
             raise ValueError("ce items require a target distribution")
+        if not isinstance(item.input, FeatureVector):
+            raise ValueError(
+                f"batch position {pos}: input has type "
+                f"{type(item.input).__name__}, not FeatureVector"
+            )
         positions[item.kind].append(pos)
-        (bags if isinstance(item.input, FeatureVector) else dense).append(pos)
         keys.append(pos if item.key is None else item.key)
     ce, pseudo, rdrop = (np.array(positions[kind], dtype=np.intp) for kind in _KINDS)
     weights = np.array([item.weight for item in items], dtype=np.float64)
 
-    indices, bag_weights, sizes = _concat([items[i].input for i in bags])
-    bag_pos = np.array(bags, dtype=np.intp)
-    e = np.empty((n, params.hidden))
-    e[bag_pos] = _pool(params, indices, bag_weights, sizes)
-    if dense:
-        e[dense] = np.array([items[i].input for i in dense], dtype=np.float64)
+    indices, bag_weights, sizes = _concat([item.input for item in items])
+    e = _pool(params, indices, bag_weights, sizes)
 
     # rows 0..n-1 are every item's pass 0; rows n.. are the rdrop items' pass 1
     row_item = np.concatenate([np.arange(n), rdrop])
@@ -509,7 +506,7 @@ def backward(
     d_item[rdrop] += d_e[n:]
     order = np.argsort(indices, kind="stable")
     sorted_rows = indices[order]
-    contrib = d_item[np.repeat(bag_pos, sizes)[order]]
+    contrib = d_item[np.repeat(np.arange(n), sizes)[order]]
     contrib *= bag_weights[order, None]
     first = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
     emb_vals = (

@@ -49,7 +49,6 @@ from .encoder import save_checkpoint
 from .noise import (
     NOISE_TYPE_ALIASES,
     NOISE_TYPES,
-    CorruptionManifest,
     TransitionMap,
     canonical_noise_type,
     inject,
@@ -238,33 +237,30 @@ def load_transition(path: str | Path, num_classes: int) -> TransitionMap:
     return TransitionMap(tuple(targets[c] for c in range(num_classes)))
 
 
+def _noisy_mask(dataset: Dataset) -> np.ndarray:
+    """One bool per example, true where its observed label was corrupted."""
+    flipped = dataset.flipped_ids()
+    return np.array([ex.id in flipped for ex in dataset], dtype=bool)
+
+
 def emit_loss_histogram(
     losses: np.ndarray,
-    manifest: CorruptionManifest | np.ndarray | None,
+    noisy_mask: np.ndarray,
     bins: int,
     path: str | Path,
     header_lines: Iterable[str] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram losses into uniform bins, split clean/noisy.
 
-    ``manifest`` decides which positions are noisy: a CorruptionManifest
-    marks positions whose id is in ``flipped_ids`` (losses are assumed to be
-    ordered by id), a boolean array is used directly, and None means all
-    clean. Bins cover [min, max] of all losses (a unit-wide range when the
-    losses are constant); every bin is left-closed and the last is closed on
-    both sides. The CSV has columns bin_left,bin_right,clean_count,
-    noisy_count, preceded by ``#``-prefixed header lines. Returns
-    (edges, clean_counts, noisy_counts).
+    ``noisy_mask`` holds one bool per loss, true where the sample is noisy.
+    Bins cover [min, max] of all losses (a unit-wide range when the losses
+    are constant); every bin is left-closed and the last is closed on both
+    sides. The CSV has columns bin_left,bin_right,clean_count,noisy_count,
+    preceded by ``#``-prefixed header lines. Returns (edges, clean_counts,
+    noisy_counts).
     """
     losses = np.asarray(losses, dtype=np.float64)
-    if isinstance(manifest, CorruptionManifest):
-        noisy_mask = np.array(
-            [i in manifest.flipped_ids for i in range(losses.size)], dtype=bool
-        )
-    elif manifest is None:
-        noisy_mask = np.zeros(losses.shape, dtype=bool)
-    else:
-        noisy_mask = np.asarray(manifest, dtype=bool)
+    noisy_mask = np.asarray(noisy_mask, dtype=bool)
     if losses.shape != noisy_mask.shape:
         raise ValueError("losses and the noisy mask must have the same shape")
     if bins < 1:
@@ -401,8 +397,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 "num_flipped": len(train.flipped_ids()),
             }
 
-        flipped = corrupted.flipped_ids()
-        noisy_mask = np.array([ex.id in flipped for ex in corrupted], dtype=bool)
+        noisy_mask = _noisy_mask(corrupted)
         (out / "hist").mkdir(exist_ok=True)
 
         sel_f1: dict[str, float] = {}
@@ -474,15 +469,13 @@ def analyze_losses(
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)
     losses = per_sample_losses(params, dataset)
-    flipped = dataset.flipped_ids()
-    noisy_mask = np.array([ex.id in flipped for ex in dataset], dtype=bool)
     header = [
         f"model = {Path(model_path).name}",
         f"data = {Path(data_path).name}",
         f"bins = {bins}",
     ]
     return emit_loss_histogram(
-        losses, noisy_mask, bins, out_path, header_lines=header
+        losses, _noisy_mask(dataset), bins, out_path, header_lines=header
     )
 
 

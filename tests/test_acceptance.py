@@ -18,6 +18,7 @@ from conftest import (
     own_some_rows,
     param_arrays,
     random_distribution,
+    random_features,
     relative_error,
     small_params,
 )
@@ -39,7 +40,6 @@ from selfmix.encoder import (
     BatchItem,
     FeatureVector,
     backward,
-    encode,
     featurize_text,
     init_params,
     rdrop_from_probs,
@@ -62,10 +62,11 @@ GRAD_TOL = 1e-5
 def _composite_instance(rng: np.random.Generator):
     """A small model plus one batch touching every loss term.
 
-    The batch carries an observed-label item, two mixed-pair items (embedding
-    inputs with interpolated soft targets), and confidence/agreement items,
-    so one finite-difference sweep certifies each term and their weighted
-    sum at once.
+    The batch carries an observed-label item, two mixed-pair items (the
+    merged bags :func:`embmix` builds, with interpolated soft targets), and
+    confidence/agreement items, so one finite-difference sweep certifies
+    each term and their weighted sum at once, the mixup gradient into the
+    parents' embedding rows included.
     """
     params = small_params(rng, max_buckets=48, max_hidden=10, max_classes=4)
     num_classes = params.num_classes
@@ -85,13 +86,13 @@ def _composite_instance(rng: np.random.Generator):
             key=0,
         )
     ]
-    emb_a = np.stack([encode(params, features()) for _ in range(2)])
-    emb_b = np.stack([encode(params, features()) for _ in range(2)])
+    bags_a = [features() for _ in range(2)]
+    bags_b = [features() for _ in range(2)]
     targets_a = np.stack([random_distribution(rng, num_classes) for _ in range(2)])
     targets_b = np.stack([random_distribution(rng, num_classes) for _ in range(2)])
-    mixed = embmix(emb_a, targets_a, emb_b, targets_b, rng.beta(0.75, 0.75, 2))
+    mixed = embmix(bags_a, targets_a, bags_b, targets_b, rng.beta(0.75, 0.75, 2))
     items += [
-        BatchItem(mixed.embeddings[k], "ce", mixed.targets[k], weight=0.5, key=10 + k)
+        BatchItem(mixed.bags[k], "ce", mixed.targets[k], weight=0.5, key=10 + k)
         for k in range(2)
     ]
     lambda_p, lambda_r = float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.1, 0.5))
@@ -270,11 +271,11 @@ def test_criterion_7_invariant_property_suite(tmp_path):
     # 2. realized mixing coefficients lie in [0.5, 1]
     for _ in range(N_CASES):
         m = int(rng.integers(1, 6))
-        h, c = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        b, c = int(rng.integers(2, 6)), int(rng.integers(2, 5))
         mixed = embmix(
-            rng.normal(size=(m, h)),
+            [random_features(rng, b) for _ in range(m)],
             np.stack([random_distribution(rng, c) for _ in range(m)]),
-            rng.normal(size=(m, h)),
+            [random_features(rng, b) for _ in range(m)],
             np.stack([random_distribution(rng, c) for _ in range(m)]),
             rng.beta(0.75, 0.75, size=m),
         )

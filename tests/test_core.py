@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import N_CASES, random_distribution
+from conftest import N_CASES, random_distribution, random_features
 from selfmix import core
 from selfmix.common import NumericError, subseed
 from selfmix.core import (
@@ -25,6 +25,7 @@ from selfmix.core import (
 from selfmix.data import Dataset, one_hot
 from selfmix.encoder import (
     BatchItem,
+    FeatureVector,
     backward,
     encode,
     featurize_text,
@@ -240,21 +241,26 @@ def test_embmix_coefficients_and_dominance():
         m = int(rng.integers(1, 8))
         num_classes = int(rng.integers(2, 6))
         hidden = int(rng.integers(2, 10))
-        emb_a = rng.normal(size=(m, hidden))
-        emb_b = rng.normal(size=(m, hidden))
+        params = init_params(32, hidden, num_classes, 0.0, seed=int(rng.integers(2**31)))
+        bags_a = [random_features(rng, 32) for _ in range(m)]
+        bags_b = [random_features(rng, 32) for _ in range(m)]
         labels_a = rng.integers(0, num_classes, size=m)
         labels_b = rng.integers(0, num_classes, size=m)
         targets_a = np.stack([one_hot(int(c), num_classes) for c in labels_a])
         targets_b = np.stack([one_hot(int(c), num_classes) for c in labels_b])
         lam = rng.beta(0.75, 0.75, size=m)
-        mixed = embmix(emb_a, targets_a, emb_b, targets_b, lam)
+        mixed = embmix(bags_a, targets_a, bags_b, targets_b, lam)
         assert np.all(mixed.lam >= 0.5) and np.all(mixed.lam <= 1.0)
         assert np.allclose(mixed.lam, np.maximum(lam, 1.0 - lam))
         assert np.all(mixed.targets >= 0.0)
         assert np.all(np.abs(mixed.targets.sum(axis=1) - 1.0) <= 1e-9)
+        assert len(mixed.bags) == m
         for k in range(m):
-            expected = mixed.lam[k] * emb_a[k] + (1 - mixed.lam[k]) * emb_b[k]
-            assert np.allclose(mixed.embeddings[k], expected)
+            expected = (
+                mixed.lam[k] * encode(params, bags_a[k])
+                + (1 - mixed.lam[k]) * encode(params, bags_b[k])
+            )
+            assert np.allclose(encode(params, mixed.bags[k]), expected)
             if labels_a[k] != labels_b[k] and mixed.lam[k] > 0.5:
                 assert int(np.argmax(mixed.targets[k])) == int(labels_a[k])
 
@@ -263,7 +269,8 @@ def test_mixed_bag_pools_to_the_mixed_embedding():
     params = init_params(64, 8, 2, 0.0, seed=3)
     a = featurize_text("red apple pie red", 64)
     b = featurize_text("apple tart blue sky", 64)
-    mixed = core._mix_bags(a, b, 0.7)
+    targets = np.eye(2)
+    mixed = embmix([a], targets[:1], [b], targets[1:], np.array([0.7])).bags[0]
     assert np.all(np.diff(mixed.indices) > 0)
     assert mixed.weights.sum() == pytest.approx(1.0)
     expected = 0.7 * encode(params, a) + 0.3 * encode(params, b)
@@ -286,18 +293,33 @@ def test_mixup_loss_trains_the_embedding_table():
 
 
 def test_embmix_boundary_coefficients():
-    emb_a = np.array([[1.0, 0.0]])
-    emb_b = np.array([[0.0, 1.0]])
+    # bucket 0 pools to [1, 0] and bucket 1 to [0, 1]
+    params = init_params(2, 2, 2, 0.0, seed=0)
+    params.embedding[:2] = np.eye(2)
+    bag_a = [FeatureVector(np.array([0]), np.array([1.0]))]
+    bag_b = [FeatureVector(np.array([1]), np.array([1.0]))]
     ta = np.array([[1.0, 0.0]])
     tb = np.array([[0.0, 1.0]])
     # lam folds to max(lam, 1-lam): both 0 and 1 give the first parent
     for lam in (0.0, 1.0):
-        mixed = embmix(emb_a, ta, emb_b, tb, np.array([lam]))
+        mixed = embmix(bag_a, ta, bag_b, tb, np.array([lam]))
         assert mixed.lam[0] == 1.0
-        assert np.array_equal(mixed.embeddings, emb_a)
+        assert np.array_equal(encode(params, mixed.bags[0]), [1.0, 0.0])
         assert np.array_equal(mixed.targets, ta)
-    halfway = embmix(emb_a, ta, emb_b, tb, np.array([0.5]))
-    assert np.allclose(halfway.embeddings, [[0.5, 0.5]])
+    halfway = embmix(bag_a, ta, bag_b, tb, np.array([0.5]))
+    assert np.allclose(encode(params, halfway.bags[0]), [0.5, 0.5])
+
+
+def test_embmix_refuses_unequal_lengths():
+    bags = [featurize_text("a b", 16), featurize_text("c d", 16)]
+    targets = np.eye(2)
+    lam = np.array([0.3, 0.8])
+    with pytest.raises(ValueError, match="equal numbers of bags"):
+        embmix(bags, targets, bags[:1], targets, lam)
+    with pytest.raises(ValueError, match="equal numbers of bags"):
+        embmix(bags, targets[:1], bags, targets, lam)
+    with pytest.raises(ValueError, match="equal numbers of bags"):
+        embmix(bags, targets, bags, targets, lam[:1])
 
 
 def constant_model(p):
@@ -311,7 +333,8 @@ def constant_model(p):
 
 def mean_pseudo(p, copies: int = 1) -> float:
     """Mean confidence term of ``backward`` over ``copies`` items predicting ``p``."""
-    items = [BatchItem(np.zeros(4), "pseudo")] * copies
+    empty = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
+    items = [BatchItem(empty, "pseudo")] * copies
     _, _, breakdown = backward(constant_model(p), items, mask_seed=3, compute_grads=False)
     raw, count = breakdown["pseudo"]
     return raw / count
@@ -343,11 +366,11 @@ def test_loss_terms_non_negative_property():
         assert mean_pseudo(p1) >= 0.0 and mean_pseudo(p2) >= 0.0
 
         params = init_params(64, 4, num_classes, 0.0, seed=int(rng.integers(2**31)))
-        emb = rng.normal(size=(2, 4))
+        bags = [random_features(rng, 64) for _ in range(2)]
         targets = np.stack([p1, p2])
-        mixed = embmix(emb, targets, emb[::-1], targets[::-1], rng.beta(0.75, 0.75, 2))
+        mixed = embmix(bags, targets, bags[::-1], targets[::-1], rng.beta(0.75, 0.75, 2))
         mix_items = [
-            BatchItem(mixed.embeddings[k], "ce", mixed.targets[k], weight=0.5)
+            BatchItem(mixed.bags[k], "ce", mixed.targets[k], weight=0.5)
             for k in range(2)
         ]
         mix, _, _ = backward(params, mix_items, compute_grads=False)
@@ -430,7 +453,7 @@ def test_warmup_reduces_training_loss():
     features = [featurize_text(ex.text, params.num_buckets) for ex in train]
     before = per_sample_losses(params, train, features).mean()
     opt = init_optimizer(params, learning_rate=1e-3)
-    warmup(params, opt, train, epochs=2, seed=5, features=features)
+    warmup(params, opt, train, epochs=2, seed=5)
     after = per_sample_losses(params, train, features).mean()
     assert after < before
     assert opt.step > 0
@@ -460,8 +483,7 @@ def test_warmup_matches_the_plain_arm_bit_for_bit():
         subseed(cfg.seed, "init"),
     )
     opt = init_optimizer(params, learning_rate=TINY_MODEL.learning_rate)
-    features = [featurize_text(ex.text, TINY_MODEL.num_buckets) for ex in corrupted]
-    warmup(params, opt, corrupted, epochs=2, batch_size=16, seed=cfg.seed, features=features)
+    warmup(params, opt, corrupted, epochs=2, batch_size=16, seed=cfg.seed)
     for name in ("embedding", "w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(params, name), getattr(report.final_params, name))
 
@@ -518,6 +540,30 @@ def test_per_sample_losses_run_once_per_parameter_state(monkeypatch):
         assert np.array_equal(
             getattr(recorded.final_params, name), getattr(plain.final_params, name)
         )
+
+
+def test_adaptive_epochs_encode_only_the_unlabeled_members(monkeypatch):
+    """Only a pseudo-label guess needs a document's own embedding: each
+    adaptive epoch encodes its N - labeled_count unlabeled members once."""
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=4, warmup_epochs=1, batch_size=16, seed=5)
+    calls: list[int] = []
+    real_encode, real_epoch = core.encode, core._Run.selfmix_epoch
+
+    def counting_encode(*args, **kwargs):
+        calls[-1] += 1
+        return real_encode(*args, **kwargs)
+
+    def counting_epoch(self, epoch):
+        calls.append(0)
+        return real_epoch(self, epoch)
+
+    monkeypatch.setattr(core, "encode", counting_encode)
+    monkeypatch.setattr(core._Run, "selfmix_epoch", counting_epoch)
+    report = train_selfmix(corrupted, test, TINY_MODEL, cfg)
+    expected = [len(corrupted) - row.labeled_count for row in report.per_epoch[1:]]
+    assert calls == expected
+    assert 0 < sum(calls) < 3 * len(corrupted)
 
 
 def test_train_selfmix_report_shape():

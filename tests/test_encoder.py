@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import N_CASES, random_distribution, random_features, small_params
 from selfmix import encoder
 from selfmix.common import NumericError
+from selfmix.core import embmix
 from selfmix.encoder import (
     FNV_OFFSET,
     BatchItem,
@@ -228,12 +229,12 @@ def test_softmax_shift_invariance_property():
 
 def test_backward_stationary_when_target_equals_prediction():
     params = init_params(8, 4, 3, 0.0, seed=3)
-    e = np.array([0.5, -0.1, 0.2, 0.9])
-    target = softmax(head_forward(params, e))
-    _, grads, _ = backward(params, [BatchItem(e, "ce", target)])
-    for arr in (grads.w1, grads.b1, grads.w2, grads.b2):
+    fv = FeatureVector(np.array([1, 4, 6]), np.array([0.5, 0.2, 0.3]))
+    target = softmax(head_forward(params, encode(params, fv)))
+    _, grads, _ = backward(params, [BatchItem(fv, "ce", target)])
+    for arr in (grads.w1, grads.b1, grads.w2, grads.b2, grads.emb_vals):
         assert np.all(np.abs(arr) <= 1e-12)
-    assert grads.emb_rows.size == 0  # embedding input bypasses the table
+    assert np.array_equal(grads.emb_rows, fv.indices)
 
 
 def test_backward_mean_invariance_under_duplication():
@@ -291,22 +292,35 @@ def test_evaluate_batch_weights_scale_total_not_breakdown():
     assert total == pytest.approx(0.25 * raw)
 
 
+def _empty() -> FeatureVector:
+    """A bag with no features; it pools to the zero vector."""
+    return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
+
+
 def test_evaluate_batch_rejects_unknown_kind():
     params = init_params(8, 4, 2, 0.0, seed=0)
     with pytest.raises(ValueError, match="unknown batch item kind"):
-        backward(params, [BatchItem(np.zeros(4), "nope")])
+        backward(params, [BatchItem(_empty(), "nope")])
 
 
 def test_evaluate_batch_requires_ce_target():
     params = init_params(8, 4, 2, 0.0, seed=0)
     with pytest.raises(ValueError, match="target"):
-        backward(params, [BatchItem(np.zeros(4), "ce")])
+        backward(params, [BatchItem(_empty(), "ce")])
+
+
+def test_backward_refuses_an_input_that_is_not_a_feature_vector():
+    params = init_params(8, 4, 2, 0.0, seed=0)
+    good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
+    dense = BatchItem(np.zeros(4), "ce", np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="position 1: input has type ndarray, not Feature"):
+        backward(params, [good, dense, good])
 
 
 def test_evaluate_batch_names_non_finite_term_and_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(np.zeros(4), "ce", np.array([1.0, 0.0]))
-    poisoned = BatchItem(np.zeros(4), "ce", np.array([np.nan, 0.0]))
+    good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
+    poisoned = BatchItem(_empty(), "ce", np.array([np.nan, 0.0]))
     with pytest.raises(NumericError, match="non-finite ce loss at batch position 1"):
         backward(params, [good, poisoned])
 
@@ -346,25 +360,30 @@ def test_shared_key_shares_dropout_masks_across_kinds():
 def _mixed_batch(rng: np.random.Generator, params) -> list[BatchItem]:
     """Every item shape the trainer produces, plus the awkward cases: a
     pseudo and an rdrop item sharing a key, bucket ids repeated across
-    items, an empty feature vector, and raw-embedding inputs."""
+    items, an empty feature vector, and a mixed bag with a soft target."""
     shared = random_features(rng, params.num_buckets)
-    empty = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
     hard = np.zeros(params.num_classes)
     hard[int(rng.integers(params.num_classes))] = 1.0
+    mixed = embmix(
+        [random_features(rng, params.num_buckets)],
+        random_distribution(rng, params.num_classes)[None],
+        [shared],
+        hard[None],
+        rng.beta(0.75, 0.75, size=1),
+    )
 
     def weight() -> float:
         return float(rng.uniform(0.2, 1.5))
 
     return [
         BatchItem(shared, "ce", hard, weight(), key=0),
-        BatchItem(rng.normal(scale=0.3, size=params.hidden), "ce",
-                  random_distribution(rng, params.num_classes), weight(), key=1),
+        BatchItem(mixed.bags[0], "ce", mixed.targets[0], weight(), key=1),
         BatchItem(random_features(rng, params.num_buckets), "pseudo", weight=weight(), key=7),
         BatchItem(random_features(rng, params.num_buckets), "rdrop", weight=weight(), key=7),
         BatchItem(shared, "rdrop", weight=weight(), key=3),
-        BatchItem(empty, "pseudo", weight=weight(), key=4),
-        BatchItem(rng.normal(scale=0.3, size=params.hidden), "rdrop", weight=weight(), key=5),
-        BatchItem(empty, "ce", hard, weight(), key=6),
+        BatchItem(_empty(), "pseudo", weight=weight(), key=4),
+        BatchItem(random_features(rng, params.num_buckets), "rdrop", weight=weight(), key=5),
+        BatchItem(_empty(), "ce", hard, weight(), key=6),
     ]
 
 
@@ -418,13 +437,13 @@ def test_empty_batch_is_zero_loss_with_zero_gradients():
 
 def test_backward_reports_the_first_non_finite_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(np.zeros(4), "ce", np.array([1.0, 0.0]))
+    good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
     items = [
         good,
-        BatchItem(np.zeros(4), "pseudo"),
-        BatchItem(np.full(4, np.nan), "rdrop"),
+        BatchItem(_empty(), "pseudo"),
+        BatchItem(FeatureVector(np.array([3]), np.array([np.nan])), "rdrop"),
         good,
-        BatchItem(np.zeros(4), "ce", np.array([np.nan, 0.0])),
+        BatchItem(_empty(), "ce", np.array([np.nan, 0.0])),
     ]
     with pytest.raises(NumericError, match="non-finite rdrop loss at batch position 2"):
         backward(params, items)
@@ -504,7 +523,7 @@ def test_adam_zero_gradient_is_identity():
     params = init_params(8, 4, 2, 0.0, seed=0)
     before = copy.deepcopy(params)
     opt = init_optimizer(params, learning_rate=0.1)
-    zero = backward(params, [BatchItem(np.zeros(4), "ce", softmax(np.zeros(2)))])[1]
+    zero = backward(params, [BatchItem(_empty(), "ce", softmax(np.zeros(2)))])[1]
     # force exact zeros regardless of float dust
     for arr in (zero.w1, zero.b1, zero.w2, zero.b2):
         arr[:] = 0.0
@@ -567,7 +586,7 @@ def test_adam_shape_mismatch_raises():
     params = init_params(8, 4, 2, 0.0, seed=0)
     other = init_params(8, 5, 2, 0.0, seed=0)
     opt = init_optimizer(params)
-    _, grads, _ = backward(other, [BatchItem(np.zeros(5), "ce", np.array([1.0, 0.0]))])
+    _, grads, _ = backward(other, [BatchItem(_empty(), "ce", np.array([1.0, 0.0]))])
     with pytest.raises(ValueError, match="shape"):
         adam_step(params, grads, opt)
 

@@ -1,11 +1,13 @@
 """Finite-difference validation of every analytic gradient path.
 
 Random small models (buckets <= 64, hidden <= 16, classes <= 4) are checked
-for every loss term the trainer uses — cross-entropy (hard and soft targets,
-feature and raw-embedding inputs), confidence, dropout-agreement, and
-weighted composites of all three — with central differences at step 1e-6
-against a relative tolerance of 1e-5. One suite also runs on models with more
-buckets than codebook rows, where some buckets own rows and others share.
+for every loss term the trainer uses — cross-entropy (hard and soft targets),
+confidence, dropout-agreement, and weighted composites of all three — with
+central differences at step 1e-6 against a relative tolerance of 1e-5. Every
+input is a feature bag, so each check covers the embedding rows it pools as
+well as the head; the acceptance gate's criterion 1 adds the mixed bags of
+the mixup term. One suite also runs on models with more buckets than
+codebook rows, where some buckets own rows and others share.
 """
 from __future__ import annotations
 
@@ -23,19 +25,15 @@ from conftest import (
     small_params,
 )
 from selfmix import encoder
-from selfmix.encoder import BatchItem, backward, encode
+from selfmix.encoder import BatchItem, backward
 
 STEP = 1e-6
 REL_TOL = 1e-5
 COORDS_PER_ARRAY = 2
 
 
-def _random_item(rng: np.random.Generator, params, kind: str, *, as_embedding: bool):
-    if as_embedding:
-        features = random_features(rng, params.num_buckets)
-        item_input = encode(params, features) + rng.normal(scale=0.05, size=params.hidden)
-    else:
-        item_input = random_features(rng, params.num_buckets)
+def _random_item(rng: np.random.Generator, params, kind: str):
+    item_input = random_features(rng, params.num_buckets)
     target = None
     if kind == "ce":
         if rng.random() < 0.5:
@@ -66,23 +64,22 @@ def _check_case(rng: np.random.Generator, items, params, mask_seed) -> float:
 
 
 def test_single_term_gradients_match_finite_differences():
-    """Each loss kind alone, on both input paths, with dropout on and off."""
+    """Each loss kind alone, with dropout on and off."""
     rng = np.random.default_rng(101)
     worst = 0.0
     case = 0
     while case < N_CASES:
         for kind in ("ce", "pseudo", "rdrop"):
-            for as_embedding in (False, True):
-                params = small_params(rng)
-                mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
-                items = [_random_item(rng, params, kind, as_embedding=as_embedding)]
-                worst = max(worst, _check_case(rng, items, params, mask_seed))
-                case += 1
+            params = small_params(rng)
+            mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
+            items = [_random_item(rng, params, kind)]
+            worst = max(worst, _check_case(rng, items, params, mask_seed))
+            case += 1
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
 
 def test_composite_batch_gradients_match_finite_differences():
-    """Mixed batches combining every kind, weight, and input path."""
+    """Mixed batches combining every kind and weight."""
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(N_CASES):
@@ -91,9 +88,7 @@ def test_composite_batch_gradients_match_finite_differences():
         items = []
         for _ in range(int(rng.integers(2, 5))):
             kind = str(rng.choice(["ce", "pseudo", "rdrop"]))
-            items.append(
-                _random_item(rng, params, kind, as_embedding=bool(rng.random() < 0.4))
-            )
+            items.append(_random_item(rng, params, kind))
         worst = max(worst, _check_case(rng, items, params, mask_seed))
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
@@ -110,27 +105,17 @@ def test_shared_codebook_gradients_match_finite_differences(monkeypatch):
         own_some_rows(rng, params)
         mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
         items = [
-            _random_item(rng, params, str(kind), as_embedding=bool(rng.random() < 0.3))
+            _random_item(rng, params, str(kind))
             for kind in rng.choice(["ce", "pseudo", "rdrop"], size=int(rng.integers(1, 4)))
         ]
         worst = max(worst, _check_case(rng, items, params, mask_seed))
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
 
-def test_embedding_input_leaves_table_gradient_empty():
-    rng = np.random.default_rng(303)
-    for _ in range(50):
-        params = small_params(rng)
-        item = _random_item(rng, params, "ce", as_embedding=True)
-        _, grads, _ = backward(params, [item], mask_seed=1)
-        assert grads.emb_rows.size == 0
-        assert grads.emb_vals.shape == (0, params.hidden)
-
-
 def test_feature_input_touches_only_its_rows():
     rng = np.random.default_rng(404)
     for _ in range(50):
         params = small_params(rng)
-        item = _random_item(rng, params, "ce", as_embedding=False)
+        item = _random_item(rng, params, "ce")
         _, grads, _ = backward(params, [item], mask_seed=1)
         assert set(grads.emb_rows.tolist()) <= set(item.input.indices.tolist())

@@ -28,7 +28,12 @@ from selfmix.harness import (
     load_transition,
     run_experiment,
 )
-from selfmix.noise import CorruptionManifest, load_manifest
+from selfmix.noise import (
+    NOISE_TYPE_ALIASES,
+    NOISE_TYPES,
+    CorruptionManifest,
+    load_manifest,
+)
 from selfmix.synthetic import make_corpus
 from selfmix import cli, harness
 
@@ -402,23 +407,15 @@ def test_histogram_matches_numpy_and_partitions_everything(tmp_path):
         assert np.array_equal(noisy, expect_noisy)
 
 
-def test_histogram_manifest_marks_positions_by_id(tmp_path):
-    losses = np.array([0.1, 0.9, 0.2, 0.8, 0.3])
-    manifest = make_manifest({1, 3})
-    edges, clean, noisy = emit_loss_histogram(losses, manifest, 2, tmp_path / "h.csv")
-    assert noisy.sum() == 2 and clean.sum() == 3
-    assert noisy[1] == 2  # the two flipped positions hold the high losses
-
-
-def test_histogram_none_means_all_clean(tmp_path):
+def test_histogram_all_false_mask_is_all_clean(tmp_path):
     losses = np.array([0.5, 1.5])
-    _, clean, noisy = emit_loss_histogram(losses, None, 4, tmp_path / "h.csv")
+    _, clean, noisy = emit_loss_histogram(losses, np.zeros(2, bool), 4, tmp_path / "h.csv")
     assert clean.sum() == 2 and noisy.sum() == 0
 
 
 def test_histogram_constant_losses_widen_range(tmp_path):
     losses = np.full(3, 2.5)
-    edges, clean, noisy = emit_loss_histogram(losses, None, 2, tmp_path / "h.csv")
+    edges, clean, noisy = emit_loss_histogram(losses, np.zeros(3, bool), 2, tmp_path / "h.csv")
     assert edges[0] == 2.5 and edges[-1] == 3.5
     assert clean[0] == 3 and clean.sum() == 3
 
@@ -445,9 +442,9 @@ def test_histogram_error_paths(tmp_path):
     with pytest.raises(ValueError, match="same shape"):
         emit_loss_histogram(np.array([1.0]), np.array([True, False]), 2, path)
     with pytest.raises(ValueError, match="bins"):
-        emit_loss_histogram(np.array([1.0]), None, 0, path)
+        emit_loss_histogram(np.array([1.0]), np.zeros(1, bool), 0, path)
     with pytest.raises(ValueError, match="empty"):
-        emit_loss_histogram(np.array([]), None, 2, path)
+        emit_loss_histogram(np.array([]), np.zeros(0, bool), 2, path)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +754,21 @@ def test_cli_argument_errors_exit_1(tmp_path, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_noise_types_are_the_injectors():
+    parser = cli.build_parser()
+
+    def parse(noise_type: str):
+        return parser.parse_args([
+            "inject-noise", "--in", "x.csv", "--out", "o", "--type", noise_type,
+            "--ratio", "0.1", "--seed", "0",
+        ])
+
+    for name in NOISE_TYPES + tuple(NOISE_TYPE_ALIASES):
+        assert parse(name).type == name
+    with pytest.raises(ValueError, match="invalid choice"):
+        parse("none")
 
 
 def test_cli_bad_config_exits_1(tmp_path, capsys):
