@@ -1,8 +1,11 @@
-"""Shared plumbing: error types, seed derivation, deterministic rounding."""
+"""Shared plumbing: error types, seed derivation, rounding, atomic writes."""
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class NumericError(ArithmeticError):
@@ -24,3 +27,18 @@ def subseed(root: int, *names: object) -> int:
 def round_half_up(x: float) -> int:
     """round() with deterministic half-up ties, used for exact flip counts."""
     return int(math.floor(x + 0.5))
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Write to a temporary file beside ``path``, renamed onto it on success,
+    so a write that fails part-way leaves an existing file untouched and no
+    temporary file. Text is UTF-8, written without newline translation."""
+    tmp = Path(f"{path}.tmp")
+    text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

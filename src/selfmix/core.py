@@ -45,6 +45,7 @@ from .encoder import (
     adam_step,
     backward,
     encode,
+    featurize_corpus,
     featurize_text,
     head_forward,
     init_optimizer,
@@ -476,10 +477,8 @@ class _Run:
         self.model = model
         self.cfg = cfg
         self.eval_every = max(1, eval_every)
-        self.features = [featurize_text(ex.text, model.num_buckets) for ex in train]
-        self.test_features = [
-            featurize_text(ex.text, model.num_buckets) for ex in test
-        ]
+        self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
+        self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
         self.labels = train.observed_labels()
         self.test_labels = test.observed_labels()
         self.params = init_params(
@@ -691,7 +690,7 @@ def warmup(
     """
     if (epochs is None) == (samples is None):
         raise ValueError("set exactly one of epochs and samples")
-    features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
+    features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)
     labels = dataset.observed_labels()
     for epoch, limit in enumerate(_warmup_schedule(epochs, samples, len(dataset))):
         _ce_epoch(

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .common import atomic_open
+
 
 @dataclass(frozen=True)
 class Example:
@@ -194,7 +196,7 @@ def load_csv(
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write the corpus CSV; the oracle column appears iff any example has one."""
     with_oracle = dataset.has_oracle()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER_ORACLE if with_oracle else _HEADER_PLAIN)
         for ex in dataset.examples:

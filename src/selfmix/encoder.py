@@ -21,17 +21,23 @@ gather and one ``reduceat``, the head runs on a ``(rows, hidden)`` matrix
 with one row per (item, dropout pass), and the embedding gradient is reduced
 over the touched rows with one stable sort.
 
-The embedding state is sparse, after the hashing trick (Weinberger et al.,
-ICML 2009) and the fastText bag of n-grams (Joulin et al., EACL 2017): only
-the buckets a corpus hashes to carry information. ``ModelParams.embedding``
-is a row table, and ``slot`` maps each bucket to the row it reads. The table
-starts as a codebook of at most ``_CODEBOOK_ROWS`` Gaussian rows drawn from
-the init seed; bucket ``b`` starts at codebook row ``b % codebook_rows``.
-When every bucket has its own codebook row, ``slot`` is the identity and
-Adam updates rows in place. Otherwise a bucket gets a row of its own (a copy
-of its codebook row, appended to the table) the first time Adam updates it,
-and Adam's embedding moments exist only for those owned rows. A checkpoint
-stores the init seed plus the rows of the buckets Adam has updated.
+A text's features are the fastText bag of its lowercased alphanumeric tokens
+and adjacent token pairs (Joulin et al., EACL 2017), hashed by 64-bit FNV-1a
+into ``num_buckets`` buckets (Weinberger et al., ICML 2009).
+:func:`featurize_corpus` runs the hash on ``uint64`` arrays once per
+distinct word and once per distinct pair of a chunk of ``_FEATURIZE_CHUNK``
+texts; a pair continues its left word's state over the separator byte.
+
+The embedding state is sparse: only the buckets a corpus hashes to carry
+information. ``ModelParams.embedding`` is a row table, and ``slot`` maps
+each bucket to the row it reads. The table starts as a codebook of at most
+``_CODEBOOK_ROWS`` Gaussian rows drawn from the init seed; bucket ``b``
+starts at codebook row ``b % codebook_rows``. When every bucket has its own
+codebook row, ``slot`` is the identity and Adam updates rows in place.
+Otherwise a bucket gets a row of its own (a copy of its codebook row,
+appended to the table) the first time Adam updates it, and Adam's embedding
+moments exist only for those owned rows. A checkpoint stores the init seed
+plus the rows of the buckets Adam has updated.
 
 Dropout is inverted dropout with one site (the hidden layer). Masks come
 from a counter-based hash (SplitMix64 mixing, in the spirit of Salmon et
@@ -49,19 +55,23 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .common import NumericError
+from .common import NumericError, atomic_open
 
 FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
+_FNV_OFFSET = np.uint64(FNV_OFFSET)
+_FNV_PRIME = np.uint64(0x100000001B3)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_BIGRAM_SEP = "\x1f"
+_BIGRAM_SEP = np.uint64(0x1F)  # the byte between a bigram's two words
+_TOKEN = re.compile(r"[^\W_]+")  # a run of str.isalnum() code points
+_FEATURIZE_CHUNK = 512  # texts per featurization chunk; bounds peak memory
 _LOG_FLOOR = 1e-12
 _MAGIC_DENSE = b"SMX1"
 _MAGIC = b"SMX2"
@@ -72,16 +82,29 @@ _MIN_SPARE_ROWS = 1024
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric codepoints."""
-    return ["".join(run) for alnum, run in groupby(text.lower(), key=str.isalnum) if alnum]
+    """Lowercase and split on runs of non-alphanumeric code points."""
+    return _TOKEN.findall(text.lower())
+
+
+def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Continue each FNV-1a state ``h[i]`` over the bytes ``buf[starts[i]:][:sizes[i]]``."""
+    order = np.argsort(-sizes, kind="stable")  # longest first: byte j reads rows longer than j
+    h, pos = h[order], starts[order]
+    distinct, counts = np.unique(sizes, return_counts=True)
+    done = 0
+    for size, rows in zip(distinct.tolist(), np.cumsum(counts[::-1])[::-1].tolist()):
+        state = h[:rows]
+        for column in buf[pos[:rows, None] + np.arange(done, size)].T:
+            state ^= column
+            state *= _FNV_PRIME
+        done = size
+    return h[np.argsort(order)]
 
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash of a byte string."""
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & _MASK64
-    return h
+    buf = np.frombuffer(data, np.uint8)
+    return int(_fnv_fold(np.full(1, _FNV_OFFSET), buf, np.zeros(1, int), np.array([buf.size]))[0])
 
 
 @dataclass(frozen=True)
@@ -97,28 +120,49 @@ class FeatureVector:
     weights: np.ndarray
 
 
-def featurize(tokens: list[str], num_buckets: int) -> FeatureVector:
-    """Hash unigrams and adjacent bigrams into ``num_buckets`` buckets."""
-    if num_buckets < 1:
-        raise ValueError("num_buckets must be at least 1")
-    counts: dict[int, int] = {}
-    for tok in tokens:
-        bucket = fnv1a64(tok.encode("utf-8")) % num_buckets
-        counts[bucket] = counts.get(bucket, 0) + 1
-    for left, right in zip(tokens, tokens[1:]):
-        bucket = fnv1a64((left + _BIGRAM_SEP + right).encode("utf-8")) % num_buckets
-        counts[bucket] = counts.get(bucket, 0) + 1
-    if not counts:
-        return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    indices = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[i] for i in indices], dtype=np.float64)
-    weights /= weights.sum()
-    return FeatureVector(indices, weights)
+def _featurize_chunk(texts: Sequence[str], num_buckets: int) -> list[FeatureVector]:
+    docs = [tokenize(text) for text in texts]
+    sizes = np.array([len(d) for d in docs], dtype=np.int64)
+    vocab: dict[str, int] = {}
+    ids = np.array([vocab.setdefault(t, len(vocab)) for d in docs for t in d], dtype=np.int64)
+    words = [w.encode("utf-8") for w in vocab]
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    buf = np.frombuffer(b"".join(words), np.uint8)
+    unigrams = _fnv_fold(np.full(len(words), _FNV_OFFSET), buf, starts, lengths)
+    doc = np.repeat(np.arange(len(docs)), sizes)
+    inner = doc[1:] == doc[:-1]
+    distinct, which = np.unique(ids[:-1][inner] * len(words) + ids[1:][inner], return_inverse=True)
+    left, right = np.divmod(distinct, max(len(words), 1))
+    state = (unigrams[left] ^ _BIGRAM_SEP) * _FNV_PRIME
+    bigrams = _fnv_fold(state, buf, starts[right], lengths[right])
+    bucket = np.concatenate([unigrams[ids], bigrams[which]]) % np.uint64(num_buckets)
+    doc = np.concatenate([doc, doc[1:][inner]])
+    order = np.lexsort((bucket, doc))
+    bucket, doc = bucket[order].astype(np.int64), doc[order]
+    runs = np.flatnonzero(np.diff(bucket, prepend=-1) | np.diff(doc, prepend=-1))
+    indices, doc = bucket[runs], doc[runs]
+    grams = 2 * sizes - (sizes > 0)  # n unigrams and n - 1 bigrams in a text of n tokens
+    weights = np.diff(runs, append=bucket.size) / grams[doc]
+    bounds = np.searchsorted(doc, np.arange(len(docs) + 1)).tolist()
+    spans = zip(bounds, bounds[1:])
+    return [FeatureVector(indices[lo:hi].copy(), weights[lo:hi].copy()) for lo, hi in spans]
+
+
+def featurize_corpus(texts: Sequence[str], num_buckets: int) -> list[FeatureVector]:
+    """The features of each text: its unigrams and adjacent bigrams, hashed
+    into ``num_buckets`` buckets, ``_FEATURIZE_CHUNK`` texts at a time."""
+    if not 1 <= num_buckets < 2**63:
+        raise ValueError("num_buckets must lie in [1, 2**63)")
+    features: list[FeatureVector] = []
+    for start in range(0, len(texts), _FEATURIZE_CHUNK):
+        features += _featurize_chunk(texts[start : start + _FEATURIZE_CHUNK], num_buckets)
+    return features
 
 
 def featurize_text(text: str, num_buckets: int) -> FeatureVector:
-    """Tokenize then featurize in one step."""
-    return featurize(tokenize(text), num_buckets)
+    """The features of one text: ``featurize_corpus([text], num_buckets)[0]``."""
+    return featurize_corpus([text], num_buckets)[0]
 
 
 @dataclass
@@ -690,20 +734,12 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     Layout, little-endian: the magic, the ``_HEADER`` fields, a bitmap of
     the ``updated`` buckets (``np.packbits``, little bit order), their rows
     in bucket order, then ``w1``, ``b1``, ``w2``, ``b2`` and the dropout
-    rate, all float64. The bytes go to a temporary file beside ``path`` that
-    is renamed into place, so a failed write leaves no partial checkpoint
-    and an existing one untouched.
+    rate, all float64. The write is atomic (:func:`common.atomic_open`): a
+    failed write leaves no partial checkpoint and an existing one untouched.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in _checkpoint_chunks(params):
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        for chunk in _checkpoint_chunks(params):
+            fh.write(chunk)
 
 
 def _read_header(fh, path: str | Path, header: struct.Struct) -> tuple:

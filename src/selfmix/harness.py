@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .common import subseed
+from .common import atomic_open, subseed
 from .core import (
     ModelConfig,
     SelfMixConfig,
@@ -45,7 +45,7 @@ from .core import (
     train_selfmix,
 )
 from .data import Dataset, load_csv, save_csv, validate
-from .encoder import save_checkpoint
+from .encoder import featurize_corpus, save_checkpoint
 from .noise import (
     NOISE_TYPE_ALIASES,
     NOISE_TYPES,
@@ -273,7 +273,7 @@ def emit_loss_histogram(
     edges = np.linspace(lo, hi, bins + 1)
     clean_counts, _ = np.histogram(losses[~noisy_mask], bins=edges)
     noisy_counts, _ = np.histogram(losses[noisy_mask], bins=edges)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("bin_left,bin_right,clean_count,noisy_count\n")
@@ -302,11 +302,12 @@ _RUN_OUTPUTS = (
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv_with_echo(path: Path, echo: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv_with_echo(path: Path, echo: list[str], rows: Iterable[list]) -> None:
+    with atomic_open(path) as fh:
         for line in echo:
             fh.write(f"# {line}\n")
         for row in rows:
@@ -365,7 +366,8 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     _clear_run_outputs(out)
     echo = cfg.echo_lines()
-    (out / "config_echo.txt").write_text("\n".join(echo) + "\n", encoding="utf-8")
+    with atomic_open(out / "config_echo.txt") as fh:
+        fh.write("\n".join(echo) + "\n")
 
     summary: dict = {"config": cfg.echo_dict(), "arms": list(arms)}
     stage = "inject"
@@ -468,7 +470,8 @@ def analyze_losses(
 
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)
-    losses = per_sample_losses(params, dataset)
+    features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)
+    losses = per_sample_losses(params, dataset, features)
     header = [
         f"model = {Path(model_path).name}",
         f"data = {Path(data_path).name}",

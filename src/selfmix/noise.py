@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import round_half_up, subseed
+from .common import atomic_open, round_half_up, subseed
 from .core import warmup
 from .data import Dataset, Example, stratified_subsample
-from .encoder import featurize_text, init_optimizer, init_params, predict_proba
+from .encoder import featurize_corpus, init_optimizer, init_params, predict_proba
+from .encoder import featurize_text  # noqa: F401  (perfbench/spans.py wraps this binding)
 
 NOISE_TYPES = ("uniform", "asymmetric", "instance_dependent")
 NOISE_TYPE_ALIASES = {"asym": "asymmetric", "idn": "instance_dependent"}
@@ -217,8 +218,9 @@ def inject_instance_dependent(
     ids = np.array([ex.id for ex in dataset], dtype=np.int64)
     margins = np.empty(n)
     runner_up = np.empty(n, dtype=np.int64)
+    features = featurize_corpus([ex.text for ex in dataset], AUX_NUM_BUCKETS)
     for i, ex in enumerate(dataset):
-        p = predict_proba(params, featurize_text(ex.text, AUX_NUM_BUCKETS))
+        p = predict_proba(params, features[i])
         masked = p.copy()
         masked[ex.observed_label] = -np.inf
         best_other = int(np.argmax(masked))
@@ -270,7 +272,7 @@ def save_manifest(manifest: CorruptionManifest, path: str | Path) -> None:
     new_label`` CSV of flips in ascending id order; then one
     ``# counts,<old>,<new>,<count>`` comment per nonzero matrix cell.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# {manifest.noise_type},{manifest.ratio!r},{manifest.seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "old_label", "new_label"])

@@ -6,6 +6,8 @@ derandomized generation so a green suite stays green.
 """
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -62,6 +64,36 @@ def random_features(rng: np.random.Generator, num_buckets: int) -> FeatureVector
     size = int(rng.integers(1, min(6, num_buckets) + 1))
     indices = np.sort(rng.choice(num_buckets, size=size, replace=False)).astype(np.int64)
     weights = rng.random(size) + 0.1
+    weights /= weights.sum()
+    return FeatureVector(indices, weights)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The reference tokenizer: runs of ``str.isalnum`` code points, lowercased."""
+    return ["".join(run) for alnum, run in groupby(text.lower(), key=str.isalnum) if alnum]
+
+
+def reference_fnv1a64(data: bytes) -> int:
+    """The reference FNV-1a 64: one Python-int step per byte."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def reference_featurize(text: str, num_buckets: int) -> FeatureVector:
+    """The reference featurizer: every unigram and adjacent bigram hashed on
+    its own, counted in a dict, normalized by the total count."""
+    tokens = reference_tokenize(text)
+    grams = tokens + [f"{left}\x1f{right}" for left, right in zip(tokens, tokens[1:])]
+    counts: dict[int, int] = {}
+    for gram in grams:
+        bucket = reference_fnv1a64(gram.encode("utf-8")) % num_buckets
+        counts[bucket] = counts.get(bucket, 0) + 1
+    if not counts:
+        return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    indices = np.array(sorted(counts), dtype=np.int64)
+    weights = np.array([counts[i] for i in indices], dtype=np.float64)
     weights /= weights.sum()
     return FeatureVector(indices, weights)
 

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import N_CASES, random_distribution, random_features, small_params
+from conftest import (
+    N_CASES,
+    random_distribution,
+    random_features,
+    reference_featurize,
+    small_params,
+)
 from selfmix import encoder
 from selfmix.common import NumericError
 from selfmix.core import embmix
@@ -22,7 +28,7 @@ from selfmix.encoder import (
     adam_step,
     backward,
     encode,
-    featurize,
+    featurize_corpus,
     featurize_text,
     fnv1a64,
     head_forward,
@@ -38,6 +44,7 @@ from selfmix.encoder import (
     tokenize,
 )
 from selfmix.encoder import _masks
+from selfmix.synthetic import make_labeled_pool
 
 # ---------------------------------------------------------------------------
 # Tokenizer and feature hashing
@@ -73,20 +80,20 @@ def test_fnv1a64_known_vectors():
 
 
 def test_featurize_empty():
-    fv = featurize([], 16)
+    fv = featurize_text(" ".join([]), 16)
     assert fv.indices.size == 0 and fv.weights.size == 0
     assert featurize_text("", 16).indices.size == 0
 
 
 def test_featurize_single_token():
-    fv = featurize(["a"], 2)
+    fv = featurize_text(" ".join(["a"]), 2)
     assert fv.indices.tolist() == [fnv1a64(b"a") % 2]
     assert fv.weights.tolist() == [1.0]
 
 
 def test_featurize_unigrams_plus_adjacent_bigram():
     big = 2**62  # collision-free at this size for three features
-    fv = featurize(["a", "b"], big)
+    fv = featurize_text(" ".join(["a", "b"]), big)
     expected = sorted(
         {fnv1a64(b"a") % big, fnv1a64(b"b") % big, fnv1a64(b"a\x1fb") % big}
     )
@@ -95,14 +102,14 @@ def test_featurize_unigrams_plus_adjacent_bigram():
 
 
 def test_featurize_counts_repeats():
-    fv = featurize(["a", "a"], 2**62)
+    fv = featurize_text(" ".join(["a", "a"]), 2**62)
     # features: a (twice), a\x1fa (once) -> weights 2/3 and 1/3
     assert sorted(fv.weights.tolist()) == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
 
 
 def test_featurize_rejects_zero_buckets():
     with pytest.raises(ValueError):
-        featurize(["a"], 0)
+        featurize_text(" ".join(["a"]), 0)
 
 
 def test_featurize_purity_property():
@@ -113,8 +120,8 @@ def test_featurize_purity_property():
         num_tokens = int(rng.integers(0, 12))
         tokens = [f"w{int(rng.integers(0, 9))}" for _ in range(num_tokens)]
         num_buckets = int(rng.integers(1, 64))
-        fv = featurize(tokens, num_buckets)
-        again = featurize(list(tokens), num_buckets)
+        fv = featurize_text(" ".join(tokens), num_buckets)
+        again = featurize_text(" ".join(list(tokens)), num_buckets)
         assert np.array_equal(fv.indices, again.indices)
         assert np.array_equal(fv.weights, again.weights)
         assert np.all(np.diff(fv.indices) > 0)
@@ -122,6 +129,88 @@ def test_featurize_purity_property():
             assert np.all(fv.weights > 0)
             assert abs(fv.weights.sum() - 1.0) <= 1e-12
             assert np.all(fv.indices >= 0) and np.all(fv.indices < num_buckets)
+
+
+_BUCKET_COUNTS = (1, 2, 16, 2**15, 2**18, 2**62)
+_WORDS = ("a", "b", "A", "ß", "İx", "café", "日本", "x_y", "42", "a1", "🙂", "", "--", " ")
+_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
+)
+
+
+def _assert_bit_equal(got: FeatureVector, want: FeatureVector) -> None:
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert got.weights.dtype == want.weights.dtype == np.float64
+    assert np.array_equal(got.indices, want.indices)
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@given(st.lists(_TEXTS, max_size=8), st.sampled_from(_BUCKET_COUNTS), st.sampled_from((1, 3, 512)))
+def test_featurize_corpus_matches_the_reference_bit_for_bit(texts, num_buckets, chunk):
+    """Random Unicode, empty, one-token and repeated-token texts, in corpora
+    of one or several chunks, featurize exactly as the per-n-gram reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "_FEATURIZE_CHUNK", chunk)
+        features = featurize_corpus(texts, num_buckets)
+    assert len(features) == len(texts)
+    for text, got in zip(texts, features):
+        _assert_bit_equal(got, reference_featurize(text, num_buckets))
+        _assert_bit_equal(featurize_text(text, num_buckets), got)
+
+
+@pytest.mark.parametrize("num_buckets", _BUCKET_COUNTS)
+def test_featurize_corpus_matches_the_reference_over_several_chunks(num_buckets):
+    pool, _ = make_labeled_pool(1100, 4, class_vocab=400, seed=5)
+    texts = [ex.text for ex in pool]
+    texts[3::250] = ["", "solo", "Echo echo ECHO echo", "x" * 3000, "a b a b a"]
+    assert len(texts) > 2 * encoder._FEATURIZE_CHUNK
+    for text, got in zip(texts, featurize_corpus(texts, num_buckets), strict=True):
+        _assert_bit_equal(got, reference_featurize(text, num_buckets))
+
+
+def test_token_pattern_matches_exactly_the_alphanumeric_code_points():
+    pattern = encoder._TOKEN
+    mismatches = [
+        c for c in range(0x110000) if chr(c).isalnum() != bool(pattern.fullmatch(chr(c)))
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("num_buckets", [0, -1, 2**63, 2**64])
+def test_featurize_corpus_refuses_bucket_ids_outside_int64(num_buckets):
+    with pytest.raises(ValueError, match="num_buckets"):
+        featurize_corpus(["a b"], num_buckets)
+
+
+def test_featurize_corpus_accepts_the_largest_int64_bucket_count():
+    fv = featurize_corpus(["a"], 2**63 - 1)[0]
+    assert fv.indices.tolist() == [fnv1a64(b"a") % (2**63 - 1)]
+    assert featurize_corpus([], 2**63 - 1) == []
+
+
+def _featurize_traced(texts: list[str]) -> tuple[int, int]:
+    """(bytes still held after featurizing, peak bytes while featurizing)."""
+    tracemalloc.start()
+    try:
+        features = featurize_corpus(texts, 2**18)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(features) == len(texts)
+    return kept, peak
+
+
+def test_featurize_corpus_peaks_near_the_features_it_returns():
+    pool, _ = make_labeled_pool(20000, 4, class_vocab=400, seed=3)
+    kept, peak = _featurize_traced([ex.text for ex in pool])
+    assert peak - kept < 4 * 2**20, f"peak {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
+
+
+def test_one_long_token_does_not_pad_the_byte_fold():
+    words = [f"w{i}" for i in range(100)]
+    _, peak = _featurize_traced([" ".join(words + ["x" * 100_000] + words)])
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -671,6 +671,23 @@ def test_run_refuses_to_reinject_corrupted_data(finished_run, corpus_dir, tmp_pa
         run_experiment(cfg)
 
 
+def test_failed_artifact_write_keeps_the_previous_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "epochs.csv"
+    harness._write_csv_with_echo(path, ["run.seed = 1"], [["epoch", "test_acc"], [0, 0.5]])
+    before = path.read_bytes()
+
+    def rows_then_disk_full():
+        yield ["epoch", "test_acc"]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        harness._write_csv_with_echo(path, ["run.seed = 2"], rows_then_disk_full())
+    assert path.read_bytes() == before
+    with pytest.raises(OSError, match="disk full"):
+        harness._write_csv_with_echo(tmp_path / "fresh.csv", [], rows_then_disk_full())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.csv"]
+
+
 def test_analyze_losses_on_finished_run(finished_run, tmp_path):
     _, out, _ = finished_run
     hist_path = tmp_path / "losses.csv"
