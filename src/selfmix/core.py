@@ -15,10 +15,13 @@ the rest have their labels replaced by the model's own sharpened predictions
 parents. The bag pools to the same mix of the parents' embeddings, and the
 mixup term trains the embedding rows of both, as mixing hidden
 representations does in the paper. Only the unlabeled members of a batch
-are encoded on their own, to guess their targets. Warm-up epochs of plain
-cross-entropy precede selection so that early losses are informative. One
-cross-entropy epoch routine serves the warm-up, the plain arm and the
-standalone :func:`warmup`; every loss formula lives in
+get a forward pass of their own, to guess their targets. Every dropout-off
+inference over many documents (per-sample losses, test accuracy, those
+guesses and the instance-dependent injector's margins) runs through
+:func:`eval_logits`, in forward passes of ``_EVAL_CHUNK`` documents.
+Warm-up epochs of plain cross-entropy precede selection so that early
+losses are informative. One cross-entropy epoch routine serves the warm-up,
+the plain arm and the standalone :func:`warmup`; every loss formula lives in
 :func:`selfmix.encoder.backward`. A per-class loss standardization switch
 makes selection robust when different classes have different loss scales.
 
@@ -44,20 +47,26 @@ from .encoder import (
     OptimizerState,
     adam_step,
     backward,
-    encode,
     featurize_corpus,
     featurize_text,
-    head_forward,
     init_optimizer,
     init_params,
+    log_softmax,
     predict_logits,
     predict_proba,
+    reserve_rows,
     softmax,
 )
+from .encoder import encode  # noqa: F401  (perfbench/spans.py wraps this binding)
+from .encoder import head_forward  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .gmm import fit_gmm, posterior_clean
 
 _MIX_KEY_BASE = 1_000_000
-_EVAL_CHUNK = 32  # documents per batched forward in accuracy(); bounds peak memory
+# Documents per dropout-off forward pass (eval_logits). The pass gathers one
+# embedding row per feature of its documents; at 32-128 documents those rows
+# stay in cache. On a 2-vCPU host a 20,000-document pool of a 2^18-bucket
+# model scores in 0.18 s at 128, 0.20 s at 32 and 0.26-0.30 s at 256-1024.
+_EVAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -226,14 +235,24 @@ def per_sample_losses(
     dataset: Dataset,
     features: list[FeatureVector] | None = None,
 ) -> np.ndarray:
-    """Cross-entropy of each observed label with dropout off."""
+    """Cross-entropy ``-log(max(p[label], 1e-300))`` of each observed label
+    with dropout off.
+
+    Given ``features``, one per example, the documents are scored in batched
+    forward passes (:func:`eval_logits`). Without them, each text is
+    featurized and scored on its own: one :func:`featurize_text` and one
+    :func:`predict_proba` call per document.
+    """
     if features is None:
         features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
-    losses = np.empty(len(dataset))
-    for i, ex in enumerate(dataset):
-        p = predict_proba(params, features[i])
-        losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
-    return losses
+        losses = np.empty(len(dataset))
+        for i, ex in enumerate(dataset):
+            p = predict_proba(params, features[i])
+            losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
+        return losses
+    labels = dataset.observed_labels()
+    p = np.exp(log_softmax(eval_logits(params, features)))
+    return -np.log(np.maximum(p[np.arange(labels.size), labels], 1e-300))
 
 
 def class_regularize(
@@ -369,18 +388,24 @@ def selection_prf(
     return precision, recall, f1
 
 
+def eval_logits(params: ModelParams, features: list[FeatureVector]) -> np.ndarray:
+    """Dropout-off logits of many documents, one row each, in forward passes
+    of ``_EVAL_CHUNK`` documents (:func:`~selfmix.encoder.predict_logits`)."""
+    logits = np.empty((len(features), params.num_classes))
+    for start in range(0, len(features), _EVAL_CHUNK):
+        chunk = features[start : start + _EVAL_CHUNK]
+        logits[start : start + len(chunk)] = predict_logits(params, chunk)
+    return logits
+
+
 def accuracy(
     params: ModelParams, features: list[FeatureVector], labels: np.ndarray
 ) -> float:
-    """Dropout-off classification accuracy, batched in chunks of ``_EVAL_CHUNK``."""
+    """Dropout-off classification accuracy."""
     if not features:
         return 0.0
-    labels = np.asarray(labels)
-    hits = 0
-    for start in range(0, len(features), _EVAL_CHUNK):
-        logits = predict_logits(params, features[start : start + _EVAL_CHUNK])
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + _EVAL_CHUNK]))
-    return hits / len(features)
+    hits = np.argmax(eval_logits(params, features), axis=1) == np.asarray(labels)
+    return int(np.sum(hits)) / len(features)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +520,7 @@ class _Run:
             beta2=model.beta2,
             epsilon=model.epsilon,
         )
+        reserve_rows(self.params, self.opt, self.features)
         self.flipped = train.flipped_ids() if train.has_oracle() else None
         self.global_step = 0
         self.step_acc: list[tuple[int, float]] = []
@@ -530,6 +556,12 @@ class _Run:
             epoch=epoch,
             limit=limit,
         )
+
+    def guess(self, members: list[int]) -> np.ndarray:
+        """Sharpened dropout-off predictions for the training positions
+        ``members``, one row each, from batched forward passes."""
+        logits = eval_logits(self.params, [self.features[i] for i in members])
+        return np.array([sharpen(softmax(z), self.cfg.temperature) for z in logits])
 
     def selfmix_epoch(self, epoch: int) -> tuple[DataSplit, float, float, float]:
         """One adaptive epoch: select, then per batch pseudo-label, mix, step.
@@ -571,16 +603,16 @@ class _Run:
                 partners = rng.integers(0, m, size=m)
                 bags = [self.features[i] for i in batch]
                 batch_targets = np.empty((m, num_classes))
-                u_members: list[int] = []
+                u_rows: list[int] = []
                 for k, i in enumerate(batch):
                     ex = self.train[int(i)]
                     if ex.id in unlabeled:
-                        u_members.append(int(i))
-                        emb = encode(self.params, bags[k])
-                        guess = softmax(head_forward(self.params, emb))
-                        batch_targets[k] = sharpen(guess, cfg.temperature)
+                        u_rows.append(k)
                     else:
                         batch_targets[k] = one_hot(ex.observed_label, num_classes)
+                u_members = [int(batch[k]) for k in u_rows]
+                if u_members:
+                    batch_targets[u_rows] = self.guess(u_members)
                 partner_bags = [bags[j] for j in partners]
                 mixed = embmix(bags, batch_targets, partner_bags, batch_targets[partners], lam)
                 items = [

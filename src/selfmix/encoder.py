@@ -27,6 +27,8 @@ into ``num_buckets`` buckets (Weinberger et al., ICML 2009).
 :func:`featurize_corpus` runs the hash on ``uint64`` arrays once per
 distinct word and once per distinct pair of a chunk of ``_FEATURIZE_CHUNK``
 texts; a pair continues its left word's state over the separator byte.
+Once one word is longer than every other word still being hashed, its
+remaining bytes go through a plain integer loop.
 
 The embedding state is sparse: only the buckets a corpus hashes to carry
 information. ``ModelParams.embedding`` is a row table, and ``slot`` maps
@@ -36,8 +38,10 @@ starts at codebook row ``b % codebook_rows``. When every bucket has its own
 codebook row, ``slot`` is the identity and Adam updates rows in place.
 Otherwise a bucket gets a row of its own (a copy of its codebook row,
 appended to the table) the first time Adam updates it, and Adam's embedding
-moments exist only for those owned rows. A checkpoint stores the init seed
-plus the rows of the buckets Adam has updated.
+moments exist only for those owned rows. A trainer that knows its corpus
+reserves room for all of them up front (:func:`reserve_rows`), so the table
+and moments are allocated once rather than grown by copying. A checkpoint
+stores the init seed plus the rows of the buckets Adam has updated.
 
 Dropout is inverted dropout with one site (the hidden layer). Masks come
 from a counter-based hash (SplitMix64 mixing, in the spirit of Salmon et
@@ -66,8 +70,9 @@ import numpy as np
 from .common import NumericError, atomic_open
 
 FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
 _FNV_OFFSET = np.uint64(FNV_OFFSET)
-_FNV_PRIME = np.uint64(0x100000001B3)
+_FNV_PRIME = np.uint64(FNV_PRIME)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BIGRAM_SEP = np.uint64(0x1F)  # the byte between a bigram's two words
 _TOKEN = re.compile(r"[^\W_]+")  # a run of str.isalnum() code points
@@ -87,12 +92,23 @@ def tokenize(text: str) -> list[str]:
 
 
 def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Continue each FNV-1a state ``h[i]`` over the bytes ``buf[starts[i]:][:sizes[i]]``."""
+    """Continue each FNV-1a state ``h[i]`` over the bytes ``buf[starts[i]:][:sizes[i]]``.
+
+    Byte ``j`` of every row still folding is one array step. The longest
+    row's bytes past the second-longest row are folded alone, and there a
+    plain integer loop is much faster than a NumPy call per byte.
+    """
     order = np.argsort(-sizes, kind="stable")  # longest first: byte j reads rows longer than j
     h, pos = h[order], starts[order]
     distinct, counts = np.unique(sizes, return_counts=True)
     done = 0
     for size, rows in zip(distinct.tolist(), np.cumsum(counts[::-1])[::-1].tolist()):
+        if rows == 1:  # only the longest row is left, and this is its last stretch
+            state = int(h[0])
+            for byte in buf[pos[0] + done : pos[0] + size].tobytes():
+                state = ((state ^ byte) * FNV_PRIME) & _MASK64
+            h[0] = state
+            break
         state = h[:rows]
         for column in buf[pos[:rows, None] + np.arange(done, size)].T:
             state ^= column
@@ -644,13 +660,35 @@ def _reserve(arr: np.ndarray, rows: int) -> np.ndarray:
     return grown
 
 
+def _grow(params: ModelParams, opt: OptimizerState, end: int) -> None:
+    """Room for table rows up to ``end`` in the row table and both moments."""
+    params.embedding = _reserve(params.embedding, end)
+    opt.m_emb = _reserve(opt.m_emb, end - params.codebook_rows)
+    opt.v_emb = _reserve(opt.v_emb, end - params.codebook_rows)
+
+
+def reserve_rows(
+    params: ModelParams, opt: OptimizerState, features: list[FeatureVector]
+) -> None:
+    """Room for a row of its own for every shared bucket ``features`` name.
+
+    Training on ``features`` then never grows the row table or the moments:
+    they are allocated once, not copied every time they fill up. The rows
+    are still assigned, in the same order, by :func:`adam_step`.
+    """
+    if not params.first_owned:
+        return
+    buckets = np.unique(_concat(features)[0])
+    owned = int(np.count_nonzero(params.updated))
+    shared = int(np.count_nonzero(~params.updated[buckets]))
+    _grow(params, opt, params.codebook_rows + owned + shared)
+
+
 def _own_rows(params: ModelParams, opt: OptimizerState, buckets: np.ndarray) -> None:
     """Give each of ``buckets`` (reading the shared codebook) a row of its own."""
     start = params.codebook_rows + int(np.count_nonzero(params.updated))
     end = start + buckets.size
-    params.embedding = _reserve(params.embedding, end)
-    opt.m_emb = _reserve(opt.m_emb, end - params.codebook_rows)
-    opt.v_emb = _reserve(opt.v_emb, end - params.codebook_rows)
+    _grow(params, opt, end)
     params.embedding[start:end] = params.embedding[params.slot[buckets]]
     params.slot[buckets] = np.arange(start, end, dtype=np.int32)
 

@@ -113,6 +113,10 @@ class ExperimentConfig:
     selfmix: SelfMixConfig = SelfMixConfig()
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.noise_ratio < 1.0:
+            raise ValueError("noise.ratio must lie in [0, 1)")
+        if not 0.0 < self.aux_subset_fraction <= 1.0:
+            raise ValueError("noise.aux_subset_fraction must lie in (0, 1]")
         if self.eval_every < 1:
             raise ValueError("run.eval_every must be at least 1")
         if self.histogram_bins < 1:

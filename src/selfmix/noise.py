@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .common import atomic_open, round_half_up, subseed
-from .core import warmup
+from .core import eval_logits, warmup
 from .data import Dataset, Example, stratified_subsample
-from .encoder import featurize_corpus, init_optimizer, init_params, predict_proba
+from .encoder import featurize_corpus, init_optimizer, init_params, log_softmax
 from .encoder import featurize_text  # noqa: F401  (perfbench/spans.py wraps this binding)
+from .encoder import predict_proba  # noqa: F401  (perfbench/spans.py wraps this binding)
 
 NOISE_TYPES = ("uniform", "asymmetric", "instance_dependent")
 NOISE_TYPE_ALIASES = {"asym": "asymmetric", "idn": "instance_dependent"}
@@ -216,16 +217,14 @@ def inject_instance_dependent(
     )
 
     ids = np.array([ex.id for ex in dataset], dtype=np.int64)
-    margins = np.empty(n)
-    runner_up = np.empty(n, dtype=np.int64)
+    labels = dataset.observed_labels()
+    rows = np.arange(n)
     features = featurize_corpus([ex.text for ex in dataset], AUX_NUM_BUCKETS)
-    for i, ex in enumerate(dataset):
-        p = predict_proba(params, features[i])
-        masked = p.copy()
-        masked[ex.observed_label] = -np.inf
-        best_other = int(np.argmax(masked))
-        margins[i] = p[ex.observed_label] - p[best_other]
-        runner_up[i] = best_other
+    p = np.exp(log_softmax(eval_logits(params, features)))
+    masked = p.copy()
+    masked[rows, labels] = -np.inf
+    runner_up = np.argmax(masked, axis=1)
+    margins = p[rows, labels] - p[rows, runner_up]
     order = np.lexsort((ids, margins))
     chosen = order[:num_flips]
     new_labels = {int(ids[i]): int(runner_up[i]) for i in chosen}

@@ -22,12 +22,13 @@ from selfmix.core import (
     train_selfmix,
     warmup,
 )
-from selfmix.data import Dataset, one_hot
+from selfmix.data import Dataset, Example, one_hot
 from selfmix.encoder import (
     BatchItem,
     FeatureVector,
     backward,
     encode,
+    featurize_corpus,
     featurize_text,
     init_optimizer,
     init_params,
@@ -442,6 +443,23 @@ def test_per_sample_losses_match_manual():
     assert np.all(losses >= 0.0)
 
 
+def test_batched_losses_match_the_per_document_path():
+    """Scoring with features runs batched forward passes; it agrees with the
+    per-document path, across a partial last chunk, an empty text and a
+    one-token text."""
+    train, _ = make_corpus(2 * core._EVAL_CHUNK + 35, 3, 3, seed=9)
+    texts = [ex.text for ex in train] + ["", "lonely"]
+    labels = [ex.observed_label for ex in train] + [0, 2]
+    data = Dataset(tuple(Example(i, t, y) for i, (t, y) in enumerate(zip(texts, labels))), 3)
+    assert len(data) % core._EVAL_CHUNK
+    params = init_params(2**17, 16, 3, 0.3, seed=4)
+    warmup(params, init_optimizer(params, learning_rate=1e-2), data, epochs=1, seed=4)
+    batched = per_sample_losses(params, data, featurize_corpus(texts, params.num_buckets))
+    single = per_sample_losses(params, data)
+    np.testing.assert_allclose(batched, single, rtol=1e-12)
+    assert np.all(batched > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Warm-up
 # ---------------------------------------------------------------------------
@@ -543,22 +561,22 @@ def test_per_sample_losses_run_once_per_parameter_state(monkeypatch):
 
 
 def test_adaptive_epochs_encode_only_the_unlabeled_members(monkeypatch):
-    """Only a pseudo-label guess needs a document's own embedding: each
-    adaptive epoch encodes its N - labeled_count unlabeled members once."""
+    """Only a pseudo-label guess needs a document's own forward pass: each
+    adaptive epoch pools its N - labeled_count unlabeled members once."""
     corrupted, test = small_noisy_problem()
     cfg = SelfMixConfig(total_epochs=4, warmup_epochs=1, batch_size=16, seed=5)
     calls: list[int] = []
-    real_encode, real_epoch = core.encode, core._Run.selfmix_epoch
+    real_guess, real_epoch = core._Run.guess, core._Run.selfmix_epoch
 
-    def counting_encode(*args, **kwargs):
-        calls[-1] += 1
-        return real_encode(*args, **kwargs)
+    def counting_guess(self, members):
+        calls[-1] += len(members)
+        return real_guess(self, members)
 
     def counting_epoch(self, epoch):
         calls.append(0)
         return real_epoch(self, epoch)
 
-    monkeypatch.setattr(core, "encode", counting_encode)
+    monkeypatch.setattr(core._Run, "guess", counting_guess)
     monkeypatch.setattr(core._Run, "selfmix_epoch", counting_epoch)
     report = train_selfmix(corrupted, test, TINY_MODEL, cfg)
     expected = [len(corrupted) - row.labeled_count for row in report.per_epoch[1:]]
@@ -634,6 +652,30 @@ def test_numeric_failure_names_epoch_and_batch():
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+:"):
             train_baseline(corrupted, test, diverging, cfg)
+
+
+def test_non_finite_guess_names_epoch_and_batch():
+    """A NaN row among a batch's pseudo-label guesses raises NumericError
+    naming the epoch and the batch that holds the document."""
+    train, test = make_corpus(60, 20, 2, seed=0)
+    # each text ends in a word of its own, so one document's features can be poisoned alone
+    tagged = Dataset(
+        tuple(Example(ex.id, f"{ex.text} solo{ex.id}", ex.observed_label) for ex in train), 2
+    )
+    corrupted, _ = inject_uniform(tagged, 0.2, seed=1)
+    cfg = SelfMixConfig(total_epochs=2, warmup_epochs=1, batch_size=16, seed=5)
+    run = core._Run(corrupted, test, TINY_MODEL, cfg, eval_every=50, record_losses=False)
+    run.ce_epoch(0)
+    split = select_split(run.losses(), cfg.tau)  # the epoch reuses these cached losses
+    target = split.unlabeled_ids[0]  # ids are positions
+    others = np.concatenate([f.indices for k, f in enumerate(run.features) if k != target])
+    own = np.setdiff1d(run.features[target].indices, others)
+    run.params.embedding[run.params.slot[own[0]]] = np.nan
+    batches = core._shuffled_batches(len(corrupted), cfg.batch_size, cfg.seed, 1)
+    b = next(b for b, members in enumerate(batches) if target in members)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=rf"^epoch 1, batch {b}: non-finite logits"):
+            run.selfmix_epoch(1)
 
 
 def test_oracle_channel_does_not_steer_training():

@@ -15,6 +15,7 @@ from conftest import (
     random_distribution,
     random_features,
     reference_featurize,
+    reference_fnv1a64,
     small_params,
 )
 from selfmix import encoder
@@ -39,6 +40,7 @@ from selfmix.encoder import (
     predict_logits,
     predict_proba,
     rdrop_from_probs,
+    reserve_rows,
     save_checkpoint,
     softmax,
     tokenize,
@@ -167,6 +169,17 @@ def test_featurize_corpus_matches_the_reference_over_several_chunks(num_buckets)
     assert len(texts) > 2 * encoder._FEATURIZE_CHUNK
     for text, got in zip(texts, featurize_corpus(texts, num_buckets), strict=True):
         _assert_bit_equal(got, reference_featurize(text, num_buckets))
+
+
+@pytest.mark.parametrize("size", [1, 2, 1000, 100_000])
+def test_a_token_longer_than_the_rest_hashes_as_the_reference(size):
+    """The longest word's last stretch is folded alone; with short words
+    around it and as a whole byte string, it hashes as the byte-loop reference."""
+    long = "k" * (size - 1) + "z"
+    assert fnv1a64(long.encode()) == reference_fnv1a64(long.encode())
+    texts = [f"a {long} b", "short words", "", f"{long} {long[:-1]} ab", "x y z"]
+    for text, got in zip(texts, featurize_corpus(texts, 2**18), strict=True):
+        _assert_bit_equal(got, reference_featurize(text, 2**18))
 
 
 def test_token_pattern_matches_exactly_the_alphanumeric_code_points():
@@ -872,6 +885,34 @@ def test_shared_codebook_trains_like_a_dense_table(monkeypatch):
     owned = shared.slot >= 4
     assert np.array_equal(owned, shared.updated) and 0 < owned.sum() < 40
     assert np.array_equal(np.sort(shared.slot[owned]), 4 + np.arange(owned.sum()))
+
+
+def test_reserved_rows_train_without_growing_the_tables(monkeypatch):
+    """After reserve_rows, training on those features allocates no new row
+    table or moments, and matches training that grows them bit for bit."""
+    monkeypatch.setattr(encoder, "_CODEBOOK_ROWS", 4)
+    rng = np.random.default_rng(5)
+    batches = [
+        [
+            BatchItem(random_features(rng, 3000), "ce", random_distribution(rng, 2), key=k)
+            for k in range(3)
+        ]
+        for _ in range(6)
+    ]
+    features = [item.input for batch in batches for item in batch]
+    grown, reserved = (init_params(3000, 3, 2, 0.3, seed=7) for _ in range(2))
+    opts = [init_optimizer(p, learning_rate=0.05) for p in (grown, reserved)]
+    reserve_rows(reserved, opts[1], features)
+    tables = (reserved.embedding, opts[1].m_emb, opts[1].v_emb)
+    assert len(tables[1]) >= np.unique(np.concatenate([f.indices for f in features])).size
+    for batch in batches:
+        for params, opt in zip((grown, reserved), opts):
+            adam_step(params, backward(params, batch, mask_seed=4)[1], opt)
+    assert all(a is b for a, b in zip(tables, (reserved.embedding, opts[1].m_emb, opts[1].v_emb)))
+    assert np.array_equal(grown.slot, reserved.slot)
+    assert np.array_equal(grown.embedding[grown.slot], reserved.embedding[reserved.slot])
+    reserve_rows(reserved, opts[1], features)  # every bucket already owns its row
+    assert reserved.embedding is tables[0]
 
 
 def _trained_sparse_model(rng):

@@ -52,6 +52,19 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def one_class_dir(tmp_path_factory):
+    """A corpus that loads and validates, but whose labels cannot be
+    corrupted: it has one class, so no label has another class to flip to."""
+    root = tmp_path_factory.mktemp("one-class")
+    train, test = make_corpus(60, 20, 2, seed=11)
+    for ds, name in ((train, "train.csv"), (test, "test.csv")):
+        kept = [ex for ex in ds if ex.observed_label == 0]
+        examples = tuple(Example(i, ex.text, 0) for i, ex in enumerate(kept))
+        save_csv(Dataset(examples, 1), root / name)
+    return root
+
+
 def config_text(corpus_dir: Path, out_dir: Path, **overrides) -> str:
     base = {
         "data.train": str(corpus_dir / "train.csv"),
@@ -190,8 +203,11 @@ def _random_config_value(rng: np.random.Generator, key: str) -> str:
     if key in ("selfmix.lambda_p", "selfmix.lambda_r", "selfmix.alpha",
                "selfmix.temperature", "optimizer.lr", "optimizer.epsilon"):
         return magnitude()
-    # noise.ratio and noise.aux_subset_fraction are checked at injection
-    return repr(float(rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-8, 3)))
+    if key == "noise.ratio":
+        return repr(float(rng.uniform(0.0, 1.0)))
+    if key == "noise.aux_subset_fraction":
+        return repr(float(1.0 - rng.uniform(0.0, 1.0)))  # in (0, 1]
+    return "none"  # the warm-up pair, which _random_config_lines redraws
 
 
 def _random_config_lines(rng: np.random.Generator, keys: list[str]) -> list[str]:
@@ -287,6 +303,11 @@ def test_effective_noise_seed():
          "set exactly one of warmup_epochs and warmup_samples"),
         ("run.histogram_bins = 0", "run.histogram_bins must be at least 1"),
         ("run.eval_every = 0", "run.eval_every must be at least 1"),
+        ("noise.ratio = 1.5", "noise.ratio must lie in [0, 1)"),
+        ("noise.ratio = -0.1", "noise.ratio must lie in [0, 1)"),
+        ("noise.ratio = nan", "noise.ratio must lie in [0, 1)"),
+        ("noise.aux_subset_fraction = 0", "noise.aux_subset_fraction must lie in (0, 1]"),
+        ("noise.aux_subset_fraction = 1.5", "noise.aux_subset_fraction must lie in (0, 1]"),
     ],
 )
 def test_out_of_range_values_are_refused_at_parse_time(text, message):
@@ -611,16 +632,14 @@ def test_run_without_noise_skips_noise_artifacts(corpus_dir, tmp_path):
     assert "acc_gap_last" not in summary and "final_sel_f1" not in summary
 
 
-def test_failed_injection_records_stage(corpus_dir, tmp_path):
+def test_failed_injection_records_stage(one_class_dir, tmp_path):
     out = tmp_path / "boom"
-    cfg = ExperimentConfig.from_text(
-        config_text(corpus_dir, out, **{"noise.ratio": "1.5"})
-    )
-    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+    cfg = ExperimentConfig.from_text(config_text(one_class_dir, out))
+    with pytest.raises(ValueError, match="at least two classes"):
         run_experiment(cfg)
     partial = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert partial["error"]["stage"] == "inject"
-    assert "[0, 1)" in partial["error"]["message"]
+    assert "at least two classes" in partial["error"]["message"]
     assert (out / "config_echo.txt").is_file()
 
 
@@ -716,11 +735,9 @@ def test_format_report_renders_finished_run(finished_run):
     assert "RUN FAILED" not in text
 
 
-def test_format_report_renders_failure(corpus_dir, tmp_path):
+def test_format_report_renders_failure(one_class_dir, tmp_path):
     out = tmp_path / "boom"
-    cfg = ExperimentConfig.from_text(
-        config_text(corpus_dir, out, **{"noise.ratio": "1.5"})
-    )
+    cfg = ExperimentConfig.from_text(config_text(one_class_dir, out))
     with pytest.raises(ValueError):
         run_experiment(cfg)
     text = format_report(out)

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import N_CASES
+from selfmix import noise
 from selfmix.common import round_half_up
 from selfmix.data import Dataset, Example, validate
+from selfmix.encoder import featurize_text, predict_proba
 from selfmix.noise import (
+    AUX_NUM_BUCKETS,
     NOISE_TYPE_ALIASES,
     NOISE_TYPES,
     CorruptionManifest,
@@ -167,6 +170,41 @@ def test_idn_flips_to_strongest_competitor():
     assert len(manifest.flips) == 18
     for _, old, new in manifest.flips:
         assert new == 1 - old
+
+
+def test_idn_batched_margins_choose_the_per_document_flips(monkeypatch):
+    """Margins come from batched forward passes. Where the margins are well
+    separated at the cut, the injector flips exactly the round_half_up(ratio
+    * n) ids, to the same classes, that per-document scoring chooses."""
+    pool, _ = make_labeled_pool(150, 3, seed=21)
+    trained = []
+    real_warmup = noise.warmup
+
+    def capture(params, *args, **kwargs):
+        trained.append(params)
+        return real_warmup(params, *args, **kwargs)
+
+    monkeypatch.setattr(noise, "warmup", capture)
+    ratio = 0.3
+    _, manifest = inject_instance_dependent(pool, ratio, seed=22, aux_subset_fraction=0.5)
+    (params,) = trained  # trained in place, so it holds the model that scored the margins
+
+    num_flips = round_half_up(ratio * len(pool))
+    ids = np.array([ex.id for ex in pool])
+    margins = np.empty(len(pool))
+    runner_up = np.empty(len(pool), dtype=np.int64)
+    for i, ex in enumerate(pool):
+        p = predict_proba(params, featurize_text(ex.text, AUX_NUM_BUCKETS))
+        others = p.copy()
+        others[ex.observed_label] = -np.inf
+        runner_up[i] = np.argmax(others)
+        margins[i] = p[ex.observed_label] - others[runner_up[i]]
+    order = np.lexsort((ids, margins))
+    assert margins[order[num_flips]] - margins[order[num_flips - 1]] > 1e-9
+    expected = sorted((int(ids[i]), pool[int(i)].observed_label, int(runner_up[i]))
+                      for i in order[:num_flips])
+    assert len(manifest.flips) == num_flips
+    assert list(manifest.flips) == expected
 
 
 def test_injector_count_validity_determinism_property():
