@@ -20,10 +20,13 @@ inference over many documents (per-sample losses, test accuracy, those
 guesses and the instance-dependent injector's margins) runs through
 :func:`eval_logits`, in forward passes of ``_EVAL_CHUNK`` documents.
 Warm-up epochs of plain cross-entropy precede selection so that early
-losses are informative. One cross-entropy epoch routine serves the warm-up,
-the plain arm and the standalone :func:`warmup`; every loss formula lives in
-:func:`selfmix.encoder.backward`. A per-class loss standardization switch
-makes selection robust when different classes have different loss scales.
+losses are informative. One batch loop, :func:`_epoch`, runs every epoch of
+the warm-up, the plain arm, the standalone :func:`warmup` and the adaptive
+arm; they differ only in the loss terms each batch gets, and every loss
+formula lives in :func:`selfmix.encoder.backward`. A selection is a bool
+mask over training positions (:class:`DataSplit`), as is the ground-truth
+noise it is scored against. A per-class loss standardization switch makes
+selection robust when different classes have different loss scales.
 
 Ground-truth corruption flags, when present on a dataset, are used only to
 report selection quality; they never influence training decisions.
@@ -33,12 +36,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .common import NumericError, subseed
-from .data import Dataset, one_hot
+from .data import Dataset
 from .encoder import (
     BatchItem,
     FeatureVector,
@@ -59,7 +62,7 @@ from .encoder import (
 )
 from .encoder import encode  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .encoder import head_forward  # noqa: F401  (perfbench/spans.py wraps this binding)
-from .gmm import fit_gmm, posterior_clean
+from .gmm import GMMParams, fit_gmm, posterior_clean
 
 _MIX_KEY_BASE = 1_000_000
 # Documents per dropout-off forward pass (eval_logits). The pass gathers one
@@ -147,18 +150,20 @@ class SelfMixConfig:
             raise ValueError("term_normalization must be 'mean' or 'sum'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSplit:
-    """Result of one selection round.
+    """Result of one selection round, indexed by training position.
 
-    ``labeled_ids`` hold every id whose clean posterior is at least ``tau``;
-    ``unlabeled_ids`` hold the rest. ``posteriors`` maps every id to its
-    clean probability.
+    ``labeled[i]`` is true where position ``i``'s clean posterior
+    ``posteriors[i]`` is at least ``tau``: that sample keeps its label, and
+    the rest (``~labeled``) train on sharpened self-guesses. ``gmm`` is the
+    fitted loss mixture, or None when the losses held fewer than two
+    distinct values and every sample kept its label.
     """
 
-    labeled_ids: tuple[int, ...]
-    unlabeled_ids: tuple[int, ...]
-    posteriors: dict[int, float]
+    labeled: np.ndarray  # (n,) bool
+    posteriors: np.ndarray  # (n,) float64
+    gmm: GMMParams | None
     tau: float
     epoch: int
 
@@ -196,9 +201,10 @@ class TrainReport:
 
     ``as_dict`` exposes the serializable summary; ``config`` echoes every
     model/procedure knob so a report is self-describing. ``final_params``,
-    ``step_acc`` (accuracy every K optimizer steps), ``warnings`` and the
-    optional ``per_epoch_losses`` snapshots ride along for callers that
-    want them but are not part of the JSON summary.
+    ``step_acc`` (accuracy every K optimizer steps), ``warnings`` and
+    ``per_epoch_losses`` (each epoch's per-sample losses after its last
+    step) ride along for callers that want them but are not part of the
+    JSON summary.
     """
 
     epochs: int
@@ -209,7 +215,7 @@ class TrainReport:
     step_acc: list[tuple[int, float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     final_params: ModelParams | None = None
-    per_epoch_losses: list[np.ndarray] | None = None
+    per_epoch_losses: list[np.ndarray] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -284,54 +290,35 @@ def class_regularize(
     return out
 
 
-def _degenerate(values: np.ndarray) -> bool:
-    """True when no two-component mixture can be fit to ``values``."""
-    return np.unique(values).size < 2
-
-
-def select_split(
-    losses: np.ndarray,
-    tau: float,
-    ids: Iterable[int] | None = None,
-    *,
-    epoch: int = 0,
-) -> DataSplit:
+def select_split(losses: np.ndarray, tau: float, *, epoch: int = 0) -> DataSplit:
     """Fit the loss mixture and threshold clean posteriors at ``tau``.
 
-    ``ids`` names the sample behind each loss; it defaults to positions
-    0..n-1. Fallback: when the losses hold fewer than two distinct values
-    no mixture can be fit, so every id keeps its label with posterior 1.0,
-    as :func:`~selfmix.gmm.posterior_clean` does for coincident means.
+    Fallback: when the losses hold fewer than two distinct values no
+    mixture can be fit, so ``gmm`` is None and every position keeps its
+    label with posterior 1.0, as :func:`~selfmix.gmm.posterior_clean` does
+    for coincident means.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    ids = tuple(range(losses.size)) if ids is None else tuple(int(i) for i in ids)
-    if losses.size != len(ids):
-        raise ValueError("losses and ids must have the same length")
-    if _degenerate(losses):
-        w = np.ones(losses.size)
+    if np.unique(losses).size < 2:
+        gmm, posteriors = None, np.ones(losses.size)
     else:
-        w = posterior_clean(fit_gmm(losses), losses)
-    labeled = tuple(i for i, wi in zip(ids, w) if wi >= tau)
-    unlabeled = tuple(i for i, wi in zip(ids, w) if wi < tau)
-    return DataSplit(
-        labeled_ids=labeled,
-        unlabeled_ids=unlabeled,
-        posteriors={i: float(wi) for i, wi in zip(ids, w)},
-        tau=float(tau),
-        epoch=epoch,
-    )
+        gmm = fit_gmm(losses)
+        posteriors = posterior_clean(gmm, losses)
+    return DataSplit(posteriors >= tau, posteriors, gmm, float(tau), epoch)
 
 
 def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
-    """Raise a distribution to 1/temperature and renormalize."""
+    """Raise each distribution (last axis) to 1/temperature and renormalize."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     p = np.asarray(p, dtype=np.float64)
     powered = p ** (1.0 / temperature)
-    total = powered.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    total = powered.sum(axis=-1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(total) & (total > 0.0)))
+    if bad.size:
         raise NumericError(
-            "sharpen: distribution mass is zero or non-finite after tempering"
+            f"sharpen: distribution {int(bad[0])} has zero or non-finite mass "
+            "after tempering"
         )
     return powered / total
 
@@ -366,20 +353,25 @@ def embmix(
     return MixedBatch(bags=bags, targets=targets, lam=lam_prime)
 
 
-def selection_prf(
-    unlabeled_ids: Iterable[int], flipped_ids: Iterable[int]
-) -> tuple[float, float, float]:
+def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, float, float]:
     """Precision/recall/F1 of the unlabeled set as a noisy-label detector.
 
-    Precision is the fraction of unlabeled samples that are truly
-    mislabeled; recall is the fraction of mislabeled samples that were sent
-    to the unlabeled set. Empty denominators yield 0.
+    Both arguments are bool masks over the same positions. Precision is the
+    fraction of unlabeled samples that are truly mislabeled; recall is the
+    fraction of mislabeled samples that were sent to the unlabeled set.
+    Empty denominators yield 0.
     """
-    unlabeled = set(unlabeled_ids)
-    flipped = set(flipped_ids)
-    hit = len(unlabeled & flipped)
-    precision = hit / len(unlabeled) if unlabeled else 0.0
-    recall = hit / len(flipped) if flipped else 0.0
+    unlabeled, noisy = np.asarray(unlabeled), np.asarray(noisy)
+    if unlabeled.dtype != bool or noisy.dtype != bool:
+        raise ValueError("selection_prf takes two bool masks, not ids")
+    if unlabeled.shape != noisy.shape:
+        raise ValueError(
+            f"unlabeled and noisy masks differ in shape: {unlabeled.shape} vs {noisy.shape}"
+        )
+    hit = int(np.count_nonzero(unlabeled & noisy))
+    sent, flipped = int(np.count_nonzero(unlabeled)), int(np.count_nonzero(noisy))
+    precision = hit / sent if sent else 0.0
+    recall = hit / flipped if flipped else 0.0
     f1 = (
         2.0 * precision * recall / (precision + recall)
         if precision + recall > 0.0
@@ -390,11 +382,20 @@ def selection_prf(
 
 def eval_logits(params: ModelParams, features: list[FeatureVector]) -> np.ndarray:
     """Dropout-off logits of many documents, one row each, in forward passes
-    of ``_EVAL_CHUNK`` documents (:func:`~selfmix.encoder.predict_logits`)."""
+    of ``_EVAL_CHUNK`` documents (:func:`~selfmix.encoder.predict_logits`).
+
+    Raises :class:`NumericError` when a row is not finite, as happens when
+    a diverged model's forward pass overflows.
+    """
     logits = np.empty((len(features), params.num_classes))
     for start in range(0, len(features), _EVAL_CHUNK):
         chunk = features[start : start + _EVAL_CHUNK]
         logits[start : start + len(chunk)] = predict_logits(params, chunk)
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise NumericError(
+            f"non-finite logits for document {int(bad[0])} of {len(features)}"
+        )
     return logits
 
 
@@ -441,48 +442,61 @@ def _warmup_schedule(
     return limits
 
 
-def _ce_epoch(
+def _one_hots(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """One-hot rows of ``labels``; refuses a label outside [0, num_classes)."""
+    if labels.size and not 0 <= labels.min() <= labels.max() < num_classes:
+        bad = labels[(labels < 0) | (labels >= num_classes)][0]
+        raise ValueError(f"label {int(bad)} out of range for {num_classes} classes")
+    return np.eye(num_classes)[labels]
+
+
+# builds batch b's loss terms from its training positions
+_ItemBuilder = Callable[[int, np.ndarray], list[BatchItem]]
+
+
+def _ce_items(features: list[FeatureVector], targets: np.ndarray) -> _ItemBuilder:
+    """Batch builder for plain cross-entropy on the rows of ``targets``."""
+
+    def items_for(b: int, batch: np.ndarray) -> list[BatchItem]:
+        return [
+            BatchItem(features[i], "ce", targets[i], weight=1.0 / batch.size, key=int(i))
+            for i in batch
+        ]
+
+    return items_for
+
+
+def _epoch(
     params: ModelParams,
-    features: list[FeatureVector],
-    labels: np.ndarray,
-    num_classes: int,
+    items_for: _ItemBuilder,
     step: Callable[[Gradients], None],
     *,
+    size: int,
     batch_size: int,
     seed: int,
     epoch: int,
     limit: int | None = None,
-) -> float:
-    """One pass of plain cross-entropy on observed labels; returns the mean loss.
+) -> dict[str, float]:
+    """One shuffled pass over ``size`` training positions; the mean loss of each kind.
 
-    The warm-up phase, the non-adaptive arm and :func:`warmup` all run this
-    loop, so equal seeds give identical shuffles, dropout masks and updates.
-    ``step`` applies each batch's gradients.
+    Every epoch of every trainer runs this loop. ``items_for(b, batch)``
+    builds batch ``b``'s loss terms from its positions and ``step`` applies
+    its gradients, so equal seeds give identical shuffles and dropout masks.
+    A :class:`NumericError` is re-raised naming the epoch and the batch.
     """
-    loss_sum = 0.0
-    count = 0
-    batches = _shuffled_batches(len(labels), batch_size, seed, epoch, limit)
-    for b, batch in enumerate(batches):
+    sums = {"ce": [0.0, 0], "pseudo": [0.0, 0], "rdrop": [0.0, 0]}
+    for b, batch in enumerate(_shuffled_batches(size, batch_size, seed, epoch, limit)):
         try:
-            items = [
-                BatchItem(
-                    features[i],
-                    "ce",
-                    one_hot(int(labels[i]), num_classes),
-                    weight=1.0 / batch.size,
-                    key=int(i),
-                )
-                for i in batch
-            ]
+            items = items_for(b, batch)
             mask_seed = subseed(seed, "dropout", epoch, b)
             _, grads, breakdown = backward(params, items, mask_seed=mask_seed)
             step(grads)
         except NumericError as err:
             raise NumericError(f"epoch {epoch}, batch {b}: {err}") from err
-        raw, n = breakdown["ce"]
-        loss_sum += raw
-        count += n
-    return loss_sum / count if count else 0.0
+        for kind, (raw, n) in breakdown.items():
+            sums[kind][0] += raw
+            sums[kind][1] += n
+    return {kind: (s / n if n else 0.0) for kind, (s, n) in sums.items()}
 
 
 class _Run:
@@ -495,17 +509,18 @@ class _Run:
         model: ModelConfig,
         cfg: SelfMixConfig,
         eval_every: int,
-        record_losses: bool,
     ):
+        if eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
         self.train = train
         self.test = test
         self.model = model
         self.cfg = cfg
-        self.eval_every = max(1, eval_every)
-        self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
-        self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
-        self.labels = train.observed_labels()
-        self.test_labels = test.observed_labels()
+        self.eval_every = eval_every
+        # The model's large arrays come before the many small feature arrays,
+        # so they can take the heap room the previous run's model left. In
+        # the other order the feature arrays split that room, and the peak
+        # RSS of idn-selection runs often grew by about 5 MB.
         self.params = init_params(
             model.num_buckets,
             model.hidden,
@@ -520,12 +535,16 @@ class _Run:
             beta2=model.beta2,
             epsilon=model.epsilon,
         )
+        self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
+        self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
+        self.labels = train.observed_labels()
+        self.targets = _one_hots(self.labels, train.num_classes)
+        self.test_labels = test.observed_labels()
         reserve_rows(self.params, self.opt, self.features)
-        self.flipped = train.flipped_ids() if train.has_oracle() else None
         self.global_step = 0
         self.step_acc: list[tuple[int, float]] = []
         self.warnings: list[str] = []
-        self.loss_snapshots: list[np.ndarray] | None = [] if record_losses else None
+        self.loss_snapshots: list[np.ndarray] = []
         self._losses: tuple[int, np.ndarray] | None = None
 
     def losses(self) -> np.ndarray:
@@ -544,26 +563,30 @@ class _Run:
         if self.global_step % self.eval_every == 0:
             self.step_acc.append((self.global_step, self.test_accuracy()))
 
-    def ce_epoch(self, epoch: int, limit: int | None = None) -> float:
-        return _ce_epoch(
+    def _train_epoch(
+        self, items_for: _ItemBuilder, epoch: int, limit: int | None = None
+    ) -> dict[str, float]:
+        return _epoch(
             self.params,
-            self.features,
-            self.labels,
-            self.train.num_classes,
+            items_for,
             self._step,
+            size=len(self.train),
             batch_size=self.cfg.batch_size,
             seed=self.cfg.seed,
             epoch=epoch,
             limit=limit,
         )
 
-    def guess(self, members: list[int]) -> np.ndarray:
+    def ce_epoch(self, epoch: int, limit: int | None = None) -> dict[str, float]:
+        return self._train_epoch(_ce_items(self.features, self.targets), epoch, limit)
+
+    def guess(self, members: np.ndarray) -> np.ndarray:
         """Sharpened dropout-off predictions for the training positions
         ``members``, one row each, from batched forward passes."""
         logits = eval_logits(self.params, [self.features[i] for i in members])
-        return np.array([sharpen(softmax(z), self.cfg.temperature) for z in logits])
+        return sharpen(softmax(logits), self.cfg.temperature)
 
-    def selfmix_epoch(self, epoch: int) -> tuple[DataSplit, float, float, float]:
+    def selfmix_epoch(self, epoch: int) -> tuple[DataSplit, dict[str, float]]:
         """One adaptive epoch: select, then per batch pseudo-label, mix, step.
 
         Selection happens once at the top of the epoch; pseudo-labels are
@@ -571,116 +594,63 @@ class _Run:
         dropout off, so label guesses track the parameters as they move.
         """
         cfg = self.cfg
-        num_classes = self.train.num_classes
         losses = self.losses()
-        values = (
-            class_regularize(losses, self.labels, num_classes)
-            if cfg.class_regularize
-            else losses
-        )
-        split = select_split(
-            values, cfg.tau, [ex.id for ex in self.train], epoch=epoch
-        )
-        if _degenerate(values):
+        if cfg.class_regularize:
+            losses = class_regularize(losses, self.labels, self.train.num_classes)
+        split = select_split(losses, cfg.tau, epoch=epoch)
+        if split.gmm is None:
             self.warnings.append(
                 f"epoch {epoch}: selection losses hold fewer than two distinct "
                 "values; no mixture was fit and every sample keeps its label"
             )
-        if not split.labeled_ids:
+        if not split.labeled.any():
             self.warnings.append(
                 f"epoch {epoch}: selection kept no labeled samples; "
                 "training continues on model-assigned targets only"
             )
 
-        unlabeled = set(split.unlabeled_ids)
-        sums = {"ce": [0.0, 0], "pseudo": [0.0, 0], "rdrop": [0.0, 0]}
-        batches = _shuffled_batches(len(self.train), cfg.batch_size, cfg.seed, epoch)
-        for b, batch in enumerate(batches):
-            try:
-                m = batch.size
-                rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
-                lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
-                partners = rng.integers(0, m, size=m)
-                bags = [self.features[i] for i in batch]
-                batch_targets = np.empty((m, num_classes))
-                u_rows: list[int] = []
-                for k, i in enumerate(batch):
-                    ex = self.train[int(i)]
-                    if ex.id in unlabeled:
-                        u_rows.append(k)
-                    else:
-                        batch_targets[k] = one_hot(ex.observed_label, num_classes)
-                u_members = [int(batch[k]) for k in u_rows]
-                if u_members:
-                    batch_targets[u_rows] = self.guess(u_members)
-                partner_bags = [bags[j] for j in partners]
-                mixed = embmix(bags, batch_targets, partner_bags, batch_targets[partners], lam)
-                items = [
-                    BatchItem(bag, "ce", target, weight=1.0 / m, key=_MIX_KEY_BASE + k)
-                    for k, (bag, target) in enumerate(zip(mixed.bags, mixed.targets))
-                ]
-                if u_members:
-                    norm = len(u_members) if cfg.term_normalization == "mean" else 1
-                    if cfg.lambda_p > 0.0:
-                        items.extend(
-                            BatchItem(
-                                self.features[i],
-                                "pseudo",
-                                weight=cfg.lambda_p / norm,
-                                key=i,
-                            )
-                            for i in u_members
-                        )
-                    if cfg.lambda_r > 0.0:
-                        items.extend(
-                            BatchItem(
-                                self.features[i],
-                                "rdrop",
-                                weight=cfg.lambda_r / norm,
-                                key=i,
-                            )
-                            for i in u_members
-                        )
-                mask_seed = subseed(cfg.seed, "dropout", epoch, b)
-                _, grads, breakdown = backward(
-                    self.params, items, mask_seed=mask_seed
-                )
-                self._step(grads)
-            except NumericError as err:
-                raise NumericError(f"epoch {epoch}, batch {b}: {err}") from err
-            for kind, (raw, n) in breakdown.items():
-                sums[kind][0] += raw
-                sums[kind][1] += n
+        def items_for(b: int, batch: np.ndarray) -> list[BatchItem]:
+            m = batch.size
+            rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
+            lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
+            partners = rng.integers(0, m, size=m)
+            bags = [self.features[i] for i in batch]
+            targets = self.targets[batch]
+            u_rows = np.flatnonzero(~split.labeled[batch])
+            u_members = batch[u_rows]
+            if u_rows.size:
+                targets[u_rows] = self.guess(u_members)
+            partner_bags = [bags[j] for j in partners]
+            mixed = embmix(bags, targets, partner_bags, targets[partners], lam)
+            items = [
+                BatchItem(bag, "ce", target, weight=1.0 / m, key=_MIX_KEY_BASE + k)
+                for k, (bag, target) in enumerate(zip(mixed.bags, mixed.targets))
+            ]
+            norm = u_rows.size if cfg.term_normalization == "mean" else 1
+            for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
+                if weight > 0.0:
+                    items.extend(
+                        BatchItem(self.features[i], kind, weight=weight / norm, key=int(i))
+                        for i in u_members
+                    )
+            return items
 
-        means = {
-            kind: (s / n if n else 0.0) for kind, (s, n) in sums.items()
-        }
-        return split, means["ce"], means["pseudo"], means["rdrop"]
+        return split, self._train_epoch(items_for, epoch)
 
-    def snapshot_losses(self) -> None:
-        if self.loss_snapshots is not None:
-            self.loss_snapshots.append(self.losses())
-
-    def stats_for(
-        self,
-        l_mix: float,
-        l_p: float,
-        l_r: float,
-        split: DataSplit | None,
-    ) -> EpochStats:
-        if split is not None and self.flipped is not None:
-            precision, recall, f1 = selection_prf(split.unlabeled_ids, self.flipped)
+    def stats_for(self, means: dict[str, float], split: DataSplit | None) -> EpochStats:
+        if split is not None and self.train.has_oracle():
+            precision, recall, f1 = selection_prf(~split.labeled, self.train.noisy_mask())
         else:
             precision = recall = f1 = 0.0
-        labeled = len(split.labeled_ids) if split is not None else len(self.train)
+        labeled = int(np.count_nonzero(split.labeled)) if split is not None else len(self.train)
         return EpochStats(
             test_acc=self.test_accuracy(),
             sel_precision=precision,
             sel_recall=recall,
             sel_f1=f1,
-            l_mix=l_mix,
-            l_p=l_p,
-            l_r=l_r,
+            l_mix=means["ce"],
+            l_p=means["pseudo"],
+            l_r=means["rdrop"],
             labeled_count=labeled,
         )
 
@@ -723,14 +693,13 @@ def warmup(
     if (epochs is None) == (samples is None):
         raise ValueError("set exactly one of epochs and samples")
     features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)
-    labels = dataset.observed_labels()
+    items_for = _ce_items(features, _one_hots(dataset.observed_labels(), dataset.num_classes))
     for epoch, limit in enumerate(_warmup_schedule(epochs, samples, len(dataset))):
-        _ce_epoch(
+        _epoch(
             params,
-            features,
-            labels,
-            dataset.num_classes,
+            items_for,
             lambda grads: adam_step(params, grads, opt),
+            size=len(dataset),
             batch_size=batch_size,
             seed=seed,
             epoch=epoch,
@@ -746,19 +715,17 @@ def _train(
     cfg: SelfMixConfig,
     warmup_limits: list[int | None],
     eval_every: int,
-    record_losses: bool,
 ) -> TrainReport:
     """Cross-entropy epochs per ``warmup_limits``, then adaptive epochs."""
-    run = _Run(train, test, model or ModelConfig(), cfg, eval_every, record_losses)
+    run = _Run(train, test, model or ModelConfig(), cfg, eval_every)
     per_epoch: list[EpochStats] = []
     for epoch in range(cfg.total_epochs):
         if epoch < len(warmup_limits):
-            split = None
-            l_mix, l_p, l_r = run.ce_epoch(epoch, warmup_limits[epoch]), 0.0, 0.0
+            split, means = None, run.ce_epoch(epoch, warmup_limits[epoch])
         else:
-            split, l_mix, l_p, l_r = run.selfmix_epoch(epoch)
-        run.snapshot_losses()
-        per_epoch.append(run.stats_for(l_mix, l_p, l_r, split))
+            split, means = run.selfmix_epoch(epoch)
+        run.loss_snapshots.append(run.losses())
+        per_epoch.append(run.stats_for(means, split))
     return run.finish(per_epoch)
 
 
@@ -769,12 +736,10 @@ def train_baseline(
     cfg: SelfMixConfig | None = None,
     *,
     eval_every: int = 50,
-    record_losses: bool = False,
 ) -> TrainReport:
     """Plain cross-entropy training for the full epoch budget."""
     cfg = cfg or SelfMixConfig()
-    limits = [None] * cfg.total_epochs
-    return _train(train, test, model, cfg, limits, eval_every, record_losses)
+    return _train(train, test, model, cfg, [None] * cfg.total_epochs, eval_every)
 
 
 def train_selfmix(
@@ -784,7 +749,6 @@ def train_selfmix(
     cfg: SelfMixConfig | None = None,
     *,
     eval_every: int = 50,
-    record_losses: bool = False,
 ) -> TrainReport:
     """Warm-up then adaptive selection/mixing for the remaining epochs."""
     cfg = cfg or SelfMixConfig()
@@ -793,4 +757,4 @@ def train_selfmix(
         raise ValueError(
             "warmup_samples spans more passes than total_epochs allows"
         )
-    return _train(train, test, model, cfg, limits, eval_every, record_losses)
+    return _train(train, test, model, cfg, limits, eval_every)

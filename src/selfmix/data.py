@@ -55,6 +55,10 @@ class Dataset:
         """Ids whose observed label differs from the hidden true label."""
         return frozenset(ex.id for ex in self.examples if ex.corrupted)
 
+    def noisy_mask(self) -> np.ndarray:
+        """One bool per position, true where the observed label was corrupted."""
+        return np.array([bool(ex.corrupted) for ex in self.examples], dtype=bool)
+
     def strip_oracle(self) -> "Dataset":
         """The view training code is allowed to see."""
         stripped = tuple(

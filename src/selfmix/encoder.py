@@ -77,6 +77,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BIGRAM_SEP = np.uint64(0x1F)  # the byte between a bigram's two words
 _TOKEN = re.compile(r"[^\W_]+")  # a run of str.isalnum() code points
 _FEATURIZE_CHUNK = 512  # texts per featurization chunk; bounds peak memory
+# Rows _fnv_fold finishes one at a time. A NumPy column step costs 1.2-1.9 us
+# on a 2-vCPU host, the integer loop about 0.13 us per byte per row.
+_FEW_ROWS = 8
 _LOG_FLOOR = 1e-12
 _MAGIC_DENSE = b"SMX1"
 _MAGIC = b"SMX2"
@@ -94,20 +97,21 @@ def tokenize(text: str) -> list[str]:
 def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Continue each FNV-1a state ``h[i]`` over the bytes ``buf[starts[i]:][:sizes[i]]``.
 
-    Byte ``j`` of every row still folding is one array step. The longest
-    row's bytes past the second-longest row are folded alone, and there a
-    plain integer loop is much faster than a NumPy call per byte.
+    Byte ``j`` of every row still folding is one array step. Once at most
+    ``_FEW_ROWS`` rows are left, each of them finishes in a plain integer
+    loop, which costs less than a NumPy call per byte for so few rows.
     """
     order = np.argsort(-sizes, kind="stable")  # longest first: byte j reads rows longer than j
-    h, pos = h[order], starts[order]
+    h, pos, ends = h[order], starts[order], (starts + sizes)[order]
     distinct, counts = np.unique(sizes, return_counts=True)
     done = 0
     for size, rows in zip(distinct.tolist(), np.cumsum(counts[::-1])[::-1].tolist()):
-        if rows == 1:  # only the longest row is left, and this is its last stretch
-            state = int(h[0])
-            for byte in buf[pos[0] + done : pos[0] + size].tobytes():
-                state = ((state ^ byte) * FNV_PRIME) & _MASK64
-            h[0] = state
+        if rows <= _FEW_ROWS:
+            for k in range(rows):
+                state = int(h[k])
+                for byte in buf[pos[k] + done : ends[k]].tobytes():
+                    state = ((state ^ byte) * FNV_PRIME) & _MASK64
+                h[k] = state
             break
         state = h[:rows]
         for column in buf[pos[:rows, None] + np.arange(done, size)].T:
@@ -328,13 +332,12 @@ def encode(params: ModelParams, features: FeatureVector) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax; rejects non-finite logits."""
+    """Row-wise (last axis) max-shifted softmax; rejects non-finite logits."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise NumericError("non-finite logits passed to softmax")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:

@@ -241,12 +241,6 @@ def load_transition(path: str | Path, num_classes: int) -> TransitionMap:
     return TransitionMap(tuple(targets[c] for c in range(num_classes)))
 
 
-def _noisy_mask(dataset: Dataset) -> np.ndarray:
-    """One bool per example, true where its observed label was corrupted."""
-    flipped = dataset.flipped_ids()
-    return np.array([ex.id in flipped for ex in dataset], dtype=bool)
-
-
 def emit_loss_histogram(
     losses: np.ndarray,
     noisy_mask: np.ndarray,
@@ -403,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 "num_flipped": len(train.flipped_ids()),
             }
 
-        noisy_mask = _noisy_mask(corrupted)
+        noisy_mask = corrupted.noisy_mask()
         (out / "hist").mkdir(exist_ok=True)
 
         sel_f1: dict[str, float] = {}
@@ -416,7 +410,6 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 cfg.model,
                 cfg.selfmix,
                 eval_every=cfg.eval_every,
-                record_losses=True,
             )
             arm_dir = out / arm
             arm_dir.mkdir(exist_ok=True)
@@ -432,7 +425,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
             )
             assert report.final_params is not None
             save_checkpoint(report.final_params, arm_dir / "model.smx")
-            for e, losses in enumerate(report.per_epoch_losses or []):
+            for e, losses in enumerate(report.per_epoch_losses):
                 emit_loss_histogram(
                     losses,
                     noisy_mask,
@@ -482,7 +475,7 @@ def analyze_losses(
         f"bins = {bins}",
     ]
     return emit_loss_histogram(
-        losses, _noisy_mask(dataset), bins, out_path, header_lines=header
+        losses, dataset.noisy_mask(), bins, out_path, header_lines=header
     )
 
 

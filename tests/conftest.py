@@ -98,6 +98,13 @@ def reference_featurize(text: str, num_buckets: int) -> FeatureVector:
     return FeatureVector(indices, weights)
 
 
+def mask_of(size: int, positions) -> np.ndarray:
+    """A bool mask over ``size`` positions, true at ``positions``."""
+    out = np.zeros(size, dtype=bool)
+    out[list(positions)] = True
+    return out
+
+
 def random_distribution(rng: np.random.Generator, num_classes: int) -> np.ndarray:
     p = rng.random(num_classes) + 1e-3
     return p / p.sum()

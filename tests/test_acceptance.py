@@ -15,6 +15,7 @@ from conftest import (
     N_CASES,
     finite_difference,
     grad_lookup,
+    mask_of,
     own_some_rows,
     param_arrays,
     random_distribution,
@@ -154,7 +155,7 @@ def test_criterion_2_mixture_recovery_on_bimodal_losses():
     assert np.all(np.diff(trace) >= -1e-9)
 
     split = select_split(losses, 0.5)
-    _, _, f1 = selection_prf(split.unlabeled_ids, set(range(1000, 2000)))
+    _, _, f1 = selection_prf(~split.labeled, np.arange(2000) >= 1000)
     assert f1 >= 0.95
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"mixture recovery took {elapsed:.2f}s"
@@ -250,12 +251,12 @@ def test_criterion_6_per_class_standardization_rescues_selection():
     noisy1 = rng.normal(3.0, 0.30, 300)
     losses = np.concatenate([clean0, noisy0, clean1, noisy1])
     labels = np.array([0] * 1000 + [1] * 1000)
-    noisy_ids = set(range(700, 1000)) | set(range(1700, 2000))
+    noisy = mask_of(2000, set(range(700, 1000)) | set(range(1700, 2000)))
 
     raw = select_split(losses, 0.5)
-    _, _, raw_f1 = selection_prf(raw.unlabeled_ids, noisy_ids)
+    _, _, raw_f1 = selection_prf(~raw.labeled, noisy)
     reg = select_split(class_regularize(losses, labels, 2), 0.5)
-    _, _, reg_f1 = selection_prf(reg.unlabeled_ids, noisy_ids)
+    _, _, reg_f1 = selection_prf(~reg.labeled, noisy)
     assert reg_f1 >= raw_f1 + 0.10, (raw_f1, reg_f1)
 
 
@@ -281,7 +282,7 @@ def test_criterion_7_invariant_property_suite(tmp_path):
         )
         assert np.all(mixed.lam >= 0.5) and np.all(mixed.lam <= 1.0)
 
-    # 3 & 4. thresholding partitions the ids, monotonically in tau
+    # 3 & 4. thresholding marks every position, monotonically in tau
     for _ in range(N_CASES):
         n_low, n_high = int(rng.integers(3, 30)), int(rng.integers(3, 30))
         losses = np.concatenate(
@@ -294,10 +295,8 @@ def test_criterion_7_invariant_property_suite(tmp_path):
         lo = select_split(losses, float(lo_tau))
         hi = select_split(losses, float(hi_tau))
         for split in (lo, hi):
-            labeled, unlabeled = set(split.labeled_ids), set(split.unlabeled_ids)
-            assert labeled | unlabeled == set(range(losses.size))
-            assert not labeled & unlabeled
-        assert set(hi.labeled_ids) <= set(lo.labeled_ids)
+            assert split.labeled.dtype == bool and split.labeled.shape == losses.shape
+        assert not np.any(hi.labeled & ~lo.labeled)
 
     # 5. histograms partition every loss into exactly one cell
     for case in range(N_CASES):

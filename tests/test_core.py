@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import N_CASES, random_distribution, random_features
+from conftest import N_CASES, mask_of, random_distribution, random_features
 from selfmix import core
 from selfmix.common import NumericError, subseed
 from selfmix.core import (
@@ -124,57 +124,54 @@ def test_select_split_separates_bimodal_losses():
     losses = bimodal_losses(rng, 60, 40)
     split = select_split(losses, 0.5)
     assert split.tau == 0.5
-    assert set(split.labeled_ids) == set(range(60))
-    assert set(split.unlabeled_ids) == set(range(60, 100))
-    assert all(split.posteriors[i] >= 0.5 for i in split.labeled_ids)
-    assert all(split.posteriors[i] < 0.5 for i in split.unlabeled_ids)
+    assert np.array_equal(split.labeled, np.arange(100) < 60)
+    assert np.all(split.posteriors[split.labeled] >= 0.5)
+    assert np.all(split.posteriors[~split.labeled] < 0.5)
 
 
 def test_select_split_custom_ids_and_epoch():
     rng = np.random.default_rng(4)
     losses = bimodal_losses(rng, 5, 5)
-    ids = [100 + i for i in range(10)]
-    split = select_split(losses, 0.5, ids, epoch=3)
+    split = select_split(losses, 0.5, epoch=3)
     assert split.epoch == 3
-    assert set(split.labeled_ids) | set(split.unlabeled_ids) == set(ids)
-    assert set(split.posteriors) == set(ids)
+    assert split.labeled.shape == split.posteriors.shape == (10,)
 
 
 def test_select_split_keeps_every_id_labeled_on_constant_losses():
-    """Fewer than two distinct losses: no mixture is fit, every id keeps its
-    label with posterior 1.0; a direct fit still refuses such values."""
+    """Fewer than two distinct losses: no mixture is fit, every position
+    keeps its label with posterior 1.0; a direct fit still refuses such values."""
     losses = np.full(4, 0.7)
-    split = select_split(losses, 0.5, [10, 11, 12, 13], epoch=2)
-    assert split.labeled_ids == (10, 11, 12, 13)
-    assert split.unlabeled_ids == ()
-    assert split.posteriors == {10: 1.0, 11: 1.0, 12: 1.0, 13: 1.0}
+    split = select_split(losses, 0.5, epoch=2)
+    assert split.labeled.dtype == bool and split.labeled.all()
+    assert np.array_equal(split.posteriors, np.ones(4))
     with pytest.raises(ValueError, match="two distinct"):
         fit_gmm_trace(losses)
 
 
-def test_select_split_length_mismatch():
-    with pytest.raises(ValueError, match="same length"):
-        select_split(np.array([1.0, 2.0]), 0.5, ids=[1, 2, 3])
+def test_select_split_records_the_fit_or_none():
+    rng = np.random.default_rng(5)
+    losses = bimodal_losses(rng, 30, 20)
+    split = select_split(losses, 0.5)
+    fit = core.fit_gmm(losses)
+    for name in ("means", "variances", "weights"):
+        assert np.array_equal(getattr(split.gmm, name), getattr(fit, name))
+    assert np.array_equal(split.posteriors, core.posterior_clean(split.gmm, losses))
+    assert select_split(np.full(5, 1.25), 0.5).gmm is None
 
 
 def test_select_split_partition_property():
-    """labeled and unlabeled partition the ids exactly, at any threshold."""
+    """The mask thresholds every posterior at tau, at any threshold."""
     rng = np.random.default_rng(13)
     for _ in range(N_CASES):
         n_low = int(rng.integers(3, 40))
         n_high = int(rng.integers(3, 40))
         losses = bimodal_losses(rng, n_low, n_high)
-        ids = [int(v) for v in rng.permutation(1000)[: losses.size]]
         tau = float(rng.uniform(0.05, 0.95))
-        split = select_split(losses, tau, ids, epoch=int(rng.integers(10)))
-        labeled, unlabeled = set(split.labeled_ids), set(split.unlabeled_ids)
-        assert labeled | unlabeled == set(ids)
-        assert labeled & unlabeled == set()
-        assert len(split.labeled_ids) + len(split.unlabeled_ids) == losses.size
-        for i in split.labeled_ids:
-            assert split.posteriors[i] >= tau
-        for i in split.unlabeled_ids:
-            assert split.posteriors[i] < tau
+        split = select_split(losses, tau, epoch=int(rng.integers(10)))
+        assert split.labeled.dtype == bool
+        assert split.labeled.shape == split.posteriors.shape == losses.shape
+        assert np.all(split.posteriors[split.labeled] >= tau)
+        assert np.all(split.posteriors[~split.labeled] < tau)
 
 
 def test_select_split_tau_monotonicity_property():
@@ -185,20 +182,26 @@ def test_select_split_tau_monotonicity_property():
         taus = np.sort(rng.uniform(0.02, 0.98, size=3))
         splits = [select_split(losses, float(t)) for t in taus]
         for lower, higher in zip(splits, splits[1:]):
-            assert set(higher.labeled_ids) <= set(lower.labeled_ids)
-            assert set(lower.unlabeled_ids) <= set(higher.unlabeled_ids)
+            assert not np.any(higher.labeled & ~lower.labeled)
 
 
 def test_selection_prf_hand_case():
-    precision, recall, f1 = selection_prf({1, 2, 3}, {2, 3, 4})
+    precision, recall, f1 = selection_prf(mask_of(5, {1, 2, 3}), mask_of(5, {2, 3, 4}))
     assert precision == pytest.approx(2 / 3)
     assert recall == pytest.approx(2 / 3)
     assert f1 == pytest.approx(2 / 3)
 
 
 def test_selection_prf_empty_denominators():
-    assert selection_prf(set(), {1}) == (0.0, 0.0, 0.0)
-    assert selection_prf({1}, set()) == (0.0, 0.0, 0.0)
+    assert selection_prf(mask_of(2, set()), mask_of(2, {1})) == (0.0, 0.0, 0.0)
+    assert selection_prf(mask_of(2, {1}), mask_of(2, set())) == (0.0, 0.0, 0.0)
+
+
+def test_selection_prf_refuses_masks_of_different_shapes():
+    with pytest.raises(ValueError, match="differ in shape"):
+        selection_prf(np.zeros(4, dtype=bool), np.zeros(5, dtype=bool))
+    with pytest.raises(ValueError, match="bool masks, not ids"):
+        selection_prf({1, 2, 3}, {2, 3, 4})
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,25 @@ def test_sharpen_validation():
         sharpen(np.array([0.5, 0.5]), 0.0)
     with pytest.raises(NumericError, match="sharpen"):
         sharpen(np.array([0.0, 0.0]), 0.5)
+
+
+def test_sharpen_rows_match_the_one_dimensional_call():
+    rng = np.random.default_rng(31)
+    for _ in range(N_CASES):
+        rows = np.stack([random_distribution(rng, 5) for _ in range(int(rng.integers(1, 6)))])
+        temperature = float(rng.uniform(0.1, 3.0))
+        out = sharpen(rows, temperature)
+        for row, sharpened in zip(rows, out):
+            assert np.array_equal(sharpened, sharpen(row, temperature))
+
+
+def test_sharpen_names_the_one_bad_row_among_good_ones():
+    rows = np.array([[0.8, 0.2], [0.5, 0.5], [0.0, 0.0], [0.3, 0.7]])
+    with pytest.raises(NumericError, match="sharpen: distribution 2 "):
+        sharpen(rows, 0.5)
+    rows[2] = [np.nan, 0.5]
+    with pytest.raises(NumericError, match="sharpen: distribution 2 "):
+        sharpen(rows, 0.5)
 
 
 def test_sharpen_simplex_property():
@@ -550,14 +572,9 @@ def test_per_sample_losses_run_once_per_parameter_state(monkeypatch):
         return per_sample_losses(*args, **kwargs)
 
     monkeypatch.setattr(core, "per_sample_losses", counting)
-    recorded = train_selfmix(corrupted, test, TINY_MODEL, cfg, record_losses=True)
+    recorded = train_selfmix(corrupted, test, TINY_MODEL, cfg)
     assert len(calls) == 6
     assert len(recorded.per_epoch_losses) == 6
-    plain = train_selfmix(corrupted, test, TINY_MODEL, cfg)
-    for name in ("embedding", "w1", "b1", "w2", "b2"):
-        assert np.array_equal(
-            getattr(recorded.final_params, name), getattr(plain.final_params, name)
-        )
 
 
 def test_adaptive_epochs_encode_only_the_unlabeled_members(monkeypatch):
@@ -654,6 +671,28 @@ def test_numeric_failure_names_epoch_and_batch():
             train_baseline(corrupted, test, diverging, cfg)
 
 
+@pytest.mark.parametrize("trainer", [train_baseline, train_selfmix])
+def test_trainers_refuse_eval_every_below_one(trainer):
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=1, warmup_epochs=1, batch_size=16, seed=5)
+    with pytest.raises(ValueError, match="eval_every must be at least 1"):
+        trainer(corrupted, test, TINY_MODEL, cfg, eval_every=0)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_a_label_outside_the_classes_raises_instead_of_wrapping(label):
+    train, test = make_corpus(20, 8, 2, seed=0)
+    bad = Dataset(
+        tuple(Example(ex.id, ex.text, label if ex.id == 3 else ex.observed_label) for ex in train), 2
+    )
+    cfg = SelfMixConfig(total_epochs=1, warmup_epochs=1, batch_size=16, seed=5)
+    with pytest.raises(ValueError, match=f"label {label} out of range"):
+        train_baseline(bad, test, TINY_MODEL, cfg)
+    params = init_params(TINY_MODEL.num_buckets, TINY_MODEL.hidden, 2, 0.0, seed=0)
+    with pytest.raises(ValueError, match=f"label {label} out of range"):
+        warmup(params, init_optimizer(params), bad, epochs=1)
+
+
 def test_non_finite_guess_names_epoch_and_batch():
     """A NaN row among a batch's pseudo-label guesses raises NumericError
     naming the epoch and the batch that holds the document."""
@@ -664,10 +703,10 @@ def test_non_finite_guess_names_epoch_and_batch():
     )
     corrupted, _ = inject_uniform(tagged, 0.2, seed=1)
     cfg = SelfMixConfig(total_epochs=2, warmup_epochs=1, batch_size=16, seed=5)
-    run = core._Run(corrupted, test, TINY_MODEL, cfg, eval_every=50, record_losses=False)
+    run = core._Run(corrupted, test, TINY_MODEL, cfg, eval_every=50)
     run.ce_epoch(0)
     split = select_split(run.losses(), cfg.tau)  # the epoch reuses these cached losses
-    target = split.unlabeled_ids[0]  # ids are positions
+    target = int(np.flatnonzero(~split.labeled)[0])
     others = np.concatenate([f.indices for k, f in enumerate(run.features) if k != target])
     own = np.setdiff1d(run.features[target].indices, others)
     run.params.embedding[run.params.slot[own[0]]] = np.nan

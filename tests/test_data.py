@@ -82,6 +82,15 @@ def test_dataset_accessors():
     assert ds.flipped_ids() == {1}
 
 
+def test_noisy_mask_marks_exactly_the_corrupted_positions():
+    ds = make_dataset([0, 1, 1, 0], 2, true_labels=[0, 0, 1, 1])
+    mask = ds.noisy_mask()
+    assert mask.dtype == bool
+    assert mask.tolist() == [False, True, False, True]
+    assert not ds.strip_oracle().noisy_mask().any()
+    assert make_dataset([0, 1], 2).noisy_mask().tolist() == [False, False]
+
+
 def test_strip_oracle_removes_evaluation_channel():
     ds = make_dataset([0, 1], 2, true_labels=[1, 1])
     stripped = ds.strip_oracle()

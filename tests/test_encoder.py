@@ -182,6 +182,16 @@ def test_a_token_longer_than_the_rest_hashes_as_the_reference(size):
         _assert_bit_equal(got, reference_featurize(text, 2**18))
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_several_long_tokens_hash_as_the_reference(count):
+    """Two or three long words finish their folds side by side, each in the
+    integer loop, and hash as the byte-loop reference."""
+    longs = [chr(ord("k") + i) * (20_000 + 7 * i) for i in range(count)]
+    texts = [" ".join(longs), f"a {' b '.join(longs)} c", "short words"]
+    for text, got in zip(texts, featurize_corpus(texts, 2**18), strict=True):
+        _assert_bit_equal(got, reference_featurize(text, 2**18))
+
+
 def test_token_pattern_matches_exactly_the_alphanumeric_code_points():
     pattern = encoder._TOKEN
     mismatches = [
@@ -311,6 +321,15 @@ def test_softmax_rejects_non_finite():
     for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0]):
         with pytest.raises(NumericError):
             softmax(np.array(bad))
+
+
+def test_softmax_rows_match_the_one_dimensional_call():
+    rng = np.random.default_rng(6)
+    for _ in range(N_CASES):
+        z = rng.normal(scale=rng.uniform(0.1, 50.0), size=(int(rng.integers(1, 6)), 5))
+        rows = softmax(z)
+        for row, p in zip(z, rows):
+            assert np.array_equal(p, softmax(row))
 
 
 def test_softmax_shift_invariance_property():

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import N_CASES
+from conftest import N_CASES, mask_of
 from selfmix.common import NumericError, round_half_up, subseed
 from selfmix.core import REPORT_CSV_FIELDS, ModelConfig, SelfMixConfig, selection_prf
 from selfmix.data import Dataset, Example, load_csv, save_csv
-from selfmix.encoder import load_checkpoint
+from selfmix.encoder import init_params, load_checkpoint, save_checkpoint
 from selfmix.harness import (
     _CONFIG_KEYS,
     ARMS,
@@ -380,7 +380,8 @@ def make_manifest(flipped, num_classes=2):
 
 
 def test_selection_metrics_perfect_split():
-    assert selection_prf([2, 3], make_manifest({2, 3}).flipped_ids) == (1.0, 1.0, 1.0)
+    flipped = mask_of(4, make_manifest({2, 3}).flipped_ids)
+    assert selection_prf(mask_of(4, [2, 3]), flipped) == (1.0, 1.0, 1.0)
 
 
 def test_selection_metrics_brute_force_property():
@@ -392,7 +393,7 @@ def test_selection_metrics_brute_force_property():
         unlabeled = {int(i) for i, s in zip(ids, sent) if s}
         flipped = {int(i) for i in ids if rng.random() < 0.4}
         precision, recall, f1 = selection_prf(
-            sorted(unlabeled), make_manifest(flipped).flipped_ids
+            mask_of(500, unlabeled), mask_of(500, make_manifest(flipped).flipped_ids)
         )
         hits = len(unlabeled & flipped)
         expect_p = hits / len(unlabeled) if unlabeled else 0.0
@@ -922,6 +923,49 @@ def test_cli_analyze_losses_refuses_a_checkpoint_header_larger_than_the_file(
         "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
     ]) == 1
     assert "truncated checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_cli_diverging_model_exits_2_at_its_stage(tmp_path, capsys):
+    """A learning rate of 1e200 overflows the forward pass after one step;
+    the run fails as numeric, and the summary names the arm."""
+    train, test = make_corpus(30, 10, 2, seed=0)
+    save_csv(train, tmp_path / "train.csv")
+    save_csv(test, tmp_path / "test.csv")
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "diverge.cfg"
+    cfg_path.write_text(
+        config_text(
+            tmp_path, out,
+            **{
+                "optimizer.lr": "1e200", "selfmix.batch_size": "64",
+                "selfmix.total_epochs": "1", "encoder.buckets": "512",
+            },
+        ),
+        encoding="utf-8",
+    )
+    with np.errstate(all="ignore"):
+        assert cli.main(["train-baseline", "--config", str(cfg_path)]) == 2
+    assert "non-finite logits" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["error"]["stage"] == "baseline"
+    assert not (out / "baseline").exists()
+
+
+def test_cli_analyze_losses_exits_2_when_the_forward_pass_overflows(
+    finished_run, tmp_path, capsys
+):
+    _, out, _ = finished_run
+    params = init_params(1024, 8, 2, 0.0, seed=0)
+    params.w1[:] = 1e200  # finite weights whose products overflow
+    params.w2[:] = 1e200
+    save_checkpoint(params, tmp_path / "overflow.smx")
+    with np.errstate(all="ignore"):
+        assert cli.main([
+            "analyze-losses", "--model", str(tmp_path / "overflow.smx"),
+            "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
+        ]) == 2
+    assert "non-finite logits" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
 
 

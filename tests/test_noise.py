@@ -88,6 +88,13 @@ def test_uniform_flips_exact_count_and_other_class():
             assert not ex.corrupted and ex.observed_label == ex.true_label
 
 
+def test_noisy_mask_marks_the_manifest_flips():
+    pool, _ = make_labeled_pool(200, 4, seed=2)
+    for kind in ("uniform", "asymmetric", "instance_dependent"):
+        corrupted, manifest = inject(pool, kind, 0.3, seed=9, aux_subset_fraction=0.5)
+        assert set(np.flatnonzero(corrupted.noisy_mask()).tolist()) == manifest.flipped_ids
+
+
 def test_asymmetric_respects_transition_targets():
     ds = toy_dataset([0] * 10 + [1] * 10 + [2] * 10, 3)
     transition = TransitionMap((2, 0, 1))
