@@ -50,6 +50,7 @@ from .encoder import (
     OptimizerState,
     adam_step,
     backward,
+    corpus_buckets,
     featurize_corpus,
     featurize_text,
     init_optimizer,
@@ -57,7 +58,6 @@ from .encoder import (
     log_softmax,
     predict_logits,
     predict_proba,
-    reserve_rows,
     softmax,
 )
 from .encoder import encode  # noqa: F401  (perfbench/spans.py wraps this binding)
@@ -247,13 +247,16 @@ def per_sample_losses(
     Given ``features``, one per example, the documents are scored in batched
     forward passes (:func:`eval_logits`). Without them, each text is
     featurized and scored on its own: one :func:`featurize_text` and one
-    :func:`predict_proba` call per document.
+    :func:`predict_proba` call per document. Either way a non-finite
+    forward pass raises :class:`NumericError`.
     """
     if features is None:
         features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
         losses = np.empty(len(dataset))
         for i, ex in enumerate(dataset):
             p = predict_proba(params, features[i])
+            if not np.isfinite(p).all():
+                raise NumericError(f"non-finite logits for document {i} of {len(dataset)}")
             losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
         return losses
     labels = dataset.observed_labels()
@@ -517,16 +520,21 @@ class _Run:
         self.model = model
         self.cfg = cfg
         self.eval_every = eval_every
-        # The model's large arrays come before the many small feature arrays,
-        # so they can take the heap room the previous run's model left. In
-        # the other order the feature arrays split that room, and the peak
-        # RSS of idn-selection runs often grew by about 5 MB.
+        # The model owns a row for each bucket of the training corpus, so the
+        # corpus is featurized first; the table and the Adam moments are then
+        # allocated once, at their final size, before the first forward pass.
+        self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
+        self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
+        self.labels = train.observed_labels()
+        self.targets = _one_hots(self.labels, train.num_classes)
+        self.test_labels = test.observed_labels()
         self.params = init_params(
             model.num_buckets,
             model.hidden,
             train.num_classes,
             model.dropout_rate,
             subseed(cfg.seed, "init"),
+            buckets=corpus_buckets(self.features, model.num_buckets),
         )
         self.opt = init_optimizer(
             self.params,
@@ -535,12 +543,6 @@ class _Run:
             beta2=model.beta2,
             epsilon=model.epsilon,
         )
-        self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
-        self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
-        self.labels = train.observed_labels()
-        self.targets = _one_hots(self.labels, train.num_classes)
-        self.test_labels = test.observed_labels()
-        reserve_rows(self.params, self.opt, self.features)
         self.global_step = 0
         self.step_acc: list[tuple[int, float]] = []
         self.warnings: list[str] = []
@@ -688,7 +690,10 @@ def warmup(
     (exactly one must be given); the optimizer state supplies the step-size
     hyperparameters. It runs the same epoch loop as the training arms, so
     ``epochs`` passes here match ``epochs`` plain-arm epochs bit for bit.
-    The instance-dependent noise injector trains its auxiliary model with it.
+    ``params`` must own every bucket of ``dataset`` (build it with
+    ``init_params(..., buckets=corpus_buckets(features, num_buckets))``);
+    otherwise the first step raises ``ValueError``. The instance-dependent
+    noise injector trains its auxiliary model with it.
     """
     if (epochs is None) == (samples is None):
         raise ValueError("set exactly one of epochs and samples")

@@ -30,18 +30,15 @@ texts; a pair continues its left word's state over the separator byte.
 Once one word is longer than every other word still being hashed, its
 remaining bytes go through a plain integer loop.
 
-The embedding state is sparse: only the buckets a corpus hashes to carry
-information. ``ModelParams.embedding`` is a row table, and ``slot`` maps
-each bucket to the row it reads. The table starts as a codebook of at most
-``_CODEBOOK_ROWS`` Gaussian rows drawn from the init seed; bucket ``b``
-starts at codebook row ``b % codebook_rows``. When every bucket has its own
-codebook row, ``slot`` is the identity and Adam updates rows in place.
-Otherwise a bucket gets a row of its own (a copy of its codebook row,
-appended to the table) the first time Adam updates it, and Adam's embedding
-moments exist only for those owned rows. A trainer that knows its corpus
-reserves room for all of them up front (:func:`reserve_rows`), so the table
-and moments are allocated once rather than grown by copying. A checkpoint
-stores the init seed plus the rows of the buckets Adam has updated.
+The embedding state is sparse: only the buckets a training corpus hashes to
+carry information. A model owns one row for each bucket its training
+corpus names, and no other. ``ModelParams.embedding`` holds an all-zero
+row 0, which nothing trains, then the owned rows in bucket order; ``slot``
+maps each bucket to the row it reads, so a bucket the model does not own
+reads row 0 and pools to zero. An owned row starts as N(0, 0.1^2) normals
+from the counter hash below, keyed by (init seed, bucket, unit), so it does
+not depend on which other buckets the model owns. Adam updates owned rows
+in place, and a checkpoint stores them.
 
 Dropout is inverted dropout with one site (the hidden layer). Masks come
 from a counter-based hash (SplitMix64 mixing, in the spirit of Salmon et
@@ -56,7 +53,6 @@ evaluated on the same perturbed pass as a consistency term.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import re
@@ -81,12 +77,12 @@ _FEATURIZE_CHUNK = 512  # texts per featurization chunk; bounds peak memory
 # on a 2-vCPU host, the integer loop about 0.13 us per byte per row.
 _FEW_ROWS = 8
 _LOG_FLOOR = 1e-12
-_MAGIC_DENSE = b"SMX1"
-_MAGIC = b"SMX2"
-# The most rows an init codebook has; models with more buckets share rows.
-_CODEBOOK_ROWS = 2**16
-# The fewest spare rows a grown row table or moment array gets.
-_MIN_SPARE_ROWS = 1024
+_MAGIC = b"SMX3"
+_OLD_MAGICS = (b"SMX1", b"SMX2")  # earlier checkpoint formats, refused by name
+# Buckets whose initial rows one array pass of init_params builds. A pass
+# holds a few (chunk, 2 * hidden) uint64 temporaries, so this bounds the
+# init's peak memory at a small multiple of the table itself.
+_INIT_CHUNK = 1024
 
 
 def tokenize(text: str) -> list[str]:
@@ -189,26 +185,19 @@ def featurize_text(text: str, num_buckets: int) -> FeatureVector:
 class ModelParams:
     """All learnable arrays, the bucket-to-row map, and the dropout rate.
 
-    ``embedding`` holds the ``codebook_rows`` codebook rows, then the rows
-    buckets own, then zeroed spare rows that no bucket reads. Bucket ``b``
-    reads row ``slot[b]``; ``updated[b]`` marks the buckets whose row a
-    checkpoint stores: those Adam has updated, or every bucket of a model
-    read from a dense ``SMX1`` file. ``seed`` and ``fingerprint`` identify
-    the codebook's draw, so a checkpoint can rebuild it instead of storing
-    it; an ``SMX1`` model has no seed.
+    ``embedding`` holds row 0, all zeros and never trained, then one row per
+    bucket the model owns, in bucket order. Bucket ``b`` reads row
+    ``slot[b]``, which is 0 unless the model owns ``b``, so a bucket the
+    model does not own pools to zero.
     """
 
-    embedding: np.ndarray  # (rows, hidden)
+    embedding: np.ndarray  # (1 + owned buckets, hidden)
     w1: np.ndarray  # (hidden, hidden)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden, num_classes)
     b2: np.ndarray  # (num_classes,)
     dropout_rate: float
     slot: np.ndarray  # (num_buckets,) int32
-    updated: np.ndarray  # (num_buckets,) bool
-    codebook_rows: int
-    seed: int | None
-    fingerprint: bytes
 
     @property
     def num_buckets(self) -> int:
@@ -222,29 +211,15 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.w2.shape[1]
 
-    @property
-    def first_owned(self) -> int:
-        """The first row that belongs to one bucket alone: 0 when ``slot`` is
-        the identity, else the first row past the shared codebook."""
-        return self.codebook_rows if self.codebook_rows < self.num_buckets else 0
 
-
-def _slots(num_buckets: int, codebook_rows: int) -> np.ndarray:
-    """The initial ``slot``: bucket ``b`` reads codebook row ``b % codebook_rows``."""
+def _slot_of(num_buckets: int, owned: np.ndarray) -> np.ndarray:
+    """``slot`` of a model owning the sorted buckets ``owned``: bucket
+    ``owned[k]`` reads row ``k + 1``, every other bucket row 0."""
     if num_buckets >= 2**31:
         raise ValueError("num_buckets must be below 2**31")
-    return np.arange(num_buckets, dtype=np.int32) % np.int32(codebook_rows)
-
-
-def _draw_codebook(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with N(0, 0.1^2) draws, the values ``rng.normal(0, 0.1)`` gives."""
-    rng.standard_normal(out=out)
-    out *= 0.1
-    return out
-
-
-def _fingerprint(codebook: np.ndarray) -> bytes:
-    return hashlib.sha256(np.ascontiguousarray(codebook)).digest()[:8]
+    slot = np.zeros(num_buckets, dtype=np.int32)
+    slot[owned] = np.arange(1, owned.size + 1, dtype=np.int32)
+    return slot
 
 
 def init_params(
@@ -253,12 +228,13 @@ def init_params(
     num_classes: int,
     dropout_rate: float,
     seed: int,
+    buckets: Sequence[int] | np.ndarray = (),
 ) -> ModelParams:
-    """Gaussian init: a small-valued codebook, He-scaled head, zero biases.
+    """A row for each distinct bucket of ``buckets``, a He-scaled head, zero biases.
 
-    The codebook has ``min(num_buckets, _CODEBOOK_ROWS)`` rows and is drawn
-    first, so up to that many buckets the embedding is the draw of a dense
-    ``(num_buckets, hidden)`` table from the same seed.
+    Owned rows are N(0, 0.1^2), a pure function of (seed, bucket); they are
+    built ``_INIT_CHUNK`` buckets at a time. Every other bucket pools to
+    zero. The head is drawn from ``np.random.default_rng(seed)``.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must lie in [0, 1)")
@@ -266,9 +242,15 @@ def init_params(
         raise ValueError("num_buckets must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
+    owned = np.unique(np.asarray(buckets, dtype=np.int64))
+    if owned.size and (owned[0] < 0 or owned[-1] >= num_buckets):
+        raise ValueError(f"owned buckets must lie in [0, {num_buckets})")
+    slot = _slot_of(num_buckets, owned)
+    embedding = np.zeros((1 + owned.size, hidden))
+    for start in range(0, owned.size, _INIT_CHUNK):
+        chunk = owned[start : start + _INIT_CHUNK]
+        embedding[1 + start : 1 + start + chunk.size] = _initial_rows(seed, chunk, hidden)
     rng = np.random.default_rng(seed)
-    codebook_rows = min(num_buckets, _CODEBOOK_ROWS)
-    embedding = _draw_codebook(rng, np.empty((codebook_rows, hidden)))
     w1 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, hidden))
     w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, num_classes))
     return ModelParams(
@@ -278,12 +260,17 @@ def init_params(
         w2=w2,
         b2=np.zeros(num_classes),
         dropout_rate=float(dropout_rate),
-        slot=_slots(num_buckets, codebook_rows),
-        updated=np.zeros(num_buckets, dtype=bool),
-        codebook_rows=codebook_rows,
-        seed=int(seed),
-        fingerprint=_fingerprint(embedding),
+        slot=slot,
     )
+
+
+def corpus_buckets(features: Sequence[FeatureVector], num_buckets: int) -> np.ndarray:
+    """The distinct buckets ``features`` name, sorted: the buckets a model
+    trained on them must own (the ``buckets`` of :func:`init_params`)."""
+    seen = np.zeros(num_buckets, dtype=bool)
+    for fv in features:
+        seen[fv.indices] = True
+    return np.flatnonzero(seen)
 
 
 def _concat(vectors: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,6 +374,27 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _streams(seed: int, keys: np.ndarray) -> np.ndarray:
+    """One SplitMix64 stream state per key: a hash of (seed, key)."""
+    base = _mix64(np.array([seed & _MASK64], dtype=np.uint64) + _GOLDEN)
+    return _mix64(base ^ np.asarray(keys, dtype=np.int64).astype(np.uint64))
+
+
+def _uniforms(state: np.ndarray, count: int) -> np.ndarray:
+    """Outputs ``1..count`` of each stream ``state[r]``, as uniforms in [0, 1)."""
+    units = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+    return (_mix64(state[:, None] + units) >> np.uint64(11)) * 2.0**-53
+
+
+def _initial_rows(seed: int, buckets: np.ndarray, hidden: int) -> np.ndarray:
+    """N(0, 0.1^2) embedding rows, one per bucket, by Box-Muller: unit ``j``
+    of bucket ``b`` reads outputs ``2j + 1`` and ``2j + 2`` of the stream of
+    (seed, b), so it is a pure function of (seed, b, j)."""
+    u = _uniforms(_streams(seed, buckets), 2 * hidden)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    return 0.1 * radius * np.cos(2.0 * np.pi * u[:, 1::2])
+
+
 def _masks(
     params: ModelParams, mask_seed: int | None, keys: np.ndarray, passes: np.ndarray
 ) -> np.ndarray:
@@ -400,12 +408,9 @@ def _masks(
     rate = params.dropout_rate
     if mask_seed is None or rate == 0.0:
         return np.ones((len(keys), params.hidden))
-    seed = _mix64(np.array([mask_seed & _MASK64], dtype=np.uint64) + _GOLDEN)
-    state = _mix64(seed ^ np.asarray(keys, dtype=np.int64).astype(np.uint64))
+    state = _streams(mask_seed, keys)
     state = _mix64(state + (np.asarray(passes, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
-    units = np.arange(1, params.hidden + 1, dtype=np.uint64) * _GOLDEN
-    uniform = (_mix64(state[:, None] + units) >> np.uint64(11)) * 2.0**-53
-    return (uniform >= rate) / (1.0 - rate)
+    return (_uniforms(state, params.hidden) >= rate) / (1.0 - rate)
 
 
 @dataclass
@@ -597,11 +602,9 @@ def backward(
 class OptimizerState:
     """Adam state: hyperparameters, step counter, and per-parameter moments.
 
-    The embedding moments ``m_emb``/``v_emb`` have one row per owned table
-    row: row ``k`` belongs to table row ``params.first_owned + k``. With an
-    identity ``slot`` that is every row; with a shared codebook the moments
-    grow as buckets gain rows of their own. Only rows that received gradient
-    in a step are ever touched.
+    The embedding moments ``m_emb``/``v_emb`` have the embedding table's
+    shape: row ``r`` holds the moments of table row ``r``. Only rows that
+    received gradient in a step are ever touched, so row 0 stays zero.
     """
 
     learning_rate: float
@@ -628,15 +631,14 @@ def init_optimizer(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> OptimizerState:
-    owned = (len(params.embedding) - params.first_owned, params.hidden)
     return OptimizerState(
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
         step=0,
-        m_emb=np.zeros(owned),
-        v_emb=np.zeros(owned),
+        m_emb=np.zeros_like(params.embedding),
+        v_emb=np.zeros_like(params.embedding),
         m_w1=np.zeros_like(params.w1),
         v_w1=np.zeros_like(params.w1),
         m_b1=np.zeros_like(params.b1),
@@ -648,64 +650,21 @@ def init_optimizer(
     )
 
 
-def _reserve(arr: np.ndarray, rows: int) -> np.ndarray:
-    """``arr`` if it has ``rows`` rows, else a copy padded with zero rows.
-
-    The copy is at least half as long again, so appending rows one step at a
-    time copies each row a bounded number of times. Spare rows that are never
-    written take no resident memory: ``np.zeros`` leaves their pages unmapped.
-    """
-    if rows <= len(arr):
-        return arr
-    length = max(rows, len(arr) + max(len(arr) // 2, _MIN_SPARE_ROWS))
-    grown = np.zeros((length, arr.shape[1]))
-    grown[: len(arr)] = arr
-    return grown
-
-
-def _grow(params: ModelParams, opt: OptimizerState, end: int) -> None:
-    """Room for table rows up to ``end`` in the row table and both moments."""
-    params.embedding = _reserve(params.embedding, end)
-    opt.m_emb = _reserve(opt.m_emb, end - params.codebook_rows)
-    opt.v_emb = _reserve(opt.v_emb, end - params.codebook_rows)
-
-
-def reserve_rows(
-    params: ModelParams, opt: OptimizerState, features: list[FeatureVector]
-) -> None:
-    """Room for a row of its own for every shared bucket ``features`` name.
-
-    Training on ``features`` then never grows the row table or the moments:
-    they are allocated once, not copied every time they fill up. The rows
-    are still assigned, in the same order, by :func:`adam_step`.
-    """
-    if not params.first_owned:
-        return
-    buckets = np.unique(_concat(features)[0])
-    owned = int(np.count_nonzero(params.updated))
-    shared = int(np.count_nonzero(~params.updated[buckets]))
-    _grow(params, opt, params.codebook_rows + owned + shared)
-
-
-def _own_rows(params: ModelParams, opt: OptimizerState, buckets: np.ndarray) -> None:
-    """Give each of ``buckets`` (reading the shared codebook) a row of its own."""
-    start = params.codebook_rows + int(np.count_nonzero(params.updated))
-    end = start + buckets.size
-    _grow(params, opt, end)
-    params.embedding[start:end] = params.embedding[params.slot[buckets]]
-    params.slot[buckets] = np.arange(start, end, dtype=np.int32)
-
-
 def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
     """One bias-corrected Adam update, in place.
 
     Head parameters get the textbook dense update. Embedding rows are
     updated lazily: only rows with gradient this step have their moments
     decayed and applied, with bias correction from the shared global step.
-    A bucket still reading the shared codebook first gets a row of its own.
+    A gradient for a bucket the model owns no row for raises ``ValueError``
+    before anything changes: it would otherwise train the shared zero row.
     """
     if grads.w1.shape != params.w1.shape or grads.w2.shape != params.w2.shape:
         raise ValueError("gradient shapes do not match the parameters")
+    rows = params.slot[grads.emb_rows]
+    if not rows.all():
+        bucket = int(grads.emb_rows[np.argmin(rows)])
+        raise ValueError(f"gradient for bucket {bucket}, which owns no embedding row")
     lr, beta1, beta2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon
     opt.step += 1
     bc1 = 1.0 - beta1 ** opt.step
@@ -724,19 +683,12 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
         v += (1.0 - beta2) * np.square(g)
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-    buckets = grads.emb_rows
-    if buckets.size:
-        fresh = buckets[~params.updated[buckets]]
-        if fresh.size and params.first_owned:
-            _own_rows(params, opt, fresh)
-        params.updated[fresh] = True
-        rows = params.slot[buckets]
-        moment_rows = rows - params.first_owned
+    if rows.size:
         g = grads.emb_vals
-        m = beta1 * opt.m_emb[moment_rows] + (1.0 - beta1) * g
-        v = beta2 * opt.v_emb[moment_rows] + (1.0 - beta2) * np.square(g)
-        opt.m_emb[moment_rows] = m
-        opt.v_emb[moment_rows] = v
+        m = beta1 * opt.m_emb[rows] + (1.0 - beta1) * g
+        v = beta2 * opt.v_emb[rows] + (1.0 - beta2) * np.square(g)
+        opt.m_emb[rows] = m
+        opt.v_emb[rows] = v
         params.embedding[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
@@ -744,61 +696,56 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-# SMX2 header after the magic: num_buckets, hidden, num_classes, codebook
-# rows, init seed, codebook fingerprint, number of stored rows.
-_HEADER = struct.Struct("<qqqqQ8sq")
-_DENSE_HEADER = struct.Struct("<qqq")
+# SMX3 header after the magic: num_buckets, hidden, num_classes, number of
+# stored (owned) rows.
+_HEADER = struct.Struct("<qqqq")
 
 
 def _checkpoint_chunks(params: ModelParams):
-    """The bytes of an ``SMX2`` checkpoint of ``params``, in order."""
-    stored = np.flatnonzero(params.updated)
+    """The bytes of an ``SMX3`` checkpoint of ``params``, in order."""
+    owned = params.slot > 0
+    stored = np.flatnonzero(owned)
     yield _MAGIC
-    yield _HEADER.pack(
-        params.num_buckets,
-        params.hidden,
-        params.num_classes,
-        params.codebook_rows,
-        params.seed or 0,
-        params.fingerprint,
-        stored.size,
-    )
-    yield np.packbits(params.updated, bitorder="little").tobytes()
+    yield _HEADER.pack(params.num_buckets, params.hidden, params.num_classes, stored.size)
+    yield np.packbits(owned, bitorder="little").tobytes()
     rows = params.embedding[params.slot[stored]]
     for arr in (rows, params.w1, params.b1, params.w2, params.b2, [params.dropout_rate]):
         yield np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write an ``SMX2`` checkpoint: the init seed plus the updated rows.
+    """Write an ``SMX3`` checkpoint: the owned rows and the head.
 
     Layout, little-endian: the magic, the ``_HEADER`` fields, a bitmap of
-    the ``updated`` buckets (``np.packbits``, little bit order), their rows
-    in bucket order, then ``w1``, ``b1``, ``w2``, ``b2`` and the dropout
-    rate, all float64. The write is atomic (:func:`common.atomic_open`): a
-    failed write leaves no partial checkpoint and an existing one untouched.
+    the owned buckets (``np.packbits``, little bit order), their rows in
+    bucket order, then ``w1``, ``b1``, ``w2``, ``b2`` and the dropout rate,
+    all float64. The write is atomic (:func:`common.atomic_open`): a failed
+    write leaves no partial checkpoint and an existing one untouched.
     """
     with atomic_open(path, "wb") as fh:
         for chunk in _checkpoint_chunks(params):
             fh.write(chunk)
 
 
-def _read_header(fh, path: str | Path, header: struct.Struct) -> tuple:
-    """Unpack ``header``; its first three fields are the model dimensions."""
-    raw = fh.read(header.size)
-    if len(raw) != header.size:
+def _read_header(fh, path: str | Path) -> tuple[int, int, int, int]:
+    """Unpack and check ``_HEADER``: the model dimensions and the stored rows."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) != _HEADER.size:
         raise ValueError(f"{path}: truncated checkpoint header")
-    fields = header.unpack(raw)
-    num_buckets, hidden, num_classes = fields[:3]
+    num_buckets, hidden, num_classes, stored = _HEADER.unpack(raw)
     if num_buckets < 1 or hidden < 1 or num_classes < 2:
         raise ValueError(
             f"{path}: invalid checkpoint dimensions ({num_buckets}, {hidden}, {num_classes})"
         )
-    return fields
+    if not 0 <= stored <= num_buckets:
+        raise ValueError(
+            f"{path}: invalid checkpoint layout: {stored} stored rows for {num_buckets} buckets"
+        )
+    return num_buckets, hidden, num_classes, stored
 
 
 def _shapes(rows: int, hidden: int, num_classes: int) -> dict[str, tuple]:
-    """The float64 arrays after the header, keyed as ``ModelParams`` fields."""
+    """The float64 arrays after the bitmap, keyed as ``ModelParams`` fields."""
     return {"embedding": (rows, hidden), "w1": (hidden, hidden), "b1": (hidden,),
             "w2": (hidden, num_classes), "b2": (num_classes,), "dropout_rate": (1,)}
 
@@ -829,78 +776,33 @@ def _read_arrays(fh, path: str | Path, shapes: dict[str, tuple]) -> dict:
     return arrays
 
 
-def _load_dense(fh, path: str | Path) -> ModelParams:
-    """An ``SMX1`` checkpoint: the whole table, which is its own codebook."""
-    num_buckets, hidden, num_classes = _read_header(fh, path, _DENSE_HEADER)
-    shapes = _shapes(num_buckets, hidden, num_classes)
-    _check_file_size(fh, path, shapes, 4 + _DENSE_HEADER.size)
-    return ModelParams(
-        **_read_arrays(fh, path, shapes),
-        slot=_slots(num_buckets, num_buckets),
-        updated=np.ones(num_buckets, dtype=bool),
-        codebook_rows=num_buckets,
-        seed=None,
-        fingerprint=bytes(8),
-    )
-
-
-def _load_sparse(fh, path: str | Path) -> ModelParams:
-    """An ``SMX2`` checkpoint: the codebook is redrawn from the init seed."""
-    header = _read_header(fh, path, _HEADER)
-    num_buckets, hidden, num_classes, codebook_rows, seed, fingerprint, stored = header
-    if not (1 <= codebook_rows <= num_buckets and 0 <= stored <= num_buckets):
-        raise ValueError(
-            f"{path}: invalid checkpoint layout: {codebook_rows} codebook rows and "
-            f"{stored} stored rows for {num_buckets} buckets"
-        )
-    bitmap_size = (num_buckets + 7) // 8
-    shapes = _shapes(stored, hidden, num_classes)
-    _check_file_size(fh, path, shapes, 4 + _HEADER.size + bitmap_size)
-    bitmap = np.frombuffer(fh.read(bitmap_size), dtype=np.uint8)
-    updated = np.unpackbits(bitmap, count=num_buckets, bitorder="little").astype(bool)
-    buckets = np.flatnonzero(updated)
-    if buckets.size != stored:
-        raise ValueError(
-            f"{path}: the bucket bitmap marks {buckets.size} buckets "
-            f"but the checkpoint stores {stored} rows"
-        )
-    arrays = _read_arrays(fh, path, shapes)
-    if stored == num_buckets:  # every row is stored: no codebook to redraw
-        codebook_rows = num_buckets
-    slot = _slots(num_buckets, codebook_rows)
-    if stored < num_buckets:
-        rows = arrays["embedding"]
-        shared = codebook_rows < num_buckets
-        table = np.empty((codebook_rows + (stored if shared else 0), hidden))
-        _draw_codebook(np.random.default_rng(seed), table[:codebook_rows])
-        if _fingerprint(table[:codebook_rows]) != fingerprint:
-            raise ValueError(
-                f"{path}: the codebook NumPy draws from seed {seed} does not match "
-                "the checkpoint's fingerprint; its random stream differs from the "
-                "one that wrote the file"
-            )
-        if shared:
-            table[codebook_rows:] = rows
-            slot[buckets] = np.arange(codebook_rows, codebook_rows + stored, dtype=np.int32)
-        else:
-            table[buckets] = rows
-        arrays["embedding"] = table
-    return ModelParams(
-        **arrays,
-        slot=slot,
-        updated=updated,
-        codebook_rows=codebook_rows,
-        seed=seed,
-        fingerprint=fingerprint,
-    )
-
-
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read an ``SMX2`` checkpoint, or a dense ``SMX1`` one of earlier versions."""
+    """Read an ``SMX3`` checkpoint; ``slot`` is rebuilt from its bucket bitmap.
+
+    ``SMX1`` and ``SMX2`` files, written by earlier versions, are refused
+    with an error that names their format.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        if magic == _MAGIC:
-            return _load_sparse(fh, path)
-        if magic == _MAGIC_DENSE:
-            return _load_dense(fh, path)
-    raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+        if magic in _OLD_MAGICS:
+            raise ValueError(
+                f"{path}: {magic.decode()} checkpoints no longer load; this version "
+                f"reads {_MAGIC.decode()} only, so retrain the model to write one"
+            )
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+        num_buckets, hidden, num_classes, stored = _read_header(fh, path)
+        bitmap_size = (num_buckets + 7) // 8
+        shapes = _shapes(stored, hidden, num_classes)
+        _check_file_size(fh, path, shapes, len(_MAGIC) + _HEADER.size + bitmap_size)
+        bitmap = np.frombuffer(fh.read(bitmap_size), dtype=np.uint8)
+        owned = np.flatnonzero(np.unpackbits(bitmap, count=num_buckets, bitorder="little"))
+        if owned.size != stored:
+            raise ValueError(
+                f"{path}: the bucket bitmap marks {owned.size} buckets "
+                f"but the checkpoint stores {stored} rows"
+            )
+        arrays = _read_arrays(fh, path, shapes)
+    table = np.zeros((1 + stored, hidden))
+    table[1:] = arrays.pop("embedding")
+    return ModelParams(embedding=table, **arrays, slot=_slot_of(num_buckets, owned))

@@ -29,7 +29,13 @@ import numpy as np
 from .common import atomic_open, round_half_up, subseed
 from .core import eval_logits, warmup
 from .data import Dataset, Example, stratified_subsample
-from .encoder import featurize_corpus, init_optimizer, init_params, log_softmax
+from .encoder import (
+    corpus_buckets,
+    featurize_corpus,
+    init_optimizer,
+    init_params,
+    log_softmax,
+)
 from .encoder import featurize_text  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .encoder import predict_proba  # noqa: F401  (perfbench/spans.py wraps this binding)
 
@@ -184,10 +190,11 @@ def inject_instance_dependent(
     """Flip the round(ratio * N) lowest-margin examples under an aux model.
 
     The auxiliary classifier is trained on a stratified
-    ``aux_subset_fraction`` of the clean data; each example's margin is its
-    true-class probability minus the best other-class probability. Margin
-    ties break toward lower id. Each flipped example takes the aux model's
-    strongest competing class.
+    ``aux_subset_fraction`` of the clean data and owns that subset's
+    buckets, so a bucket only the rest of the data names pools to zero in
+    it. Each example's margin is its true-class probability minus the best
+    other-class probability. Margin ties break toward lower id. Each flipped
+    example takes the aux model's strongest competing class.
     """
     _require_clean(dataset)
     if not 0.0 <= ratio < 1.0:
@@ -199,12 +206,14 @@ def inject_instance_dependent(
 
     aux_size = max(dataset.num_classes, round_half_up(aux_subset_fraction * n))
     aux_data = stratified_subsample(dataset, min(aux_size, n), subseed(seed, "subsample"))
+    aux_features = featurize_corpus([ex.text for ex in aux_data], AUX_NUM_BUCKETS)
     params = init_params(
         AUX_NUM_BUCKETS,
         AUX_HIDDEN,
         dataset.num_classes,
         dropout_rate=0.0,
         seed=subseed(seed, "aux-init"),
+        buckets=corpus_buckets(aux_features, AUX_NUM_BUCKETS),
     )
     opt = init_optimizer(params, learning_rate=AUX_LEARNING_RATE)
     warmup(

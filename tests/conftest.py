@@ -17,9 +17,7 @@ from selfmix.encoder import (
     FeatureVector,
     Gradients,
     ModelParams,
-    adam_step,
     backward,
-    init_optimizer,
     init_params,
 )
 
@@ -43,14 +41,20 @@ def small_params(
     max_classes: int = 4,
     dropout_rate: float | None = None,
 ) -> ModelParams:
-    """A random small model, sized per the gradient-check contract."""
+    """A random small model, sized per the gradient-check contract, that
+    owns a row for every bucket."""
     num_buckets = int(rng.integers(4, max_buckets + 1))
     hidden = int(rng.integers(2, max_hidden + 1))
     num_classes = int(rng.integers(2, max_classes + 1))
     if dropout_rate is None:
         dropout_rate = float(rng.choice([0.0, 0.2, 0.5]))
     params = init_params(
-        num_buckets, hidden, num_classes, dropout_rate, seed=int(rng.integers(2**31))
+        num_buckets,
+        hidden,
+        num_classes,
+        dropout_rate,
+        seed=int(rng.integers(2**31)),
+        buckets=range(num_buckets),
     )
     # Noise the zero-initialized biases: exact logit ties and exact relu
     # zeros are kinks where a finite difference straddles two branches.
@@ -110,20 +114,11 @@ def random_distribution(rng: np.random.Generator, num_classes: int) -> np.ndarra
     return p / p.sum()
 
 
-def own_some_rows(rng: np.random.Generator, params: ModelParams, steps: int = 3) -> None:
-    """A few Adam steps on random items, so that in a model with more buckets
-    than codebook rows some buckets own rows and the rest share them."""
-    opt = init_optimizer(params, learning_rate=0.05)
-    for _ in range(steps):
-        target = random_distribution(rng, params.num_classes)
-        item = BatchItem(random_features(rng, params.num_buckets), "ce", target)
-        adam_step(params, backward(params, [item])[1], opt)
-
-
 def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Every learnable array; the embedding as a view of the rows buckets read."""
+    """Every learnable array; the embedding as a view of the owned rows
+    (row 0, the zero row unowned buckets read, is not a parameter)."""
     return [
-        ("embedding", params.embedding[: int(params.slot.max()) + 1]),
+        ("embedding", params.embedding[1:]),
         ("w1", params.w1),
         ("b1", params.b1),
         ("w2", params.w2),
@@ -134,12 +129,12 @@ def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 def grad_lookup(grads: Gradients, params: ModelParams, name: str, flat_index: int) -> float:
     """Read one analytic gradient coordinate.
 
-    An embedding row's gradient is the sum over the buckets that read it
-    (one bucket unless the row is a shared codebook row); 0 if none has one.
+    Row ``r`` of the embedding view is table row ``r + 1``; its gradient is
+    that of the bucket owning it, 0 if that bucket has none.
     """
     if name == "embedding":
         row, col = divmod(flat_index, params.hidden)
-        hit = np.flatnonzero(params.slot[grads.emb_rows] == row)
+        hit = np.flatnonzero(params.slot[grads.emb_rows] == row + 1)
         return float(grads.emb_vals[hit, col].sum())
     return float(getattr(grads, name).reshape(-1)[flat_index])
 

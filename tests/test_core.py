@@ -27,6 +27,7 @@ from selfmix.encoder import (
     BatchItem,
     FeatureVector,
     backward,
+    corpus_buckets,
     encode,
     featurize_corpus,
     featurize_text,
@@ -40,6 +41,12 @@ from selfmix.noise import inject_uniform
 from selfmix.synthetic import make_corpus
 
 TINY_MODEL = ModelConfig(num_buckets=1024, hidden=8, learning_rate=1e-2)
+
+
+def buckets_of(dataset: Dataset, num_buckets: int) -> np.ndarray:
+    """The buckets a model trained on ``dataset`` must own."""
+    features = featurize_corpus([ex.text for ex in dataset], num_buckets)
+    return corpus_buckets(features, num_buckets)
 
 
 def bimodal_losses(rng: np.random.Generator, n_low: int, n_high: int):
@@ -264,7 +271,9 @@ def test_embmix_coefficients_and_dominance():
         m = int(rng.integers(1, 8))
         num_classes = int(rng.integers(2, 6))
         hidden = int(rng.integers(2, 10))
-        params = init_params(32, hidden, num_classes, 0.0, seed=int(rng.integers(2**31)))
+        params = init_params(
+            32, hidden, num_classes, 0.0, seed=int(rng.integers(2**31)), buckets=range(32)
+        )
         bags_a = [random_features(rng, 32) for _ in range(m)]
         bags_b = [random_features(rng, 32) for _ in range(m)]
         labels_a = rng.integers(0, num_classes, size=m)
@@ -289,7 +298,7 @@ def test_embmix_coefficients_and_dominance():
 
 
 def test_mixed_bag_pools_to_the_mixed_embedding():
-    params = init_params(64, 8, 2, 0.0, seed=3)
+    params = init_params(64, 8, 2, 0.0, seed=3, buckets=range(64))
     a = featurize_text("red apple pie red", 64)
     b = featurize_text("apple tart blue sky", 64)
     targets = np.eye(2)
@@ -311,14 +320,15 @@ def test_mixup_loss_trains_the_embedding_table():
     initial = init_params(
         TINY_MODEL.num_buckets, TINY_MODEL.hidden, corrupted.num_classes,
         TINY_MODEL.dropout_rate, subseed(cfg.seed, "init"),
+        buckets=buckets_of(corrupted, TINY_MODEL.num_buckets),
     )
     assert not np.array_equal(report.final_params.embedding, initial.embedding)
 
 
 def test_embmix_boundary_coefficients():
     # bucket 0 pools to [1, 0] and bucket 1 to [0, 1]
-    params = init_params(2, 2, 2, 0.0, seed=0)
-    params.embedding[:2] = np.eye(2)
+    params = init_params(2, 2, 2, 0.0, seed=0, buckets=[0, 1])
+    params.embedding[params.slot] = np.eye(2)
     bag_a = [FeatureVector(np.array([0]), np.array([1.0]))]
     bag_b = [FeatureVector(np.array([1]), np.array([1.0]))]
     ta = np.array([[1.0, 0.0]])
@@ -456,7 +466,7 @@ def test_class_regularize_moments_property():
 
 def test_per_sample_losses_match_manual():
     train, _ = make_corpus(12, 4, 2, seed=6)
-    params = init_params(256, 4, 2, 0.0, seed=1)
+    params = init_params(256, 4, 2, 0.0, seed=1, buckets=range(256))
     losses = per_sample_losses(params, train)
     assert losses.shape == (12,)
     for i, ex in enumerate(train):
@@ -474,12 +484,24 @@ def test_batched_losses_match_the_per_document_path():
     labels = [ex.observed_label for ex in train] + [0, 2]
     data = Dataset(tuple(Example(i, t, y) for i, (t, y) in enumerate(zip(texts, labels))), 3)
     assert len(data) % core._EVAL_CHUNK
-    params = init_params(2**17, 16, 3, 0.3, seed=4)
+    params = init_params(2**17, 16, 3, 0.3, seed=4, buckets=buckets_of(data, 2**17))
     warmup(params, init_optimizer(params, learning_rate=1e-2), data, epochs=1, seed=4)
     batched = per_sample_losses(params, data, featurize_corpus(texts, params.num_buckets))
     single = per_sample_losses(params, data)
     np.testing.assert_allclose(batched, single, rtol=1e-12)
     assert np.all(batched > 0.0)
+
+
+def test_per_document_losses_raise_for_a_diverged_model():
+    """Without features, each document is scored on its own; an overflowing
+    forward pass raises as the batched path does, instead of giving NaN."""
+    train, _ = make_corpus(10, 4, 2, seed=6)
+    params = init_params(256, 4, 2, 0.0, seed=1, buckets=buckets_of(train, 256))
+    params.w1[:] = 1e200
+    params.w2[:] = 1e200
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=r"^non-finite logits for document \d+ of 10$"):
+            per_sample_losses(params, train)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +511,7 @@ def test_batched_losses_match_the_per_document_path():
 
 def test_warmup_reduces_training_loss():
     train, _ = make_corpus(800, 200, 4, seed=0)
-    params = init_params(2**16, 48, 4, 0.3, seed=5)
+    params = init_params(2**16, 48, 4, 0.3, seed=5, buckets=buckets_of(train, 2**16))
     features = [featurize_text(ex.text, params.num_buckets) for ex in train]
     before = per_sample_losses(params, train, features).mean()
     opt = init_optimizer(params, learning_rate=1e-3)
@@ -521,6 +543,7 @@ def test_warmup_matches_the_plain_arm_bit_for_bit():
         corrupted.num_classes,
         TINY_MODEL.dropout_rate,
         subseed(cfg.seed, "init"),
+        buckets=buckets_of(corrupted, TINY_MODEL.num_buckets),
     )
     opt = init_optimizer(params, learning_rate=TINY_MODEL.learning_rate)
     warmup(params, opt, corrupted, epochs=2, batch_size=16, seed=cfg.seed)
@@ -530,7 +553,7 @@ def test_warmup_matches_the_plain_arm_bit_for_bit():
 
 def test_warmup_sample_budget_counts_examples():
     train, _ = make_corpus(10, 4, 2, seed=1)
-    params = init_params(64, 4, 2, 0.0, seed=0)
+    params = init_params(64, 4, 2, 0.0, seed=0, buckets=buckets_of(train, 64))
     opt = init_optimizer(params)
     warmup(params, opt, train, samples=7, batch_size=4, seed=0)
     assert opt.step == 2  # 7 examples in batches of 4 -> 2 optimizer steps
@@ -545,6 +568,17 @@ def small_noisy_problem(seed=0):
     train, test = make_corpus(60, 20, 2, seed=seed)
     corrupted, _ = inject_uniform(train, 0.2, seed=seed + 1)
     return corrupted, test
+
+
+def test_each_arm_owns_its_training_buckets_and_never_trains_row_0():
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=3, warmup_epochs=1, batch_size=16, seed=5)
+    owned = buckets_of(corrupted, TINY_MODEL.num_buckets)
+    for train in (train_baseline, train_selfmix):
+        params = train(corrupted, test, TINY_MODEL, cfg).final_params
+        assert np.array_equal(np.flatnonzero(params.slot), owned)
+        assert params.embedding.shape == (1 + owned.size, TINY_MODEL.hidden)
+        assert not params.embedding[0].any()
 
 
 def test_arms_coincide_while_warming_up():

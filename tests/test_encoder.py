@@ -28,6 +28,7 @@ from selfmix.encoder import (
     ModelParams,
     adam_step,
     backward,
+    corpus_buckets,
     encode,
     featurize_corpus,
     featurize_text,
@@ -40,7 +41,6 @@ from selfmix.encoder import (
     predict_logits,
     predict_proba,
     rdrop_from_probs,
-    reserve_rows,
     save_checkpoint,
     softmax,
     tokenize,
@@ -248,15 +248,15 @@ def test_encode_empty_is_zero_vector():
 
 
 def test_encode_single_feature_is_that_row():
-    params = init_params(8, 4, 2, 0.0, seed=0)
+    params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
     fv = FeatureVector(np.array([3], dtype=np.int64), np.array([1.0]))
-    assert np.allclose(encode(params, fv), params.embedding[3])
+    assert np.allclose(encode(params, fv), params.embedding[params.slot[3]])
 
 
 def test_encode_two_features_mean():
-    params = init_params(8, 4, 2, 0.0, seed=0)
+    params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
     fv = FeatureVector(np.array([1, 5], dtype=np.int64), np.array([0.5, 0.5]))
-    expected = (params.embedding[1] + params.embedding[5]) / 2.0
+    expected = (params.embedding[params.slot[1]] + params.embedding[params.slot[5]]) / 2.0
     assert np.allclose(encode(params, fv), expected)
 
 
@@ -349,7 +349,7 @@ def test_softmax_shift_invariance_property():
 
 
 def test_backward_stationary_when_target_equals_prediction():
-    params = init_params(8, 4, 3, 0.0, seed=3)
+    params = init_params(8, 4, 3, 0.0, seed=3, buckets=range(8))
     fv = FeatureVector(np.array([1, 4, 6]), np.array([0.5, 0.2, 0.3]))
     target = softmax(head_forward(params, encode(params, fv)))
     _, grads, _ = backward(params, [BatchItem(fv, "ce", target)])
@@ -656,7 +656,7 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_first_step_matches_hand_formula():
     """First update with constant gradient g: delta = -lr * g / (|g| + eps)."""
-    params = init_params(4, 3, 2, 0.0, seed=5)
+    params = init_params(4, 3, 2, 0.0, seed=5, buckets=range(4))
     before = copy.deepcopy(params)
     lr, eps = 1e-2, 1e-8
     opt = init_optimizer(params, learning_rate=lr, epsilon=eps)
@@ -677,18 +677,17 @@ def test_adam_first_step_matches_hand_formula():
     for name, g in (("w1", grads.w1), ("b1", grads.b1), ("w2", grads.w2), ("b2", grads.b2)):
         expected = getattr(before, name) - lr * g / (np.abs(g) + eps)
         assert np.allclose(getattr(params, name), expected, atol=1e-12)
-    expected_rows = before.embedding[g_emb_rows] - lr * g_emb_vals / (
-        np.abs(g_emb_vals) + eps
-    )
-    assert np.allclose(params.embedding[g_emb_rows], expected_rows, atol=1e-12)
-    untouched = np.array([0, 2], dtype=np.int64)
+    rows = params.slot[g_emb_rows]
+    expected_rows = before.embedding[rows] - lr * g_emb_vals / (np.abs(g_emb_vals) + eps)
+    assert np.allclose(params.embedding[rows], expected_rows, atol=1e-12)
+    untouched = params.slot[np.array([0, 2], dtype=np.int64)]
     assert np.array_equal(params.embedding[untouched], before.embedding[untouched])
 
 
 def test_adam_determinism():
     runs = []
     for _ in range(2):
-        params = init_params(8, 4, 2, 0.3, seed=6)
+        params = init_params(8, 4, 2, 0.3, seed=6, buckets=range(8))
         opt = init_optimizer(params, learning_rate=0.05)
         step_rng = np.random.default_rng(77)
         for _ in range(5):
@@ -712,10 +711,25 @@ def test_adam_shape_mismatch_raises():
         adam_step(params, grads, opt)
 
 
+def test_adam_refuses_a_gradient_for_a_bucket_without_a_row():
+    """Bucket 9 reads the shared zero row; training it would move every
+    unowned bucket, so the step is refused before anything changes."""
+    params = init_params(16, 4, 2, 0.0, seed=0, buckets=[2, 5])
+    opt = init_optimizer(params, learning_rate=0.1)
+    before = copy.deepcopy(params)
+    fv = FeatureVector(np.array([2, 9]), np.array([0.5, 0.5]))
+    grads = backward(params, [BatchItem(fv, "ce", np.array([1.0, 0.0]))])[1]
+    with pytest.raises(ValueError, match="bucket 9, which owns no embedding row"):
+        adam_step(params, grads, opt)
+    assert opt.step == 0
+    for name in ("embedding", "w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(params, name), getattr(before, name))
+
+
 def test_lazy_embedding_moments_use_global_step_bias_correction():
     """A row updated for the first time at step t is bias-corrected with t,
     matching a dense reference that saw zero gradients for that row."""
-    params = init_params(4, 2, 2, 0.0, seed=1)
+    params = init_params(4, 2, 2, 0.0, seed=1, buckets=range(4))
     reference = copy.deepcopy(params)
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     opt = init_optimizer(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
@@ -741,10 +755,11 @@ def test_lazy_embedding_moments_use_global_step_bias_correction():
     m = (1 - b1) * g_row3  # beta1 * 0 + ...
     v = (1 - b2) * np.square(g_row3)
     t = 2
-    expected = reference.embedding[3] - lr * (m / (1 - b1**t)) / (
+    row = params.slot[3]
+    expected = reference.embedding[row] - lr * (m / (1 - b1**t)) / (
         np.sqrt(v / (1 - b2**t)) + eps
     )
-    assert np.allclose(params.embedding[3], expected, atol=1e-15)
+    assert np.allclose(params.embedding[row], expected, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -753,11 +768,11 @@ def test_lazy_embedding_moments_use_global_step_bias_correction():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = init_params(16, 6, 3, 0.25, seed=42)
+    params = init_params(16, 6, 3, 0.25, seed=42, buckets=[1, 4, 9, 15])
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    for name in ("embedding", "w1", "b1", "w2", "b2"):
+    for name in ("embedding", "w1", "b1", "w2", "b2", "slot"):
         assert np.array_equal(getattr(loaded, name), getattr(params, name))
     assert loaded.dropout_rate == params.dropout_rate
     # byte determinism: saving again produces identical bytes
@@ -797,7 +812,7 @@ def test_checkpoint_rejects_bad_dimensions(tmp_path):
     import struct
 
     path = tmp_path / "bad.smx"
-    path.write_bytes(b"SMX1" + struct.pack("<qqq", 0, 4, 2))
+    path.write_bytes(b"SMX3" + struct.pack("<qqqq", 0, 4, 2, 0))
     with pytest.raises(ValueError, match="dimensions"):
         load_checkpoint(path)
 
@@ -809,14 +824,14 @@ def test_checkpoint_header_is_checked_against_the_file_size(tmp_path, dims):
     import struct
 
     path = tmp_path / "huge.smx"
-    path.write_bytes(b"SMX1" + struct.pack("<qqq", *dims) + bytes(64))
     b, h, c = dims
-    implied = 28 + 8 * (b * h + h * h + h + h * c + c + 1)
+    path.write_bytes(b"SMX3" + struct.pack("<qqqq", b, h, c, b) + bytes(64))
+    implied = 36 + (b + 7) // 8 + 8 * (b * h + h * h + h + h * c + c + 1)
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert str(err.value) == (
         f"{path}: truncated checkpoint: its header implies {implied} bytes, "
-        f"the file has 92"
+        f"the file has 100"
     )
 
 
@@ -850,7 +865,7 @@ def test_model_params_shape_properties():
 
 
 def test_sparse_init_allocates_no_dense_table():
-    """2^18 buckets x 64: a 2^16-row codebook, no (2^18, 64) table or moments."""
+    """2^18 buckets x 64 and no owned bucket: no (2^18, 64) table or moments."""
     tracemalloc.start()
     try:
         params = init_params(2**18, 64, 4, 0.1, seed=0)
@@ -861,55 +876,60 @@ def test_sparse_init_allocates_no_dense_table():
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize("num_buckets", [100, 2**16])
-def test_init_up_to_the_codebook_size_is_a_dense_draw(num_buckets):
-    params = init_params(num_buckets, 8, 3, 0.0, seed=9)
-    rng = np.random.default_rng(9)
-    assert np.array_equal(params.embedding, rng.normal(0.0, 0.1, size=(num_buckets, 8)))
-    assert np.array_equal(params.w1, rng.normal(0.0, np.sqrt(2.0 / 8), size=(8, 8)))
-    assert np.array_equal(params.w2, rng.normal(0.0, np.sqrt(2.0 / 8), size=(8, 3)))
-    assert np.array_equal(params.slot, np.arange(num_buckets))
+def test_init_peak_memory_stays_near_the_table():
+    """Initial rows are built in chunks: a 15,509-row init peaks within
+    twice the bytes of the table it returns."""
+    buckets = np.random.default_rng(3).choice(16384, 15509, replace=False)
+    tracemalloc.start()
+    try:
+        params = init_params(16384, 64, 8, 0.3, seed=2, buckets=buckets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params.embedding.shape == (15510, 64)
+    assert peak <= 2 * params.embedding.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_bucket_init_is_its_codebook_row():
-    params = init_params(2**18, 4, 2, 0.0, seed=3)
-    codebook = np.random.default_rng(3).normal(0.0, 0.1, size=(2**16, 4))
-    assert params.embedding.shape == (2**16, 4)
-    for bucket in (0, 5, 2**16 + 5, 2**18 - 1):
-        fv = FeatureVector(np.array([bucket], dtype=np.int64), np.array([1.0]))
-        assert np.array_equal(encode(params, fv), codebook[bucket % 2**16])
+def test_unowned_buckets_pool_to_zero():
+    params = init_params(64, 4, 2, 0.0, seed=1, buckets=[10, 3, 10])
+    assert np.array_equal(np.flatnonzero(params.slot), [3, 10])
+    assert np.array_equal(params.slot[[3, 10]], [1, 2])
+    assert params.embedding.shape == (3, 4) and not params.embedding[0].any()
+    unowned = FeatureVector(np.array([0, 11, 63]), np.full(3, 1.0 / 3.0))
+    assert np.array_equal(encode(params, unowned), np.zeros(4))
+    mixed = FeatureVector(np.array([3, 11]), np.array([0.25, 0.75]))
+    np.testing.assert_allclose(encode(params, mixed), 0.25 * params.embedding[1], rtol=1e-15)
 
 
-def test_shared_codebook_trains_like_a_dense_table(monkeypatch):
-    """A bucket owns a copy of its codebook row from its first update on, so
-    training matches a dense table filled from the codebook bit for bit."""
-    monkeypatch.setattr(encoder, "_CODEBOOK_ROWS", 4)
-    shared = init_params(40, 3, 2, 0.3, seed=7)
-    dense = copy.deepcopy(shared)
-    dense.embedding = shared.embedding[shared.slot].copy()
-    dense.slot = np.arange(40, dtype=np.int32)
-    dense.codebook_rows = 40
-    opts = [init_optimizer(p, learning_rate=0.05) for p in (shared, dense)]
-    rng = np.random.default_rng(8)
-    for _ in range(6):
-        items = [
-            BatchItem(random_features(rng, 40), "ce", random_distribution(rng, 2), key=k)
-            for k in range(3)
-        ]
-        for params, opt in zip((shared, dense), opts):
-            adam_step(params, backward(params, items, mask_seed=4)[1], opt)
-    assert np.array_equal(shared.embedding[shared.slot], dense.embedding)
+def test_bucket_init_is_a_pure_function_of_seed_and_bucket():
+    """A bucket's initial row does not depend on the other buckets the model
+    owns, on the init's chunking, or on the table width beyond its units;
+    the head depends on the seed alone."""
+    alone = init_params(2**18, 8, 2, 0.0, seed=5, buckets=[77_777])
+    crowd = np.append(np.arange(0, 2**18, 97), 77_777)  # 2,703 buckets: three chunks
+    many = init_params(2**18, 8, 2, 0.0, seed=5, buckets=crowd)
+    row = alone.embedding[alone.slot[77_777]]
+    assert np.array_equal(many.embedding[many.slot[77_777]], row)
     for name in ("w1", "b1", "w2", "b2"):
-        assert np.array_equal(getattr(shared, name), getattr(dense, name))
-    owned = shared.slot >= 4
-    assert np.array_equal(owned, shared.updated) and 0 < owned.sum() < 40
-    assert np.array_equal(np.sort(shared.slot[owned]), 4 + np.arange(owned.sum()))
+        assert np.array_equal(getattr(many, name), getattr(alone, name))
+    narrow = init_params(2**18, 4, 2, 0.0, seed=5, buckets=[77_777])
+    assert np.array_equal(narrow.embedding[narrow.slot[77_777]], row[:4])
+    other_seed = init_params(2**18, 8, 2, 0.0, seed=6, buckets=[77_777])
+    assert not np.array_equal(other_seed.embedding[1], row)
+    values = many.embedding[1:]
+    assert abs(values.mean()) < 0.005 and abs(values.std() - 0.1) < 0.005
 
 
-def test_reserved_rows_train_without_growing_the_tables(monkeypatch):
-    """After reserve_rows, training on those features allocates no new row
-    table or moments, and matches training that grows them bit for bit."""
-    monkeypatch.setattr(encoder, "_CODEBOOK_ROWS", 4)
+def test_init_params_refuses_buckets_out_of_range():
+    for bad in ([-1], [3, 16]):
+        with pytest.raises(ValueError, match="owned buckets"):
+            init_params(16, 4, 2, 0.0, seed=0, buckets=bad)
+
+
+def test_training_keeps_the_row_table_and_moments():
+    """A model that owns its corpus's buckets trains on it in place: no new
+    row table or moments, owned rows move (a row whose gradient is exactly
+    zero, behind dead units, may not), and row 0 and its moments stay zero."""
     rng = np.random.default_rng(5)
     batches = [
         [
@@ -919,29 +939,31 @@ def test_reserved_rows_train_without_growing_the_tables(monkeypatch):
         for _ in range(6)
     ]
     features = [item.input for batch in batches for item in batch]
-    grown, reserved = (init_params(3000, 3, 2, 0.3, seed=7) for _ in range(2))
-    opts = [init_optimizer(p, learning_rate=0.05) for p in (grown, reserved)]
-    reserve_rows(reserved, opts[1], features)
-    tables = (reserved.embedding, opts[1].m_emb, opts[1].v_emb)
-    assert len(tables[1]) >= np.unique(np.concatenate([f.indices for f in features])).size
+    params = init_params(3000, 3, 2, 0.3, seed=7, buckets=corpus_buckets(features, 3000))
+    opt = init_optimizer(params, learning_rate=0.05)
+    tables = (params.embedding, opt.m_emb, opt.v_emb)
+    initial = params.embedding.copy()
     for batch in batches:
-        for params, opt in zip((grown, reserved), opts):
-            adam_step(params, backward(params, batch, mask_seed=4)[1], opt)
-    assert all(a is b for a, b in zip(tables, (reserved.embedding, opts[1].m_emb, opts[1].v_emb)))
-    assert np.array_equal(grown.slot, reserved.slot)
-    assert np.array_equal(grown.embedding[grown.slot], reserved.embedding[reserved.slot])
-    reserve_rows(reserved, opts[1], features)  # every bucket already owns its row
-    assert reserved.embedding is tables[0]
+        adam_step(params, backward(params, batch, mask_seed=4)[1], opt)
+    assert all(a is b for a, b in zip(tables, (params.embedding, opt.m_emb, opt.v_emb)))
+    assert opt.m_emb.shape == params.embedding.shape
+    assert (params.embedding != initial)[1:].any(axis=1).mean() > 0.5
+    for table in tables:
+        assert not table[0].any()
 
 
 def _trained_sparse_model(rng):
-    params = init_params(2**18, 8, 3, 0.2, seed=11)
-    opt = init_optimizer(params, learning_rate=0.05)
-    for _ in range(4):
-        items = [
+    batches = [
+        [
             BatchItem(random_features(rng, 2**18), "ce", random_distribution(rng, 3), key=k)
             for k in range(8)
         ]
+        for _ in range(4)
+    ]
+    features = [item.input for items in batches for item in items]
+    params = init_params(2**18, 8, 3, 0.2, seed=11, buckets=corpus_buckets(features, 2**18))
+    opt = init_optimizer(params, learning_rate=0.05)
+    for items in batches:
         adam_step(params, backward(params, items, mask_seed=2)[1], opt)
     return params
 
@@ -949,7 +971,7 @@ def _trained_sparse_model(rng):
 def test_sparse_checkpoint_reproduces_logits(tmp_path):
     rng = np.random.default_rng(12)
     params = _trained_sparse_model(rng)
-    trained = np.flatnonzero(params.updated)
+    trained = np.flatnonzero(params.slot)
     assert 0 < trained.size < 200
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
@@ -958,52 +980,45 @@ def test_sparse_checkpoint_reproduces_logits(tmp_path):
     docs.append(FeatureVector(trained[:5], np.full(5, 0.2)))
     docs.append(FeatureVector(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
-    dense_size = 28 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
+    dense_size = 36 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
     assert path.stat().st_size < dense_size / 10
 
 
-def test_checkpoint_refuses_a_codebook_fingerprint_mismatch(tmp_path):
-    path = tmp_path / "model.smx"
-    save_checkpoint(init_params(16, 4, 2, 0.0, seed=1), path)
-    blob = bytearray(path.read_bytes())
-    blob[44:52] = bytes(8)  # the fingerprint field of the header
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="fingerprint") as err:
-        load_checkpoint(path)
-    assert str(path) in str(err.value)
-
-
 def test_checkpoint_refuses_a_bitmap_that_disagrees_with_the_row_count(tmp_path):
-    params = init_params(16, 4, 2, 0.0, seed=1)
-    params.updated[3] = True
+    params = init_params(16, 4, 2, 0.0, seed=1, buckets=[3])
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
     blob = bytearray(path.read_bytes())
-    blob[60] |= 0b1  # mark bucket 0 as well; the file still stores one row
+    blob[36] |= 0b1  # mark bucket 0 as well; the file still stores one row
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="bitmap") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 
 
-def test_dense_smx1_checkpoints_still_load(tmp_path):
-    params = init_params(16, 4, 3, 0.25, seed=2)
+def test_smx3_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
+    rng = np.random.default_rng(21)
+    params = _trained_sparse_model(rng)
+    first, second = tmp_path / "first.smx", tmp_path / "second.smx"
+    save_checkpoint(params, first)
+    loaded = load_checkpoint(first)
+    save_checkpoint(loaded, second)
+    assert first.read_bytes()[:4] == b"SMX3"
+    assert first.read_bytes() == second.read_bytes()
+    assert np.array_equal(loaded.slot, params.slot)
+    trained = np.flatnonzero(params.slot)
+    docs = [FeatureVector(trained[k : k + 3], np.full(3, 1.0 / 3.0)) for k in range(0, 30, 3)]
+    docs += [random_features(rng, 2**18) for _ in range(10)]
+    assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
+
+
+def test_smx1_and_smx2_checkpoints_are_refused_by_name(tmp_path):
     path = tmp_path / "old.smx"
-    arrays = (params.embedding, params.w1, params.b1, params.w2, params.b2, [0.25])
-    path.write_bytes(
-        b"SMX1"
-        + struct.pack("<qqq", 16, 4, 3)
-        + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
-    )
-    loaded = load_checkpoint(path)
-    for name in ("embedding", "w1", "b1", "w2", "b2", "slot"):
-        assert np.array_equal(getattr(loaded, name), getattr(params, name))
-    assert loaded.dropout_rate == 0.25
-    # written back as SMX2 with every row stored, since no seed rebuilds them
-    resaved = tmp_path / "new.smx"
-    save_checkpoint(loaded, resaved)
-    assert resaved.read_bytes()[:4] == b"SMX2"
-    assert np.array_equal(load_checkpoint(resaved).embedding, params.embedding)
+    for magic in ("SMX1", "SMX2"):
+        path.write_bytes(magic.encode() + struct.pack("<qqq", 16, 4, 3) + bytes(64))
+        with pytest.raises(ValueError, match=f"{magic} checkpoints no longer load") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and "SMX3" in str(err.value)
 
 
 def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -1013,7 +1028,7 @@ def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path, monkeypatch):
     before = path.read_bytes()
 
     def failing_chunks(params):
-        yield b"SMX2"
+        yield b"SMX3"
         raise OSError("disk full")
 
     monkeypatch.setattr(encoder, "_checkpoint_chunks", failing_chunks)

@@ -917,12 +917,24 @@ def test_cli_analyze_losses_refuses_a_checkpoint_header_larger_than_the_file(
 ):
     _, out, _ = finished_run
     model = tmp_path / "huge.smx"
-    model.write_bytes(b"SMX1" + struct.pack("<qqq", 10**9, 64, 4) + bytes(64))
+    model.write_bytes(b"SMX3" + struct.pack("<qqqq", 10**9, 64, 4, 0) + bytes(64))
     assert cli.main([
         "analyze-losses", "--model", str(model),
         "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
     ]) == 1
     assert "truncated checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_cli_analyze_losses_refuses_an_smx2_checkpoint(finished_run, tmp_path, capsys):
+    _, out, _ = finished_run
+    model = tmp_path / "old.smx"
+    model.write_bytes(b"SMX2" + struct.pack("<qqq", 1024, 8, 2) + bytes(128))
+    assert cli.main([
+        "analyze-losses", "--model", str(model),
+        "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
+    ]) == 1
+    assert "SMX2 checkpoints no longer load" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
 
 
@@ -956,7 +968,7 @@ def test_cli_analyze_losses_exits_2_when_the_forward_pass_overflows(
     finished_run, tmp_path, capsys
 ):
     _, out, _ = finished_run
-    params = init_params(1024, 8, 2, 0.0, seed=0)
+    params = init_params(1024, 8, 2, 0.0, seed=0, buckets=range(1024))
     params.w1[:] = 1e200  # finite weights whose products overflow
     params.w2[:] = 1e200
     save_checkpoint(params, tmp_path / "overflow.smx")
