@@ -89,7 +89,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_csv(corrupted, out / "corrupted.csv")
     save_manifest(manifest, out / "manifest.csv")
-    print(f"flipped {len(manifest.flipped_ids)} of {len(dataset)} labels")
+    print(f"flipped {len(manifest.flips)} of {len(dataset)} labels")
     print(f"wrote {out / 'corrupted.csv'}")
     print(f"wrote {out / 'manifest.csv'}")
 

@@ -28,8 +28,8 @@ mask over training positions (:class:`DataSplit`), as is the ground-truth
 noise it is scored against. A per-class loss standardization switch makes
 selection robust when different classes have different loss scales.
 
-Ground-truth corruption flags, when present on a dataset, are used only to
-report selection quality; they never influence training decisions.
+Ground-truth labels, when present on a dataset, are used only to report
+selection quality; they never influence training decisions.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .common import NumericError, subseed
-from .data import Dataset
+from .data import Dataset, one_hot
 from .encoder import (
     BatchItem,
     FeatureVector,
@@ -85,8 +85,8 @@ class ModelConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.num_buckets < 1:
-            raise ValueError("num_buckets must be at least 1")
+        if not 1 <= self.num_buckets < 2**31:
+            raise ValueError("num_buckets must lie in [1, 2**31)")
         if self.hidden < 1:
             raise ValueError("hidden must be at least 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -132,12 +132,14 @@ class SelfMixConfig:
             raise ValueError("batch_size must be at least 2")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie strictly between 0 and 1")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.lambda_p < 0.0 or self.lambda_r < 0.0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("temperature", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("lambda_p", "lambda_r"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be at least 1")
         if self.warmup_epochs is not None and not (
@@ -164,8 +166,6 @@ class DataSplit:
     labeled: np.ndarray  # (n,) bool
     posteriors: np.ndarray  # (n,) float64
     gmm: GMMParams | None
-    tau: float
-    epoch: int
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,7 @@ REPORT_CSV_FIELDS = ("epoch",) + tuple(f.name for f in dataclasses.fields(EpochS
 class TrainReport:
     """Outcome of a training run.
 
-    ``as_dict`` exposes the serializable summary; ``config`` echoes every
-    model/procedure knob so a report is self-describing. ``final_params``,
+    ``as_dict`` exposes the serializable summary. ``final_params``,
     ``step_acc`` (accuracy every K optimizer steps), ``warnings`` and
     ``per_epoch_losses`` (each epoch's per-sample losses after its last
     step) ride along for callers that want them but are not part of the
@@ -211,7 +210,6 @@ class TrainReport:
     best_acc: float
     last_acc: float
     per_epoch: list[EpochStats]
-    config: dict = field(default_factory=dict)
     step_acc: list[tuple[int, float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     final_params: ModelParams | None = None
@@ -293,7 +291,7 @@ def class_regularize(
     return out
 
 
-def select_split(losses: np.ndarray, tau: float, *, epoch: int = 0) -> DataSplit:
+def select_split(losses: np.ndarray, tau: float) -> DataSplit:
     """Fit the loss mixture and threshold clean posteriors at ``tau``.
 
     Fallback: when the losses hold fewer than two distinct values no
@@ -307,7 +305,7 @@ def select_split(losses: np.ndarray, tau: float, *, epoch: int = 0) -> DataSplit
     else:
         gmm = fit_gmm(losses)
         posteriors = posterior_clean(gmm, losses)
-    return DataSplit(posteriors >= tau, posteriors, gmm, float(tau), epoch)
+    return DataSplit(posteriors >= tau, posteriors, gmm)
 
 
 def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
@@ -445,14 +443,6 @@ def _warmup_schedule(
     return limits
 
 
-def _one_hots(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot rows of ``labels``; refuses a label outside [0, num_classes)."""
-    if labels.size and not 0 <= labels.min() <= labels.max() < num_classes:
-        bad = labels[(labels < 0) | (labels >= num_classes)][0]
-        raise ValueError(f"label {int(bad)} out of range for {num_classes} classes")
-    return np.eye(num_classes)[labels]
-
-
 # builds batch b's loss terms from its training positions
 _ItemBuilder = Callable[[int, np.ndarray], list[BatchItem]]
 
@@ -516,8 +506,6 @@ class _Run:
         if eval_every < 1:
             raise ValueError("eval_every must be at least 1")
         self.train = train
-        self.test = test
-        self.model = model
         self.cfg = cfg
         self.eval_every = eval_every
         # The model owns a row for each bucket of the training corpus, so the
@@ -526,7 +514,7 @@ class _Run:
         self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
         self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
         self.labels = train.observed_labels()
-        self.targets = _one_hots(self.labels, train.num_classes)
+        self.targets = one_hot(self.labels, train.num_classes)
         self.test_labels = test.observed_labels()
         self.params = init_params(
             model.num_buckets,
@@ -599,7 +587,7 @@ class _Run:
         losses = self.losses()
         if cfg.class_regularize:
             losses = class_regularize(losses, self.labels, self.train.num_classes)
-        split = select_split(losses, cfg.tau, epoch=epoch)
+        split = select_split(losses, cfg.tau)
         if split.gmm is None:
             self.warnings.append(
                 f"epoch {epoch}: selection losses hold fewer than two distinct "
@@ -663,10 +651,6 @@ class _Run:
             best_acc=max(accs),
             last_acc=accs[-1],
             per_epoch=per_epoch,
-            config={
-                "model": dataclasses.asdict(self.model),
-                "selfmix": dataclasses.asdict(self.cfg),
-            },
             step_acc=self.step_acc,
             warnings=self.warnings,
             final_params=self.params,
@@ -679,27 +663,23 @@ def warmup(
     opt: OptimizerState,
     dataset: Dataset,
     *,
-    epochs: int | None = None,
-    samples: int | None = None,
+    epochs: int,
     batch_size: int = 32,
     seed: int = 0,
 ) -> tuple[ModelParams, OptimizerState]:
-    """Plain cross-entropy training on observed labels, in place.
+    """``epochs`` full passes of plain cross-entropy on observed labels, in place.
 
-    Duration is either ``epochs`` full passes or ``samples`` examples
-    (exactly one must be given); the optimizer state supplies the step-size
-    hyperparameters. It runs the same epoch loop as the training arms, so
-    ``epochs`` passes here match ``epochs`` plain-arm epochs bit for bit.
+    The optimizer state supplies the step-size hyperparameters. It runs the
+    same epoch loop as the training arms, so ``epochs`` passes here match
+    ``epochs`` plain-arm epochs bit for bit.
     ``params`` must own every bucket of ``dataset`` (build it with
     ``init_params(..., buckets=corpus_buckets(features, num_buckets))``);
     otherwise the first step raises ``ValueError``. The instance-dependent
     noise injector trains its auxiliary model with it.
     """
-    if (epochs is None) == (samples is None):
-        raise ValueError("set exactly one of epochs and samples")
     features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)
-    items_for = _ce_items(features, _one_hots(dataset.observed_labels(), dataset.num_classes))
-    for epoch, limit in enumerate(_warmup_schedule(epochs, samples, len(dataset))):
+    items_for = _ce_items(features, one_hot(dataset.observed_labels(), dataset.num_classes))
+    for epoch in range(epochs):
         _epoch(
             params,
             items_for,
@@ -708,7 +688,6 @@ def warmup(
             batch_size=batch_size,
             seed=seed,
             epoch=epoch,
-            limit=limit,
         )
     return params, opt
 

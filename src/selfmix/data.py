@@ -1,10 +1,9 @@
 """Dataset containers, label helpers, and the CSV corpus format.
 
 Labels are stored as integer class indices; one-hot vectors are materialized
-only where a formula needs them. The oracle fields (``true_label``,
-``corrupted``) exist to evaluate noise injection and sample selection and
-must never feed a training decision: training code works from
-``strip_oracle()`` views or reads only ``text``/``observed_label``.
+only where a formula needs them. The oracle field ``true_label`` exists to
+evaluate noise injection and sample selection and must never feed a
+training decision: training reads only ``text`` and ``observed_label``.
 
 Datasets are immutable after construction and safe to share across threads.
 """
@@ -21,13 +20,12 @@ from .common import atomic_open
 
 @dataclass(frozen=True)
 class Example:
-    """One text/label pair. ``true_label``/``corrupted`` are evaluation-only."""
+    """One text/label pair. ``true_label`` is evaluation-only."""
 
     id: int
     text: str
     observed_label: int
     true_label: int | None = None
-    corrupted: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -51,36 +49,28 @@ class Dataset:
     def has_oracle(self) -> bool:
         return any(ex.true_label is not None for ex in self.examples)
 
-    def flipped_ids(self) -> frozenset[int]:
-        """Ids whose observed label differs from the hidden true label."""
-        return frozenset(ex.id for ex in self.examples if ex.corrupted)
-
     def noisy_mask(self) -> np.ndarray:
-        """One bool per position, true where the observed label was corrupted."""
-        return np.array([bool(ex.corrupted) for ex in self.examples], dtype=bool)
+        """One bool per position, true where a known true label differs
+        from the observed one."""
+        return np.array(
+            [ex.true_label is not None and ex.true_label != ex.observed_label for ex in self],
+            dtype=bool,
+        )
 
     def strip_oracle(self) -> "Dataset":
-        """The view training code is allowed to see."""
-        stripped = tuple(
-            replace(ex, true_label=None, corrupted=None) for ex in self.examples
-        )
+        """The dataset without its true labels."""
+        stripped = tuple(replace(ex, true_label=None) for ex in self.examples)
         return Dataset(stripped, self.num_classes, self.name)
 
 
-def one_hot(class_index: int, num_classes: int) -> np.ndarray:
-    if not 0 <= class_index < num_classes:
-        raise ValueError(
-            f"class index {class_index} out of range for {num_classes} classes"
-        )
-    vec = np.zeros(num_classes, dtype=np.float64)
-    vec[class_index] = 1.0
-    return vec
-
-
-def is_distribution(vec: np.ndarray, atol: float = 1e-9) -> bool:
-    """True when ``vec`` is a probability vector over classes."""
-    v = np.asarray(vec, dtype=np.float64)
-    return bool(np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= atol)
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """One-hot rows of the int array ``labels``; refuses a label outside
+    [0, num_classes)."""
+    labels = np.asarray(labels)
+    if labels.size and not 0 <= labels.min() <= labels.max() < num_classes:
+        bad = labels[(labels < 0) | (labels >= num_classes)].flat[0]
+        raise ValueError(f"label {int(bad)} out of range for {num_classes} classes")
+    return np.eye(num_classes)[labels]
 
 
 @dataclass(frozen=True)
@@ -106,9 +96,6 @@ def validate(dataset: Dataset) -> ValidationReport:
             findings.append(f"example {ex.id}: true label out of range")
         if not ex.text:
             findings.append(f"example {ex.id}: empty text")
-        if ex.true_label is not None and ex.corrupted is not None:
-            if ex.corrupted != (ex.observed_label != ex.true_label):
-                findings.append(f"example {ex.id}: mask inconsistency")
     if seen != set(range(len(dataset.examples))):
         findings.append("ids are not exactly 0..N-1")
     return ValidationReport(tuple(findings))
@@ -157,8 +144,7 @@ def load_csv(
 
     When ``num_classes`` is given, labels are checked against it while
     parsing; otherwise the class count is inferred as max label + 1. The
-    optional ``true_label`` column populates the oracle channel and the
-    ``corrupted`` flag is derived from it.
+    optional ``true_label`` column populates the oracle channel.
     """
     path = Path(path)
     examples: list[Example] = []
@@ -185,8 +171,7 @@ def load_csv(
                     raise ValueError(
                         f"{path}: line {line}: label {value} out of range"
                     )
-            corrupted = (label != true) if has_true else None
-            examples.append(Example(len(examples), row[1], label, true, corrupted))
+            examples.append(Example(len(examples), row[1], label, true))
             labels_seen.append(label)
             if has_true:
                 labels_seen.append(true)

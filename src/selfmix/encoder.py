@@ -117,12 +117,6 @@ def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndar
     return h[np.argsort(order)]
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
-    buf = np.frombuffer(data, np.uint8)
-    return int(_fnv_fold(np.full(1, _FNV_OFFSET), buf, np.zeros(1, int), np.array([buf.size]))[0])
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     """Sparse hashed-n-gram representation: sorted bucket ids + weights.

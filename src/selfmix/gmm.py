@@ -111,24 +111,17 @@ def fit_gmm(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6) -> GMMPa
     return params
 
 
-def posterior_clean(params: GMMParams, values: float | np.ndarray) -> float | np.ndarray:
-    """P(lower-mean component | value), computed in log space.
+def posterior_clean(params: GMMParams, values: np.ndarray) -> np.ndarray:
+    """P(lower-mean component | value) of each value, computed in log space.
 
-    Accepts a scalar (returns a float) or an array (returns an array of the
-    same shape). When the two component means coincide (within 1e-9) the
-    mixture carries no separation signal, so every value is treated as clean
-    (probability 1).
+    Returns an array of the shape of ``values``. When the two component
+    means coincide (within 1e-9) the mixture carries no separation signal,
+    so every value is treated as clean (probability 1).
     """
-    arr = np.asarray(values, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
+    values = np.asarray(values, dtype=np.float64)
     if abs(float(params.means[1] - params.means[0])) <= _MEAN_TIE:
-        out = np.ones(flat.shape)
-    else:
-        joint = _component_log_joint(params, flat)
-        log_norm = np.logaddexp(joint[:, 0], joint[:, 1])
-        low = int(np.argmin(params.means))
-        out = np.exp(joint[:, low] - log_norm)
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return np.ones(values.shape)
+    joint = _component_log_joint(params, values.ravel())
+    log_norm = np.logaddexp(joint[:, 0], joint[:, 1])
+    low = int(np.argmin(params.means))
+    return np.exp(joint[:, low] - log_norm).reshape(values.shape)

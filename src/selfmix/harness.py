@@ -29,6 +29,7 @@ echoes ``selfmix.warmup_epochs = 2``.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,7 +125,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
+        """Parse a config; every error names its source, and its line and key
+        where one line of the file is to blame."""
         sections: dict[str | None, dict[str, object]] = {None: {}, "model": {}, "selfmix": {}}
+        lines: dict[str, int] = {}  # key -> the line that set it
         for lineno, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
@@ -142,6 +146,7 @@ class ExperimentConfig:
                 sections[section][name] = parse(raw_value.strip())
             except ValueError as exc:
                 raise ValueError(f"{source}: line {lineno}: {key}: {exc}") from None
+            lines[key] = lineno
         if sections["selfmix"].get("warmup_samples") is not None:
             sections["selfmix"].setdefault("warmup_epochs", None)
         try:
@@ -151,7 +156,7 @@ class ExperimentConfig:
                 **sections[None],
             )
         except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+            raise ValueError(f"{source}: {_blame(str(exc), lines)}{exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -207,6 +212,27 @@ _CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "run.eval_every": (None, "eval_every", int),
     "run.histogram_bins": (None, "histogram_bins", int),
 }
+
+
+def _blame(message: str, lines: dict[str, int]) -> str:
+    """``line <n>: <key>: `` for the last line that set a setting ``message``
+    names, or ``""`` when it names none the file sets.
+
+    Each range check's message names the settings it reads: by field name
+    on the model and SelfMix configs, by key on the harness's own fields.
+    """
+    named = [
+        (lineno, key)
+        for key, lineno in lines.items()
+        if any(
+            re.search(rf"\b{re.escape(word)}\b", message)
+            for word in (key, _CONFIG_KEYS[key][1])
+        )
+    ]
+    if not named:
+        return ""
+    lineno, key = max(named)
+    return f"line {lineno}: {key}: "
 
 
 def _format_value(value: object) -> str:
@@ -386,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 "type": manifest.noise_type,
                 "ratio": manifest.ratio,
                 "seed": manifest.seed,
-                "num_flipped": len(manifest.flipped_ids),
+                "num_flipped": len(manifest.flips),
             }
         else:
             corrupted = train
@@ -394,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                 "type": "none",
                 "ratio": 0.0,
                 "seed": None,
-                "num_flipped": len(train.flipped_ids()),
+                "num_flipped": int(np.count_nonzero(train.noisy_mask())),
             }
 
         noisy_mask = corrupted.noisy_mask()

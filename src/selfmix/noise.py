@@ -14,9 +14,9 @@ Three corruption styles:
 
 Every injector takes clean data (observed == true everywhere), flips an
 exact number of labels (fraction rounded half-up), and returns both the
-corrupted dataset, with ``true_label``/``corrupted`` recording the ground
-truth, and a manifest of what happened. Manifests round-trip through a
-small CSV sidecar format.
+corrupted dataset, with ``true_label`` recording the ground truth, and a
+manifest of what happened. Manifests round-trip through a small CSV sidecar
+format.
 """
 from __future__ import annotations
 
@@ -85,7 +85,6 @@ class CorruptionManifest:
     noise_type: str
     ratio: float
     seed: int
-    flipped_ids: frozenset[int]
     flip_counts: np.ndarray  # (C, C) int64
     flips: tuple[tuple[int, int, int], ...]
 
@@ -119,15 +118,12 @@ def _apply_flips(
         if new != old:
             counts[old, new] += 1
             flips.append((ex.id, old, new))
-        examples.append(
-            replace(ex, observed_label=new, true_label=old, corrupted=new != old)
-        )
+        examples.append(replace(ex, observed_label=new, true_label=old))
     flips.sort()
     manifest = CorruptionManifest(
         noise_type=noise_type,
         ratio=float(ratio),
         seed=int(seed),
-        flipped_ids=frozenset(f[0] for f in flips),
         flip_counts=counts,
         flips=tuple(flips),
     )
@@ -340,7 +336,6 @@ def load_manifest(path: str | Path, num_classes: int | None = None) -> Corruptio
         noise_type=noise_type,
         ratio=ratio,
         seed=seed,
-        flipped_ids=frozenset(f[0] for f in flips),
         flip_counts=counts,
         flips=tuple(sorted(flips)),
     )

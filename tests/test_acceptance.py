@@ -80,7 +80,7 @@ def _composite_instance(rng: np.random.Generator):
         BatchItem(
             features(),
             "ce",
-            one_hot(int(rng.integers(num_classes)), num_classes),
+            one_hot(np.array([rng.integers(num_classes)]), num_classes)[0],
             weight=float(rng.uniform(0.3, 1.2)),
             key=0,
         )
@@ -149,16 +149,16 @@ def test_criterion_3_noise_injection_exactness():
         assert list(np.bincount(pool.observed_labels())) == [500] * 4
 
         _, uniform = inject_uniform(pool, ratio, seed=7)
-        assert len(uniform.flipped_ids) == round_half_up(ratio * 2000)
+        assert len(uniform.flips) == round_half_up(ratio * 2000)
 
         _, idn = inject_instance_dependent(pool, ratio, seed=7)
-        assert len(idn.flipped_ids) == round_half_up(ratio * 2000)
+        assert len(idn.flips) == round_half_up(ratio * 2000)
 
         for transition in (None, explicit):
             _, asym = inject_asymmetric(pool, ratio, seed=7, transition=transition)
             tm = transition or TransitionMap.cyclic(4)
             per_class = round_half_up(ratio * 500)
-            assert len(asym.flipped_ids) == 4 * per_class
+            assert len(asym.flips) == 4 * per_class
             for c in range(4):
                 assert asym.flip_counts[c].sum() == per_class
             for _, old, new in asym.flips:
@@ -169,10 +169,9 @@ def test_criterion_3_noise_injection_exactness():
             _, first = inject(pool, kind, ratio, seed=7)
             _, again = inject(pool, kind, ratio, seed=7)
             assert again.flips == first.flips
-            assert again.flipped_ids == first.flipped_ids
             assert np.array_equal(again.flip_counts, first.flip_counts)
             _, other = inject(pool, kind, ratio, seed=8)
-            assert other.flipped_ids != first.flipped_ids
+            assert {i for i, _, _ in other.flips} != {i for i, _, _ in first.flips}
 
 
 def test_criterion_4_formula_micro_checks():
@@ -203,7 +202,7 @@ def test_criterion_5_desk_scale_robustness_under_asymmetric_noise():
     start = time.perf_counter()
     train, test = make_corpus(2000, 500, 4, seed=0)
     noisy, manifest = inject(train, "asymmetric", 0.4, seed=100)
-    assert len(manifest.flipped_ids) == 800
+    assert len(manifest.flips) == 800
 
     base_last, mix_last, gap_wins, final_f1 = [], [], 0, []
     for seed in range(1, 6):

@@ -13,7 +13,6 @@ from selfmix.data import (
     Dataset,
     Example,
     ValidationReport,
-    is_distribution,
     load_csv,
     one_hot,
     save_csv,
@@ -27,8 +26,7 @@ def make_dataset(labels, num_classes, texts=None, true_labels=None):
     examples = []
     for i, label in enumerate(labels):
         true = true_labels[i] if true_labels else None
-        corrupted = (label != true) if true is not None else None
-        examples.append(Example(i, texts[i], label, true, corrupted))
+        examples.append(Example(i, texts[i], label, true))
     return Dataset(tuple(examples), num_classes)
 
 
@@ -38,14 +36,14 @@ def make_dataset(labels, num_classes, texts=None, true_labels=None):
 
 
 def test_one_hot_examples():
-    assert np.array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(one_hot(0, 2), [1.0, 0.0])
+    assert np.array_equal(one_hot(np.array([2]), 4), [[0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(one_hot(np.array([0]), 2), [[1.0, 0.0]])
 
 
 @pytest.mark.parametrize("index,num_classes", [(5, 4), (-1, 3), (2, 2)])
 def test_one_hot_out_of_range(index, num_classes):
-    with pytest.raises(ValueError):
-        one_hot(index, num_classes)
+    with pytest.raises(ValueError, match=f"label {index} out of range"):
+        one_hot(np.array([0, index]), num_classes)
 
 
 @given(st.integers(min_value=2, max_value=64).flatmap(
@@ -53,17 +51,10 @@ def test_one_hot_out_of_range(index, num_classes):
 ))
 def test_one_hot_is_distribution(case):
     num_classes, index = case
-    vec = one_hot(index, num_classes)
-    assert vec.shape == (num_classes,)
-    assert is_distribution(vec, atol=1e-9)
-    assert vec[index] == 1.0 and vec.sum() == 1.0
-
-
-def test_is_distribution():
-    assert is_distribution([0.5, 0.5])
-    assert is_distribution([1.0])
-    assert not is_distribution([0.5, 0.4])
-    assert not is_distribution([1.5, -0.5])
+    rows = one_hot(np.array([index, 0]), num_classes)
+    assert rows.shape == (2, num_classes)
+    assert (rows >= 0.0).all() and rows.sum(axis=1).tolist() == [1.0, 1.0]
+    assert rows[0, index] == 1.0 and rows[1, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +70,7 @@ def test_dataset_accessors():
     assert np.array_equal(ds.observed_labels(), [0, 1, 1])
     assert ds.observed_labels().dtype == np.int64
     assert ds.has_oracle()
-    assert ds.flipped_ids() == {1}
+    assert np.flatnonzero(ds.noisy_mask()).tolist() == [1]
 
 
 def test_noisy_mask_marks_exactly_the_corrupted_positions():
@@ -95,9 +86,9 @@ def test_strip_oracle_removes_evaluation_channel():
     ds = make_dataset([0, 1], 2, true_labels=[1, 1])
     stripped = ds.strip_oracle()
     assert not stripped.has_oracle()
-    assert stripped.flipped_ids() == frozenset()
+    assert not stripped.noisy_mask().any()
     assert [ex.observed_label for ex in stripped] == [0, 1]
-    assert all(ex.true_label is None and ex.corrupted is None for ex in stripped)
+    assert all(ex.true_label is None for ex in stripped)
     # the original is untouched
     assert ds.has_oracle()
 
@@ -117,12 +108,6 @@ def test_validate_label_out_of_range():
     report = validate(make_dataset([0, 2], 2))
     assert not report.ok
     assert any("out of range" in f for f in report.findings)
-
-
-def test_validate_mask_inconsistency():
-    ex = Example(0, "doc", 1, true_label=1, corrupted=True)
-    report = validate(Dataset((ex,), 2))
-    assert any("mask inconsistency" in f for f in report.findings)
 
 
 def test_validate_duplicate_and_gap_ids():
@@ -149,9 +134,6 @@ def _invariants_hold(ds: Dataset) -> bool:
             return False
         if not ex.text:
             return False
-        if ex.true_label is not None and ex.corrupted is not None:
-            if ex.corrupted != (ex.observed_label != ex.true_label):
-                return False
     return True
 
 
@@ -166,20 +148,17 @@ def test_validate_ok_iff_invariants_hold():
         examples = []
         for i in range(n):
             true = int(rng.integers(0, num_classes)) if with_oracle else None
-            corrupted = (int(labels[i]) != true) if true is not None else None
-            examples.append(Example(i, f"w{i}", int(labels[i]), true, corrupted))
+            examples.append(Example(i, f"w{i}", int(labels[i]), true))
         if rng.random() < 0.5:  # plant one defect of a random kind
             pos = int(rng.integers(0, n))
-            kind = rng.integers(0, 4)
+            kind = rng.integers(0, 3)
             ex = examples[pos]
             if kind == 0:
-                examples[pos] = Example(ex.id, ex.text, num_classes, ex.true_label, ex.corrupted)
+                examples[pos] = Example(ex.id, ex.text, num_classes, ex.true_label)
             elif kind == 1:
-                examples[pos] = Example(ex.id + n, ex.text, ex.observed_label, ex.true_label, ex.corrupted)
-            elif kind == 2:
-                examples[pos] = Example(ex.id, "", ex.observed_label, ex.true_label, ex.corrupted)
+                examples[pos] = Example(ex.id + n, ex.text, ex.observed_label, ex.true_label)
             else:
-                examples[pos] = Example(ex.id, ex.text, ex.observed_label, ex.observed_label, True)
+                examples[pos] = Example(ex.id, "", ex.observed_label, ex.true_label)
         ds = Dataset(tuple(examples), num_classes)
         assert validate(ds).ok == _invariants_hold(ds)
 
@@ -260,9 +239,8 @@ def test_csv_round_trip_oracle(tmp_path):
     assert path.read_text(encoding="utf-8").startswith("label,text,true_label\n")
     loaded = load_csv(path)
     assert loaded.num_classes == 2
-    assert loaded.flipped_ids() == {1}
     assert [ex.true_label for ex in loaded] == [0, 0, 1]
-    assert [ex.corrupted for ex in loaded] == [False, True, False]
+    assert loaded.noisy_mask().tolist() == [False, True, False]
 
 
 def test_csv_infers_class_count(tmp_path):

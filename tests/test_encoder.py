@@ -32,7 +32,6 @@ from selfmix.encoder import (
     encode,
     featurize_corpus,
     featurize_text,
-    fnv1a64,
     head_forward,
     init_optimizer,
     init_params,
@@ -76,9 +75,12 @@ def test_tokenize_pure_and_lossless_under_rejoin(text):
 
 def test_fnv1a64_known_vectors():
     # Published FNV-1a 64-bit reference values.
-    assert fnv1a64(b"") == FNV_OFFSET == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+    assert reference_fnv1a64(b"") == FNV_OFFSET == 0xCBF29CE484222325
+    assert reference_fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    assert reference_fnv1a64(b"foobar") == 0x85944171F73967E8
+    # the corpus featurizer hashes a lone word to the same value
+    fv = featurize_corpus(["foobar"], 2**63 - 1)[0]
+    assert fv.indices.tolist() == [0x85944171F73967E8 % (2**63 - 1)]
 
 
 def test_featurize_empty():
@@ -89,7 +91,7 @@ def test_featurize_empty():
 
 def test_featurize_single_token():
     fv = featurize_text(" ".join(["a"]), 2)
-    assert fv.indices.tolist() == [fnv1a64(b"a") % 2]
+    assert fv.indices.tolist() == [reference_fnv1a64(b"a") % 2]
     assert fv.weights.tolist() == [1.0]
 
 
@@ -97,7 +99,7 @@ def test_featurize_unigrams_plus_adjacent_bigram():
     big = 2**62  # collision-free at this size for three features
     fv = featurize_text(" ".join(["a", "b"]), big)
     expected = sorted(
-        {fnv1a64(b"a") % big, fnv1a64(b"b") % big, fnv1a64(b"a\x1fb") % big}
+        {reference_fnv1a64(gram) % big for gram in (b"a", b"b", b"a\x1fb")}
     )
     assert fv.indices.tolist() == expected
     assert np.allclose(fv.weights, 1.0 / 3.0)
@@ -176,7 +178,8 @@ def test_a_token_longer_than_the_rest_hashes_as_the_reference(size):
     """The longest word's last stretch is folded alone; with short words
     around it and as a whole byte string, it hashes as the byte-loop reference."""
     long = "k" * (size - 1) + "z"
-    assert fnv1a64(long.encode()) == reference_fnv1a64(long.encode())
+    alone = featurize_corpus([long], 2**63 - 1)[0]
+    assert alone.indices.tolist() == [reference_fnv1a64(long.encode()) % (2**63 - 1)]
     texts = [f"a {long} b", "short words", "", f"{long} {long[:-1]} ab", "x y z"]
     for text, got in zip(texts, featurize_corpus(texts, 2**18), strict=True):
         _assert_bit_equal(got, reference_featurize(text, 2**18))
@@ -208,7 +211,7 @@ def test_featurize_corpus_refuses_bucket_ids_outside_int64(num_buckets):
 
 def test_featurize_corpus_accepts_the_largest_int64_bucket_count():
     fv = featurize_corpus(["a"], 2**63 - 1)[0]
-    assert fv.indices.tolist() == [fnv1a64(b"a") % (2**63 - 1)]
+    assert fv.indices.tolist() == [reference_fnv1a64(b"a") % (2**63 - 1)]
     assert featurize_corpus([], 2**63 - 1) == []
 
 

@@ -133,8 +133,8 @@ def test_posterior_scalar_and_array_forms():
         weights=np.array([0.5, 0.5]),
     )
     scalar = posterior_clean(params, 2.0)
-    assert isinstance(scalar, float)
-    assert scalar == pytest.approx(0.5)
+    assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+    assert float(scalar) == pytest.approx(0.5)
     arr = posterior_clean(params, np.array([[-1.0, 2.0], [5.0, 0.0]]))
     assert arr.shape == (2, 2)
     assert arr[0, 1] == pytest.approx(0.5)

@@ -289,31 +289,61 @@ def test_effective_noise_seed():
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, where",
     [
-        ("selfmix.tau = -3", "tau must lie strictly between 0 and 1"),
-        ("selfmix.batch_size = 1", "batch_size must be at least 2"),
-        ("encoder.dropout = 1.0", "dropout_rate must lie in [0, 1)"),
-        ("optimizer.beta2 = -0.5", "beta2 must lie in [0, 1)"),
+        ("selfmix.tau = -3", "tau must lie strictly between 0 and 1", "line 1: selfmix.tau"),
+        ("selfmix.batch_size = 1", "batch_size must be at least 2", "line 1: selfmix.batch_size"),
+        ("encoder.dropout = 1.0", "dropout_rate must lie in [0, 1)", "line 1: encoder.dropout"),
+        ("optimizer.beta2 = -0.5", "beta2 must lie in [0, 1)", "line 1: optimizer.beta2"),
         ("selfmix.warmup_epochs = 7\nselfmix.total_epochs = 6",
-         "warmup_epochs must lie in [0, total_epochs]"),
+         "warmup_epochs must lie in [0, total_epochs]", "line 2: selfmix.total_epochs"),
         ("selfmix.warmup_epochs = 2\nselfmix.warmup_samples = 100",
-         "set exactly one of warmup_epochs and warmup_samples"),
+         "set exactly one of warmup_epochs and warmup_samples",
+         "line 2: selfmix.warmup_samples"),
         ("selfmix.warmup_epochs = none",
-         "set exactly one of warmup_epochs and warmup_samples"),
-        ("run.histogram_bins = 0", "run.histogram_bins must be at least 1"),
-        ("run.eval_every = 0", "run.eval_every must be at least 1"),
-        ("noise.ratio = 1.5", "noise.ratio must lie in [0, 1)"),
-        ("noise.ratio = -0.1", "noise.ratio must lie in [0, 1)"),
-        ("noise.ratio = nan", "noise.ratio must lie in [0, 1)"),
-        ("noise.aux_subset_fraction = 0", "noise.aux_subset_fraction must lie in (0, 1]"),
-        ("noise.aux_subset_fraction = 1.5", "noise.aux_subset_fraction must lie in (0, 1]"),
+         "set exactly one of warmup_epochs and warmup_samples",
+         "line 1: selfmix.warmup_epochs"),
+        ("run.histogram_bins = 0", "run.histogram_bins must be at least 1",
+         "line 1: run.histogram_bins"),
+        ("run.eval_every = 0", "run.eval_every must be at least 1", "line 1: run.eval_every"),
+        ("noise.ratio = 1.5", "noise.ratio must lie in [0, 1)", "line 1: noise.ratio"),
+        ("noise.ratio = -0.1", "noise.ratio must lie in [0, 1)", "line 1: noise.ratio"),
+        ("noise.ratio = nan", "noise.ratio must lie in [0, 1)", "line 1: noise.ratio"),
+        ("noise.aux_subset_fraction = 0", "noise.aux_subset_fraction must lie in (0, 1]",
+         "line 1: noise.aux_subset_fraction"),
+        ("noise.aux_subset_fraction = 1.5", "noise.aux_subset_fraction must lie in (0, 1]",
+         "line 1: noise.aux_subset_fraction"),
+        # the key is the one the failing check reads, on the last line that set it
+        ("run.seed = 4\nselfmix.tau = 0\nrun.eval_every = 3",
+         "tau must lie strictly between 0 and 1", "line 2: selfmix.tau"),
+        ("selfmix.total_epochs = 6\nselfmix.warmup_epochs = 7",
+         "warmup_epochs must lie in [0, total_epochs]", "line 2: selfmix.warmup_epochs"),
+        ("selfmix.total_epochs = 1",
+         "warmup_epochs must lie in [0, total_epochs]", "line 1: selfmix.total_epochs"),
+        ("encoder.buckets = 0", "num_buckets must lie in [1, 2**31)", "line 1: encoder.buckets"),
+        ("encoder.buckets = 2147483648", "num_buckets must lie in [1, 2**31)",
+         "line 1: encoder.buckets"),
+        ("selfmix.alpha = nan", "alpha must be finite and positive", "line 1: selfmix.alpha"),
+        ("selfmix.alpha = inf", "alpha must be finite and positive", "line 1: selfmix.alpha"),
+        ("selfmix.alpha = 0", "alpha must be finite and positive", "line 1: selfmix.alpha"),
+        ("selfmix.temperature = nan", "temperature must be finite and positive",
+         "line 1: selfmix.temperature"),
+        ("selfmix.temperature = inf", "temperature must be finite and positive",
+         "line 1: selfmix.temperature"),
+        ("selfmix.lambda_p = nan", "lambda_p must be finite and non-negative",
+         "line 1: selfmix.lambda_p"),
+        ("selfmix.lambda_p = -0.1", "lambda_p must be finite and non-negative",
+         "line 1: selfmix.lambda_p"),
+        ("selfmix.lambda_r = inf", "lambda_r must be finite and non-negative",
+         "line 1: selfmix.lambda_r"),
+        ("selfmix.lambda_r = nan", "lambda_r must be finite and non-negative",
+         "line 1: selfmix.lambda_r"),
     ],
 )
-def test_out_of_range_values_are_refused_at_parse_time(text, message):
+def test_out_of_range_values_are_refused_at_parse_time(text, message, where):
     with pytest.raises(ValueError) as err:
         ExperimentConfig.from_text(text, source="exp.cfg")
-    assert str(err.value) == f"exp.cfg: {message}"
+    assert str(err.value) == f"exp.cfg: {where}: {message}"
 
 
 def test_config_without_warmup_samples_echoes_the_default_warmup_epochs():
@@ -373,14 +403,13 @@ def make_manifest(flipped, num_classes=2):
         noise_type="uniform",
         ratio=0.1,
         seed=0,
-        flipped_ids=frozenset(flipped),
         flip_counts=np.zeros((num_classes, num_classes), dtype=np.int64),
         flips=tuple(sorted((i, 0, 1) for i in flipped)),
     )
 
 
 def test_selection_metrics_perfect_split():
-    flipped = mask_of(4, make_manifest({2, 3}).flipped_ids)
+    flipped = mask_of(4, [i for i, _, _ in make_manifest({2, 3}).flips])
     assert selection_prf(mask_of(4, [2, 3]), flipped) == (1.0, 1.0, 1.0)
 
 
@@ -393,7 +422,8 @@ def test_selection_metrics_brute_force_property():
         unlabeled = {int(i) for i, s in zip(ids, sent) if s}
         flipped = {int(i) for i in ids if rng.random() < 0.4}
         precision, recall, f1 = selection_prf(
-            mask_of(500, unlabeled), mask_of(500, make_manifest(flipped).flipped_ids)
+            mask_of(500, unlabeled),
+            mask_of(500, [i for i, _, _ in make_manifest(flipped).flips]),
         )
         hits = len(unlabeled & flipped)
         expect_p = hits / len(unlabeled) if unlabeled else 0.0
@@ -520,8 +550,9 @@ def test_run_artifact_details(finished_run):
     corrupted = load_csv(out / "corrupted_train.csv")
     manifest = load_manifest(out / "noise_manifest.csv")
     assert corrupted.has_oracle()
-    assert corrupted.flipped_ids() == manifest.flipped_ids
-    assert len(manifest.flipped_ids) == 12
+    flipped = [i for i, _, _ in manifest.flips]
+    assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
+    assert len(flipped) == 12
 
     for arm in ARMS:
         report = json.loads((out / arm / "report.json").read_text(encoding="utf-8"))
@@ -775,9 +806,10 @@ def test_cli_make_corpus_and_inject(tmp_path, capsys):
     assert "flipped 4 of 30 labels" in out_text
     manifest = load_manifest(noised / "manifest.csv")
     assert manifest.noise_type == "asymmetric"  # alias resolved
-    assert len(manifest.flipped_ids) == 4
+    flipped = [i for i, _, _ in manifest.flips]
+    assert len(flipped) == 4
     corrupted = load_csv(noised / "corrupted.csv")
-    assert corrupted.flipped_ids() == manifest.flipped_ids
+    assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
 
 
 def test_cli_argument_errors_exit_1(tmp_path, capsys):
@@ -834,6 +866,28 @@ def test_cli_bad_model_selfmix_or_histogram_config_writes_nothing(
     cfg_path.write_text(config_text(corpus_dir, out, **{key: value}), encoding="utf-8")
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("selfmix.alpha", "nan"),
+        ("selfmix.lambda_p", "nan"),
+        ("selfmix.temperature", "nan"),
+        ("selfmix.lambda_r", "inf"),
+    ],
+)
+def test_cli_unusable_setting_exits_1_naming_its_line_before_writing(
+    corpus_dir, tmp_path, capsys, key, value
+):
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "bad.cfg"
+    text = config_text(corpus_dir, out, **{key: value})
+    cfg_path.write_text(text, encoding="utf-8")
+    lineno = text.splitlines().index(f"{key} = {value}") + 1
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: line {lineno}: {key}: ")
     assert not out.exists()
 
 

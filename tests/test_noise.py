@@ -38,7 +38,6 @@ def manifests_equal(a: CorruptionManifest, b: CorruptionManifest) -> bool:
         a.noise_type == b.noise_type
         and a.ratio == b.ratio
         and a.seed == b.seed
-        and a.flipped_ids == b.flipped_ids
         and np.array_equal(a.flip_counts, b.flip_counts)
         and a.flips == b.flips
     )
@@ -78,21 +77,23 @@ def test_transition_cyclic_needs_two_classes():
 def test_uniform_flips_exact_count_and_other_class():
     ds = toy_dataset([0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 2)
     corrupted, manifest = inject_uniform(ds, 0.2, seed=5)
-    assert len(manifest.flipped_ids) == 2
+    assert len(manifest.flips) == 2
     assert manifest.noise_type == "uniform"
-    for ex in corrupted:
+    flipped = {i for i, _, _ in manifest.flips}
+    for ex, noisy in zip(corrupted, corrupted.noisy_mask()):
         assert ex.true_label is not None
-        if ex.id in manifest.flipped_ids:
-            assert ex.corrupted and ex.observed_label != ex.true_label
+        if ex.id in flipped:
+            assert noisy and ex.observed_label != ex.true_label
         else:
-            assert not ex.corrupted and ex.observed_label == ex.true_label
+            assert not noisy and ex.observed_label == ex.true_label
 
 
 def test_noisy_mask_marks_the_manifest_flips():
     pool, _ = make_labeled_pool(200, 4, seed=2)
     for kind in ("uniform", "asymmetric", "instance_dependent"):
         corrupted, manifest = inject(pool, kind, 0.3, seed=9, aux_subset_fraction=0.5)
-        assert set(np.flatnonzero(corrupted.noisy_mask()).tolist()) == manifest.flipped_ids
+        flipped = [i for i, _, _ in manifest.flips]
+        assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
 
 
 def test_asymmetric_respects_transition_targets():
@@ -121,16 +122,15 @@ def test_zero_ratio_populates_oracle_without_flips():
     ds = toy_dataset([0, 1, 2], 3)
     for noise_type in NOISE_TYPES:
         corrupted, manifest = inject(ds, noise_type, 0.0, seed=1)
-        assert manifest.flipped_ids == frozenset()
         assert manifest.flips == ()
         assert corrupted.has_oracle()
-        assert corrupted.flipped_ids() == frozenset()
+        assert not corrupted.noisy_mask().any()
         assert all(ex.observed_label == ex.true_label for ex in corrupted)
 
 
 def test_injectors_require_clean_input():
     ds, manifest = inject_uniform(toy_dataset([0, 1, 0, 1], 2), 0.5, seed=0)
-    assert manifest.flipped_ids
+    assert manifest.flips
     with pytest.raises(ValueError, match="already carries label noise"):
         inject_uniform(ds, 0.25, seed=1)
 
@@ -164,8 +164,9 @@ def test_idn_targets_ambiguous_documents():
     corrupted, manifest = inject_instance_dependent(
         pool, 0.4, seed=12, aux_subset_fraction=1.0
     )
-    assert len(manifest.flipped_ids) == 200
-    overlap = len(manifest.flipped_ids & ambiguous) / len(manifest.flipped_ids)
+    flipped = {i for i, _, _ in manifest.flips}
+    assert len(flipped) == 200
+    overlap = len(flipped & ambiguous) / len(flipped)
     assert overlap >= 0.9
     assert validate(corrupted).ok
 
@@ -237,16 +238,16 @@ def test_injector_count_validity_determinism_property():
             expected = sum(round_half_up(ratio * int(c)) for c in per_class)
         else:
             expected = round_half_up(ratio * n)
-        assert len(manifest.flipped_ids) == expected
+        assert len({i for i, _, _ in manifest.flips}) == expected
         assert len(manifest.flips) == expected
         assert int(manifest.flip_counts.sum()) == expected
         assert np.all(np.diag(manifest.flip_counts) == 0)
 
         assert validate(corrupted).ok
-        assert corrupted.flipped_ids() == manifest.flipped_ids
+        flipped = [i for i, _, _ in manifest.flips]
+        assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
         for ex, orig in zip(corrupted, ds):
             assert ex.true_label == orig.observed_label
-            assert ex.corrupted == (ex.observed_label != ex.true_label)
 
         _, again = inject(ds, noise_type, ratio, seed, **kwargs)
         assert manifests_equal(manifest, again)
