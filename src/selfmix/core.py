@@ -11,14 +11,16 @@ the rest have their labels replaced by the model's own sharpened predictions
     + lambda_p * confidence loss on the unlabeled set
     + lambda_r * symmetric-KL agreement between two dropout passes
 
-:func:`embmix` builds each mixed example as the merged feature bag of its two
-parents. The bag pools to the same mix of the parents' embeddings, and the
-mixup term trains the embedding rows of both, as mixing hidden
+:func:`embmix` builds each mixed example as the concatenated feature bags of
+its two parents. The bag pools to the same mix of the parents' embeddings,
+and the mixup term trains the embedding rows of both, as mixing hidden
 representations does in the paper. Only the unlabeled members of a batch
 get a forward pass of their own, to guess their targets. Every dropout-off
 inference over many documents (per-sample losses, test accuracy, those
 guesses and the instance-dependent injector's margins) runs through
-:func:`eval_logits`, in forward passes of ``_EVAL_CHUNK`` documents.
+:func:`~selfmix.encoder.predict_logits`. Features are built once per
+corpus, by :func:`~selfmix.encoder.featurize_corpus`, and then only
+indexed or concatenated.
 Warm-up epochs of plain cross-entropy precede selection so that early
 losses are informative. One batch loop, :func:`_epoch`, runs every epoch of
 the warm-up, the plain arm, the standalone :func:`warmup` and the adaptive
@@ -65,11 +67,6 @@ from .encoder import head_forward  # noqa: F401  (perfbench/spans.py wraps this 
 from .gmm import GMMParams, fit_gmm, posterior_clean
 
 _MIX_KEY_BASE = 1_000_000
-# Documents per dropout-off forward pass (eval_logits). The pass gathers one
-# embedding row per feature of its documents; at 32-128 documents those rows
-# stay in cache. On a 2-vCPU host a 20,000-document pool of a 2^18-bucket
-# model scores in 0.18 s at 128, 0.20 s at 32 and 0.26-0.30 s at 256-1024.
-_EVAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,7 @@ def per_sample_losses(
     with dropout off.
 
     Given ``features``, one per example, the documents are scored in batched
-    forward passes (:func:`eval_logits`). Without them, each text is
+    forward passes (:func:`predict_logits`). Without them, each text is
     featurized and scored on its own: one :func:`featurize_text` and one
     :func:`predict_proba` call per document. Either way a non-finite
     forward pass raises :class:`NumericError`.
@@ -258,7 +255,7 @@ def per_sample_losses(
             losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
         return losses
     labels = dataset.observed_labels()
-    p = np.exp(log_softmax(eval_logits(params, features)))
+    p = np.exp(log_softmax(predict_logits(params, features)))
     return -np.log(np.maximum(p[np.arange(labels.size), labels], 1e-300))
 
 
@@ -335,7 +332,7 @@ def embmix(
 
     Folding ``lam`` to ``max(lam, 1 - lam)`` keeps each mixed example
     dominated by its first parent, so the mixed pair inherits that parent's
-    identity. Mixed bag ``k`` merges its parents' buckets, their weights
+    identity. Mixed bag ``k`` concatenates its parents' bags, their weights
     scaled by ``lam'`` and ``1 - lam'``, so it pools to
     ``lam' * e(a) + (1 - lam') * e(b)``: the mixup loss then trains the
     embedding rows of both parents, as mixing hidden representations does.
@@ -345,11 +342,13 @@ def embmix(
     if len(set(sizes)) > 1:
         raise ValueError(f"embmix needs equal numbers of bags, targets and lam; got {sizes}")
     lam_prime = np.maximum(lam, 1.0 - lam)
-    bags = []
-    for a, b, mix in zip(bags_a, bags_b, lam_prime):
-        rows, inverse = np.unique(np.concatenate([a.indices, b.indices]), return_inverse=True)
-        mass = np.concatenate([mix * a.weights, (1.0 - mix) * b.weights])
-        bags.append(FeatureVector(rows, np.bincount(inverse, mass, minlength=rows.size)))
+    bags = [
+        FeatureVector(
+            np.concatenate([a.indices, b.indices]),
+            np.concatenate([mix * a.weights, (1.0 - mix) * b.weights]),
+        )
+        for a, b, mix in zip(bags_a, bags_b, lam_prime)
+    ]
     targets = lam_prime[:, None] * targets_a + (1.0 - lam_prime)[:, None] * targets_b
     return MixedBatch(bags=bags, targets=targets, lam=lam_prime)
 
@@ -381,32 +380,13 @@ def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, floa
     return precision, recall, f1
 
 
-def eval_logits(params: ModelParams, features: list[FeatureVector]) -> np.ndarray:
-    """Dropout-off logits of many documents, one row each, in forward passes
-    of ``_EVAL_CHUNK`` documents (:func:`~selfmix.encoder.predict_logits`).
-
-    Raises :class:`NumericError` when a row is not finite, as happens when
-    a diverged model's forward pass overflows.
-    """
-    logits = np.empty((len(features), params.num_classes))
-    for start in range(0, len(features), _EVAL_CHUNK):
-        chunk = features[start : start + _EVAL_CHUNK]
-        logits[start : start + len(chunk)] = predict_logits(params, chunk)
-    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
-    if bad.size:
-        raise NumericError(
-            f"non-finite logits for document {int(bad[0])} of {len(features)}"
-        )
-    return logits
-
-
 def accuracy(
     params: ModelParams, features: list[FeatureVector], labels: np.ndarray
 ) -> float:
     """Dropout-off classification accuracy."""
     if not features:
         return 0.0
-    hits = np.argmax(eval_logits(params, features), axis=1) == np.asarray(labels)
+    hits = np.argmax(predict_logits(params, features), axis=1) == np.asarray(labels)
     return int(np.sum(hits)) / len(features)
 
 
@@ -424,23 +404,23 @@ def _shuffled_batches(
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
-def _warmup_schedule(
-    epochs: int | None, samples: int | None, dataset_size: int
-) -> list[int | None]:
-    """Per-warm-up-epoch sample limits; None means a full pass.
+def warmup_schedule(cfg: SelfMixConfig, size: int) -> list[int | None]:
+    """Per-warm-up-epoch sample limits on ``size`` training examples; None
+    means a full pass.
 
-    A ``samples`` budget is spread over ceil(budget / N) passes, the last of
-    which may be partial; each pass still occupies one epoch row.
+    A ``warmup_samples`` budget is spread over ceil(budget / size) passes,
+    the last of which may be partial; each pass still occupies one epoch
+    row. Raises ``ValueError`` when those passes outnumber ``total_epochs``.
     """
-    if epochs is not None:
-        return [None] * epochs
-    budget = samples or 0
-    limits: list[int | None] = []
-    while budget > 0:
-        take = min(budget, dataset_size)
-        limits.append(take if take < dataset_size else None)
-        budget -= take
-    return limits
+    if cfg.warmup_epochs is not None:
+        return [None] * cfg.warmup_epochs
+    full, rest = divmod(cfg.warmup_samples, size) if size else (0, 0)
+    if full + (rest > 0) > cfg.total_epochs:
+        raise ValueError(
+            f"warmup_samples = {cfg.warmup_samples} spans more passes over "
+            f"{size} training examples than total_epochs = {cfg.total_epochs} allows"
+        )
+    return [None] * full + ([rest] if rest else [])
 
 
 # builds batch b's loss terms from its training positions
@@ -573,7 +553,7 @@ class _Run:
     def guess(self, members: np.ndarray) -> np.ndarray:
         """Sharpened dropout-off predictions for the training positions
         ``members``, one row each, from batched forward passes."""
-        logits = eval_logits(self.params, [self.features[i] for i in members])
+        logits = predict_logits(self.params, [self.features[i] for i in members])
         return sharpen(softmax(logits), self.cfg.temperature)
 
     def selfmix_epoch(self, epoch: int) -> tuple[DataSplit, dict[str, float]]:
@@ -661,30 +641,31 @@ class _Run:
 def warmup(
     params: ModelParams,
     opt: OptimizerState,
-    dataset: Dataset,
+    features: list[FeatureVector],
+    labels: np.ndarray,
     *,
     epochs: int,
     batch_size: int = 32,
     seed: int = 0,
 ) -> tuple[ModelParams, OptimizerState]:
-    """``epochs`` full passes of plain cross-entropy on observed labels, in place.
+    """``epochs`` full passes of plain cross-entropy on feature rows and
+    their int ``labels``, in place.
 
     The optimizer state supplies the step-size hyperparameters. It runs the
     same epoch loop as the training arms, so ``epochs`` passes here match
     ``epochs`` plain-arm epochs bit for bit.
-    ``params`` must own every bucket of ``dataset`` (build it with
+    ``params`` must own every bucket of ``features`` (build it with
     ``init_params(..., buckets=corpus_buckets(features, num_buckets))``);
     otherwise the first step raises ``ValueError``. The instance-dependent
     noise injector trains its auxiliary model with it.
     """
-    features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)
-    items_for = _ce_items(features, one_hot(dataset.observed_labels(), dataset.num_classes))
+    items_for = _ce_items(features, one_hot(labels, params.num_classes))
     for epoch in range(epochs):
         _epoch(
             params,
             items_for,
             lambda grads: adam_step(params, grads, opt),
-            size=len(dataset),
+            size=len(features),
             batch_size=batch_size,
             seed=seed,
             epoch=epoch,
@@ -736,9 +717,5 @@ def train_selfmix(
 ) -> TrainReport:
     """Warm-up then adaptive selection/mixing for the remaining epochs."""
     cfg = cfg or SelfMixConfig()
-    limits = _warmup_schedule(cfg.warmup_epochs, cfg.warmup_samples, len(train))
-    if len(limits) > cfg.total_epochs:
-        raise ValueError(
-            "warmup_samples spans more passes than total_epochs allows"
-        )
+    limits = warmup_schedule(cfg, len(train))
     return _train(train, test, model, cfg, limits, eval_every)

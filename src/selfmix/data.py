@@ -101,19 +101,20 @@ def validate(dataset: Dataset) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def stratified_subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """Draw ``n`` examples with per-class counts within 1 of proportionality.
+def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
+    """Sorted int64 positions of ``n`` examples, with per-class counts within
+    1 of proportionality.
 
     Quotas use largest-remainder rounding (ties broken by lower class index);
-    members are drawn without replacement per class, then reassembled in
-    original id order with fresh ids 0..n-1. Deterministic given ``seed``.
+    members are drawn without replacement per class. Deterministic given
+    ``seed``.
     """
     total = len(dataset)
     if n > total:
         raise ValueError(f"requested {n} examples from a dataset of {total}")
-    by_class: dict[int, list[Example]] = {}
-    for ex in dataset.examples:
-        by_class.setdefault(ex.observed_label, []).append(ex)
+    by_class: dict[int, list[int]] = {}
+    for pos, ex in enumerate(dataset.examples):
+        by_class.setdefault(ex.observed_label, []).append(pos)
     classes = sorted(by_class)
     quotas = {c: n * len(by_class[c]) / total for c in classes}
     counts = {c: int(np.floor(quotas[c])) for c in classes}
@@ -123,14 +124,12 @@ def stratified_subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
         counts[c] += 1
 
     rng = np.random.default_rng(seed)
-    chosen: list[Example] = []
+    chosen: list[int] = []
     for c in classes:
         members = by_class[c]
         picked = rng.choice(len(members), size=counts[c], replace=False)
         chosen.extend(members[int(i)] for i in picked)
-    chosen.sort(key=lambda ex: ex.id)
-    renumbered = tuple(replace(ex, id=i) for i, ex in enumerate(chosen))
-    return Dataset(renumbered, dataset.num_classes, dataset.name)
+    return np.sort(np.array(chosen, dtype=np.int64))
 
 
 _HEADER_PLAIN = ["label", "text"]

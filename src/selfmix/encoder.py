@@ -83,6 +83,11 @@ _OLD_MAGICS = (b"SMX1", b"SMX2")  # earlier checkpoint formats, refused by name
 # holds a few (chunk, 2 * hidden) uint64 temporaries, so this bounds the
 # init's peak memory at a small multiple of the table itself.
 _INIT_CHUNK = 1024
+# Documents per dropout-off forward pass of predict_logits. The pass gathers
+# one embedding row per feature of its documents; at 32-128 documents those
+# rows stay in cache. On a 2-vCPU host a 20,000-document pool of a 2^18-bucket
+# model scores in 0.18 s at 128, 0.20 s at 32 and 0.26-0.30 s at 256-1024.
+_EVAL_CHUNK = 128
 
 
 def tokenize(text: str) -> list[str]:
@@ -119,11 +124,13 @@ def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndar
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse hashed-n-gram representation: sorted bucket ids + weights.
+    """Sparse hashed-n-gram representation: bucket ids + weights.
 
-    Weights are occurrence counts normalized to sum to 1, so the embedding
-    lookup is an average over the document's unigrams and adjacent bigrams.
-    Empty text yields an empty vector (and a zero embedding downstream).
+    A bucket may repeat in a bag; its weights add. :func:`featurize_corpus`
+    emits sorted, distinct ids whose weights are occurrence counts
+    normalized to sum to 1, so the embedding lookup is an average over the
+    document's unigrams and adjacent bigrams. Empty text yields an empty
+    vector (and a zero embedding downstream).
     """
 
     indices: np.ndarray
@@ -286,13 +293,7 @@ def _pool(
     ``weights``; each bucket reads its row through ``params.slot``. An empty
     bag pools to the zero vector. A single bag is one weighted sum.
     """
-    if not indices.size:
-        lo = hi = 0
-    elif len(sizes) == 1:  # one feature vector: its ids are sorted
-        lo, hi = indices[0], indices[-1]
-    else:
-        lo, hi = indices.min(), indices.max()
-    if lo < 0 or hi >= params.num_buckets:
+    if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
         raise ValueError("feature index out of range for the embedding table")
     rows = params.slot[indices]
     if len(sizes) == 1:
@@ -457,8 +458,21 @@ def predict_proba(params: ModelParams, features: FeatureVector) -> np.ndarray:
 
 
 def predict_logits(params: ModelParams, features: list[FeatureVector]) -> np.ndarray:
-    """Dropout-off logits of many documents at once, one row each."""
-    return _forward(params, _pool(params, *_concat(features)), None).z
+    """Dropout-off logits of many documents, one row each, in forward passes
+    of ``_EVAL_CHUNK`` documents.
+
+    Raises :class:`NumericError` when a row is not finite, as happens when
+    a diverged model's forward pass overflows.
+    """
+    logits = np.empty((len(features), params.num_classes))
+    for start in range(0, len(features), _EVAL_CHUNK):
+        chunk = features[start : start + _EVAL_CHUNK]
+        pooled = _pool(params, *_concat(chunk))
+        logits[start : start + len(chunk)] = _forward(params, pooled, None).z
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite logits for document {int(bad[0])} of {len(features)}")
+    return logits
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:

@@ -19,12 +19,13 @@ self-contained artifact directory:
 Outputs embed the config echo and contain no timestamps or absolute paths
 derived from the environment, so rerunning the same config over the same
 inputs reproduces every artifact byte for byte. Out-of-range settings are
-refused when the config is parsed, and missing inputs before anything is
-written; failures mid-run leave a partial summary recording the failed
-stage. A run first removes the files listed above that an earlier run left
-in its directory, so a directory never mixes two runs. The echo shows the
-value each setting takes in the run, so a config that names no warm-up key
-echoes ``selfmix.warmup_epochs = 2``.
+refused when the config is parsed; missing or empty inputs, and a warm-up
+sample budget that spans more passes than the run has epochs, are refused
+before anything is written. Failures mid-run leave a partial summary
+recording the failed stage. A run first removes the files listed above that
+an earlier run left in its directory, so a directory never mixes two runs.
+The echo shows the value each setting takes in the run, so a config that
+names no warm-up key echoes ``selfmix.warmup_epochs = 2``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .core import (
     per_sample_losses,
     train_baseline,
     train_selfmix,
+    warmup_schedule,
 )
 from .data import Dataset, load_csv, save_csv, validate
 from .encoder import featurize_corpus, save_checkpoint
@@ -82,12 +84,6 @@ def _parse_noise_type(raw: str) -> str:
         raise ValueError(
             f"noise.type must be one of {', '.join(choices)}; got {raw!r}"
         ) from None
-
-
-def _parse_norm(raw: str) -> str:
-    if raw not in ("mean", "sum"):
-        raise ValueError(f"term_normalization must be mean or sum, got {raw!r}")
-    return raw
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ _CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "selfmix.total_epochs": ("selfmix", "total_epochs", int),
     "selfmix.batch_size": ("selfmix", "batch_size", int),
     "selfmix.class_regularize": ("selfmix", "class_regularize", _parse_bool),
-    "selfmix.term_normalization": ("selfmix", "term_normalization", _parse_norm),
+    "selfmix.term_normalization": ("selfmix", "term_normalization", str),
     "encoder.buckets": ("model", "num_buckets", int),
     "encoder.hidden": ("model", "hidden", int),
     "encoder.dropout": ("model", "dropout_rate", float),
@@ -353,7 +349,9 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
     test = load_csv(cfg.test_path, num_classes=cfg.num_classes or train.num_classes)
     if train.num_classes != test.num_classes:
         test = Dataset(test.examples, train.num_classes, test.name)
-    for name, ds in (("train", train), ("test", test)):
+    for name, path, ds in (("train", cfg.train_path, train), ("test", cfg.test_path, test)):
+        if not len(ds):
+            raise ValueError(f"data.{name}: {path} holds no examples")
         report = validate(ds)
         if not report.ok:
             raise ValueError(f"{name} data failed validation: {'; '.join(report.findings)}")
@@ -385,6 +383,8 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r}")
     train, test, transition = _load_startup(cfg)
+    if "selfmix" in arms:
+        warmup_schedule(cfg.selfmix, len(train))
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .common import atomic_open, round_half_up, subseed
-from .core import eval_logits, warmup
+from .core import warmup
 from .data import Dataset, Example, stratified_subsample
 from .encoder import (
     corpus_buckets,
@@ -35,6 +35,7 @@ from .encoder import (
     init_optimizer,
     init_params,
     log_softmax,
+    predict_logits,
 )
 from .encoder import featurize_text  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .encoder import predict_proba  # noqa: F401  (perfbench/spans.py wraps this binding)
@@ -185,12 +186,13 @@ def inject_instance_dependent(
 ) -> tuple[Dataset, CorruptionManifest]:
     """Flip the round(ratio * N) lowest-margin examples under an aux model.
 
-    The auxiliary classifier is trained on a stratified
-    ``aux_subset_fraction`` of the clean data and owns that subset's
-    buckets, so a bucket only the rest of the data names pools to zero in
-    it. Each example's margin is its true-class probability minus the best
-    other-class probability. Margin ties break toward lower id. Each flipped
-    example takes the aux model's strongest competing class.
+    The dataset is featurized once. The auxiliary classifier is trained on
+    the rows of a stratified ``aux_subset_fraction`` of the clean data and
+    owns that subset's buckets, so a bucket only the rest of the data names
+    pools to zero in it. Each example's margin is its true-class
+    probability minus the best other-class probability. Margin ties break
+    toward lower id. Each flipped example takes the aux model's strongest
+    competing class.
     """
     _require_clean(dataset)
     if not 0.0 <= ratio < 1.0:
@@ -200,9 +202,11 @@ def inject_instance_dependent(
     n = len(dataset)
     num_flips = round_half_up(ratio * n)
 
+    features = featurize_corpus([ex.text for ex in dataset], AUX_NUM_BUCKETS)
+    labels = dataset.observed_labels()
     aux_size = max(dataset.num_classes, round_half_up(aux_subset_fraction * n))
-    aux_data = stratified_subsample(dataset, min(aux_size, n), subseed(seed, "subsample"))
-    aux_features = featurize_corpus([ex.text for ex in aux_data], AUX_NUM_BUCKETS)
+    aux = stratified_subsample(dataset, min(aux_size, n), subseed(seed, "subsample"))
+    aux_features = [features[i] for i in aux]
     params = init_params(
         AUX_NUM_BUCKETS,
         AUX_HIDDEN,
@@ -215,17 +219,16 @@ def inject_instance_dependent(
     warmup(
         params,
         opt,
-        aux_data,
+        aux_features,
+        labels[aux],
         epochs=AUX_EPOCHS,
         batch_size=AUX_BATCH_SIZE,
         seed=subseed(seed, "aux-train"),
     )
 
     ids = np.array([ex.id for ex in dataset], dtype=np.int64)
-    labels = dataset.observed_labels()
     rows = np.arange(n)
-    features = featurize_corpus([ex.text for ex in dataset], AUX_NUM_BUCKETS)
-    p = np.exp(log_softmax(eval_logits(params, features)))
+    p = np.exp(log_softmax(predict_logits(params, features)))
     masked = p.copy()
     masked[rows, labels] = -np.inf
     runner_up = np.argmax(masked, axis=1)

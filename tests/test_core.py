@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import N_CASES, mask_of, random_distribution, random_features
-from selfmix import core
+from selfmix import core, encoder
 from selfmix.common import NumericError, subseed
 from selfmix.core import (
     REPORT_CSV_FIELDS,
@@ -294,7 +294,6 @@ def test_mixed_bag_pools_to_the_mixed_embedding():
     b = featurize_text("apple tart blue sky", 64)
     targets = np.eye(2)
     mixed = embmix([a], targets[:1], [b], targets[1:], np.array([0.7])).bags[0]
-    assert np.all(np.diff(mixed.indices) > 0)
     assert mixed.weights.sum() == pytest.approx(1.0)
     expected = 0.7 * encode(params, a) + 0.3 * encode(params, b)
     np.testing.assert_allclose(encode(params, mixed), expected, rtol=1e-12, atol=1e-15)
@@ -470,14 +469,16 @@ def test_batched_losses_match_the_per_document_path():
     """Scoring with features runs batched forward passes; it agrees with the
     per-document path, across a partial last chunk, an empty text and a
     one-token text."""
-    train, _ = make_corpus(2 * core._EVAL_CHUNK + 35, 3, 3, seed=9)
+    train, _ = make_corpus(2 * encoder._EVAL_CHUNK + 35, 3, 3, seed=9)
     texts = [ex.text for ex in train] + ["", "lonely"]
     labels = [ex.observed_label for ex in train] + [0, 2]
     data = Dataset(tuple(Example(i, t, y) for i, (t, y) in enumerate(zip(texts, labels))), 3)
-    assert len(data) % core._EVAL_CHUNK
+    assert len(data) % encoder._EVAL_CHUNK
     params = init_params(2**17, 16, 3, 0.3, seed=4, buckets=buckets_of(data, 2**17))
-    warmup(params, init_optimizer(params, learning_rate=1e-2), data, epochs=1, seed=4)
-    batched = per_sample_losses(params, data, featurize_corpus(texts, params.num_buckets))
+    features = featurize_corpus(texts, params.num_buckets)
+    opt = init_optimizer(params, learning_rate=1e-2)
+    warmup(params, opt, features, data.observed_labels(), epochs=1, seed=4)
+    batched = per_sample_losses(params, data, features)
     single = per_sample_losses(params, data)
     np.testing.assert_allclose(batched, single, rtol=1e-12)
     assert np.all(batched > 0.0)
@@ -506,7 +507,7 @@ def test_warmup_reduces_training_loss():
     features = [featurize_text(ex.text, params.num_buckets) for ex in train]
     before = per_sample_losses(params, train, features).mean()
     opt = init_optimizer(params, learning_rate=1e-3)
-    warmup(params, opt, train, epochs=2, seed=5)
+    warmup(params, opt, features, train.observed_labels(), epochs=2, seed=5)
     after = per_sample_losses(params, train, features).mean()
     assert after < before
     assert opt.step > 0
@@ -527,7 +528,9 @@ def test_warmup_matches_the_plain_arm_bit_for_bit():
         buckets=buckets_of(corrupted, TINY_MODEL.num_buckets),
     )
     opt = init_optimizer(params, learning_rate=TINY_MODEL.learning_rate)
-    warmup(params, opt, corrupted, epochs=2, batch_size=16, seed=cfg.seed)
+    features = featurize_corpus([ex.text for ex in corrupted], TINY_MODEL.num_buckets)
+    labels = corrupted.observed_labels()
+    warmup(params, opt, features, labels, epochs=2, batch_size=16, seed=cfg.seed)
     for name in ("embedding", "w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(params, name), getattr(report.final_params, name))
 
@@ -677,6 +680,21 @@ def test_warmup_sample_mode_rejects_overlong_budget():
         train_selfmix(corrupted, test, TINY_MODEL, cfg)
 
 
+def test_warmup_schedule_spreads_a_sample_budget_over_passes():
+    def schedule(samples, size):
+        cfg = SelfMixConfig(warmup_epochs=None, warmup_samples=samples, total_epochs=3)
+        return core.warmup_schedule(cfg, size)
+
+    assert schedule(7, 10) == [7]
+    assert schedule(20, 10) == [None, None]
+    assert schedule(25, 10) == [None, None, 5]
+    assert schedule(0, 10) == []
+    assert schedule(5, 0) == []  # an empty training set has no pass to spend it on
+    assert core.warmup_schedule(SelfMixConfig(warmup_epochs=2), 10) == [None, None]
+    with pytest.raises(ValueError, match="spans more passes"):
+        schedule(31, 10)
+
+
 def test_numeric_failure_names_epoch_and_batch():
     corrupted, test = small_noisy_problem()
     diverging = ModelConfig(num_buckets=512, hidden=8, learning_rate=1e200)
@@ -704,8 +722,9 @@ def test_a_label_outside_the_classes_raises_instead_of_wrapping(label):
     with pytest.raises(ValueError, match=f"label {label} out of range"):
         train_baseline(bad, test, TINY_MODEL, cfg)
     params = init_params(TINY_MODEL.num_buckets, TINY_MODEL.hidden, 2, 0.0, seed=0)
+    features = featurize_corpus([ex.text for ex in bad], TINY_MODEL.num_buckets)
     with pytest.raises(ValueError, match=f"label {label} out of range"):
-        warmup(params, init_optimizer(params), bad, epochs=1)
+        warmup(params, init_optimizer(params), features, bad.observed_labels(), epochs=1)
 
 
 def test_non_finite_guess_names_epoch_and_batch():

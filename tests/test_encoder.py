@@ -270,6 +270,40 @@ def test_encode_index_out_of_range():
         encode(params, fv)
 
 
+def test_encode_checks_every_id_of_an_unsorted_bag():
+    params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
+    for ids in ([3, 8, 1], [3, -1, 5]):
+        fv = FeatureVector(np.array(ids, dtype=np.int64), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="out of range"):
+            encode(params, fv)
+
+
+def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
+    """A bag may name a bucket twice, as a mixed bag does; it pools, scores
+    and gets an embedding gradient as the bag with those weights added."""
+    params = init_params(16, 6, 3, 0.3, seed=2, buckets=range(16))
+    repeated = FeatureVector(np.array([5, 2, 9, 2, 5]), np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+    merged = FeatureVector(np.array([2, 5, 9]), np.array([0.35, 0.35, 0.3]))
+    np.testing.assert_allclose(
+        encode(params, repeated), encode(params, merged), rtol=1e-12, atol=1e-15
+    )
+    other = FeatureVector(np.array([1, 9]), np.array([0.5, 0.5]))
+    target = np.array([0.2, 0.5, 0.3])
+    results = []
+    for bag in (repeated, merged):
+        items = [BatchItem(bag, "ce", target), BatchItem(other, "ce", target),
+                 BatchItem(bag, "rdrop", key=0), BatchItem(bag, "pseudo", key=0)]
+        results.append(backward(params, items, mask_seed=11))
+    (total_r, grads_r, _), (total_m, grads_m, _) = results
+    assert total_r == pytest.approx(total_m, rel=1e-12)
+    assert np.array_equal(grads_r.emb_rows, grads_m.emb_rows)
+    np.testing.assert_allclose(grads_r.emb_vals, grads_m.emb_vals, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(
+        predict_logits(params, [repeated, other]), predict_logits(params, [merged, other]),
+        rtol=1e-12, atol=1e-15,
+    )
+
+
 # ---------------------------------------------------------------------------
 # head_forward and softmax
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_config_parse_example_with_comments():
         ("selfmix.total_epochs = six", "line 2: selfmix.total_epochs:"),
         ("selfmix.class_regularize = yes", "expected true or false"),
         ("noise.type = gaussian", "noise.type must be one of"),
-        ("selfmix.term_normalization = max", "must be mean or sum"),
+        ("selfmix.term_normalization = max", "must be 'mean' or 'sum'"),
     ],
 )
 def test_config_parse_errors_carry_line_numbers(line, message):
@@ -293,6 +293,8 @@ def test_effective_noise_seed():
     [
         ("selfmix.tau = -3", "tau must lie strictly between 0 and 1", "line 1: selfmix.tau"),
         ("selfmix.batch_size = 1", "batch_size must be at least 2", "line 1: selfmix.batch_size"),
+        ("selfmix.term_normalization = max", "term_normalization must be 'mean' or 'sum'",
+         "line 1: selfmix.term_normalization"),
         ("encoder.dropout = 1.0", "dropout_rate must lie in [0, 1)", "line 1: encoder.dropout"),
         ("optimizer.beta2 = -0.5", "beta2 must lie in [0, 1)", "line 1: optimizer.beta2"),
         ("selfmix.warmup_epochs = 7\nselfmix.total_epochs = 6",
@@ -889,6 +891,35 @@ def test_cli_unusable_setting_exits_1_naming_its_line_before_writing(
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg_path}: line {lineno}: {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["data.train", "data.test"])
+def test_cli_refuses_an_empty_corpus_before_writing(corpus_dir, tmp_path, capsys, key):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,text\n", encoding="utf-8")
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "empty.cfg"
+    text = config_text(corpus_dir, out, **{key: str(empty), "data.num_classes": "2"})
+    cfg_path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert f"error: {key}: {empty} holds no examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_warmup_budget_longer_than_the_run_before_writing(
+    corpus_dir, tmp_path, capsys
+):
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "long.cfg"
+    overrides = {"selfmix.warmup_epochs": None, "selfmix.warmup_samples": "100000",
+                 "selfmix.total_epochs": "2"}
+    cfg_path.write_text(config_text(corpus_dir, out, **overrides), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "spans more passes" in capsys.readouterr().err
+    assert not out.exists()
+    # the plain arm has no warm-up phase, so the same config trains it
+    assert cli.main(["train-baseline", "--config", str(cfg_path)]) == 0
+    assert (out / "baseline" / "report.json").is_file()
 
 
 def test_cli_run_and_report(corpus_dir, tmp_path, capsys):

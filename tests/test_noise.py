@@ -1,11 +1,14 @@
 """Label corruption: exact counts, manifests, and the sidecar format."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import N_CASES
-from selfmix import noise
+from selfmix import core, noise
 from selfmix.common import round_half_up
 from selfmix.data import Dataset, Example, validate
 from selfmix.encoder import featurize_text, predict_proba
@@ -213,6 +216,41 @@ def test_idn_batched_margins_choose_the_per_document_flips(monkeypatch):
                       for i in order[:num_flips])
     assert len(manifest.flips) == num_flips
     assert list(manifest.flips) == expected
+
+
+def test_idn_featurizes_the_dataset_once(monkeypatch):
+    """The auxiliary subset's rows are rows of the one featurized corpus:
+    no call through either module's binding featurizes anything again."""
+    pool, _ = make_labeled_pool(80, 3, seed=5)
+    calls = []
+
+    def counting(real):
+        def featurize(texts, num_buckets):
+            calls.append(len(texts))
+            return real(texts, num_buckets)
+
+        return featurize
+
+    for module in (noise, core):
+        monkeypatch.setattr(module, "featurize_corpus", counting(module.featurize_corpus))
+    inject_instance_dependent(pool, 0.2, seed=6, aux_subset_fraction=0.5)
+    assert calls == [len(pool)]
+
+
+def test_noise_imports_only_warmup_from_core():
+    """The injector's layering: it scores documents with the encoder and
+    borrows only the epoch loop (``warmup``) from the trainers."""
+    tree = ast.parse(Path(noise.__file__).read_text(encoding="utf-8"))
+    from_core = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, "core"), (0, "selfmix.core")):
+                from_core.update(alias.name for alias in node.names)
+            if (node.level, node.module) in ((1, None), (0, "selfmix")):
+                assert "core" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("selfmix.core") for alias in node.names)
+    assert from_core == {"warmup"}
 
 
 def test_injector_count_validity_determinism_property():
