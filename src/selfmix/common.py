@@ -1,6 +1,7 @@
 """Shared plumbing: error types, seed derivation, rounding, atomic writes."""
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
@@ -33,11 +34,16 @@ def round_half_up(x: float) -> int:
 def atomic_open(path: str | Path, mode: str = "w"):
     """Write to a temporary file beside ``path``, renamed onto it on success,
     so a write that fails part-way leaves an existing file untouched and no
-    temporary file. Text is UTF-8, written without newline translation."""
+    temporary file. Text is UTF-8, written without newline translation.
+    A missing directory raises ``FileNotFoundError`` naming ``path``."""
     tmp = Path(f"{path}.tmp")
     text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
     try:
-        with open(tmp, mode, **text) as fh:
+        fh = open(tmp, mode, **text)
+    except FileNotFoundError:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

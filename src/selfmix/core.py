@@ -18,9 +18,10 @@ representations does in the paper. Only the unlabeled members of a batch
 get a forward pass of their own, to guess their targets. Every dropout-off
 inference over many documents (per-sample losses, test accuracy, those
 guesses and the instance-dependent injector's margins) runs through
-:func:`~selfmix.encoder.predict_logits`. Features are built once per
-corpus, by :func:`~selfmix.encoder.featurize_corpus`, and then only
-indexed or concatenated.
+:func:`~selfmix.encoder.predict_logits` on rows of a
+:class:`~selfmix.encoder.FeatureMatrix`. A corpus is featurized once, by
+:func:`~selfmix.encoder.featurize_corpus`; training batches index
+per-document views of it, built once per corpus.
 Warm-up epochs of plain cross-entropy precede selection so that early
 losses are informative. One batch loop, :func:`_epoch`, runs every epoch of
 the warm-up, the plain arm, the standalone :func:`warmup` and the adaptive
@@ -46,6 +47,7 @@ from .common import NumericError, subseed
 from .data import Dataset, one_hot
 from .encoder import (
     BatchItem,
+    FeatureMatrix,
     FeatureVector,
     Gradients,
     ModelParams,
@@ -234,16 +236,16 @@ class TrainReport:
 def per_sample_losses(
     params: ModelParams,
     dataset: Dataset,
-    features: list[FeatureVector] | None = None,
+    features: FeatureMatrix | None = None,
 ) -> np.ndarray:
     """Cross-entropy ``-log(max(p[label], 1e-300))`` of each observed label
     with dropout off.
 
-    Given ``features``, one per example, the documents are scored in batched
-    forward passes (:func:`predict_logits`). Without them, each text is
-    featurized and scored on its own: one :func:`featurize_text` and one
-    :func:`predict_proba` call per document. Either way a non-finite
-    forward pass raises :class:`NumericError`.
+    Given ``features``, one row per example, the documents are scored in
+    batched forward passes (:func:`predict_logits`). Without them, each
+    text is featurized and scored on its own: one :func:`featurize_text`
+    and one :func:`predict_proba` call per document. Either way a
+    non-finite forward pass raises :class:`NumericError`.
     """
     if features is None:
         features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
@@ -380,11 +382,9 @@ def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, floa
     return precision, recall, f1
 
 
-def accuracy(
-    params: ModelParams, features: list[FeatureVector], labels: np.ndarray
-) -> float:
-    """Dropout-off classification accuracy."""
-    if not features:
+def accuracy(params: ModelParams, features: FeatureMatrix, labels: np.ndarray) -> float:
+    """Dropout-off classification accuracy of the rows of ``features``."""
+    if not len(features):
         return 0.0
     hits = np.argmax(predict_logits(params, features), axis=1) == np.asarray(labels)
     return int(np.sum(hits)) / len(features)
@@ -427,12 +427,12 @@ def warmup_schedule(cfg: SelfMixConfig, size: int) -> list[int | None]:
 _ItemBuilder = Callable[[int, np.ndarray], list[BatchItem]]
 
 
-def _ce_items(features: list[FeatureVector], targets: np.ndarray) -> _ItemBuilder:
+def _ce_items(bags: list[FeatureVector], targets: np.ndarray) -> _ItemBuilder:
     """Batch builder for plain cross-entropy on the rows of ``targets``."""
 
     def items_for(b: int, batch: np.ndarray) -> list[BatchItem]:
         return [
-            BatchItem(features[i], "ce", targets[i], weight=1.0 / batch.size, key=int(i))
+            BatchItem(bags[i], "ce", targets[i], weight=1.0 / batch.size, key=int(i))
             for i in batch
         ]
 
@@ -493,6 +493,7 @@ class _Run:
         # allocated once, at their final size, before the first forward pass.
         self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
         self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
+        self.bags = list(self.features)  # per-document views, built once
         self.labels = train.observed_labels()
         self.targets = one_hot(self.labels, train.num_classes)
         self.test_labels = test.observed_labels()
@@ -548,12 +549,12 @@ class _Run:
         )
 
     def ce_epoch(self, epoch: int, limit: int | None = None) -> dict[str, float]:
-        return self._train_epoch(_ce_items(self.features, self.targets), epoch, limit)
+        return self._train_epoch(_ce_items(self.bags, self.targets), epoch, limit)
 
     def guess(self, members: np.ndarray) -> np.ndarray:
         """Sharpened dropout-off predictions for the training positions
         ``members``, one row each, from batched forward passes."""
-        logits = predict_logits(self.params, [self.features[i] for i in members])
+        logits = predict_logits(self.params, self.features.take(members))
         return sharpen(softmax(logits), self.cfg.temperature)
 
     def selfmix_epoch(self, epoch: int) -> tuple[DataSplit, dict[str, float]]:
@@ -584,7 +585,7 @@ class _Run:
             rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
             lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
             partners = rng.integers(0, m, size=m)
-            bags = [self.features[i] for i in batch]
+            bags = [self.bags[i] for i in batch]
             targets = self.targets[batch]
             u_rows = np.flatnonzero(~split.labeled[batch])
             u_members = batch[u_rows]
@@ -600,7 +601,7 @@ class _Run:
             for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
                 if weight > 0.0:
                     items.extend(
-                        BatchItem(self.features[i], kind, weight=weight / norm, key=int(i))
+                        BatchItem(self.bags[i], kind, weight=weight / norm, key=int(i))
                         for i in u_members
                     )
             return items
@@ -641,7 +642,7 @@ class _Run:
 def warmup(
     params: ModelParams,
     opt: OptimizerState,
-    features: list[FeatureVector],
+    features: FeatureMatrix,
     labels: np.ndarray,
     *,
     epochs: int,
@@ -659,7 +660,7 @@ def warmup(
     otherwise the first step raises ``ValueError``. The instance-dependent
     noise injector trains its auxiliary model with it.
     """
-    items_for = _ce_items(features, one_hot(labels, params.num_classes))
+    items_for = _ce_items(list(features), one_hot(labels, params.num_classes))
     for epoch in range(epochs):
         _epoch(
             params,

@@ -28,7 +28,11 @@ into ``num_buckets`` buckets (Weinberger et al., ICML 2009).
 distinct word and once per distinct pair of a chunk of ``_FEATURIZE_CHUNK``
 texts; a pair continues its left word's state over the separator byte.
 Once one word is longer than every other word still being hashed, its
-remaining bytes go through a plain integer loop.
+remaining bytes go through a plain integer loop. A chunk's entries are
+ordered by (document, bucket) with a sort by bucket and then a stable sort
+by document id as an ``int16`` key, which NumPy radix-sorts. A corpus is one
+CSR :class:`FeatureMatrix`; each chunk is written straight into it, and
+:func:`predict_logits` scores slices of it without per-document objects.
 
 The embedding state is sparse: only the buckets a training corpus hashes to
 carry information. A model owns one row for each bucket its training
@@ -137,7 +141,65 @@ class FeatureVector:
     weights: np.ndarray
 
 
-def _featurize_chunk(texts: Sequence[str], num_buckets: int) -> list[FeatureVector]:
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """The feature bags of many documents as one CSR matrix.
+
+    Document ``i`` names the buckets ``indices[indptr[i]:indptr[i + 1]]``
+    with the weights at the same positions. ``m[i]`` is that document's
+    :class:`FeatureVector`, whose arrays are views into ``m``.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int64, indptr[0] == 0
+    indices: np.ndarray  # (indptr[-1],) int64
+    weights: np.ndarray  # (indptr[-1],) float64
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[FeatureVector]) -> "FeatureMatrix":
+        """The documents ``vectors``, one row each, in order."""
+        if not vectors:
+            return cls(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum([fv.indices.size for fv in vectors], out=indptr[1:])
+        return cls(
+            indptr,
+            np.concatenate([fv.indices for fv in vectors], dtype=np.int64),
+            np.concatenate([fv.weights for fv in vectors], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __getitem__(self, i: int) -> FeatureVector:
+        i = range(len(self))[i]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return FeatureVector(self.indices[lo:hi], self.weights[lo:hi])
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield FeatureVector(self.indices[lo:hi], self.weights[lo:hi])
+
+    def sizes(self) -> np.ndarray:
+        """The number of entries of each row."""
+        return np.diff(self.indptr)
+
+    def take(self, positions: Sequence[int] | np.ndarray) -> "FeatureMatrix":
+        """Rows ``positions``, in that order (repeats allowed), by one gather."""
+        positions = np.asarray(positions, dtype=np.int64)
+        starts = self.indptr[positions]
+        sizes = self.indptr[positions + 1] - starts
+        indptr = np.zeros(positions.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        # entry k of the result reads entry starts[row] + (k - indptr[row])
+        gather = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
+        return FeatureMatrix(indptr, self.indices[gather], self.weights[gather])
+
+
+def _featurize_chunk(
+    texts: Sequence[str], num_buckets: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indices, weights, indptr)`` of the CSR rows of ``texts``."""
     docs = [tokenize(text) for text in texts]
     sizes = np.array([len(d) for d in docs], dtype=np.int64)
     vocab: dict[str, int] = {}
@@ -155,26 +217,38 @@ def _featurize_chunk(texts: Sequence[str], num_buckets: int) -> list[FeatureVect
     bigrams = _fnv_fold(state, buf, starts[right], lengths[right])
     bucket = np.concatenate([unigrams[ids], bigrams[which]]) % np.uint64(num_buckets)
     doc = np.concatenate([doc, doc[1:][inner]])
-    order = np.lexsort((bucket, doc))
+    # Sort by (doc, bucket): by bucket, then stably by doc. An int16 doc key
+    # is radix-sorted, which holds while _FEATURIZE_CHUNK < 2**15.
+    order = np.argsort(bucket)
+    order = order[np.argsort(doc[order].astype(np.int16), kind="stable")]
     bucket, doc = bucket[order].astype(np.int64), doc[order]
     runs = np.flatnonzero(np.diff(bucket, prepend=-1) | np.diff(doc, prepend=-1))
     indices, doc = bucket[runs], doc[runs]
     grams = 2 * sizes - (sizes > 0)  # n unigrams and n - 1 bigrams in a text of n tokens
     weights = np.diff(runs, append=bucket.size) / grams[doc]
-    bounds = np.searchsorted(doc, np.arange(len(docs) + 1)).tolist()
-    spans = zip(bounds, bounds[1:])
-    return [FeatureVector(indices[lo:hi].copy(), weights[lo:hi].copy()) for lo, hi in spans]
+    return indices, weights, np.searchsorted(doc, np.arange(len(docs) + 1))
 
 
-def featurize_corpus(texts: Sequence[str], num_buckets: int) -> list[FeatureVector]:
-    """The features of each text: its unigrams and adjacent bigrams, hashed
-    into ``num_buckets`` buckets, ``_FEATURIZE_CHUNK`` texts at a time."""
+def featurize_corpus(texts: Sequence[str], num_buckets: int) -> FeatureMatrix:
+    """The features of each text, one row each: its unigrams and adjacent
+    bigrams, hashed into ``num_buckets`` buckets, ``_FEATURIZE_CHUNK`` texts
+    at a time.
+
+    Each chunk's entries are appended to arrays that grow by exactly that
+    many, so the peak stays near the matrix the call returns.
+    """
     if not 1 <= num_buckets < 2**63:
         raise ValueError("num_buckets must lie in [1, 2**63)")
-    features: list[FeatureVector] = []
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    indices, weights = np.empty(0, dtype=np.int64), np.empty(0)
     for start in range(0, len(texts), _FEATURIZE_CHUNK):
-        features += _featurize_chunk(texts[start : start + _FEATURIZE_CHUNK], num_buckets)
-    return features
+        *parts, bounds = _featurize_chunk(texts[start : start + _FEATURIZE_CHUNK], num_buckets)
+        end = indices.size
+        for grown, part in zip((indices, weights), parts):
+            grown.resize(end + part.size, refcheck=False)
+            grown[end:] = part
+        indptr[start : start + bounds.size] = end + bounds
+    return FeatureMatrix(indptr, indices, weights)
 
 
 def featurize_text(text: str, num_buckets: int) -> FeatureVector:
@@ -265,23 +339,12 @@ def init_params(
     )
 
 
-def corpus_buckets(features: Sequence[FeatureVector], num_buckets: int) -> np.ndarray:
+def corpus_buckets(features: FeatureMatrix, num_buckets: int) -> np.ndarray:
     """The distinct buckets ``features`` name, sorted: the buckets a model
     trained on them must own (the ``buckets`` of :func:`init_params`)."""
     seen = np.zeros(num_buckets, dtype=bool)
-    for fv in features:
-        seen[fv.indices] = True
+    seen[features.indices] = True
     return np.flatnonzero(seen)
-
-
-def _concat(vectors: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated ``(indices, weights, sizes)`` of a list of feature vectors."""
-    if not vectors:
-        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.intp)
-    sizes = np.array([fv.indices.size for fv in vectors], dtype=np.intp)
-    indices = np.concatenate([fv.indices for fv in vectors])
-    weights = np.concatenate([fv.weights for fv in vectors])
-    return indices, weights, sizes
 
 
 def _pool(
@@ -457,21 +520,24 @@ def predict_proba(params: ModelParams, features: FeatureVector) -> np.ndarray:
     return _forward(params, encode(params, features), None).p
 
 
-def predict_logits(params: ModelParams, features: list[FeatureVector]) -> np.ndarray:
+def predict_logits(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     """Dropout-off logits of many documents, one row each, in forward passes
-    of ``_EVAL_CHUNK`` documents.
+    over ``_EVAL_CHUNK`` consecutive rows of ``features``.
 
     Raises :class:`NumericError` when a row is not finite, as happens when
     a diverged model's forward pass overflows.
     """
-    logits = np.empty((len(features), params.num_classes))
-    for start in range(0, len(features), _EVAL_CHUNK):
-        chunk = features[start : start + _EVAL_CHUNK]
-        pooled = _pool(params, *_concat(chunk))
-        logits[start : start + len(chunk)] = _forward(params, pooled, None).z
+    n = len(features)
+    logits = np.empty((n, params.num_classes))
+    bounds, sizes = features.indptr, features.sizes()
+    for start in range(0, n, _EVAL_CHUNK):
+        stop = min(start + _EVAL_CHUNK, n)
+        lo, hi = bounds[start], bounds[stop]
+        pooled = _pool(params, features.indices[lo:hi], features.weights[lo:hi], sizes[start:stop])
+        logits[start:stop] = _forward(params, pooled, None).z
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
-        raise NumericError(f"non-finite logits for document {int(bad[0])} of {len(features)}")
+        raise NumericError(f"non-finite logits for document {int(bad[0])} of {n}")
     return logits
 
 
@@ -526,7 +592,8 @@ def backward(
     ce, pseudo, rdrop = (np.array(positions[kind], dtype=np.intp) for kind in _KINDS)
     weights = np.array([item.weight for item in items], dtype=np.float64)
 
-    indices, bag_weights, sizes = _concat([item.input for item in items])
+    batch = FeatureMatrix.from_vectors([item.input for item in items])
+    indices, bag_weights, sizes = batch.indices, batch.weights, batch.sizes()
     e = _pool(params, indices, bag_weights, sizes)
 
     # rows 0..n-1 are every item's pass 0; rows n.. are the rdrop items' pass 1

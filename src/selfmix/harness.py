@@ -488,9 +488,17 @@ def analyze_losses(
     out_path: str | Path,
     bins: int = 20,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Histogram a trained model's per-sample losses over a corpus."""
+    """Histogram a trained model's per-sample losses over a corpus.
+
+    ``bins`` and the directory of ``out_path`` are checked before the model
+    or the corpus is read.
+    """
     from .encoder import load_checkpoint
 
+    if bins < 1:
+        raise ValueError("bins must be positive")
+    if not Path(out_path).parent.is_dir():
+        raise ValueError(f"{out_path}: no such directory: {Path(out_path).parent}")
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)
     features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)

@@ -206,7 +206,7 @@ def inject_instance_dependent(
     labels = dataset.observed_labels()
     aux_size = max(dataset.num_classes, round_half_up(aux_subset_fraction * n))
     aux = stratified_subsample(dataset, min(aux_size, n), subseed(seed, "subsample"))
-    aux_features = [features[i] for i in aux]
+    aux_features = features.take(aux)
     params = init_params(
         AUX_NUM_BUCKETS,
         AUX_HIDDEN,

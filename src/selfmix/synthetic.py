@@ -49,6 +49,8 @@ def make_labeled_pool(
     ``round(ambiguous_fraction * n)`` documents are fully ambiguous: every
     word comes from the shared pools, so no private word reveals the class.
     """
+    if n < 1:
+        raise ValueError(f"{name}: a pool needs at least one document; got {n}")
     if num_classes < 2:
         raise ValueError("need at least two classes")
     if not 0.0 <= shared_fraction <= 1.0:

@@ -504,7 +504,7 @@ def test_per_document_losses_raise_for_a_diverged_model():
 def test_warmup_reduces_training_loss():
     train, _ = make_corpus(800, 200, 4, seed=0)
     params = init_params(2**16, 48, 4, 0.3, seed=5, buckets=buckets_of(train, 2**16))
-    features = [featurize_text(ex.text, params.num_buckets) for ex in train]
+    features = featurize_corpus([ex.text for ex in train], params.num_buckets)
     before = per_sample_losses(params, train, features).mean()
     opt = init_optimizer(params, learning_rate=1e-3)
     warmup(params, opt, features, train.observed_labels(), epochs=2, seed=5)

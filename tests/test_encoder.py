@@ -24,6 +24,7 @@ from selfmix.core import embmix
 from selfmix.encoder import (
     FNV_OFFSET,
     BatchItem,
+    FeatureMatrix,
     FeatureVector,
     ModelParams,
     adam_step,
@@ -212,7 +213,55 @@ def test_featurize_corpus_refuses_bucket_ids_outside_int64(num_buckets):
 def test_featurize_corpus_accepts_the_largest_int64_bucket_count():
     fv = featurize_corpus(["a"], 2**63 - 1)[0]
     assert fv.indices.tolist() == [reference_fnv1a64(b"a") % (2**63 - 1)]
-    assert featurize_corpus([], 2**63 - 1) == []
+    empty = featurize_corpus([], 2**63 - 1)
+    assert len(empty) == 0 and empty.indptr.tolist() == [0] and empty.indices.size == 0
+
+
+def test_feature_matrix_rows_take_and_from_vectors_agree():
+    """``take`` gathers rows, in order and with repeats, equal to ``m[i]``,
+    empty documents included; ``from_vectors`` rebuilds the same matrix."""
+    texts = ["a b c", "", "solo", "a b a b", "", "x y"]
+    m = featurize_corpus(texts, 2**18)
+    assert len(m) == len(texts) and m.indptr.dtype == np.int64
+    for i, row in enumerate(m):
+        _assert_bit_equal(row, m[i])
+        assert np.shares_memory(m[i].indices, m.indices) or m[i].indices.size == 0
+    assert m[-1].indices.tolist() == m[5].indices.tolist()
+    with pytest.raises(IndexError):
+        m[len(texts)]
+    positions = [3, 1, 3, 0, 4, 4, 5]
+    taken = m.take(positions)
+    assert len(taken) == len(positions)
+    for got, i in zip(taken, positions, strict=True):
+        _assert_bit_equal(got, m[i])
+    assert len(m.take([])) == 0 and m.take([]).indptr.tolist() == [0]
+    again = FeatureMatrix.from_vectors(list(m))
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
+    empty = FeatureMatrix.from_vectors([])
+    assert len(empty) == 0 and empty.indices.dtype == np.int64
+
+
+def test_the_chunk_doc_key_fits_int16():
+    """_featurize_chunk radix-sorts each chunk's doc ids as int16."""
+    assert encoder._FEATURIZE_CHUNK < 2**15
+
+
+def test_featurizing_and_scoring_a_corpus_builds_no_per_document_objects(monkeypatch):
+    pool, _ = make_labeled_pool(20000, 4, class_vocab=400, seed=3)
+    texts = [ex.text for ex in pool]
+    params = init_params(2**18, 8, 4, 0.0, seed=1)
+    built = []
+    real_init = FeatureVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FeatureVector, "__init__", counting)
+    logits = predict_logits(params, featurize_corpus(texts, params.num_buckets))
+    assert logits.shape == (20000, 4)
+    assert len(built) == 0
 
 
 def _featurize_traced(texts: list[str]) -> tuple[int, int]:
@@ -299,7 +348,8 @@ def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
     assert np.array_equal(grads_r.emb_rows, grads_m.emb_rows)
     np.testing.assert_allclose(grads_r.emb_vals, grads_m.emb_vals, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(
-        predict_logits(params, [repeated, other]), predict_logits(params, [merged, other]),
+        predict_logits(params, FeatureMatrix.from_vectors([repeated, other])),
+        predict_logits(params, FeatureMatrix.from_vectors([merged, other])),
         rtol=1e-12, atol=1e-15,
     )
 
@@ -975,7 +1025,7 @@ def test_training_keeps_the_row_table_and_moments():
         ]
         for _ in range(6)
     ]
-    features = [item.input for batch in batches for item in batch]
+    features = FeatureMatrix.from_vectors([item.input for batch in batches for item in batch])
     params = init_params(3000, 3, 2, 0.3, seed=7, buckets=corpus_buckets(features, 3000))
     opt = init_optimizer(params, learning_rate=0.05)
     tables = (params.embedding, opt.m_emb, opt.v_emb)
@@ -997,7 +1047,7 @@ def _trained_sparse_model(rng):
         ]
         for _ in range(4)
     ]
-    features = [item.input for items in batches for item in items]
+    features = FeatureMatrix.from_vectors([item.input for items in batches for item in items])
     params = init_params(2**18, 8, 3, 0.2, seed=11, buckets=corpus_buckets(features, 2**18))
     opt = init_optimizer(params, learning_rate=0.05)
     for items in batches:
@@ -1016,6 +1066,7 @@ def test_sparse_checkpoint_reproduces_logits(tmp_path):
     docs = [random_features(rng, 2**18) for _ in range(40)]  # untrained buckets
     docs.append(FeatureVector(trained[:5], np.full(5, 0.2)))
     docs.append(FeatureVector(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
+    docs = FeatureMatrix.from_vectors(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
     dense_size = 36 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
     assert path.stat().st_size < dense_size / 10
@@ -1046,6 +1097,7 @@ def test_smx3_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
     trained = np.flatnonzero(params.slot)
     docs = [FeatureVector(trained[k : k + 3], np.full(3, 1.0 / 3.0)) for k in range(0, 30, 3)]
     docs += [random_features(rng, 2**18) for _ in range(10)]
+    docs = FeatureMatrix.from_vectors(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import N_CASES, mask_of
-from selfmix.common import NumericError, round_half_up, subseed
+from selfmix.common import NumericError, atomic_open, round_half_up, subseed
 from selfmix.core import REPORT_CSV_FIELDS, ModelConfig, SelfMixConfig, selection_prf
 from selfmix.data import Dataset, Example, load_csv, save_csv
 from selfmix.encoder import init_params, load_checkpoint, save_checkpoint
@@ -35,7 +35,7 @@ from selfmix.noise import (
     load_manifest,
 )
 from selfmix.synthetic import make_corpus
-from selfmix import cli, harness
+from selfmix import cli, encoder, harness
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +814,14 @@ def test_cli_make_corpus_and_inject(tmp_path, capsys):
     assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
 
 
+@pytest.mark.parametrize(("train", "test"), [("0", "5"), ("-5", "5"), ("5", "0"), ("5", "-5")])
+def test_cli_make_corpus_refuses_a_size_below_one(tmp_path, capsys, train, test):
+    out = tmp_path / "c4"
+    assert cli.main(["make-corpus", "--out", str(out), "--train", train, "--test", test]) == 1
+    assert "at least one document" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_argument_errors_exit_1(tmp_path, capsys):
     assert cli.main(["inject-noise", "--in", "x.csv"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -995,6 +1003,44 @@ def test_cli_analyze_losses(finished_run, tmp_path, capsys):
     ]) == 0
     assert "histogrammed 48 clean and 12 noisy" in capsys.readouterr().out
     assert hist.is_file()
+
+
+@pytest.mark.parametrize(
+    ("hist", "bins", "message"),
+    [("h.csv", "0", "bins must be positive"), ("nodir/h.csv", "20", "nodir/h.csv")],
+)
+def test_cli_analyze_losses_checks_its_arguments_before_reading(
+    finished_run, tmp_path, capsys, monkeypatch, hist, bins, message
+):
+    """A bad ``--bins`` or an ``--out`` in a missing directory exits 1,
+    naming what the user typed, before the checkpoint is loaded."""
+    _, out, _ = finished_run
+    loads = []
+    real_load = encoder.load_checkpoint
+
+    def counting(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(encoder, "load_checkpoint", counting)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([
+        "analyze-losses", "--model", str(out / "baseline" / "model.smx"),
+        "--data", str(out / "corrupted_train.csv"), "--out", hist, "--bins", bins,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert message in err and ".tmp" not in err
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_open_names_the_target_when_its_directory_is_missing(tmp_path):
+    target = tmp_path / "nodir" / "h.csv"
+    with pytest.raises(FileNotFoundError) as err:
+        with atomic_open(target) as fh:
+            fh.write("never written")
+    assert err.value.filename == str(target)
+    assert ".tmp" not in str(err.value)
 
 
 def test_cli_analyze_losses_refuses_a_checkpoint_header_larger_than_the_file(
