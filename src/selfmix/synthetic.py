@@ -11,7 +11,8 @@ difficulty-seeking corruption.
 
 Generation is deterministic given the seed. Class assignment cycles
 (example i has true class i mod C) so corpora are exactly balanced whenever
-C divides the size.
+C divides the size. A pool smaller than C is refused, since it would lack
+classes its class count promises.
 """
 from __future__ import annotations
 
@@ -49,10 +50,12 @@ def make_labeled_pool(
     ``round(ambiguous_fraction * n)`` documents are fully ambiguous: every
     word comes from the shared pools, so no private word reveals the class.
     """
-    if n < 1:
-        raise ValueError(f"{name}: a pool needs at least one document; got {n}")
     if num_classes < 2:
         raise ValueError("need at least two classes")
+    if n < num_classes:
+        raise ValueError(
+            f"{name}: {num_classes} classes need at least one document each; got {n}"
+        )
     if not 0.0 <= shared_fraction <= 1.0:
         raise ValueError("shared_fraction must lie in [0, 1]")
     if not 0.0 <= ambiguous_fraction <= 1.0:

@@ -12,6 +12,7 @@ from selfmix.core import (
     DataSplit,
     ModelConfig,
     SelfMixConfig,
+    SharedWarmup,
     class_regularize,
     embmix,
     per_sample_losses,
@@ -578,6 +579,32 @@ def test_arms_coincide_while_warming_up():
         assert np.array_equal(
             getattr(base.final_params, name), getattr(mix.final_params, name)
         )
+
+
+def test_arms_continue_a_shared_warmup_as_if_each_ran_alone():
+    """Each arm continues the shared warm-up on arrays of its own, and a
+    trainer given other inputs is refused."""
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=4, warmup_epochs=2, batch_size=16, seed=5)
+    with SharedWarmup() as shared:
+        base = train_baseline(corrupted, test, TINY_MODEL, cfg, eval_every=3, shared=shared)
+        with pytest.raises(ValueError, match="inputs it was built from"):
+            train_selfmix(corrupted, test, TINY_MODEL, cfg, eval_every=4, shared=shared)
+        mix = train_selfmix(corrupted, test, TINY_MODEL, cfg, eval_every=3, shared=shared)
+    for shared_report, alone in (
+        (base, train_baseline(corrupted, test, TINY_MODEL, cfg, eval_every=3)),
+        (mix, train_selfmix(corrupted, test, TINY_MODEL, cfg, eval_every=3)),
+    ):
+        assert shared_report.per_epoch == alone.per_epoch
+        assert shared_report.step_acc == alone.step_acc
+        for a, b in zip(shared_report.per_epoch_losses, alone.per_epoch_losses):
+            assert np.array_equal(a, b)
+        for name in ("embedding", "w1", "b1", "w2", "b2"):
+            assert np.array_equal(
+                getattr(shared_report.final_params, name), getattr(alone.final_params, name)
+            )
+    assert base.final_params.embedding is not mix.final_params.embedding
+    assert base.per_epoch[2] != mix.per_epoch[2]
 
 
 def test_per_sample_losses_run_once_per_parameter_state(monkeypatch):

@@ -4,8 +4,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import shutil
 import struct
+import tempfile
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -35,7 +37,7 @@ from selfmix.noise import (
     load_manifest,
 )
 from selfmix.synthetic import make_corpus
-from selfmix import cli, encoder, harness
+from selfmix import cli, core, encoder, harness
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +648,105 @@ def test_each_arm_model_is_freed_once_its_checkpoint_is_written(
     assert len(models) == 2 and all(ref() is None for ref in models)
 
 
+def _arm_outputs(root: Path) -> dict[str, str]:
+    """Digests of everything one run wrote for its arms."""
+    return {
+        name: digest
+        for name, digest in _tree_digest(root).items()
+        if name.split("/")[0] in ("baseline", "selfmix", "hist")
+    }
+
+
+@pytest.mark.parametrize(
+    "warmup",
+    [
+        {"selfmix.warmup_epochs": "2"},
+        # 90 samples over 60 documents: one shared pass, then a partial one
+        {"selfmix.warmup_epochs": None, "selfmix.warmup_samples": "90"},
+        {"selfmix.warmup_epochs": "0"},
+    ],
+    ids=["two-epochs", "partial-pass", "none-shared"],
+)
+def test_a_two_arm_run_writes_what_two_single_arm_runs_write(
+    corpus_dir, tmp_path, monkeypatch, warmup
+):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_text(config_text(corpus_dir, out, **warmup))
+    inits = []
+    monkeypatch.setattr(
+        core, "init_params", lambda *a, **k: inits.append(1) or init_params(*a, **k)
+    )
+    run_experiment(cfg)
+    assert len(inits) == 1  # one featurization, init and warm-up for both arms
+    both = _arm_outputs(out)
+    single: dict[str, str] = {}
+    for arm in ARMS:
+        shutil.rmtree(out)
+        run_experiment(cfg, arms=(arm,))
+        single.update(_arm_outputs(out))
+    assert len(inits) == 3
+    assert both == single
+    assert {name.split("/")[0] for name in both} == {"baseline", "selfmix", "hist"}
+
+
+def _open_files_under(root: Path) -> list[str]:
+    """What this process's descriptors point at under ``root`` (Linux only)."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        return []
+    targets = []
+    for fd in fds.iterdir():
+        try:
+            targets.append(os.readlink(fd))
+        except OSError:
+            pass
+    return [t for t in targets if t.startswith(str(root))]
+
+
+def test_the_shared_warmup_spill_leaves_nothing_behind(corpus_dir, tmp_path, monkeypatch):
+    """The spill lives in the temporary directory while the second arm runs,
+    never in the run directory, and is gone once the run ends, whether it
+    succeeds or fails before or after the spill is written."""
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    seen_during_second_arm = []
+    real_epoch = core._Run.selfmix_epoch
+
+    def watching(run, epoch):
+        seen_during_second_arm.append(_open_files_under(spill_dir))
+        return real_epoch(run, epoch)
+
+    monkeypatch.setattr(core._Run, "selfmix_epoch", watching)
+    out = tmp_path / "ok"
+    run_experiment(ExperimentConfig.from_text(config_text(corpus_dir, out)))
+    if Path("/proc/self/fd").is_dir():
+        assert seen_during_second_arm and all(seen_during_second_arm)
+    assert {p.name for p in out.iterdir()} == set(harness._RUN_OUTPUTS)
+    assert list(spill_dir.iterdir()) == [] and _open_files_under(spill_dir) == []
+
+    diverging = config_text(corpus_dir, tmp_path / "diverge", **{"optimizer.lr": "1e200"})
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=r"epoch 0, batch \d+"):
+            run_experiment(ExperimentConfig.from_text(diverging))
+    partial = json.loads((tmp_path / "diverge" / "summary.json").read_text(encoding="utf-8"))
+    assert partial["error"]["stage"] == "baseline"  # the shared warm-up failed
+
+    def failing(run, epoch):
+        raise NumericError("epoch 1, batch 0: non-finite ce loss")
+
+    monkeypatch.setattr(core._Run, "selfmix_epoch", failing)
+    with pytest.raises(NumericError) as failure:
+        run_experiment(ExperimentConfig.from_text(config_text(corpus_dir, tmp_path / "late")))
+    partial = json.loads((tmp_path / "late" / "summary.json").read_text(encoding="utf-8"))
+    assert partial["error"]["stage"] == "selfmix"
+    for run_dir in (tmp_path / "diverge", tmp_path / "late"):
+        assert {p.name for p in run_dir.iterdir()} <= set(harness._RUN_OUTPUTS)
+    # the traceback still holds the run's frames, so only closing frees the spill
+    assert failure.traceback
+    assert list(spill_dir.iterdir()) == [] and _open_files_under(spill_dir) == []
+
+
 def test_run_without_noise_skips_noise_artifacts(corpus_dir, tmp_path):
     out = tmp_path / "clean"
     cfg = ExperimentConfig.from_text(
@@ -819,6 +920,20 @@ def test_cli_make_corpus_refuses_a_size_below_one(tmp_path, capsys, train, test)
     out = tmp_path / "c4"
     assert cli.main(["make-corpus", "--out", str(out), "--train", train, "--test", test]) == 1
     assert "at least one document" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("train", "test", "split"), [("3", "2", "synthetic-train"), ("10", "4", "synthetic-test")]
+)
+def test_cli_make_corpus_refuses_a_split_smaller_than_its_classes(
+    tmp_path, capsys, train, test, split
+):
+    out = tmp_path / "c5"
+    assert cli.main([
+        "make-corpus", "--out", str(out), "--train", train, "--test", test, "--classes", "5",
+    ]) == 1
+    assert f"error: {split}: 5 classes need at least one document each" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1032,6 +1147,18 @@ def test_cli_analyze_losses_checks_its_arguments_before_reading(
     assert message in err and ".tmp" not in err
     assert loads == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_analyze_losses_refuses_a_corpus_without_examples(finished_run, tmp_path, capsys):
+    _, out, _ = finished_run
+    empty = tmp_path / "empty.csv"
+    empty.write_text("label,text\n", encoding="utf-8")
+    assert cli.main([
+        "analyze-losses", "--model", str(out / "baseline" / "model.smx"),
+        "--data", str(empty), "--out", str(tmp_path / "h.csv"),
+    ]) == 1
+    assert f"error: data: {empty} holds no examples" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_atomic_open_names_the_target_when_its_directory_is_missing(tmp_path):
