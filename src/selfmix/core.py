@@ -34,20 +34,21 @@ selection robust when different classes have different loss scales.
 Both arms draw the same init seed, shuffles and dropout keys, so their
 full-pass warm-up epochs are one computation. Given a :class:`SharedWarmup`,
 the two trainers featurize, initialize and warm up once, and each arm ends
-where it would alone. The post-warm-up state is spilled to an anonymous
-temporary file, about 21 MB at 2^18 buckets on the quick-start corpus, so
-the second arm starts from fresh arrays; the file is removed when the
-``with`` block of the shared warm-up ends. A partial ``warmup_samples`` pass
-is not shared.
+where it would alone. What the warm-up changed on the run (parameters, Adam
+state, step count and records) is pickled to an anonymous temporary file,
+about 22 MB at 2^18 buckets on the quick-start corpus, and the second arm
+unpickles it onto fresh arrays over the first run's read-only corpus; the
+file is removed when the ``with`` block of the shared warm-up ends. A
+partial ``warmup_samples`` pass is not shared.
 
 Ground-truth labels, when present on a dataset, are used only to report
 selection quality; they never influence training decisions.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
+import pickle
 import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Callable
@@ -117,9 +118,8 @@ class SelfMixConfig:
     Exactly one of ``warmup_epochs``/``warmup_samples`` must be set; the
     warm-up phase is measured either in full passes or in a number of
     training examples. ``total_epochs`` counts warm-up and adaptive epochs
-    together. ``term_normalization`` selects whether the confidence and
-    agreement terms are averaged over the unlabeled members of each batch
-    (``"mean"``) or summed (``"sum"``).
+    together. The confidence and agreement terms are averaged over the
+    unlabeled members of each batch.
     """
 
     tau: float = 0.5
@@ -132,7 +132,6 @@ class SelfMixConfig:
     total_epochs: int = 6
     batch_size: int = 32
     class_regularize: bool = False
-    term_normalization: str = "mean"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -158,8 +157,6 @@ class SelfMixConfig:
             raise ValueError("warmup_epochs must lie in [0, total_epochs]")
         if self.warmup_samples is not None and self.warmup_samples < 0:
             raise ValueError("warmup_samples must be non-negative")
-        if self.term_normalization not in ("mean", "sum"):
-            raise ValueError("term_normalization must be 'mean' or 'sum'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,7 +481,17 @@ def _epoch(
 
 
 class _Run:
-    """Shared state for one training run (either arm)."""
+    """Shared state for one training run (either arm).
+
+    ``PROGRESS`` names the attributes training changes: the parameters, the
+    Adam state, the step count and the records. The rest is the read-only
+    corpus the run trains on.
+    """
+
+    PROGRESS = (
+        "params", "opt", "global_step", "step_acc", "warnings",
+        "loss_snapshots", "per_epoch", "_losses",
+    )
 
     def __init__(
         self,
@@ -529,15 +536,6 @@ class _Run:
         self.loss_snapshots: list[np.ndarray] = []
         self.per_epoch: list[EpochStats] = []
         self._losses: tuple[int, np.ndarray] | None = None
-
-    def fork(self, params: ModelParams, opt: OptimizerState) -> "_Run":
-        """A run on this one's inputs and progress that trains ``params`` with
-        ``opt``; its records are copies, so neither run sees the other's."""
-        twin = copy.copy(self)
-        twin.params, twin.opt = params, opt
-        for name in ("step_acc", "warnings", "loss_snapshots", "per_epoch"):
-            setattr(twin, name, list(getattr(self, name)))
-        return twin
 
     def losses(self) -> np.ndarray:
         """Per-sample losses at the current parameters, computed once per step."""
@@ -618,11 +616,10 @@ class _Run:
                 BatchItem(bag, "ce", target, weight=1.0 / m, key=_MIX_KEY_BASE + k)
                 for k, (bag, target) in enumerate(zip(mixed.bags, mixed.targets))
             ]
-            norm = u_rows.size if cfg.term_normalization == "mean" else 1
             for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
                 if weight > 0.0:
                     items.extend(
-                        BatchItem(self.bags[i], kind, weight=weight / norm, key=int(i))
+                        BatchItem(self.bags[i], kind, weight=weight / u_rows.size, key=int(i))
                         for i in u_members
                     )
             return items
@@ -706,31 +703,25 @@ def warmup(
     return params, opt
 
 
-# What training changes; ``slot`` and the dropout rate stay as initialized.
-_PARAM_ARRAYS = ("embedding", "w1", "b1", "w2", "b2")
-_ADAM_ARRAYS = tuple(f"{m}_{name}" for name in ("emb", "w1", "b1", "w2", "b2") for m in "mv")
-
-
 class SharedWarmup:
     """The warm-up of a two-arm run, computed once and continued by each arm.
 
     Both arms draw the same init seed, shuffles and dropout keys, so their
     leading full-pass warm-up epochs (the leading ``None`` entries of
     :func:`warmup_schedule`) are one computation. The first trainer given
-    this object featurizes, initializes and runs those epochs, spills the
-    parameters and Adam moments to an anonymous temporary file outside any
-    run directory, and continues from the in-memory state. Each later
-    trainer continues from fresh arrays read back from the spill, so two
-    arms' models never coexist. A partial ``warmup_samples`` pass is not
-    shared. Every trainer must get the same inputs. Use it as a context
-    manager: leaving it removes the spill.
+    this object featurizes, initializes and runs those epochs, pickles the
+    run's progress (:attr:`_Run.PROGRESS`) to an anonymous temporary file
+    outside any run directory, and continues from the in-memory state. Each
+    later trainer unpickles its own copy of that progress over the first
+    run's read-only corpus, so two arms' models never coexist. A partial
+    ``warmup_samples`` pass is not shared. Every trainer must get the same
+    inputs. Use it as a context manager: leaving it removes the spill.
     """
 
     def __init__(self) -> None:
         self._inputs: tuple | None = None
         self._spill: IO[bytes] | None = None
-        self._layout: list[tuple[str, str, tuple[int, ...], np.dtype]] = []
-        self._twin: _Run | None = None  # the shared progress, without its arrays
+        self._corpus: dict[str, object] = {}  # the first run's read-only attributes
 
     def __enter__(self) -> "SharedWarmup":
         return self
@@ -738,7 +729,8 @@ class SharedWarmup:
     def __exit__(self, *exc: object) -> None:
         if self._spill is not None:
             self._spill.close()
-        self._inputs = self._spill = self._twin = None
+        self._inputs = self._spill = None
+        self._corpus = {}
 
     def resume(
         self,
@@ -751,44 +743,25 @@ class SharedWarmup:
         """A run whose shared warm-up epochs are done, on arrays no other
         run holds."""
         inputs = (train, test, model, cfg, eval_every)
-        if self._twin is None:
+        if self._spill is None:
             run = _Run(*inputs)
             limits = warmup_schedule(cfg, len(train))
             full = next((e for e, limit in enumerate(limits) if limit is not None), len(limits))
             run.run_epochs(limits, full)
-            self._write(run)
+            progress = {name: getattr(run, name) for name in _Run.PROGRESS}
+            self._corpus = {k: v for k, v in vars(run).items() if k not in progress}
+            self._spill = tempfile.TemporaryFile()
+            pickle.dump(progress, self._spill, protocol=5)
             self._inputs = inputs
             return run
         if inputs != self._inputs:
             raise ValueError("a shared warm-up continues only the inputs it was built from")
-        return self._read()
-
-    def _write(self, run: _Run) -> None:
-        self._spill = tempfile.TemporaryFile()
-        self._layout = []
-        for owner, names in (("params", _PARAM_ARRAYS), ("opt", _ADAM_ARRAYS)):
-            for name in names:
-                array = getattr(getattr(run, owner), name)
-                self._layout.append((owner, name, array.shape, array.dtype))
-                self._spill.write(memoryview(np.ascontiguousarray(array)).cast("B"))
-        self._twin = run.fork(
-            dataclasses.replace(run.params, **dict.fromkeys(_PARAM_ARRAYS)),
-            dataclasses.replace(run.opt, **dict.fromkeys(_ADAM_ARRAYS)),
-        )
-
-    def _read(self) -> _Run:
-        assert self._spill is not None and self._twin is not None
         self._spill.seek(0)
-        arrays: dict[str, dict[str, np.ndarray]] = {"params": {}, "opt": {}}
-        for owner, name, shape, dtype in self._layout:
-            array = np.empty(shape, dtype)
-            if self._spill.readinto(memoryview(array).cast("B")) != array.nbytes:
-                raise OSError("the shared warm-up spill ended early")
-            arrays[owner][name] = array
-        return self._twin.fork(
-            dataclasses.replace(self._twin.params, **arrays["params"]),
-            dataclasses.replace(self._twin.opt, **arrays["opt"]),
-        )
+        run = _Run.__new__(_Run)
+        vars(run).update(self._corpus)
+        # the spill holds only what this object wrote, so no outside input is unpickled
+        vars(run).update(pickle.load(self._spill))
+        return run
 
 
 def _train(

@@ -10,7 +10,7 @@ Datasets are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +56,6 @@ class Dataset:
             [ex.true_label is not None and ex.true_label != ex.observed_label for ex in self],
             dtype=bool,
         )
-
-    def strip_oracle(self) -> "Dataset":
-        """The dataset without its true labels."""
-        stripped = tuple(replace(ex, true_label=None) for ex in self.examples)
-        return Dataset(stripped, self.num_classes, self.name)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -673,13 +673,19 @@ def backward(
 # ---------------------------------------------------------------------------
 
 
+# The ``ModelParams`` fields that Adam trains, in update order; ``slot`` and
+# the dropout rate stay as initialized.
+TRAINED = ("w1", "b1", "w2", "b2", "embedding")
+
+
 @dataclass
 class OptimizerState:
     """Adam state: hyperparameters, step counter, and per-parameter moments.
 
-    The embedding moments ``m_emb``/``v_emb`` have the embedding table's
-    shape: row ``r`` holds the moments of table row ``r``. Only rows that
-    received gradient in a step are ever touched, so row 0 stays zero.
+    ``m`` and ``v`` map each name of :data:`TRAINED` to the first and second
+    moments of that parameter, in its shape: row ``r`` of the embedding
+    moments belongs to table row ``r``. Only rows that received gradient in
+    a step are ever touched, so row 0 stays zero.
     """
 
     learning_rate: float
@@ -687,16 +693,8 @@ class OptimizerState:
     beta2: float
     epsilon: float
     step: int = 0
-    m_emb: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v_emb: np.ndarray = field(default=None)  # type: ignore[assignment]
-    m_w1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v_w1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    m_b1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v_b1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    m_w2: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v_w2: np.ndarray = field(default=None)  # type: ignore[assignment]
-    m_b2: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v_b2: np.ndarray = field(default=None)  # type: ignore[assignment]
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_optimizer(
@@ -711,17 +709,8 @@ def init_optimizer(
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
-        step=0,
-        m_emb=np.zeros_like(params.embedding),
-        v_emb=np.zeros_like(params.embedding),
-        m_w1=np.zeros_like(params.w1),
-        v_w1=np.zeros_like(params.w1),
-        m_b1=np.zeros_like(params.b1),
-        v_b1=np.zeros_like(params.b1),
-        m_w2=np.zeros_like(params.w2),
-        v_w2=np.zeros_like(params.w2),
-        m_b2=np.zeros_like(params.b2),
-        v_b2=np.zeros_like(params.b2),
+        m={name: np.zeros_like(getattr(params, name)) for name in TRAINED},
+        v={name: np.zeros_like(getattr(params, name)) for name in TRAINED},
     )
 
 
@@ -745,26 +734,14 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
     bc1 = 1.0 - beta1 ** opt.step
     bc2 = 1.0 - beta2 ** opt.step
 
-    dense = [
-        (params.w1, opt.m_w1, opt.v_w1, grads.w1),
-        (params.b1, opt.m_b1, opt.v_b1, grads.b1),
-        (params.w2, opt.m_w2, opt.v_w2, grads.w2),
-        (params.b2, opt.m_b2, opt.v_b2, grads.b2),
-    ]
-    for p, m, v, g in dense:
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    if rows.size:
-        g = grads.emb_vals
-        m = beta1 * opt.m_emb[rows] + (1.0 - beta1) * g
-        v = beta2 * opt.v_emb[rows] + (1.0 - beta2) * np.square(g)
-        opt.m_emb[rows] = m
-        opt.v_emb[rows] = v
-        params.embedding[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for name in TRAINED:
+        # the embedding's gradient covers the touched rows; a head's is dense
+        at, g = (rows, grads.emb_vals) if name == "embedding" else (..., getattr(grads, name))
+        m = beta1 * opt.m[name][at] + (1.0 - beta1) * g
+        v = beta2 * opt.v[name][at] + (1.0 - beta2) * np.square(g)
+        opt.m[name][at] = m
+        opt.v[name][at] = v
+        getattr(params, name)[at] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +754,11 @@ _HEADER = struct.Struct("<qqqq")
 
 
 def _checkpoint_chunks(params: ModelParams):
-    """The bytes of an ``SMX3`` checkpoint of ``params``, in order."""
+    """The bytes of an ``SMX3`` checkpoint of ``params``, in order.
+
+    Arrays are yielded as little-endian float64 buffers, not copied into
+    ``bytes``, so the owned rows are held once: as their gather.
+    """
     owned = params.slot > 0
     stored = np.flatnonzero(owned)
     yield _MAGIC
@@ -785,7 +766,7 @@ def _checkpoint_chunks(params: ModelParams):
     yield np.packbits(owned, bitorder="little").tobytes()
     rows = params.embedding[params.slot[stored]]
     for arr in (rows, params.w1, params.b1, params.w2, params.b2, [params.dropout_rate]):
-        yield np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        yield np.ascontiguousarray(arr, dtype="<f8")
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -29,10 +29,11 @@ names no warm-up key echoes ``selfmix.warmup_epochs = 2``.
 
 A two-arm run featurizes, initializes and runs the full-pass warm-up epochs
 once (:class:`~selfmix.core.SharedWarmup`), and its artifacts are those of
-two single-arm runs, byte for byte. Until the second arm starts, the
-post-warm-up state waits in an anonymous temporary file outside the run
-directory, about 21 MB at 2^18 buckets on the quick-start corpus, which is
-removed when the run ends. A partial ``warmup_samples`` pass is not shared.
+two single-arm runs, byte for byte. Until the second arm starts, what the
+warm-up changed (parameters, Adam state, step count and records) waits,
+pickled, in an anonymous temporary file outside the run directory, about
+22 MB at 2^18 buckets on the quick-start corpus, which is removed when the
+run ends. A partial ``warmup_samples`` pass is not shared.
 """
 from __future__ import annotations
 
@@ -204,7 +205,6 @@ _CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "selfmix.total_epochs": ("selfmix", "total_epochs", int),
     "selfmix.batch_size": ("selfmix", "batch_size", int),
     "selfmix.class_regularize": ("selfmix", "class_regularize", _parse_bool),
-    "selfmix.term_normalization": ("selfmix", "term_normalization", str),
     "encoder.buckets": ("model", "num_buckets", int),
     "encoder.hidden": ("model", "hidden", int),
     "encoder.dropout": ("model", "dropout_rate", float),

@@ -6,12 +6,14 @@ derandomized generation so a green suite stays green.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from selfmix.data import Dataset
 from selfmix.encoder import (
     BatchItem,
     FeatureVector,
@@ -31,6 +33,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("invariants")
+
+
+def without_oracle(ds: Dataset) -> Dataset:
+    """``ds`` with every true label removed: what training sees."""
+    stripped = tuple(replace(ex, true_label=None) for ex in ds)
+    return Dataset(stripped, ds.num_classes, ds.name)
 
 
 def small_params(

@@ -21,6 +21,7 @@ from conftest import (
     random_features,
     relative_error,
     small_params,
+    without_oracle,
 )
 from selfmix.common import round_half_up
 from selfmix.core import (
@@ -309,7 +310,7 @@ def test_criterion_7_invariant_property_suite(tmp_path):
             seed=int(rng.integers(2**31)),
         )
         with_oracle = train_selfmix(noisy, test, model, cfg, eval_every=2)
-        blind = train_selfmix(noisy.strip_oracle(), test, model, cfg, eval_every=2)
+        blind = train_selfmix(without_oracle(noisy), test, model, cfg, eval_every=2)
         assert with_oracle.best_acc == blind.best_acc
         assert with_oracle.last_acc == blind.last_acc
         assert with_oracle.step_acc == blind.step_acc

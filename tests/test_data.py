@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import N_CASES
+from conftest import N_CASES, without_oracle
 from selfmix.data import (
     Dataset,
     Example,
@@ -78,13 +78,13 @@ def test_noisy_mask_marks_exactly_the_corrupted_positions():
     mask = ds.noisy_mask()
     assert mask.dtype == bool
     assert mask.tolist() == [False, True, False, True]
-    assert not ds.strip_oracle().noisy_mask().any()
+    assert not without_oracle(ds).noisy_mask().any()
     assert make_dataset([0, 1], 2).noisy_mask().tolist() == [False, False]
 
 
 def test_strip_oracle_removes_evaluation_channel():
     ds = make_dataset([0, 1], 2, true_labels=[1, 1])
-    stripped = ds.strip_oracle()
+    stripped = without_oracle(ds)
     assert not stripped.has_oracle()
     assert not stripped.noisy_mask().any()
     assert [ex.observed_label for ex in stripped] == [0, 1]

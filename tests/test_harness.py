@@ -140,7 +140,8 @@ def test_config_parse_example_with_comments():
         ("selfmix.total_epochs = six", "line 2: selfmix.total_epochs:"),
         ("selfmix.class_regularize = yes", "expected true or false"),
         ("noise.type = gaussian", "noise.type must be one of"),
-        ("selfmix.term_normalization = max", "must be 'mean' or 'sum'"),
+        ("selfmix.term_normalization = mean",
+         "line 2: unknown key 'selfmix.term_normalization'"),
     ],
 )
 def test_config_parse_errors_carry_line_numbers(line, message):
@@ -159,9 +160,9 @@ def test_config_from_file_names_the_source(tmp_path):
 def test_config_echo_is_sorted_and_complete():
     lines = ExperimentConfig().echo_lines()
     assert lines == sorted(lines)
-    assert len(lines) == 30
+    assert len(lines) == 29
     keys = [line.split(" = ")[0] for line in lines]
-    assert len(set(keys)) == 30
+    assert len(set(keys)) == 29
     assert "run.output_dir = none" in lines
     assert "selfmix.class_regularize = false" in lines
 
@@ -191,8 +192,6 @@ def _random_config_value(rng: np.random.Generator, key: str) -> str:
                                "idn", "instance_dependent"]))
     if key == "selfmix.class_regularize":
         return str(rng.choice(["true", "false"]))
-    if key == "selfmix.term_normalization":
-        return str(rng.choice(["mean", "sum"]))
     if key == "selfmix.batch_size":
         return str(int(rng.integers(2, 100_000)))
     if key in ("selfmix.total_epochs", "encoder.buckets", "encoder.hidden",
@@ -295,8 +294,6 @@ def test_effective_noise_seed():
     [
         ("selfmix.tau = -3", "tau must lie strictly between 0 and 1", "line 1: selfmix.tau"),
         ("selfmix.batch_size = 1", "batch_size must be at least 2", "line 1: selfmix.batch_size"),
-        ("selfmix.term_normalization = max", "term_normalization must be 'mean' or 'sum'",
-         "line 1: selfmix.term_normalization"),
         ("encoder.dropout = 1.0", "dropout_rate must lie in [0, 1)", "line 1: encoder.dropout"),
         ("optimizer.beta2 = -0.5", "beta2 must lie in [0, 1)", "line 1: optimizer.beta2"),
         ("selfmix.warmup_epochs = 7\nselfmix.total_epochs = 6",
@@ -359,7 +356,7 @@ def test_config_without_warmup_samples_echoes_the_default_warmup_epochs():
 
 def test_config_keys_cover_every_field_exactly_once():
     rows = [(section, name) for section, name, _ in _CONFIG_KEYS.values()]
-    assert len(set(rows)) == len(rows) == 30
+    assert len(set(rows)) == len(rows) == 29
     for section, config in (("model", ModelConfig), ("selfmix", SelfMixConfig)):
         names = sorted(name for s, name in rows if s == section)
         assert names == sorted(f.name for f in fields(config))
