@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("run.eval_every must be at least 1")
         if self.histogram_bins < 1:
             raise ValueError("run.histogram_bins must be at least 1")
+        if self.num_classes is not None and self.num_classes < 2:
+            raise ValueError("data.num_classes must be at least 2")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
@@ -360,6 +362,11 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
         if not Path(path).is_file():
             raise ValueError(f"{label}: no such file: {path}")
     train = load_csv(cfg.train_path, num_classes=cfg.num_classes)
+    if train.num_classes < 2:
+        raise ValueError(
+            f"data.train: the labels of {cfg.train_path} name one class; "
+            "a classifier needs at least 2 (data.num_classes sets the count)"
+        )
     test = load_csv(cfg.test_path, num_classes=cfg.num_classes or train.num_classes)
     if train.num_classes != test.num_classes:
         test = Dataset(test.examples, train.num_classes, test.name)

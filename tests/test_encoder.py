@@ -525,6 +525,49 @@ def test_backward_refuses_an_input_that_is_not_a_feature_vector():
         backward(params, [good, dense, good])
 
 
+def test_backward_checks_the_buckets_of_its_last_block():
+    """A bucket out of range in the last item block is refused before any work."""
+    params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
+    good = FeatureVector(np.array([1, 7]), np.array([0.5, 0.5]))
+    for bad in (8, -1):
+        bag = FeatureVector(np.array([3, bad, 5]), np.full(3, 1 / 3))
+        items = [BatchItem(good, "pseudo")] * 39 + [BatchItem(bag, "pseudo")]
+        with pytest.raises(ValueError, match="out of range"):
+            backward(params, items)
+
+
+def _bag_mix(rng: np.random.Generator, num_buckets: int, n: int) -> list[BatchItem]:
+    """``n`` items in a training step's proportions: half cross-entropy on
+    mixed bags of about 50 entries, a quarter each confidence and agreement
+    terms on document bags of about 25."""
+    items = []
+    for pos in range(n):
+        kind = ("ce", "ce", "pseudo", "rdrop")[pos % 4]
+        size = int(rng.integers(40, 61)) if kind == "ce" else int(rng.integers(20, 31))
+        bag = FeatureVector(rng.integers(0, num_buckets, size), np.full(size, 1.0 / size))
+        items.append(BatchItem(bag, kind, np.array([0.5, 0.5]) if kind == "ce" else None))
+    return items
+
+
+def test_backward_memory_grows_linearly_with_the_batch():
+    """Ten times the items peak at about ten times the memory, not at the
+    hundredfold of one dense (items x distinct buckets) matrix. A narrow
+    model keeps the per-row arrays small beside such a matrix."""
+    num_buckets = 2**16
+    params = init_params(num_buckets, 8, 2, 0.1, seed=0, buckets=range(num_buckets))
+    peaks = []
+    for n in (64, 640):
+        items = _bag_mix(np.random.default_rng(7), num_buckets, n)
+        tracemalloc.start()
+        try:
+            backward(params, items, mask_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 20 * peaks[0], f"peaks {peaks[0]} and {peaks[1]} bytes"
+
+
 def test_evaluate_batch_names_non_finite_term_and_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
     good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
@@ -936,6 +979,13 @@ def test_init_params_validates_dropout():
         init_params(4, 2, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
         init_params(4, 2, 2, -0.1, seed=0)
+
+
+def test_init_params_refuses_fewer_than_two_classes():
+    """The bound the checkpoint reader enforces, so no model it refuses is built."""
+    for num_classes in (1, 0):
+        with pytest.raises(ValueError, match="num_classes must be at least 2"):
+            init_params(4, 2, num_classes, 0.0, seed=0)
 
 
 def test_model_params_shape_properties():

@@ -56,8 +56,8 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def one_class_dir(tmp_path_factory):
-    """A corpus that loads and validates, but whose labels cannot be
-    corrupted: it has one class, so no label has another class to flip to."""
+    """A corpus that loads and validates, but whose labels all read class
+    0: it names one class, and a classifier needs at least two."""
     root = tmp_path_factory.mktemp("one-class")
     train, test = make_corpus(60, 20, 2, seed=11)
     for ds, name in ((train, "train.csv"), (test, "test.csv")):
@@ -339,6 +339,10 @@ def test_effective_noise_seed():
          "line 1: selfmix.lambda_r"),
         ("selfmix.lambda_r = nan", "lambda_r must be finite and non-negative",
          "line 1: selfmix.lambda_r"),
+        ("data.num_classes = 1", "data.num_classes must be at least 2",
+         "line 1: data.num_classes"),
+        ("run.seed = 2\ndata.num_classes = 0", "data.num_classes must be at least 2",
+         "line 2: data.num_classes"),
     ],
 )
 def test_out_of_range_values_are_refused_at_parse_time(text, message, where):
@@ -764,14 +768,19 @@ def test_run_without_noise_skips_noise_artifacts(corpus_dir, tmp_path):
     assert "acc_gap_last" not in summary and "final_sel_f1" not in summary
 
 
-def test_failed_injection_records_stage(one_class_dir, tmp_path):
+def _refuse_to_inject(*args, **kwargs):
+    raise ValueError("the injector refuses this corpus")
+
+
+def test_failed_injection_records_stage(corpus_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "inject", _refuse_to_inject)
     out = tmp_path / "boom"
-    cfg = ExperimentConfig.from_text(config_text(one_class_dir, out))
-    with pytest.raises(ValueError, match="at least two classes"):
+    cfg = ExperimentConfig.from_text(config_text(corpus_dir, out))
+    with pytest.raises(ValueError, match="refuses this corpus"):
         run_experiment(cfg)
     partial = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert partial["error"]["stage"] == "inject"
-    assert "at least two classes" in partial["error"]["message"]
+    assert "refuses this corpus" in partial["error"]["message"]
     assert (out / "config_echo.txt").is_file()
 
 
@@ -867,9 +876,10 @@ def test_format_report_renders_finished_run(finished_run):
     assert "RUN FAILED" not in text
 
 
-def test_format_report_renders_failure(one_class_dir, tmp_path):
+def test_format_report_renders_failure(corpus_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "inject", _refuse_to_inject)
     out = tmp_path / "boom"
-    cfg = ExperimentConfig.from_text(config_text(one_class_dir, out))
+    cfg = ExperimentConfig.from_text(config_text(corpus_dir, out))
     with pytest.raises(ValueError):
         run_experiment(cfg)
     text = format_report(out)
@@ -1023,6 +1033,34 @@ def test_cli_refuses_an_empty_corpus_before_writing(corpus_dir, tmp_path, capsys
     cfg_path.write_text(text, encoding="utf-8")
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert f"error: {key}: {empty} holds no examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_one_class_corpus_before_writing(one_class_dir, tmp_path, capsys):
+    """Trained on, it would write checkpoints that no reader loads."""
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text(config_text(one_class_dir, out), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: data.train: the labels of {one_class_dir / 'train.csv'} name one class; "
+        "a classifier needs at least 2 (data.num_classes sets the count)\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_refuses_fewer_than_two_classes_naming_its_line(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "one.cfg"
+    text = config_text(corpus_dir, out, **{"data.num_classes": "1"})
+    cfg_path.write_text(text, encoding="utf-8")
+    lineno = text.splitlines().index("data.num_classes = 1") + 1
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg_path}: line {lineno}: data.num_classes: "
+        "data.num_classes must be at least 2\n"
+    )
     assert not out.exists()
 
 
