@@ -11,17 +11,17 @@ the rest have their labels replaced by the model's own sharpened predictions
     + lambda_p * confidence loss on the unlabeled set
     + lambda_r * symmetric-KL agreement between two dropout passes
 
-:func:`embmix` builds each mixed example as the concatenated feature bags of
-its two parents. The bag pools to the same mix of the parents' embeddings,
-and the mixup term trains the embedding rows of both, as mixing hidden
-representations does in the paper. Only the unlabeled members of a batch
-get a forward pass of their own, to guess their targets. Every dropout-off
-inference over many documents (per-sample losses, test accuracy, those
-guesses and the instance-dependent injector's margins) runs through
-:func:`~selfmix.encoder.predict_logits` on rows of a
+:func:`embmix` builds each mixed example as a batch item naming its two
+parents' rows and its coefficient: it reads the same mix of the parents'
+pooled embeddings, and the mixup term trains the embedding rows of both, as
+mixing hidden representations does in the paper. Only the unlabeled members
+of a batch get a forward pass of their own, to guess their targets. Every
+dropout-off inference over many documents (per-sample losses, test
+accuracy, those guesses and the instance-dependent injector's margins) runs
+through :func:`~selfmix.encoder.predict_logits` on rows of a
 :class:`~selfmix.encoder.FeatureMatrix`. A corpus is featurized once, by
-:func:`~selfmix.encoder.featurize_corpus`; training batches index
-per-document views of it, built once per corpus.
+:func:`~selfmix.encoder.featurize_corpus`, and a training batch names rows
+of that one matrix by position.
 Warm-up epochs of plain cross-entropy precede selection so that early
 losses are informative. One batch loop, :func:`_epoch`, runs every epoch of
 the warm-up, the plain arm, the standalone :func:`warmup` and the adaptive
@@ -60,7 +60,6 @@ from .data import Dataset, one_hot
 from .encoder import (
     BatchItem,
     FeatureMatrix,
-    FeatureVector,
     Gradients,
     ModelParams,
     OptimizerState,
@@ -175,16 +174,6 @@ class DataSplit:
     gmm: GMMParams | None
 
 
-@dataclass(frozen=True)
-class MixedBatch:
-    """Convex combinations of bag/target pairs, biased toward the first
-    element of each pair (mixing coefficients lie in [0.5, 1])."""
-
-    bags: list[FeatureVector]  # m mixed feature bags
-    targets: np.ndarray  # (m, num_classes)
-    lam: np.ndarray  # (m,) the realized coefficients, all >= 0.5
-
-
 @dataclass
 class EpochStats:
     """One row of the training report."""
@@ -253,7 +242,8 @@ def per_sample_losses(
     batched forward passes (:func:`predict_logits`). Without them, each
     text is featurized and scored on its own: one :func:`featurize_text`
     and one :func:`predict_proba` call per document. Either way a
-    non-finite forward pass raises :class:`NumericError`.
+    non-finite forward pass raises :class:`NumericError`. ``features`` with
+    a row count other than the dataset's raises ``ValueError``.
     """
     if features is None:
         features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
@@ -265,6 +255,7 @@ def per_sample_losses(
             losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
         return losses
     labels = dataset.observed_labels()
+    _check_rows(features, labels.size, "examples")
     p = np.exp(log_softmax(predict_logits(params, features)))
     return -np.log(np.maximum(p[np.arange(labels.size), labels], 1e-300))
 
@@ -332,35 +323,37 @@ def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def embmix(
-    bags_a: list[FeatureVector],
+    rows_a: np.ndarray,
     targets_a: np.ndarray,
-    bags_b: list[FeatureVector],
+    rows_b: np.ndarray,
     targets_b: np.ndarray,
     lam: np.ndarray,
-) -> MixedBatch:
-    """Mix bag/target pairs with coefficients folded into [0.5, 1].
+    *,
+    weight: float = 1.0,
+    key: int = 0,
+) -> list[BatchItem]:
+    """Mixup items, one per pair of feature rows, with coefficients folded
+    into [0.5, 1].
 
     Folding ``lam`` to ``max(lam, 1 - lam)`` keeps each mixed example
     dominated by its first parent, so the mixed pair inherits that parent's
-    identity. Mixed bag ``k`` concatenates its parents' bags, their weights
-    scaled by ``lam'`` and ``1 - lam'``, so it pools to
-    ``lam' * e(a) + (1 - lam') * e(b)``: the mixup loss then trains the
-    embedding rows of both parents, as mixing hidden representations does.
+    identity. Item ``k`` is a ``"ce"`` item on row ``rows_a[k]`` with
+    partner ``rows_b[k]`` and coefficient ``lam'``: it reads
+    ``lam' * e(a) + (1 - lam') * e(b)`` of the parents' pooled rows and
+    trains toward the same mix of their targets, so the mixup loss trains
+    the embedding rows of both, as mixing hidden representations does.
+    Every item has weight ``weight``; item ``k``'s dropout key is ``key + k``.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    sizes = (len(bags_a), len(targets_a), len(bags_b), len(targets_b), lam.size)
+    sizes = (len(rows_a), len(targets_a), len(rows_b), len(targets_b), lam.size)
     if len(set(sizes)) > 1:
-        raise ValueError(f"embmix needs equal numbers of bags, targets and lam; got {sizes}")
+        raise ValueError(f"embmix needs equal numbers of rows, targets and lam; got {sizes}")
     lam_prime = np.maximum(lam, 1.0 - lam)
-    bags = [
-        FeatureVector(
-            np.concatenate([a.indices, b.indices]),
-            np.concatenate([mix * a.weights, (1.0 - mix) * b.weights]),
-        )
-        for a, b, mix in zip(bags_a, bags_b, lam_prime)
-    ]
     targets = lam_prime[:, None] * targets_a + (1.0 - lam_prime)[:, None] * targets_b
-    return MixedBatch(bags=bags, targets=targets, lam=lam_prime)
+    return [
+        BatchItem(int(a), "ce", target, weight, key + k, partner=int(b), lam=float(mix))
+        for k, (a, b, target, mix) in enumerate(zip(rows_a, rows_b, targets, lam_prime))
+    ]
 
 
 def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, float, float]:
@@ -390,11 +383,19 @@ def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, floa
     return precision, recall, f1
 
 
+def _check_rows(features: FeatureMatrix, expected: int, what: str) -> None:
+    if len(features) != expected:
+        raise ValueError(f"the feature matrix has {len(features)} rows for {expected} {what}")
+
+
 def accuracy(params: ModelParams, features: FeatureMatrix, labels: np.ndarray) -> float:
-    """Dropout-off classification accuracy of the rows of ``features``."""
+    """Dropout-off classification accuracy of the rows of ``features``, one
+    per label; a row count other than the labels' raises ``ValueError``."""
+    labels = np.asarray(labels)
+    _check_rows(features, labels.size, "labels")
     if not len(features):
         return 0.0
-    hits = np.argmax(predict_logits(params, features), axis=1) == np.asarray(labels)
+    hits = np.argmax(predict_logits(params, features), axis=1) == labels
     return int(np.sum(hits)) / len(features)
 
 
@@ -435,12 +436,12 @@ def warmup_schedule(cfg: SelfMixConfig, size: int) -> list[int | None]:
 _ItemBuilder = Callable[[int, np.ndarray], list[BatchItem]]
 
 
-def _ce_items(bags: list[FeatureVector], targets: np.ndarray) -> _ItemBuilder:
+def _ce_items(targets: np.ndarray) -> _ItemBuilder:
     """Batch builder for plain cross-entropy on the rows of ``targets``."""
 
     def items_for(b: int, batch: np.ndarray) -> list[BatchItem]:
         return [
-            BatchItem(bags[i], "ce", targets[i], weight=1.0 / batch.size, key=int(i))
+            BatchItem(int(i), "ce", targets[i], weight=1.0 / batch.size, key=int(i))
             for i in batch
         ]
 
@@ -449,6 +450,7 @@ def _ce_items(bags: list[FeatureVector], targets: np.ndarray) -> _ItemBuilder:
 
 def _epoch(
     params: ModelParams,
+    features: FeatureMatrix,
     items_for: _ItemBuilder,
     step: Callable[[Gradients], None],
     *,
@@ -461,8 +463,9 @@ def _epoch(
     """One shuffled pass over ``size`` training positions; the mean loss of each kind.
 
     Every epoch of every trainer runs this loop. ``items_for(b, batch)``
-    builds batch ``b``'s loss terms from its positions and ``step`` applies
-    its gradients, so equal seeds give identical shuffles and dropout masks.
+    builds batch ``b``'s loss terms on rows of ``features`` from its
+    positions and ``step`` applies its gradients, so equal seeds give
+    identical shuffles and dropout masks.
     A :class:`NumericError` is re-raised naming the epoch and the batch.
     """
     sums = {"ce": [0.0, 0], "pseudo": [0.0, 0], "rdrop": [0.0, 0]}
@@ -470,7 +473,7 @@ def _epoch(
         try:
             items = items_for(b, batch)
             mask_seed = subseed(seed, "dropout", epoch, b)
-            _, grads, breakdown = backward(params, items, mask_seed=mask_seed)
+            _, grads, breakdown = backward(params, items, features, mask_seed=mask_seed)
             step(grads)
         except NumericError as err:
             raise NumericError(f"epoch {epoch}, batch {b}: {err}") from err
@@ -511,7 +514,6 @@ class _Run:
         # allocated once, at their final size, before the first forward pass.
         self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
         self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
-        self.bags = list(self.features)  # per-document views, built once
         self.labels = train.observed_labels()
         self.targets = one_hot(self.labels, train.num_classes)
         self.test_labels = test.observed_labels()
@@ -558,6 +560,7 @@ class _Run:
     ) -> dict[str, float]:
         return _epoch(
             self.params,
+            self.features,
             items_for,
             self._step,
             size=len(self.train),
@@ -568,7 +571,7 @@ class _Run:
         )
 
     def ce_epoch(self, epoch: int, limit: int | None = None) -> dict[str, float]:
-        return self._train_epoch(_ce_items(self.bags, self.targets), epoch, limit)
+        return self._train_epoch(_ce_items(self.targets), epoch, limit)
 
     def guess(self, members: np.ndarray) -> np.ndarray:
         """Sharpened dropout-off predictions for the training positions
@@ -604,22 +607,19 @@ class _Run:
             rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
             lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
             partners = rng.integers(0, m, size=m)
-            bags = [self.bags[i] for i in batch]
             targets = self.targets[batch]
             u_rows = np.flatnonzero(~split.labeled[batch])
             u_members = batch[u_rows]
             if u_rows.size:
                 targets[u_rows] = self.guess(u_members)
-            partner_bags = [bags[j] for j in partners]
-            mixed = embmix(bags, targets, partner_bags, targets[partners], lam)
-            items = [
-                BatchItem(bag, "ce", target, weight=1.0 / m, key=_MIX_KEY_BASE + k)
-                for k, (bag, target) in enumerate(zip(mixed.bags, mixed.targets))
-            ]
+            items = embmix(
+                batch, targets, batch[partners], targets[partners], lam,
+                weight=1.0 / m, key=_MIX_KEY_BASE,
+            )
             for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
                 if weight > 0.0:
                     items.extend(
-                        BatchItem(self.bags[i], kind, weight=weight / u_rows.size, key=int(i))
+                        BatchItem(int(i), kind, weight=weight / u_rows.size, key=int(i))
                         for i in u_members
                     )
             return items
@@ -689,10 +689,11 @@ def warmup(
     otherwise the first step raises ``ValueError``. The instance-dependent
     noise injector trains its auxiliary model with it.
     """
-    items_for = _ce_items(list(features), one_hot(labels, params.num_classes))
+    items_for = _ce_items(one_hot(labels, params.num_classes))
     for epoch in range(epochs):
         _epoch(
             params,
+            features,
             items_for,
             lambda grads: adam_step(params, grads, opt),
             size=len(features),

@@ -16,12 +16,12 @@ each formula (``rdrop_from_probs`` is its agreement helper): it returns the
 weighted total, a per-kind breakdown and, unless ``compute_grads`` is off,
 the exact gradients.
 
-A batch is evaluated as one matrix pass. Its bags are pooled through one
-small dense (items x distinct buckets) weight matrix per block of
-``_BAG_BLOCK`` consecutive items: pooling is that matrix times the rows the
-block names, and the embedding gradient is its transpose times the items'
-input gradients. The head runs on a ``(rows, hidden)`` matrix with one row
-per (item, dropout pass).
+A batch names rows of one :class:`FeatureMatrix` and is evaluated as one
+matrix pass. Each of its documents is pooled once, through one small dense
+(documents x distinct buckets) weight matrix per ``_BAG_BLOCK`` documents;
+the embedding gradient is its transpose times the documents' gradients. A
+mixup item reads ``lam * e(row) + (1 - lam) * e(partner)`` of two pooled
+rows. The head runs on one row per (item, dropout pass).
 
 A text's features are the fastText bag of its lowercased alphanumeric tokens
 and adjacent token pairs (Joulin et al., EACL 2017), hashed by 64-bit FNV-1a
@@ -94,12 +94,12 @@ _INIT_CHUNK = 1024
 # rows stay in cache. On a 2-vCPU host a 20,000-document pool of a 2^18-bucket
 # model scores in 0.18 s at 128, 0.20 s at 32 and 0.26-0.30 s at 256-1024.
 _EVAL_CHUNK = 128
-# Consecutive items per dense bag matrix in backward. A block's products stay
-# below about 10^6 multiply-adds, which OpenBLAS runs on the calling thread;
-# at 32 items and above it starts a second thread that spins (process CPU
-# twice the wall time) for no gain in wall time. On a 2-vCPU host backward
-# takes 0.88 ms per README quick-start step at 16, 0.90 at 12, 0.95 at 8 and
-# 1.20 ms as a gather plus reduceat.
+# Documents per dense bag matrix in backward. A block's products stay below
+# about 10^6 multiply-adds, which OpenBLAS runs on the calling thread; at 32
+# rows and above it starts a second thread that spins (process CPU twice the
+# wall time) for no gain in wall time. Measured with blocks of items on a
+# 2-vCPU host, backward took 0.88 ms per README quick-start step at 16, 0.90
+# at 12, 0.95 at 8 and 1.20 ms as a gather plus reduceat.
 _BAG_BLOCK = 16
 
 
@@ -163,19 +163,6 @@ class FeatureMatrix:
     indices: np.ndarray  # (indptr[-1],) int64
     weights: np.ndarray  # (indptr[-1],) float64
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[FeatureVector]) -> "FeatureMatrix":
-        """The documents ``vectors``, one row each, in order."""
-        if not vectors:
-            return cls(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-        indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-        np.cumsum([fv.indices.size for fv in vectors], out=indptr[1:])
-        return cls(
-            indptr,
-            np.concatenate([fv.indices for fv in vectors], dtype=np.int64),
-            np.concatenate([fv.weights for fv in vectors], dtype=np.float64),
-        )
-
     def __len__(self) -> int:
         return self.indptr.size - 1
 
@@ -183,11 +170,6 @@ class FeatureMatrix:
         i = range(len(self))[i]
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return FeatureVector(self.indices[lo:hi], self.weights[lo:hi])
-
-    def __iter__(self):
-        bounds = self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield FeatureVector(self.indices[lo:hi], self.weights[lo:hi])
 
     def sizes(self) -> np.ndarray:
         """The number of entries of each row."""
@@ -365,13 +347,11 @@ def _pool(
 
     Bag ``b`` owns the next ``sizes[b]`` bucket ids of ``indices`` and their
     ``weights``; each bucket reads its row through ``params.slot``. An empty
-    bag pools to the zero vector. A single bag is one weighted sum.
+    bag pools to the zero vector.
     """
     if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
         raise ValueError("feature index out of range for the embedding table")
     rows = params.slot[indices]
-    if len(sizes) == 1:
-        return (weights @ params.embedding[rows])[None]
     pooled = np.zeros((len(sizes), params.hidden))
     if indices.size:
         filled = sizes > 0
@@ -384,7 +364,7 @@ def _pool(
 
 def encode(params: ModelParams, features: FeatureVector) -> np.ndarray:
     """Weighted average of embedding rows; zero vector for empty input."""
-    return _pool(params, features.indices, features.weights, (features.indices.size,))[0]
+    return _pool(params, features.indices, features.weights, np.array([features.indices.size]))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -404,19 +384,23 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchItem:
-    """One loss term: an input, a kind, an optional target, and a weight.
+    """One loss term: a feature row, a kind, an optional target, and a weight.
 
-    ``input`` is the :class:`FeatureVector` the item pools; every bucket it
-    names receives gradient. ``target`` is a class distribution for ``"ce"``
-    and ignored otherwise. ``key`` names the item's dropout streams; it
-    defaults to the item's position in the batch.
+    ``row`` is a position in the matrix given to :func:`backward`; every
+    bucket that row names receives gradient. A mixup item also sets
+    ``partner`` and ``lam``: its input is ``lam * e(row) + (1 - lam) *
+    e(partner)``. ``target`` is a class distribution for ``"ce"`` and
+    ignored otherwise. ``key`` names the item's dropout streams; it defaults
+    to the item's position in the batch.
     """
 
-    input: FeatureVector
+    row: int
     kind: str = "ce"
     target: np.ndarray | None = None
     weight: float = 1.0
     key: int | None = None
+    partner: int | None = None
+    lam: float = 1.0
 
 
 @dataclass
@@ -568,11 +552,13 @@ _KINDS = ("ce", "pseudo", "rdrop")
 def backward(
     params: ModelParams,
     items: list[BatchItem] | tuple[BatchItem, ...],
+    features: FeatureMatrix,
     *,
     mask_seed: int | None = None,
     compute_grads: bool = True,
 ) -> tuple[float, Gradients | None, dict[str, tuple[float, int]]]:
-    """Evaluate (and optionally differentiate) a weighted sum of loss terms.
+    """Evaluate (and optionally differentiate) a weighted sum of loss terms
+    on rows of ``features``.
 
     This is the one place each loss formula is defined. Returns
     ``(total, grads, breakdown)`` where ``total`` is the weighted objective
@@ -582,50 +568,64 @@ def backward(
     unweighted item losses, item count)``.
 
     The whole batch is one matrix pass: every item gets a pass-0 row and
-    every ``"rdrop"`` item also a pass-1 row. The embedding rows of the
-    batch's distinct buckets are gathered once. Each block of
-    ``_BAG_BLOCK`` consecutive items pools through one dense matrix of its
-    bag weights over the block's distinct buckets, where a bucket named
-    twice in a bag has its weights added; the transposed matrix scatters
-    the block's input gradients onto those buckets' rows. Memory and work
-    therefore grow linearly with the number of items.
+    every ``"rdrop"`` item also a pass-1 row. The rows the items name are
+    taken from ``features`` once, and the embedding rows of their buckets
+    gathered once. Each block of ``_BAG_BLOCK`` documents pools through one
+    dense matrix of its bag weights over its buckets (a bucket named twice
+    in a bag has its weights added); the transpose scatters the block's
+    gradients. Items gather their inputs from the pooled rows and scatter
+    their input gradients back. Unlike a dense (items x documents) mixing
+    matrix, whose zeros would carry one document's NaN into every item, a
+    gather keeps memory and work linear in the number of items.
     """
-    n = len(items)
+    n, count = len(items), len(features)
     positions: dict[str, list[int]] = {kind: [] for kind in _KINDS}
     keys: list[int] = []
+    rows: list[int] = []
+    partners: list[int] = []  # an unset partner is the item's own row
     for pos, item in enumerate(items):
         if item.kind not in positions:
             raise ValueError(f"unknown batch item kind {item.kind!r}")
         if item.kind == "ce" and item.target is None:
             raise ValueError("ce items require a target distribution")
-        if not isinstance(item.input, FeatureVector):
-            raise ValueError(
-                f"batch position {pos}: input has type "
-                f"{type(item.input).__name__}, not FeatureVector"
-            )
+        partner = item.row if item.partner is None else item.partner
+        for row in (item.row, partner):
+            if not (isinstance(row, (int, np.integer)) and 0 <= row < count):
+                raise ValueError(
+                    f"batch position {pos}: row {row!r} is not a position in [0, {count})"
+                )
         positions[item.kind].append(pos)
         keys.append(pos if item.key is None else item.key)
+        rows.append(item.row)
+        partners.append(partner)
     ce, pseudo, rdrop = (np.array(positions[kind], dtype=np.intp) for kind in _KINDS)
     weights = np.array([item.weight for item in items], dtype=np.float64)
+    lam = np.array([item.lam for item in items], dtype=np.float64)
+    doc_ids, doc_of = np.unique(np.array(rows + partners, dtype=np.int64), return_inverse=True)
+    doc_a, doc_b = doc_of[:n], doc_of[n:]
+    # an item's two coefficients on one document add, as a bucket's weights in a bag do
+    same = doc_a == doc_b
+    coef_a, coef_b = np.where(same, lam + (1.0 - lam), lam), np.where(same, 0.0, 1.0 - lam)
 
-    batch = FeatureMatrix.from_vectors([item.input for item in items])
-    indices, sizes = batch.indices, batch.sizes()
+    docs = features.take(doc_ids)
+    indices, sizes = docs.indices, docs.sizes()
     if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
         raise ValueError("feature index out of range for the embedding table")
     buckets, col = np.unique(indices, return_inverse=True)
     table = params.embedding[params.slot[buckets]]
     blocks = []
-    e = np.empty((n, params.hidden))
-    for start in range(0, n, _BAG_BLOCK):
-        stop = min(start + _BAG_BLOCK, n)
-        lo, hi = batch.indptr[start], batch.indptr[stop]
+    pooled = np.empty((doc_ids.size, params.hidden))
+    for start in range(0, doc_ids.size, _BAG_BLOCK):
+        stop = min(start + _BAG_BLOCK, doc_ids.size)
+        lo, hi = docs.indptr[start], docs.indptr[stop]
         cols, local = np.unique(col[lo:hi], return_inverse=True)
-        # bags[i, k]: item start + i's total weight on bucket buckets[cols[k]]
+        # bags[i, k]: document start + i's total weight on bucket buckets[cols[k]]
         cell = np.repeat(np.arange(stop - start) * cols.size, sizes[start:stop]) + local
-        bags = np.bincount(cell, batch.weights[lo:hi], (stop - start) * cols.size)
+        bags = np.bincount(cell, docs.weights[lo:hi], (stop - start) * cols.size)
         bags = bags.reshape(stop - start, cols.size)
-        e[start:stop] = bags @ table[cols]
+        pooled[start:stop] = bags @ table[cols]
         blocks.append((start, stop, cols, bags))
+    e = coef_a[:, None] * pooled[doc_a] + coef_b[:, None] * pooled[doc_b]
 
     # rows 0..n-1 are every item's pass 0; rows n.. are the rdrop items' pass 1
     row_item = np.concatenate([np.arange(n), rdrop])
@@ -637,11 +637,8 @@ def backward(
     second = n + np.arange(rdrop.size)
 
     losses = np.empty(n)
-    targets = (
-        np.array([items[i].target for i in ce], dtype=np.float64)
-        if ce.size
-        else np.empty((0, params.num_classes))
-    )
+    targets = np.array([items[i].target for i in ce], dtype=np.float64)
+    targets = targets.reshape(ce.size, params.num_classes)
     losses[ce] = -(targets * log_p[ce]).sum(axis=1)
     top = np.argmax(p[pseudo], axis=1)
     losses[pseudo] = -log_p[pseudo, top]
@@ -678,9 +675,12 @@ def backward(
     d_e = d_hidden @ params.w1.T
     d_item = d_e[:n]
     d_item[rdrop] += d_e[n:]
+    d_docs = np.zeros_like(pooled)
+    np.add.at(d_docs, doc_a, coef_a[:, None] * d_item)
+    np.add.at(d_docs, doc_b, coef_b[:, None] * d_item)
     emb_vals = np.zeros_like(table)
     for start, stop, cols, bags in blocks:
-        emb_vals[cols] += bags.T @ d_item[start:stop]
+        emb_vals[cols] += bags.T @ d_docs[start:stop]
     grads = Gradients(
         emb_rows=buckets,
         emb_vals=emb_vals,

@@ -367,9 +367,7 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
             f"data.train: the labels of {cfg.train_path} name one class; "
             "a classifier needs at least 2 (data.num_classes sets the count)"
         )
-    test = load_csv(cfg.test_path, num_classes=cfg.num_classes or train.num_classes)
-    if train.num_classes != test.num_classes:
-        test = Dataset(test.examples, train.num_classes, test.name)
+    test = load_csv(cfg.test_path, num_classes=train.num_classes)
     for name, path, ds in (("train", cfg.train_path, train), ("test", cfg.test_path, test)):
         _require_examples(ds, f"data.{name}", path)
         report = validate(ds)
@@ -402,6 +400,8 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
     for arm in arms:
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r}")
+    if len(set(arms)) != len(arms):
+        raise ValueError(f"arms {tuple(arms)!r} name an arm more than once")
     train, test, transition = _load_startup(cfg)
     if "selfmix" in arms:
         warmup_schedule(cfg.selfmix, len(train))

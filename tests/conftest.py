@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, settings
 from selfmix.data import Dataset
 from selfmix.encoder import (
     BatchItem,
+    FeatureMatrix,
     FeatureVector,
     Gradients,
     ModelParams,
@@ -78,6 +79,19 @@ def random_features(rng: np.random.Generator, num_buckets: int) -> FeatureVector
     weights = rng.random(size) + 0.1
     weights /= weights.sum()
     return FeatureVector(indices, weights)
+
+
+def matrix_of(bags) -> FeatureMatrix:
+    """The feature bags ``bags``, one row each, in order, as one matrix."""
+    if not bags:
+        return FeatureMatrix(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    indptr = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum([bag.indices.size for bag in bags], out=indptr[1:])
+    return FeatureMatrix(
+        indptr,
+        np.concatenate([bag.indices for bag in bags], dtype=np.int64),
+        np.concatenate([bag.weights for bag in bags], dtype=np.float64),
+    )
 
 
 def reference_tokenize(text: str) -> list[str]:
@@ -150,6 +164,7 @@ def grad_lookup(grads: Gradients, params: ModelParams, name: str, flat_index: in
 def finite_difference(
     params: ModelParams,
     items: list[BatchItem],
+    features: FeatureMatrix,
     mask_seed: int | None,
     name: str,
     flat_index: int,
@@ -159,9 +174,9 @@ def finite_difference(
     arr = dict(param_arrays(params))[name].reshape(-1)
     saved = arr[flat_index]
     arr[flat_index] = saved + step
-    plus, _, _ = backward(params, items, mask_seed=mask_seed, compute_grads=False)
+    plus, _, _ = backward(params, items, features, mask_seed=mask_seed, compute_grads=False)
     arr[flat_index] = saved - step
-    minus, _, _ = backward(params, items, mask_seed=mask_seed, compute_grads=False)
+    minus, _, _ = backward(params, items, features, mask_seed=mask_seed, compute_grads=False)
     arr[flat_index] = saved
     return (plus - minus) / (2.0 * step)
 

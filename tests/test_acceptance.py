@@ -16,6 +16,7 @@ from conftest import (
     finite_difference,
     grad_lookup,
     mask_of,
+    matrix_of,
     param_arrays,
     random_distribution,
     random_features,
@@ -40,7 +41,7 @@ from selfmix.encoder import (
     BatchItem,
     FeatureVector,
     backward,
-    featurize_text,
+    featurize_corpus,
     init_params,
     rdrop_from_probs,
 )
@@ -60,13 +61,14 @@ GRAD_TOL = 1e-5
 
 
 def _composite_instance(rng: np.random.Generator):
-    """A small model plus one batch touching every loss term.
+    """A small model plus one batch, on rows of one feature matrix, touching
+    every loss term.
 
     The batch carries an observed-label item, two mixed-pair items (the
-    merged bags :func:`embmix` builds, with interpolated soft targets), and
-    confidence/agreement items, so one finite-difference sweep certifies
-    each term and their weighted sum at once, the mixup gradient into the
-    parents' embedding rows included.
+    items :func:`embmix` builds on two parent rows each, with interpolated
+    soft targets), and confidence/agreement items, so one finite-difference
+    sweep certifies each term and their weighted sum at once, the mixup
+    gradient into the parents' embedding rows included.
     """
     params = small_params(rng, max_buckets=48, max_hidden=10, max_classes=4)
     num_classes = params.num_classes
@@ -77,29 +79,29 @@ def _composite_instance(rng: np.random.Generator):
         w = rng.uniform(0.2, 1.0, size=n)
         return FeatureVector(idx.astype(np.int64), w / w.sum())
 
+    bags = [features()]
     items = [
         BatchItem(
-            features(),
+            0,
             "ce",
             one_hot(np.array([rng.integers(num_classes)]), num_classes)[0],
             weight=float(rng.uniform(0.3, 1.2)),
             key=0,
         )
     ]
-    bags_a = [features() for _ in range(2)]
-    bags_b = [features() for _ in range(2)]
+    bags += [features() for _ in range(4)]  # rows 1 and 2 mix with rows 3 and 4
     targets_a = np.stack([random_distribution(rng, num_classes) for _ in range(2)])
     targets_b = np.stack([random_distribution(rng, num_classes) for _ in range(2)])
-    mixed = embmix(bags_a, targets_a, bags_b, targets_b, rng.beta(0.75, 0.75, 2))
-    items += [
-        BatchItem(mixed.bags[k], "ce", mixed.targets[k], weight=0.5, key=10 + k)
-        for k in range(2)
-    ]
+    items += embmix(
+        np.array([1, 2]), targets_a, np.array([3, 4]), targets_b, rng.beta(0.75, 0.75, 2),
+        weight=0.5, key=10,
+    )
     lambda_p, lambda_r = float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.1, 0.5))
-    items.append(BatchItem(features(), "pseudo", weight=lambda_p, key=20))
-    items.append(BatchItem(features(), "rdrop", weight=lambda_r, key=20))
+    bags += [features(), features()]
+    items.append(BatchItem(5, "pseudo", weight=lambda_p, key=20))
+    items.append(BatchItem(6, "rdrop", weight=lambda_r, key=20))
     mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
-    return params, items, mask_seed
+    return params, items, matrix_of(bags), mask_seed
 
 
 def test_criterion_1_gradients_match_finite_differences():
@@ -107,14 +109,14 @@ def test_criterion_1_gradients_match_finite_differences():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        params, items, mask_seed = _composite_instance(rng)
-        _, grads, _ = backward(params, items, mask_seed=mask_seed)
+        params, items, features, mask_seed = _composite_instance(rng)
+        _, grads, _ = backward(params, items, features, mask_seed=mask_seed)
         for name, array in param_arrays(params):
             for _ in range(2):
                 flat = int(rng.integers(array.size))
                 analytic = grad_lookup(grads, params, name, flat)
                 fd = finite_difference(
-                    params, items, mask_seed, name, flat, step=GRAD_STEP
+                    params, items, features, mask_seed, name, flat, step=GRAD_STEP
                 )
                 err = relative_error(analytic, fd)
                 worst = max(worst, err)
@@ -186,14 +188,14 @@ def test_criterion_4_formula_micro_checks():
         np.array([0.9, 0.1]), np.array([0.1, 0.9])
     ) == pytest.approx(1.7578, abs=1e-4)
     # the weighted total: l_mix + 0.2 * l_p + 0.3 * l_r, each from the breakdown
-    fv = featurize_text("alpha beta gamma", 64)
-    params = init_params(64, 8, 3, 0.3, seed=4, buckets=fv.indices)
+    features = featurize_corpus(["alpha beta gamma"], 64)
+    params = init_params(64, 8, 3, 0.3, seed=4, buckets=features.indices)
     items = [
-        BatchItem(fv, "ce", np.array([0.2, 0.5, 0.3]), weight=1.0),
-        BatchItem(fv, "pseudo", weight=0.2, key=7),
-        BatchItem(fv, "rdrop", weight=0.3, key=7),
+        BatchItem(0, "ce", np.array([0.2, 0.5, 0.3]), weight=1.0),
+        BatchItem(0, "pseudo", weight=0.2, key=7),
+        BatchItem(0, "rdrop", weight=0.3, key=7),
     ]
-    total, _, breakdown = backward(params, items, mask_seed=11)
+    total, _, breakdown = backward(params, items, features, mask_seed=11)
     l_mix, l_p, l_r = (breakdown[k][0] for k in ("ce", "pseudo", "rdrop"))
     assert l_r > 0.0
     assert total == pytest.approx(l_mix + 0.2 * l_p + 0.3 * l_r, rel=1e-12)
@@ -254,14 +256,16 @@ def test_criterion_7_invariant_property_suite(tmp_path):
     for _ in range(N_CASES):
         m = int(rng.integers(1, 6))
         b, c = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-        mixed = embmix(
-            [random_features(rng, b) for _ in range(m)],
-            np.stack([random_distribution(rng, c) for _ in range(m)]),
-            [random_features(rng, b) for _ in range(m)],
-            np.stack([random_distribution(rng, c) for _ in range(m)]),
-            rng.beta(0.75, 0.75, size=m),
-        )
-        assert np.all(mixed.lam >= 0.5) and np.all(mixed.lam <= 1.0)
+        bags_a = [random_features(rng, b) for _ in range(m)]
+        targets_a = np.stack([random_distribution(rng, c) for _ in range(m)])
+        bags_b = [random_features(rng, b) for _ in range(m)]
+        targets_b = np.stack([random_distribution(rng, c) for _ in range(m)])
+        features = matrix_of(bags_a + bags_b)  # row k mixes with row m + k
+        rows = np.arange(m)
+        items = embmix(rows, targets_a, m + rows, targets_b, rng.beta(0.75, 0.75, size=m))
+        lam = np.array([item.lam for item in items])
+        assert np.all(lam >= 0.5) and np.all(lam <= 1.0)
+        assert all(item.partner < len(features) for item in items)
 
     # 3 & 4. thresholding marks every position, monotonically in tau
     for _ in range(N_CASES):

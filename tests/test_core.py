@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     N_CASES,
     mask_of,
+    matrix_of,
     random_distribution,
     random_features,
     without_oracle,
@@ -20,6 +21,7 @@ from selfmix.core import (
     SelfMixConfig,
     SharedWarmup,
     class_regularize,
+    accuracy,
     embmix,
     per_sample_losses,
     select_split,
@@ -39,8 +41,10 @@ from selfmix.encoder import (
     encode,
     featurize_corpus,
     featurize_text,
+    head_forward,
     init_optimizer,
     init_params,
+    log_softmax,
     predict_proba,
     rdrop_from_probs,
 )
@@ -262,6 +266,16 @@ def test_sharpen_simplex_property():
         assert int(np.argmax(out)) == int(np.argmax(p))
 
 
+def item_loss(params, item: BatchItem, features) -> float:
+    """The dropout-off loss ``backward`` gives ``item`` alone."""
+    return backward(params, [item], features, compute_grads=False)[0]
+
+
+def ce_at(params, e: np.ndarray, target: np.ndarray) -> float:
+    """Dropout-off cross-entropy of the head at the pooled input ``e``."""
+    return float(-(target * log_softmax(head_forward(params, e))).sum())
+
+
 def test_embmix_coefficients_and_dominance():
     rng = np.random.default_rng(37)
     for _ in range(N_CASES):
@@ -278,31 +292,53 @@ def test_embmix_coefficients_and_dominance():
         targets_a = one_hot(labels_a, num_classes)
         targets_b = one_hot(labels_b, num_classes)
         lam = rng.beta(0.75, 0.75, size=m)
-        mixed = embmix(bags_a, targets_a, bags_b, targets_b, lam)
-        assert np.all(mixed.lam >= 0.5) and np.all(mixed.lam <= 1.0)
-        assert np.allclose(mixed.lam, np.maximum(lam, 1.0 - lam))
-        assert np.all(mixed.targets >= 0.0)
-        assert np.all(np.abs(mixed.targets.sum(axis=1) - 1.0) <= 1e-9)
-        assert len(mixed.bags) == m
-        for k in range(m):
+        features = matrix_of(bags_a + bags_b)
+        rows = np.arange(m)
+        mixed = embmix(rows, targets_a, m + rows, targets_b, lam)
+        mixed_lam = np.array([item.lam for item in mixed])
+        mixed_targets = np.stack([item.target for item in mixed])
+        assert np.all(mixed_lam >= 0.5) and np.all(mixed_lam <= 1.0)
+        assert np.allclose(mixed_lam, np.maximum(lam, 1.0 - lam))
+        assert np.all(mixed_targets >= 0.0)
+        assert np.all(np.abs(mixed_targets.sum(axis=1) - 1.0) <= 1e-9)
+        assert len(mixed) == m
+        for k, item in enumerate(mixed):
+            assert (item.kind, item.row, item.partner) == ("ce", k, m + k)
             expected = (
-                mixed.lam[k] * encode(params, bags_a[k])
-                + (1 - mixed.lam[k]) * encode(params, bags_b[k])
+                item.lam * encode(params, bags_a[k])
+                + (1 - item.lam) * encode(params, bags_b[k])
             )
-            assert np.allclose(encode(params, mixed.bags[k]), expected)
-            if labels_a[k] != labels_b[k] and mixed.lam[k] > 0.5:
-                assert int(np.argmax(mixed.targets[k])) == int(labels_a[k])
+            loss = item_loss(params, item, features)
+            assert np.isclose(loss, ce_at(params, expected, item.target))
+            if labels_a[k] != labels_b[k] and item.lam > 0.5:
+                assert int(np.argmax(item.target)) == int(labels_a[k])
 
 
-def test_mixed_bag_pools_to_the_mixed_embedding():
+def test_mixed_item_reads_and_trains_as_its_parents_concatenated_bag():
+    """A mixed item pools to lam' * e(a) + (1 - lam') * e(b); its loss and
+    every gradient equal those of a plain item on the parents' bags
+    concatenated, their weights scaled by lam' and 1 - lam'."""
     params = init_params(64, 8, 2, 0.0, seed=3, buckets=range(64))
     a = featurize_text("red apple pie red", 64)
     b = featurize_text("apple tart blue sky", 64)
+    merged = FeatureVector(
+        np.concatenate([a.indices, b.indices]), np.concatenate([0.7 * a.weights, 0.3 * b.weights])
+    )
+    features = matrix_of([a, b, merged])
     targets = np.eye(2)
-    mixed = embmix([a], targets[:1], [b], targets[1:], np.array([0.7])).bags[0]
-    assert mixed.weights.sum() == pytest.approx(1.0)
+    (mixed,) = embmix([0], targets[:1], [1], targets[1:], np.array([0.7]))
     expected = 0.7 * encode(params, a) + 0.3 * encode(params, b)
-    np.testing.assert_allclose(encode(params, mixed), expected, rtol=1e-12, atol=1e-15)
+    assert item_loss(params, mixed, features) == pytest.approx(
+        ce_at(params, expected, mixed.target), rel=1e-12
+    )
+    plain = BatchItem(2, "ce", mixed.target, key=mixed.key)
+    got, want = (backward(params, [item], features) for item in (mixed, plain))
+    assert got[0] == pytest.approx(want[0], rel=1e-12)
+    assert np.array_equal(got[1].emb_rows, want[1].emb_rows)
+    for name in ("emb_vals", "w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(
+            getattr(got[1], name), getattr(want[1], name), rtol=1e-12, atol=1e-15
+        )
 
 
 def test_mixup_loss_trains_the_embedding_table():
@@ -325,30 +361,32 @@ def test_embmix_boundary_coefficients():
     # bucket 0 pools to [1, 0] and bucket 1 to [0, 1]
     params = init_params(2, 2, 2, 0.0, seed=0, buckets=[0, 1])
     params.embedding[params.slot] = np.eye(2)
-    bag_a = [FeatureVector(np.array([0]), np.array([1.0]))]
-    bag_b = [FeatureVector(np.array([1]), np.array([1.0]))]
+    features = matrix_of([FeatureVector(np.array([b]), np.array([1.0])) for b in (0, 1)])
     ta = np.array([[1.0, 0.0]])
     tb = np.array([[0.0, 1.0]])
     # lam folds to max(lam, 1-lam): both 0 and 1 give the first parent
     for lam in (0.0, 1.0):
-        mixed = embmix(bag_a, ta, bag_b, tb, np.array([lam]))
-        assert mixed.lam[0] == 1.0
-        assert np.array_equal(encode(params, mixed.bags[0]), [1.0, 0.0])
-        assert np.array_equal(mixed.targets, ta)
-    halfway = embmix(bag_a, ta, bag_b, tb, np.array([0.5]))
-    assert np.allclose(encode(params, halfway.bags[0]), [0.5, 0.5])
+        (mixed,) = embmix([0], ta, [1], tb, np.array([lam]))
+        assert mixed.lam == 1.0
+        first = BatchItem(0, "ce", ta[0])
+        assert item_loss(params, mixed, features) == item_loss(params, first, features)
+        assert np.array_equal(mixed.target, ta[0])
+    (halfway,) = embmix([0], ta, [1], tb, np.array([0.5]))
+    assert np.isclose(
+        item_loss(params, halfway, features), ce_at(params, np.array([0.5, 0.5]), halfway.target)
+    )
 
 
 def test_embmix_refuses_unequal_lengths():
-    bags = [featurize_text("a b", 16), featurize_text("c d", 16)]
+    rows = np.array([0, 1])
     targets = np.eye(2)
     lam = np.array([0.3, 0.8])
-    with pytest.raises(ValueError, match="equal numbers of bags"):
-        embmix(bags, targets, bags[:1], targets, lam)
-    with pytest.raises(ValueError, match="equal numbers of bags"):
-        embmix(bags, targets[:1], bags, targets, lam)
-    with pytest.raises(ValueError, match="equal numbers of bags"):
-        embmix(bags, targets, bags, targets, lam[:1])
+    with pytest.raises(ValueError, match="equal numbers of rows"):
+        embmix(rows, targets, rows[:1], targets, lam)
+    with pytest.raises(ValueError, match="equal numbers of rows"):
+        embmix(rows, targets[:1], rows, targets, lam)
+    with pytest.raises(ValueError, match="equal numbers of rows"):
+        embmix(rows, targets, rows, targets, lam[:1])
 
 
 def constant_model(p):
@@ -362,15 +400,17 @@ def constant_model(p):
 
 def mean_pseudo(p, copies: int = 1) -> float:
     """Mean confidence term of ``backward`` over ``copies`` items predicting ``p``."""
-    empty = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
-    items = [BatchItem(empty, "pseudo")] * copies
-    _, _, breakdown = backward(constant_model(p), items, mask_seed=3, compute_grads=False)
+    empty = matrix_of([FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))])
+    items = [BatchItem(0, "pseudo")] * copies
+    _, _, breakdown = backward(
+        constant_model(p), items, empty, mask_seed=3, compute_grads=False
+    )
     raw, count = breakdown["pseudo"]
     return raw / count
 
 
 def test_pseudo_loss_values():
-    total, _, breakdown = backward(constant_model([0.5, 0.5]), [])
+    total, _, breakdown = backward(constant_model([0.5, 0.5]), [], matrix_of([]))
     assert total == 0.0 and breakdown == {}
     assert mean_pseudo([1.0, 0.0]) == 0.0
     assert mean_pseudo([0.25, 0.75]) == pytest.approx(-np.log(0.75))
@@ -395,18 +435,17 @@ def test_loss_terms_non_negative_property():
         assert mean_pseudo(p1) >= 0.0 and mean_pseudo(p2) >= 0.0
 
         params = init_params(64, 4, num_classes, 0.0, seed=int(rng.integers(2**31)))
-        bags = [random_features(rng, 64) for _ in range(2)]
+        features = matrix_of([random_features(rng, 64) for _ in range(2)])
         targets = np.stack([p1, p2])
-        mixed = embmix(bags, targets, bags[::-1], targets[::-1], rng.beta(0.75, 0.75, 2))
-        mix_items = [
-            BatchItem(mixed.bags[k], "ce", mixed.targets[k], weight=0.5)
-            for k in range(2)
-        ]
-        mix, _, _ = backward(params, mix_items, compute_grads=False)
+        rows = np.array([0, 1])
+        mix_items = embmix(
+            rows, targets, rows[::-1], targets[::-1], rng.beta(0.75, 0.75, 2), weight=0.5
+        )
+        mix, _, _ = backward(params, mix_items, features, compute_grads=False)
         assert mix >= 0.0
 
-        fv = featurize_text("alpha beta gamma", 64)
-        loss, _, _ = backward(params, [BatchItem(fv, "rdrop")], mask_seed=7)
+        fv = featurize_corpus(["alpha beta gamma"], 64)
+        loss, _, _ = backward(params, [BatchItem(0, "rdrop")], fv, mask_seed=7)
         assert loss == 0.0  # dropout_rate 0: both passes identical
 
 
@@ -469,6 +508,26 @@ def test_per_sample_losses_match_manual():
         p = predict_proba(params, featurize_text(ex.text, 256))
         assert losses[i] == pytest.approx(-np.log(p[ex.observed_label]))
     assert np.all(losses >= 0.0)
+
+
+def test_scoring_refuses_a_feature_matrix_of_another_row_count():
+    """Losses and accuracy need one feature row per example: a longer matrix
+    would score only its first rows, a shorter one fail mid-index."""
+    train, _ = make_corpus(40, 4, 2, seed=6)
+    params = init_params(256, 4, 2, 0.0, seed=1, buckets=range(256))
+    texts = [ex.text for ex in train]
+    labels = train.observed_labels()
+    for rows in (52, 5):
+        features = featurize_corpus((texts * 2)[:rows], 256)
+        with pytest.raises(ValueError, match=f"has {rows} rows for 40 examples"):
+            per_sample_losses(params, train, features)
+        with pytest.raises(ValueError, match=f"has {rows} rows for 40 labels"):
+            accuracy(params, features, labels)
+    features = featurize_corpus(texts, 256)
+    assert per_sample_losses(params, train, features).shape == (40,)
+    assert 0.0 <= accuracy(params, features, labels) <= 1.0
+    with pytest.raises(ValueError, match="has 0 rows for 40 labels"):
+        accuracy(params, featurize_corpus([], 256), labels)
 
 
 def test_batched_losses_match_the_per_document_path():

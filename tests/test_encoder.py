@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from conftest import (
     N_CASES,
+    matrix_of,
     random_distribution,
     random_features,
     reference_featurize,
@@ -217,9 +220,9 @@ def test_featurize_corpus_accepts_the_largest_int64_bucket_count():
     assert len(empty) == 0 and empty.indptr.tolist() == [0] and empty.indices.size == 0
 
 
-def test_feature_matrix_rows_take_and_from_vectors_agree():
+def test_feature_matrix_rows_and_take_agree():
     """``take`` gathers rows, in order and with repeats, equal to ``m[i]``,
-    empty documents included; ``from_vectors`` rebuilds the same matrix."""
+    empty documents included; the rows, stacked again, rebuild the matrix."""
     texts = ["a b c", "", "solo", "a b a b", "", "x y"]
     m = featurize_corpus(texts, 2**18)
     assert len(m) == len(texts) and m.indptr.dtype == np.int64
@@ -235,10 +238,10 @@ def test_feature_matrix_rows_take_and_from_vectors_agree():
     for got, i in zip(taken, positions, strict=True):
         _assert_bit_equal(got, m[i])
     assert len(m.take([])) == 0 and m.take([]).indptr.tolist() == [0]
-    again = FeatureMatrix.from_vectors(list(m))
+    again = matrix_of(list(m))
     for name in ("indptr", "indices", "weights"):
         assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
-    empty = FeatureMatrix.from_vectors([])
+    empty = matrix_of([])
     assert len(empty) == 0 and empty.indices.dtype == np.int64
 
 
@@ -338,18 +341,19 @@ def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
     )
     other = FeatureVector(np.array([1, 9]), np.array([0.5, 0.5]))
     target = np.array([0.2, 0.5, 0.3])
-    results = []
-    for bag in (repeated, merged):
-        items = [BatchItem(bag, "ce", target), BatchItem(other, "ce", target),
-                 BatchItem(bag, "rdrop", key=0), BatchItem(bag, "pseudo", key=0)]
-        results.append(backward(params, items, mask_seed=11))
+    items = [BatchItem(0, "ce", target), BatchItem(1, "ce", target),
+             BatchItem(0, "rdrop", key=0), BatchItem(0, "pseudo", key=0)]
+    results = [
+        backward(params, items, matrix_of([bag, other]), mask_seed=11)
+        for bag in (repeated, merged)
+    ]
     (total_r, grads_r, _), (total_m, grads_m, _) = results
     assert total_r == pytest.approx(total_m, rel=1e-12)
     assert np.array_equal(grads_r.emb_rows, grads_m.emb_rows)
     np.testing.assert_allclose(grads_r.emb_vals, grads_m.emb_vals, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(
-        predict_logits(params, FeatureMatrix.from_vectors([repeated, other])),
-        predict_logits(params, FeatureMatrix.from_vectors([merged, other])),
+        predict_logits(params, matrix_of([repeated, other])),
+        predict_logits(params, matrix_of([merged, other])),
         rtol=1e-12, atol=1e-15,
     )
 
@@ -439,7 +443,7 @@ def test_backward_stationary_when_target_equals_prediction():
     params = init_params(8, 4, 3, 0.0, seed=3, buckets=range(8))
     fv = FeatureVector(np.array([1, 4, 6]), np.array([0.5, 0.2, 0.3]))
     target = softmax(head_forward(params, encode(params, fv)))
-    _, grads, _ = backward(params, [BatchItem(fv, "ce", target)])
+    _, grads, _ = backward(params, [BatchItem(0, "ce", target)], matrix_of([fv]))
     for arr in (grads.w1, grads.b1, grads.w2, grads.b2, grads.emb_vals):
         assert np.all(np.abs(arr) <= 1e-12)
     assert np.array_equal(grads.emb_rows, fv.indices)
@@ -448,19 +452,20 @@ def test_backward_stationary_when_target_equals_prediction():
 def test_backward_mean_invariance_under_duplication():
     rng = np.random.default_rng(17)
     params = small_params(rng, dropout_rate=0.0)
-    items = []
-    for _ in range(3):
-        fv = random_features(rng, params.num_buckets)
+    bags, items = [], []
+    for row in range(3):
+        bags.append(random_features(rng, params.num_buckets))
         target = np.zeros(params.num_classes)
         target[int(rng.integers(params.num_classes))] = 1.0
-        items.append(BatchItem(fv, "ce", target, weight=1.0 / 3.0))
+        items.append(BatchItem(row, "ce", target, weight=1.0 / 3.0))
     doubled = [
-        BatchItem(it.input, it.kind, it.target, weight=it.weight / 2.0)
+        BatchItem(it.row, it.kind, it.target, weight=it.weight / 2.0)
         for it in items
         for _ in range(2)
     ]
-    loss_a, grads_a, _ = backward(params, items)
-    loss_b, grads_b, _ = backward(params, doubled)
+    features = matrix_of(bags)
+    loss_a, grads_a, _ = backward(params, items, features)
+    loss_b, grads_b, _ = backward(params, doubled, features)
     assert loss_a == pytest.approx(loss_b, abs=1e-12)
     assert np.allclose(grads_a.w2, grads_b.w2, atol=1e-12)
     assert np.array_equal(grads_a.emb_rows, grads_b.emb_rows)
@@ -474,12 +479,12 @@ def test_evaluate_batch_breakdown_counts_kinds():
     target = np.zeros(params.num_classes)
     target[0] = 1.0
     items = [
-        BatchItem(fv, "ce", target),
-        BatchItem(fv, "pseudo"),
-        BatchItem(fv, "pseudo"),
-        BatchItem(fv, "rdrop"),
+        BatchItem(0, "ce", target),
+        BatchItem(0, "pseudo"),
+        BatchItem(0, "pseudo"),
+        BatchItem(0, "rdrop"),
     ]
-    total, grads, breakdown = backward(params, items, mask_seed=4)
+    total, grads, breakdown = backward(params, items, matrix_of([fv]), mask_seed=4)
     assert breakdown["ce"][1] == 1
     assert breakdown["pseudo"][1] == 2
     assert breakdown["rdrop"][1] == 1
@@ -493,8 +498,8 @@ def test_evaluate_batch_weights_scale_total_not_breakdown():
     rng = np.random.default_rng(8)
     params = small_params(rng, dropout_rate=0.0)
     fv = random_features(rng, params.num_buckets)
-    item = BatchItem(fv, "pseudo", weight=0.25)
-    total, _, breakdown = backward(params, [item])
+    item = BatchItem(0, "pseudo", weight=0.25)
+    total, _, breakdown = backward(params, [item], matrix_of([fv]))
     raw, count = breakdown["pseudo"]
     assert count == 1
     assert total == pytest.approx(0.25 * raw)
@@ -505,62 +510,77 @@ def _empty() -> FeatureVector:
     return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
 
 
+def _empty_row() -> FeatureMatrix:
+    """A matrix whose one row is :func:`_empty`."""
+    return matrix_of([_empty()])
+
+
 def test_evaluate_batch_rejects_unknown_kind():
     params = init_params(8, 4, 2, 0.0, seed=0)
     with pytest.raises(ValueError, match="unknown batch item kind"):
-        backward(params, [BatchItem(_empty(), "nope")])
+        backward(params, [BatchItem(0, "nope")], _empty_row())
 
 
 def test_evaluate_batch_requires_ce_target():
     params = init_params(8, 4, 2, 0.0, seed=0)
     with pytest.raises(ValueError, match="target"):
-        backward(params, [BatchItem(_empty(), "ce")])
+        backward(params, [BatchItem(0, "ce")], _empty_row())
 
 
-def test_backward_refuses_an_input_that_is_not_a_feature_vector():
+def test_backward_refuses_a_row_that_is_not_a_position():
+    """A row or partner that is not an integer position of the matrix is
+    refused, naming the item's batch position."""
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
-    dense = BatchItem(np.zeros(4), "ce", np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="position 1: input has type ndarray, not Feature"):
-        backward(params, [good, dense, good])
+    good = BatchItem(0, "ce", np.array([1.0, 0.0]))
+    features = matrix_of([_empty(), _empty()])
+    for bad in (np.zeros(4), 2, -1, 1.0, None):
+        wrong = replace(good, row=bad)
+        with pytest.raises(ValueError, match=r"position 1: row .* is not a position in \[0, 2\)"):
+            backward(params, [good, wrong, good], features)
+    for bad in (2, -1, 0.5):
+        wrong = replace(good, partner=bad, lam=0.5)
+        with pytest.raises(ValueError, match=r"position 1: row .* is not a position in \[0, 2\)"):
+            backward(params, [good, wrong, good], features)
 
 
 def test_backward_checks_the_buckets_of_its_last_block():
-    """A bucket out of range in the last item block is refused before any work."""
+    """A bucket out of range in the last document block is refused before any work."""
     params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
     good = FeatureVector(np.array([1, 7]), np.array([0.5, 0.5]))
+    items = [BatchItem(row, "pseudo") for row in range(40)]
     for bad in (8, -1):
         bag = FeatureVector(np.array([3, bad, 5]), np.full(3, 1 / 3))
-        items = [BatchItem(good, "pseudo")] * 39 + [BatchItem(bag, "pseudo")]
         with pytest.raises(ValueError, match="out of range"):
-            backward(params, items)
+            backward(params, items, matrix_of([good] * 39 + [bag]))
 
 
-def _bag_mix(rng: np.random.Generator, num_buckets: int, n: int) -> list[BatchItem]:
-    """``n`` items in a training step's proportions: half cross-entropy on
-    mixed bags of about 50 entries, a quarter each confidence and agreement
-    terms on document bags of about 25."""
-    items = []
+def _bag_mix(
+    rng: np.random.Generator, num_buckets: int, n: int
+) -> tuple[list[BatchItem], FeatureMatrix]:
+    """``n`` items, each on its own row, in a training step's proportions:
+    half cross-entropy on bags of about 50 entries, a quarter each
+    confidence and agreement terms on bags of about 25."""
+    bags, items = [], []
     for pos in range(n):
         kind = ("ce", "ce", "pseudo", "rdrop")[pos % 4]
         size = int(rng.integers(40, 61)) if kind == "ce" else int(rng.integers(20, 31))
-        bag = FeatureVector(rng.integers(0, num_buckets, size), np.full(size, 1.0 / size))
-        items.append(BatchItem(bag, kind, np.array([0.5, 0.5]) if kind == "ce" else None))
-    return items
+        bags.append(FeatureVector(rng.integers(0, num_buckets, size), np.full(size, 1.0 / size)))
+        items.append(BatchItem(pos, kind, np.array([0.5, 0.5]) if kind == "ce" else None))
+    return items, matrix_of(bags)
 
 
 def test_backward_memory_grows_linearly_with_the_batch():
     """Ten times the items peak at about ten times the memory, not at the
-    hundredfold of one dense (items x distinct buckets) matrix. A narrow
-    model keeps the per-row arrays small beside such a matrix."""
+    hundredfold of one dense (items x distinct buckets or documents) matrix.
+    A narrow model keeps the per-row arrays small beside such a matrix."""
     num_buckets = 2**16
     params = init_params(num_buckets, 8, 2, 0.1, seed=0, buckets=range(num_buckets))
     peaks = []
     for n in (64, 640):
-        items = _bag_mix(np.random.default_rng(7), num_buckets, n)
+        items, features = _bag_mix(np.random.default_rng(7), num_buckets, n)
         tracemalloc.start()
         try:
-            backward(params, items, mask_seed=1)
+            backward(params, items, features, mask_seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -570,10 +590,10 @@ def test_backward_memory_grows_linearly_with_the_batch():
 
 def test_evaluate_batch_names_non_finite_term_and_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
-    poisoned = BatchItem(_empty(), "ce", np.array([np.nan, 0.0]))
+    good = BatchItem(0, "ce", np.array([1.0, 0.0]))
+    poisoned = BatchItem(0, "ce", np.array([np.nan, 0.0]))
     with pytest.raises(NumericError, match="non-finite ce loss at batch position 1"):
-        backward(params, [good, poisoned])
+        backward(params, [good, poisoned], _empty_row())
 
 
 def test_rdrop_from_probs_basics():
@@ -597,61 +617,78 @@ def test_shared_key_shares_dropout_masks_across_kinds():
     z1 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=1)
     expected = rdrop_from_probs(softmax(z0), softmax(z1))
     total, grads, _ = backward(
-        params, [BatchItem(fv, "rdrop", key=5)], mask_seed=mask_seed, compute_grads=False
+        params,
+        [BatchItem(0, "rdrop", key=5)],
+        matrix_of([fv]),
+        mask_seed=mask_seed,
+        compute_grads=False,
     )
     assert grads is None
     assert total == pytest.approx(expected, abs=1e-12)
     # pseudo with the same key sees exactly the pass-0 mask
     p0 = softmax(z0)
     expected_pseudo = -np.log(p0[int(np.argmax(p0))])
-    got, _, _ = backward(params, [BatchItem(fv, "pseudo", key=5)], mask_seed=mask_seed)
+    got, _, _ = backward(
+        params, [BatchItem(0, "pseudo", key=5)], matrix_of([fv]), mask_seed=mask_seed
+    )
     assert got == pytest.approx(expected_pseudo, abs=1e-12)
 
 
-def _mixed_batch(rng: np.random.Generator, params) -> list[BatchItem]:
+def _mixed_batch(
+    rng: np.random.Generator, params
+) -> tuple[list[BatchItem], FeatureMatrix]:
     """Every item shape the trainer produces, plus the awkward cases: a
     pseudo and an rdrop item sharing a key, bucket ids repeated across
-    items, an empty feature vector, and a mixed bag with a soft target."""
-    shared = random_features(rng, params.num_buckets)
+    items, an empty feature vector, and a mixed item with a soft target
+    whose partner row another item also reads. Returns the items and the
+    matrix of their rows."""
+    bags = [random_features(rng, params.num_buckets)]  # row 0, shared
     hard = np.zeros(params.num_classes)
     hard[int(rng.integers(params.num_classes))] = 1.0
-    mixed = embmix(
-        [random_features(rng, params.num_buckets)],
+    bags.append(random_features(rng, params.num_buckets))
+    (mixed,) = embmix(
+        [1],
         random_distribution(rng, params.num_classes)[None],
-        [shared],
+        [0],
         hard[None],
         rng.beta(0.75, 0.75, size=1),
+        key=1,
     )
 
     def weight() -> float:
         return float(rng.uniform(0.2, 1.5))
 
-    return [
-        BatchItem(shared, "ce", hard, weight(), key=0),
-        BatchItem(mixed.bags[0], "ce", mixed.targets[0], weight(), key=1),
-        BatchItem(random_features(rng, params.num_buckets), "pseudo", weight=weight(), key=7),
-        BatchItem(random_features(rng, params.num_buckets), "rdrop", weight=weight(), key=7),
-        BatchItem(shared, "rdrop", weight=weight(), key=3),
-        BatchItem(_empty(), "pseudo", weight=weight(), key=4),
-        BatchItem(random_features(rng, params.num_buckets), "rdrop", weight=weight(), key=5),
-        BatchItem(_empty(), "ce", hard, weight(), key=6),
+    def row(bag: FeatureVector) -> int:
+        bags.append(bag)
+        return len(bags) - 1
+
+    items = [
+        BatchItem(0, "ce", hard, weight(), key=0),
+        replace(mixed, weight=weight()),
+        BatchItem(row(random_features(rng, params.num_buckets)), "pseudo", weight=weight(), key=7),
+        BatchItem(row(random_features(rng, params.num_buckets)), "rdrop", weight=weight(), key=7),
+        BatchItem(0, "rdrop", weight=weight(), key=3),
+        BatchItem(row(_empty()), "pseudo", weight=weight(), key=4),
+        BatchItem(row(random_features(rng, params.num_buckets)), "rdrop", weight=weight(), key=5),
+        BatchItem(row(_empty()), "ce", hard, weight(), key=6),
     ]
+    return items, matrix_of(bags)
 
 
 def test_batch_equals_the_sum_of_its_items():
     rng = np.random.default_rng(61)
     for case in range(50):
         params = small_params(rng, dropout_rate=float(rng.choice([0.0, 0.3, 0.5])))
-        items = _mixed_batch(rng, params)
+        items, features = _mixed_batch(rng, params)
         mask_seed = int(rng.integers(2**63))
-        total, grads, breakdown = backward(params, items, mask_seed=mask_seed)
+        total, grads, breakdown = backward(params, items, features, mask_seed=mask_seed)
 
         sum_total = 0.0
         sum_breakdown: dict[str, list[float]] = {}
         head = {name: 0.0 for name in ("w1", "b1", "w2", "b2")}
         emb: dict[int, np.ndarray] = {}
         for item in items:
-            t, g, b = backward(params, [item], mask_seed=mask_seed)
+            t, g, b = backward(params, [item], features, mask_seed=mask_seed)
             sum_total += t
             for kind, (raw, count) in b.items():
                 entry = sum_breakdown.setdefault(kind, [0.0, 0])
@@ -677,7 +714,7 @@ def test_batch_equals_the_sum_of_its_items():
 
 def test_empty_batch_is_zero_loss_with_zero_gradients():
     params = init_params(8, 4, 3, 0.3, seed=0)
-    total, grads, breakdown = backward(params, [], mask_seed=1)
+    total, grads, breakdown = backward(params, [], matrix_of([]), mask_seed=1)
     assert total == 0.0 and breakdown == {}
     assert grads.emb_rows.dtype == np.int64 and grads.emb_rows.size == 0
     assert grads.emb_vals.shape == (0, 4)
@@ -688,16 +725,17 @@ def test_empty_batch_is_zero_loss_with_zero_gradients():
 
 def test_backward_reports_the_first_non_finite_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(_empty(), "ce", np.array([1.0, 0.0]))
+    good = BatchItem(0, "ce", np.array([1.0, 0.0]))
     items = [
         good,
-        BatchItem(_empty(), "pseudo"),
-        BatchItem(FeatureVector(np.array([3]), np.array([np.nan])), "rdrop"),
+        BatchItem(0, "pseudo"),
+        BatchItem(1, "rdrop"),
         good,
-        BatchItem(_empty(), "ce", np.array([np.nan, 0.0])),
+        BatchItem(0, "ce", np.array([np.nan, 0.0])),
     ]
+    features = matrix_of([_empty(), FeatureVector(np.array([3]), np.array([np.nan]))])
     with pytest.raises(NumericError, match="non-finite rdrop loss at batch position 2"):
-        backward(params, items)
+        backward(params, items, features)
 
 
 # ---------------------------------------------------------------------------
@@ -742,13 +780,15 @@ def test_masks_are_all_ones_without_a_seed_or_at_rate_zero():
 def test_an_item_sees_the_same_mask_at_any_batch_position():
     rng = np.random.default_rng(71)
     params = small_params(rng, dropout_rate=0.5)
-    fv = random_features(rng, params.num_buckets)
-    probe = BatchItem(fv, "rdrop", key=77)
-    _, _, alone = backward(params, [probe], mask_seed=3)
+    bags = [random_features(rng, params.num_buckets)]
+    probe = BatchItem(0, "rdrop", key=77)
+    _, _, alone = backward(params, [probe], matrix_of(bags), mask_seed=3)
     hard = np.eye(params.num_classes)[0]
-    others = [BatchItem(random_features(rng, params.num_buckets), "ce", hard, key=k)
-              for k in range(5)]
-    _, _, crowded = backward(params, others[:3] + [probe] + others[3:], mask_seed=3)
+    bags += [random_features(rng, params.num_buckets) for _ in range(5)]
+    others = [BatchItem(k + 1, "ce", hard, key=k) for k in range(5)]
+    _, _, crowded = backward(
+        params, others[:3] + [probe] + others[3:], matrix_of(bags), mask_seed=3
+    )
     assert crowded["rdrop"][0] == pytest.approx(alone["rdrop"][0], rel=1e-12)
     assert alone["rdrop"][0] > 0.0
 
@@ -756,13 +796,13 @@ def test_an_item_sees_the_same_mask_at_any_batch_position():
 def test_backward_builds_no_generator(monkeypatch):
     rng = np.random.default_rng(81)
     params = small_params(rng, dropout_rate=0.5)
-    items = _mixed_batch(rng, params)
+    items, features = _mixed_batch(rng, params)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("backward must not construct a Generator")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    backward(params, items, mask_seed=17)
+    backward(params, items, features, mask_seed=17)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +814,7 @@ def test_adam_zero_gradient_is_identity():
     params = init_params(8, 4, 2, 0.0, seed=0)
     before = copy.deepcopy(params)
     opt = init_optimizer(params, learning_rate=0.1)
-    zero = backward(params, [BatchItem(_empty(), "ce", softmax(np.zeros(2)))])[1]
+    zero = backward(params, [BatchItem(0, "ce", softmax(np.zeros(2)))], _empty_row())[1]
     # force exact zeros regardless of float dust
     for arr in (zero.w1, zero.b1, zero.w2, zero.b2):
         arr[:] = 0.0
@@ -824,7 +864,9 @@ def test_adam_determinism():
             fv = random_features(step_rng, params.num_buckets)
             target = np.zeros(2)
             target[int(step_rng.integers(2))] = 1.0
-            _, grads, _ = backward(params, [BatchItem(fv, "ce", target)], mask_seed=3)
+            _, grads, _ = backward(
+                params, [BatchItem(0, "ce", target)], matrix_of([fv]), mask_seed=3
+            )
             adam_step(params, grads, opt)
         runs.append(params)
     a, b = runs
@@ -836,7 +878,7 @@ def test_adam_shape_mismatch_raises():
     params = init_params(8, 4, 2, 0.0, seed=0)
     other = init_params(8, 5, 2, 0.0, seed=0)
     opt = init_optimizer(params)
-    _, grads, _ = backward(other, [BatchItem(_empty(), "ce", np.array([1.0, 0.0]))])
+    _, grads, _ = backward(other, [BatchItem(0, "ce", np.array([1.0, 0.0]))], _empty_row())
     with pytest.raises(ValueError, match="shape"):
         adam_step(params, grads, opt)
 
@@ -848,7 +890,7 @@ def test_adam_refuses_a_gradient_for_a_bucket_without_a_row():
     opt = init_optimizer(params, learning_rate=0.1)
     before = copy.deepcopy(params)
     fv = FeatureVector(np.array([2, 9]), np.array([0.5, 0.5]))
-    grads = backward(params, [BatchItem(fv, "ce", np.array([1.0, 0.0]))])[1]
+    grads = backward(params, [BatchItem(0, "ce", np.array([1.0, 0.0]))], matrix_of([fv]))[1]
     with pytest.raises(ValueError, match="bucket 9, which owns no embedding row"):
         adam_step(params, grads, opt)
     assert opt.step == 0
@@ -1063,25 +1105,34 @@ def test_init_params_refuses_buckets_out_of_range():
             init_params(16, 4, 2, 0.0, seed=0, buckets=bad)
 
 
+def _random_batches(
+    rng: np.random.Generator, num_buckets: int, num_classes: int, *, batches: int, size: int
+) -> tuple[FeatureMatrix, list[list[BatchItem]]]:
+    """``batches`` batches of ``size`` soft-target ce items, each on its own
+    row of the returned matrix; item ``k`` of a batch has key ``k``."""
+    bags, out = [], []
+    for _ in range(batches):
+        out.append([])
+        for k in range(size):
+            bags.append(random_features(rng, num_buckets))
+            out[-1].append(
+                BatchItem(len(bags) - 1, "ce", random_distribution(rng, num_classes), key=k)
+            )
+    return matrix_of(bags), out
+
+
 def test_training_keeps_the_row_table_and_moments():
     """A model that owns its corpus's buckets trains on it in place: no new
     row table or moments, owned rows move (a row whose gradient is exactly
     zero, behind dead units, may not), and row 0 and its moments stay zero."""
     rng = np.random.default_rng(5)
-    batches = [
-        [
-            BatchItem(random_features(rng, 3000), "ce", random_distribution(rng, 2), key=k)
-            for k in range(3)
-        ]
-        for _ in range(6)
-    ]
-    features = FeatureMatrix.from_vectors([item.input for batch in batches for item in batch])
+    features, batches = _random_batches(rng, 3000, 2, batches=6, size=3)
     params = init_params(3000, 3, 2, 0.3, seed=7, buckets=corpus_buckets(features, 3000))
     opt = init_optimizer(params, learning_rate=0.05)
     tables = (params.embedding, opt.m["embedding"], opt.v["embedding"])
     initial = params.embedding.copy()
     for batch in batches:
-        adam_step(params, backward(params, batch, mask_seed=4)[1], opt)
+        adam_step(params, backward(params, batch, features, mask_seed=4)[1], opt)
     after = (params.embedding, opt.m["embedding"], opt.v["embedding"])
     assert all(a is b for a, b in zip(tables, after))
     assert opt.m["embedding"].shape == params.embedding.shape
@@ -1091,18 +1142,11 @@ def test_training_keeps_the_row_table_and_moments():
 
 
 def _trained_sparse_model(rng):
-    batches = [
-        [
-            BatchItem(random_features(rng, 2**18), "ce", random_distribution(rng, 3), key=k)
-            for k in range(8)
-        ]
-        for _ in range(4)
-    ]
-    features = FeatureMatrix.from_vectors([item.input for items in batches for item in items])
+    features, batches = _random_batches(rng, 2**18, 3, batches=4, size=8)
     params = init_params(2**18, 8, 3, 0.2, seed=11, buckets=corpus_buckets(features, 2**18))
     opt = init_optimizer(params, learning_rate=0.05)
     for items in batches:
-        adam_step(params, backward(params, items, mask_seed=2)[1], opt)
+        adam_step(params, backward(params, items, features, mask_seed=2)[1], opt)
     return params
 
 
@@ -1117,7 +1161,7 @@ def test_sparse_checkpoint_reproduces_logits(tmp_path):
     docs = [random_features(rng, 2**18) for _ in range(40)]  # untrained buckets
     docs.append(FeatureVector(trained[:5], np.full(5, 0.2)))
     docs.append(FeatureVector(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
-    docs = FeatureMatrix.from_vectors(docs)
+    docs = matrix_of(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
     dense_size = 36 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
     assert path.stat().st_size < dense_size / 10
@@ -1166,7 +1210,7 @@ def test_smx3_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
     trained = np.flatnonzero(params.slot)
     docs = [FeatureVector(trained[k : k + 3], np.full(3, 1.0 / 3.0)) for k in range(0, 30, 3)]
     docs += [random_features(rng, 2**18) for _ in range(10)]
-    docs = FeatureMatrix.from_vectors(docs)
+    docs = matrix_of(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
 
 

@@ -4,12 +4,13 @@ Random small models (buckets <= 64, hidden <= 16, classes <= 4) are checked
 for every loss term the trainer uses — cross-entropy (hard and soft targets),
 confidence, dropout-agreement, and weighted composites of all three — with
 central differences at step 1e-6 against a relative tolerance of 1e-5. Every
-input is a feature bag, so each check covers the embedding rows it pools as
-well as the head; the acceptance gate's criterion 1 adds the mixed bags of
-the mixup term. Every model owns a row for each of its buckets, so the
-checks cover non-zero embedding rows. Batches of 15 to 50 items cross the
-item blocks ``backward`` pools in; they are also compared with a per-item
-loop to 1e-12.
+item names a feature bag, a row of one feature matrix, so each check covers
+the embedding rows it pools as well as the head; the acceptance gate's
+criterion 1 adds the mixup term's items, which mix two pooled rows. Every
+model owns a row for each of its buckets, so the checks cover non-zero
+embedding rows. Batches of 15 to 50 items, each on its own row, cross the
+document blocks ``backward`` pools in; they are also compared with a
+per-item loop to 1e-12.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from conftest import (
     N_CASES,
     finite_difference,
     grad_lookup,
+    matrix_of,
     param_arrays,
     random_distribution,
     random_features,
@@ -35,8 +37,9 @@ REL_TOL = 1e-5
 COORDS_PER_ARRAY = 2
 
 
-def _random_item(rng: np.random.Generator, params, kind: str):
-    item_input = random_features(rng, params.num_buckets)
+def _random_item(rng: np.random.Generator, params, kind: str, row: int = 0):
+    """A random bag and an item of ``kind`` that names it as row ``row``."""
+    bag = random_features(rng, params.num_buckets)
     target = None
     if kind == "ce":
         if rng.random() < 0.5:
@@ -44,8 +47,8 @@ def _random_item(rng: np.random.Generator, params, kind: str):
             target[int(rng.integers(params.num_classes))] = 1.0
         else:
             target = random_distribution(rng, params.num_classes)
-    return BatchItem(
-        item_input,
+    return bag, BatchItem(
+        row,
         kind,
         target,
         weight=float(rng.uniform(0.2, 1.5)),
@@ -53,10 +56,12 @@ def _random_item(rng: np.random.Generator, params, kind: str):
     )
 
 
-def _check_case(rng: np.random.Generator, items, params, mask_seed, buckets=()) -> float:
+def _check_case(
+    rng: np.random.Generator, items, features, params, mask_seed, buckets=()
+) -> float:
     """Worst relative error over random coordinates of every array, plus
     one coordinate of the embedding row of each bucket of ``buckets``."""
-    _, grads, _ = backward(params, items, mask_seed=mask_seed)
+    _, grads, _ = backward(params, items, features, mask_seed=mask_seed)
     worst = 0.0
     for name, arr in param_arrays(params):
         flat = arr.reshape(-1)
@@ -68,7 +73,7 @@ def _check_case(rng: np.random.Generator, items, params, mask_seed, buckets=()) 
             ]
         for idx in picks:
             analytic = grad_lookup(grads, params, name, idx)
-            fd = finite_difference(params, items, mask_seed, name, idx, step=STEP)
+            fd = finite_difference(params, items, features, mask_seed, name, idx, step=STEP)
             worst = max(worst, relative_error(analytic, fd))
     return worst
 
@@ -82,8 +87,8 @@ def test_single_term_gradients_match_finite_differences():
         for kind in ("ce", "pseudo", "rdrop"):
             params = small_params(rng)
             mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
-            items = [_random_item(rng, params, kind)]
-            worst = max(worst, _check_case(rng, items, params, mask_seed))
+            bag, item = _random_item(rng, params, kind)
+            worst = max(worst, _check_case(rng, [item], matrix_of([bag]), params, mask_seed))
             case += 1
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
@@ -95,11 +100,13 @@ def test_composite_batch_gradients_match_finite_differences():
     for _ in range(N_CASES):
         params = small_params(rng)
         mask_seed = int(rng.integers(2**31))
-        items = []
-        for _ in range(int(rng.integers(2, 5))):
+        bags, items = [], []
+        for row in range(int(rng.integers(2, 5))):
             kind = str(rng.choice(["ce", "pseudo", "rdrop"]))
-            items.append(_random_item(rng, params, kind))
-        worst = max(worst, _check_case(rng, items, params, mask_seed))
+            bag, item = _random_item(rng, params, kind, row)
+            bags.append(bag)
+            items.append(item)
+        worst = max(worst, _check_case(rng, items, matrix_of(bags), params, mask_seed))
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
 
@@ -107,37 +114,33 @@ def test_feature_input_touches_only_its_rows():
     rng = np.random.default_rng(404)
     for _ in range(50):
         params = small_params(rng)
-        item = _random_item(rng, params, "ce")
-        _, grads, _ = backward(params, [item], mask_seed=1)
-        assert set(grads.emb_rows.tolist()) <= set(item.input.indices.tolist())
+        bag, item = _random_item(rng, params, "ce")
+        _, grads, _ = backward(params, [item], matrix_of([bag]), mask_seed=1)
+        assert set(grads.emb_rows.tolist()) <= set(bag.indices.tolist())
 
 
 BLOCK_SIZES = (15, 16, 17, 33, 50)
 
 
 def _block_batch(rng: np.random.Generator, params, size: int):
-    """``size`` items of every kind, across the item blocks ``backward`` pools
-    in (16 items each). Item 0's bag is empty, item 1 names a bucket twice,
-    and items 1, 2 and ``size - 1`` share a bucket, which lies in two blocks
-    once ``size`` exceeds 16. Returns the items, the repeated bucket and the
-    shared one."""
+    """``size`` items of every kind, each on its own row, across the
+    document blocks ``backward`` pools in (16 rows each). Row 0's bag is
+    empty, row 1 names a bucket twice, and rows 1, 2 and ``size - 1`` share
+    a bucket, which lies in two blocks once ``size`` exceeds 16. Returns the
+    items, their feature matrix, the repeated bucket and the shared one."""
     kinds = ["ce", "pseudo", "rdrop"] + [
         str(k) for k in rng.choice(["ce", "pseudo", "rdrop"], size=size - 3)
     ]
     rng.shuffle(kinds)
-    items = [_random_item(rng, params, kind) for kind in kinds]
+    bags, items = zip(*(_random_item(rng, params, kind, row) for row, kind in enumerate(kinds)))
+    bags = list(bags)
     repeated, shared = (int(b) for b in rng.choice(params.num_buckets, 2, replace=False))
-    empty = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
-    twice = FeatureVector(np.array([repeated, shared, repeated]), np.array([0.3, 0.5, 0.2]))
-    items[0] = replace(items[0], input=empty)
-    items[1] = replace(items[1], input=twice)
+    bags[0] = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
+    bags[1] = FeatureVector(np.array([repeated, shared, repeated]), np.array([0.3, 0.5, 0.2]))
     for pos in (2, size - 1):
-        bag = items[pos].input
-        items[pos] = replace(
-            items[pos],
-            input=FeatureVector(np.append(bag.indices, shared), np.append(bag.weights, 0.4)),
-        )
-    return items, repeated, shared
+        bag = bags[pos]
+        bags[pos] = FeatureVector(np.append(bag.indices, shared), np.append(bag.weights, 0.4))
+    return list(items), matrix_of(bags), repeated, shared
 
 
 def test_batches_spanning_blocks_match_finite_differences():
@@ -149,24 +152,29 @@ def test_batches_spanning_blocks_match_finite_differences():
         for _ in range(N_CASES // 10):
             params = small_params(rng)
             mask_seed = int(rng.integers(2**31))
-            items, repeated, shared = _block_batch(rng, params, size)
-            worst = max(worst, _check_case(rng, items, params, mask_seed, (repeated, shared)))
+            items, features, repeated, shared = _block_batch(rng, params, size)
+            worst = max(
+                worst, _check_case(rng, items, features, params, mask_seed, (repeated, shared))
+            )
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
 
-def _reference_backward(params, items, mask_seed):
-    """``backward`` as a loop: each item pooled, run through the head and
-    differentiated on its own, its embedding gradient added per bucket."""
+def _reference_backward(params, items, features, mask_seed):
+    """``backward`` as a loop: each item's rows pooled and mixed, run through
+    the head and differentiated on its own, its embedding gradient added per
+    bucket."""
     total = 0.0
     breakdown: dict[str, tuple[float, int]] = {}
     head = {name: np.zeros_like(getattr(params, name)) for name in ("w1", "b1", "w2", "b2")}
     emb: dict[int, np.ndarray] = {}
     for pos, item in enumerate(items):
         key = pos if item.key is None else item.key
-        bag = item.input
+        partner = item.row if item.partner is None else item.partner
+        parents = ((features[item.row], item.lam), (features[partner], 1.0 - item.lam))
         e = np.zeros(params.hidden)
-        for bucket, weight in zip(bag.indices, bag.weights):
-            e += weight * params.embedding[params.slot[bucket]]
+        for bag, coef in parents:
+            for bucket, weight in zip(bag.indices, bag.weights):
+                e += coef * weight * params.embedding[params.slot[bucket]]
         passes = []
         for k in range(2 if item.kind == "rdrop" else 1):
             mask = _masks(params, mask_seed, np.array([key]), np.array([k]))[0]
@@ -201,8 +209,9 @@ def _reference_backward(params, items, mask_seed):
             head["w1"] += np.outer(e, d_hidden)
             head["b1"] += d_hidden
             d_e += params.w1 @ d_hidden
-        for bucket, weight in zip(bag.indices.tolist(), bag.weights):
-            emb[bucket] = emb.get(bucket, np.zeros(params.hidden)) + weight * d_e
+        for bag, coef in parents:
+            for bucket, weight in zip(bag.indices.tolist(), bag.weights):
+                emb[bucket] = emb.get(bucket, np.zeros(params.hidden)) + coef * weight * d_e
     return total, breakdown, head, emb
 
 
@@ -213,10 +222,10 @@ def test_blocked_backward_matches_a_per_item_loop(size):
     for _ in range(N_CASES // 20):
         params = small_params(rng)
         mask_seed = int(rng.integers(2**31))
-        items, _, _ = _block_batch(rng, params, size)
-        total, grads, breakdown = backward(params, items, mask_seed=mask_seed)
+        items, features, _, _ = _block_batch(rng, params, size)
+        total, grads, breakdown = backward(params, items, features, mask_seed=mask_seed)
         ref_total, ref_breakdown, ref_head, ref_emb = _reference_backward(
-            params, items, mask_seed
+            params, items, features, mask_seed
         )
         assert total == pytest.approx(ref_total, rel=1e-12, abs=1e-12)
         assert breakdown.keys() == ref_breakdown.keys()
@@ -229,3 +238,26 @@ def test_blocked_backward_matches_a_per_item_loop(size):
         )
         for name, expected in ref_head.items():
             np.testing.assert_allclose(getattr(grads, name), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_a_mixed_item_at_full_weight_or_on_its_own_row_is_the_plain_item():
+    """A mixup item with lam = 1, or whose partner is its own row, reads and
+    trains exactly as the plain item on its row: the total, the breakdown
+    and every gradient are equal bit for bit."""
+    rng = np.random.default_rng(606)
+    for _ in range(N_CASES // 10):
+        params = small_params(rng)
+        mask_seed = int(rng.integers(2**31))
+        items, features, _, _ = _block_batch(rng, params, int(rng.choice(BLOCK_SIZES)))
+        k, partner = (int(i) for i in rng.integers(len(items), size=2))
+        own_row = float(rng.uniform(0.5, 1.0))
+        want = backward(params, items, features, mask_seed=mask_seed)
+        for mixed in (
+            replace(items[k], partner=partner, lam=1.0),
+            replace(items[k], partner=items[k].row, lam=own_row),
+        ):
+            batch = items[:k] + [mixed] + items[k + 1 :]
+            got = backward(params, batch, features, mask_seed=mask_seed)
+            assert got[0] == want[0] and got[2] == want[2]
+            for name in ("emb_rows", "emb_vals", "w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(got[1], name), getattr(want[1], name)), name

@@ -804,6 +804,15 @@ def test_run_rejects_unknown_arm(corpus_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("arms", [("baseline", "baseline"), ("selfmix", "baseline", "selfmix")])
+def test_run_refuses_a_repeated_arm_before_writing(corpus_dir, tmp_path, arms):
+    out = tmp_path / "never"
+    cfg = ExperimentConfig.from_text(config_text(corpus_dir, out))
+    with pytest.raises(ValueError, match="name an arm more than once"):
+        run_experiment(cfg, arms=arms)
+    assert not out.exists()
+
+
 def test_run_requires_existing_inputs(corpus_dir, tmp_path):
     out = tmp_path / "missing"
     cfg = ExperimentConfig.from_text(
