@@ -16,9 +16,9 @@ parents' rows and its coefficient: it reads the same mix of the parents'
 pooled embeddings, and the mixup term trains the embedding rows of both, as
 mixing hidden representations does in the paper. Only the unlabeled members
 of a batch get a forward pass of their own, to guess their targets. Every
-dropout-off inference over many documents (per-sample losses, test
-accuracy, those guesses and the instance-dependent injector's margins) runs
-through :func:`~selfmix.encoder.predict_logits` on rows of a
+dropout-off inference (per-sample losses, test accuracy, those guesses and
+the instance-dependent injector's margins) runs through
+:func:`~selfmix.encoder.predict_logits` on rows of a
 :class:`~selfmix.encoder.FeatureMatrix`. A corpus is featurized once, by
 :func:`~selfmix.encoder.featurize_corpus`, and a training batch names rows
 of that one matrix by position.
@@ -70,7 +70,6 @@ from .encoder import (
     featurize_text,
     init_optimizer,
     init_params,
-    log_softmax,
     predict_logits,
     predict_proba,
     softmax,
@@ -235,28 +234,27 @@ def per_sample_losses(
     dataset: Dataset,
     features: FeatureMatrix | None = None,
 ) -> np.ndarray:
-    """Cross-entropy ``-log(max(p[label], 1e-300))`` of each observed label
-    with dropout off.
+    """Cross-entropy ``-log(max(p[label], 1e-300))`` of each observed label,
+    ``p`` from :func:`predict_proba`.
 
     Given ``features``, one row per example, the documents are scored in
-    batched forward passes (:func:`predict_logits`). Without them, each
-    text is featurized and scored on its own: one :func:`featurize_text`
-    and one :func:`predict_proba` call per document. Either way a
-    non-finite forward pass raises :class:`NumericError`. ``features`` with
-    a row count other than the dataset's raises ``ValueError``.
+    batched forward passes. Without them, each text is featurized and
+    scored alone: one :func:`featurize_text` and one :func:`predict_proba`
+    call per document. A non-finite forward pass raises
+    :class:`NumericError` naming the document; a row count other than the
+    dataset's raises ``ValueError``.
     """
-    if features is None:
-        features = [featurize_text(ex.text, params.num_buckets) for ex in dataset]
-        losses = np.empty(len(dataset))
-        for i, ex in enumerate(dataset):
-            p = predict_proba(params, features[i])
-            if not np.isfinite(p).all():
-                raise NumericError(f"non-finite logits for document {i} of {len(dataset)}")
-            losses[i] = -math.log(max(float(p[ex.observed_label]), 1e-300))
-        return losses
     labels = dataset.observed_labels()
-    _check_rows(features, labels.size, "examples")
-    p = np.exp(log_softmax(predict_logits(params, features)))
+    if features is None:
+        p = np.empty((labels.size, params.num_classes))
+        for i, ex in enumerate(dataset):
+            try:
+                p[i] = predict_proba(params, featurize_text(ex.text, params.num_buckets))[0]
+            except NumericError:
+                raise NumericError(f"non-finite logits for document {i} of {labels.size}") from None
+    else:
+        _check_rows(features, labels.size, "examples")
+        p = predict_proba(params, features)
     return -np.log(np.maximum(p[np.arange(labels.size), labels], 1e-300))
 
 

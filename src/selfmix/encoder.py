@@ -33,8 +33,9 @@ Once one word is longer than every other word still being hashed, its
 remaining bytes go through a plain integer loop. A chunk's entries are
 ordered by (document, bucket) with a sort by bucket and then a stable sort
 by document id as an ``int16`` key, which NumPy radix-sorts. A corpus is one
-CSR :class:`FeatureMatrix`; each chunk is written straight into it, and
-:func:`predict_logits` scores slices of it without per-document objects.
+CSR :class:`FeatureMatrix`, the only bag type (a text alone is a one-row
+matrix); each chunk is written straight into it, and :func:`predict_logits`
+scores slices of it.
 
 The embedding state is sparse: only the buckets a training corpus hashes to
 carry information. A model owns one row for each bucket its training
@@ -135,28 +136,15 @@ def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndar
     return h[np.argsort(order)]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse hashed-n-gram representation: bucket ids + weights.
-
-    A bucket may repeat in a bag; its weights add. :func:`featurize_corpus`
-    emits sorted, distinct ids whose weights are occurrence counts
-    normalized to sum to 1, so the embedding lookup is an average over the
-    document's unigrams and adjacent bigrams. Empty text yields an empty
-    vector (and a zero embedding downstream).
-    """
-
-    indices: np.ndarray
-    weights: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """The feature bags of many documents as one CSR matrix.
 
     Document ``i`` names the buckets ``indices[indptr[i]:indptr[i + 1]]``
-    with the weights at the same positions. ``m[i]`` is that document's
-    :class:`FeatureVector`, whose arrays are views into ``m``.
+    with the weights at the same positions; a bucket named twice has its
+    weights added. :func:`featurize_corpus` emits sorted, distinct ids
+    weighted by occurrence counts that sum to 1 (an empty text gives an
+    empty row), so a row pools to the average of its n-grams' embeddings.
     """
 
     indptr: np.ndarray  # (n + 1,) int64, indptr[0] == 0
@@ -165,11 +153,6 @@ class FeatureMatrix:
 
     def __len__(self) -> int:
         return self.indptr.size - 1
-
-    def __getitem__(self, i: int) -> FeatureVector:
-        i = range(len(self))[i]
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return FeatureVector(self.indices[lo:hi], self.weights[lo:hi])
 
     def sizes(self) -> np.ndarray:
         """The number of entries of each row."""
@@ -242,9 +225,9 @@ def featurize_corpus(texts: Sequence[str], num_buckets: int) -> FeatureMatrix:
     return FeatureMatrix(indptr, indices, weights)
 
 
-def featurize_text(text: str, num_buckets: int) -> FeatureVector:
-    """The features of one text: ``featurize_corpus([text], num_buckets)[0]``."""
-    return featurize_corpus([text], num_buckets)[0]
+def featurize_text(text: str, num_buckets: int) -> FeatureMatrix:
+    """The features of one text: ``featurize_corpus([text], num_buckets)``, a one-row matrix."""
+    return featurize_corpus([text], num_buckets)
 
 
 @dataclass
@@ -340,31 +323,22 @@ def corpus_buckets(features: FeatureMatrix, num_buckets: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _pool(
-    params: ModelParams, indices: np.ndarray, weights: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Embedding-bag averages, one row per bag: one gather plus one reduceat.
-
-    Bag ``b`` owns the next ``sizes[b]`` bucket ids of ``indices`` and their
-    ``weights``; each bucket reads its row through ``params.slot``. An empty
-    bag pools to the zero vector.
+def encode(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
+    """Embedding-bag averages, one per row of ``features``: one gather plus
+    one reduceat. Each bucket reads its row through ``params.slot``; an
+    empty row pools to the zero vector.
     """
+    indices, sizes = features.indices, features.sizes()
     if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
         raise ValueError("feature index out of range for the embedding table")
     rows = params.slot[indices]
     pooled = np.zeros((len(sizes), params.hidden))
     if indices.size:
         filled = sizes > 0
-        starts = (np.cumsum(sizes) - sizes)[filled]
         weighted = params.embedding[rows]
-        weighted *= weights[:, None]
-        pooled[filled] = np.add.reduceat(weighted, starts, axis=0)
+        weighted *= features.weights[:, None]
+        pooled[filled] = np.add.reduceat(weighted, features.indptr[:-1][filled], axis=0)
     return pooled
-
-
-def encode(params: ModelParams, features: FeatureVector) -> np.ndarray:
-    """Weighted average of embedding rows; zero vector for empty input."""
-    return _pool(params, features.indices, features.weights, np.array([features.indices.size]))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -510,11 +484,6 @@ def head_forward(
     return _forward(params, np.asarray(e, dtype=np.float64), mask).z
 
 
-def predict_proba(params: ModelParams, features: FeatureVector) -> np.ndarray:
-    """Class probabilities with dropout off."""
-    return _forward(params, encode(params, features), None).p
-
-
 def predict_logits(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     """Dropout-off logits of many documents, one row each, in forward passes
     over ``_EVAL_CHUNK`` consecutive rows of ``features``.
@@ -524,16 +493,23 @@ def predict_logits(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     """
     n = len(features)
     logits = np.empty((n, params.num_classes))
-    bounds, sizes = features.indptr, features.sizes()
+    bounds, indices, weights = features.indptr, features.indices, features.weights
     for start in range(0, n, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, n)
         lo, hi = bounds[start], bounds[stop]
-        pooled = _pool(params, features.indices[lo:hi], features.weights[lo:hi], sizes[start:stop])
-        logits[start:stop] = _forward(params, pooled, None).z
+        rows = FeatureMatrix(bounds[start : stop + 1] - lo, indices[lo:hi], weights[lo:hi])
+        logits[start:stop] = _forward(params, encode(params, rows), None).z
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
         raise NumericError(f"non-finite logits for document {int(bad[0])} of {n}")
     return logits
+
+
+def predict_proba(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
+    """Dropout-off class probabilities of each row: ``exp(log_softmax(z))``
+    of the logits ``z`` that :func:`predict_logits` gives."""
+    log_p = log_softmax(predict_logits(params, features))  # frees the logits before exp
+    return np.exp(log_p)
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:

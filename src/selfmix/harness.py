@@ -18,10 +18,11 @@ self-contained artifact directory:
 
 Outputs embed the config echo and contain no timestamps or absolute paths
 derived from the environment, so rerunning the same config over the same
-inputs reproduces every artifact byte for byte. Out-of-range settings are
-refused when the config is parsed; missing or empty inputs, and a warm-up
-sample budget that spans more passes than the run has epochs, are refused
-before anything is written. Failures mid-run leave a partial summary
+inputs reproduces every artifact byte for byte. Out-of-range settings and
+noise settings that change nothing are refused when the config is parsed;
+missing or empty inputs, inputs the run would remove, and a warm-up sample
+budget spanning more passes than the run has epochs are refused before
+anything is written. Failures mid-run leave a partial summary
 recording the failed stage. A run first removes the files listed above that
 an earlier run left in its directory, so a directory never mixes two runs.
 The echo shows the value each setting takes in the run, so a config that
@@ -130,6 +131,12 @@ class ExperimentConfig:
             raise ValueError("run.histogram_bins must be at least 1")
         if self.num_classes is not None and self.num_classes < 2:
             raise ValueError("data.num_classes must be at least 2")
+        if self.noise_type == "none" and self.noise_ratio != 0.0:
+            raise ValueError(
+                f"noise.ratio = {self.noise_ratio!r} at noise.type = none flips no label"
+            )
+        if self.transition_path is not None and self.noise_type != "asymmetric":
+            raise ValueError(f"noise.transition needs noise.type = asym, not {self.noise_type}")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
@@ -350,15 +357,31 @@ def _require_examples(dataset: Dataset, label: str, path: str | Path) -> None:
         raise ValueError(f"{label}: {path} holds no examples")
 
 
+def _located(path: str | Path) -> Path:
+    """``path`` with its directory resolved and its last component as given."""
+    return Path(path).parent.resolve() / Path(path).name
+
+
 def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMap | None]:
-    """Everything that must succeed before any output is created."""
+    """Everything that must succeed before any output is created, including
+    that no input is one of ``_RUN_OUTPUTS`` or lies inside one of them."""
     if not cfg.train_path:
         raise ValueError("data.train is required")
     if not cfg.test_path:
         raise ValueError("data.test is required")
     if not cfg.output_dir:
         raise ValueError("run.output_dir is required")
-    for label, path in (("data.train", cfg.train_path), ("data.test", cfg.test_path)):
+    outputs = {Path(cfg.output_dir).resolve() / name for name in _RUN_OUTPUTS}
+    paths = {"data.train": cfg.train_path, "data.test": cfg.test_path,
+             "noise.transition": cfg.transition_path}
+    for label, path in paths.items():
+        if path is None:
+            continue
+        if outputs.intersection([_located(path), *_located(path).parents]):
+            raise ValueError(
+                f"{label}: {path} is a run output under run.output_dir = "
+                f"{cfg.output_dir}, which a run removes first"
+            )
         if not Path(path).is_file():
             raise ValueError(f"{label}: no such file: {path}")
     train = load_csv(cfg.train_path, num_classes=cfg.num_classes)
@@ -512,9 +535,9 @@ def analyze_losses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram a trained model's per-sample losses over a corpus.
 
-    ``bins`` and the directory of ``out_path`` are checked before the model
-    or the corpus is read, and a corpus without examples is refused before
-    anything is written.
+    ``bins``, the directory of ``out_path`` and an ``out_path`` naming the
+    model or the corpus are checked before either is read, and a corpus
+    without examples is refused before anything is written.
     """
     from .encoder import load_checkpoint
 
@@ -522,6 +545,9 @@ def analyze_losses(
         raise ValueError("bins must be positive")
     if not Path(out_path).parent.is_dir():
         raise ValueError(f"{out_path}: no such directory: {Path(out_path).parent}")
+    for what, path in (("model", model_path), ("data", data_path)):
+        if _located(out_path) == _located(path):
+            raise ValueError(f"{out_path}: the histogram would overwrite the {what} file {path}")
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)
     _require_examples(dataset, "data", data_path)

@@ -34,11 +34,9 @@ from .encoder import (
     featurize_corpus,
     init_optimizer,
     init_params,
-    log_softmax,
-    predict_logits,
+    predict_proba,
 )
 from .encoder import featurize_text  # noqa: F401  (perfbench/spans.py wraps this binding)
-from .encoder import predict_proba  # noqa: F401  (perfbench/spans.py wraps this binding)
 
 NOISE_TYPES = ("uniform", "asymmetric", "instance_dependent")
 NOISE_TYPE_ALIASES = {"asym": "asymmetric", "idn": "instance_dependent"}
@@ -228,7 +226,7 @@ def inject_instance_dependent(
 
     ids = np.array([ex.id for ex in dataset], dtype=np.int64)
     rows = np.arange(n)
-    p = np.exp(log_softmax(predict_logits(params, features)))
+    p = predict_proba(params, features)
     masked = p.copy()
     masked[rows, labels] = -np.inf
     runner_up = np.argmax(masked, axis=1)
@@ -258,8 +256,11 @@ def inject(
     transition: TransitionMap | None = None,
     aux_subset_fraction: float = 0.1,
 ) -> tuple[Dataset, CorruptionManifest]:
-    """Dispatch to the named injector; accepts the short CLI spellings too."""
+    """Dispatch to the named injector, accepting the short CLI spellings;
+    only asymmetric noise takes a ``transition``."""
     resolved = canonical_noise_type(noise_type)
+    if transition is not None and resolved != "asymmetric":
+        raise ValueError(f"a transition map applies to asymmetric noise only, not to {resolved}")
     if resolved == "uniform":
         return inject_uniform(dataset, ratio, seed)
     if resolved == "asymmetric":

@@ -17,7 +17,6 @@ from selfmix.data import Dataset
 from selfmix.encoder import (
     BatchItem,
     FeatureMatrix,
-    FeatureVector,
     Gradients,
     ModelParams,
     backward,
@@ -72,26 +71,37 @@ def small_params(
     return params
 
 
-def random_features(rng: np.random.Generator, num_buckets: int) -> FeatureVector:
-    """A random sparse feature vector with normalized positive weights."""
+def bag(indices, weights) -> FeatureMatrix:
+    """A one-row matrix: one document naming ``indices`` with ``weights``."""
+    indices = np.asarray(indices, dtype=np.int64)
+    return FeatureMatrix(
+        np.array([0, indices.size], dtype=np.int64), indices, np.asarray(weights, dtype=np.float64)
+    )
+
+
+def random_features(rng: np.random.Generator, num_buckets: int) -> FeatureMatrix:
+    """A random one-row feature matrix with normalized positive weights."""
     size = int(rng.integers(1, min(6, num_buckets) + 1))
     indices = np.sort(rng.choice(num_buckets, size=size, replace=False)).astype(np.int64)
     weights = rng.random(size) + 0.1
     weights /= weights.sum()
-    return FeatureVector(indices, weights)
+    return bag(indices, weights)
 
 
 def matrix_of(bags) -> FeatureMatrix:
-    """The feature bags ``bags``, one row each, in order, as one matrix."""
-    if not bags:
-        return FeatureMatrix(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-    indptr = np.zeros(len(bags) + 1, dtype=np.int64)
-    np.cumsum([bag.indices.size for bag in bags], out=indptr[1:])
+    """The rows of the matrices ``bags``, in order, stacked as one matrix."""
+    indptr = np.zeros(1 + sum(len(b) for b in bags), dtype=np.int64)
+    np.cumsum([size for b in bags for size in b.sizes()], out=indptr[1:])
     return FeatureMatrix(
         indptr,
-        np.concatenate([bag.indices for bag in bags], dtype=np.int64),
-        np.concatenate([bag.weights for bag in bags], dtype=np.float64),
+        np.concatenate([np.empty(0, dtype=np.int64)] + [b.indices for b in bags]),
+        np.concatenate([np.empty(0)] + [b.weights for b in bags]),
     )
+
+
+def rows_of(features: FeatureMatrix) -> list[FeatureMatrix]:
+    """Each row of ``features`` as a one-row matrix, in order."""
+    return [features.take([i]) for i in range(len(features))]
 
 
 def reference_tokenize(text: str) -> list[str]:
@@ -107,7 +117,7 @@ def reference_fnv1a64(data: bytes) -> int:
     return h
 
 
-def reference_featurize(text: str, num_buckets: int) -> FeatureVector:
+def reference_featurize(text: str, num_buckets: int) -> FeatureMatrix:
     """The reference featurizer: every unigram and adjacent bigram hashed on
     its own, counted in a dict, normalized by the total count."""
     tokens = reference_tokenize(text)
@@ -117,11 +127,11 @@ def reference_featurize(text: str, num_buckets: int) -> FeatureVector:
         bucket = reference_fnv1a64(gram.encode("utf-8")) % num_buckets
         counts[bucket] = counts.get(bucket, 0) + 1
     if not counts:
-        return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        return bag(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     indices = np.array(sorted(counts), dtype=np.int64)
     weights = np.array([counts[i] for i in indices], dtype=np.float64)
     weights /= weights.sum()
-    return FeatureVector(indices, weights)
+    return bag(indices, weights)
 
 
 def mask_of(size: int, positions) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     N_CASES,
+    bag,
     finite_difference,
     grad_lookup,
     mask_of,
@@ -39,7 +40,6 @@ from selfmix.core import (
 from selfmix.data import one_hot
 from selfmix.encoder import (
     BatchItem,
-    FeatureVector,
     backward,
     featurize_corpus,
     init_params,
@@ -77,7 +77,7 @@ def _composite_instance(rng: np.random.Generator):
         n = int(rng.integers(1, 5))
         idx = np.sort(rng.choice(params.num_buckets, size=n, replace=False))
         w = rng.uniform(0.2, 1.0, size=n)
-        return FeatureVector(idx.astype(np.int64), w / w.sum())
+        return bag(idx.astype(np.int64), w / w.sum())
 
     bags = [features()]
     items = [

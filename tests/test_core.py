@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     N_CASES,
+    bag,
     mask_of,
     matrix_of,
     random_distribution,
@@ -35,7 +36,6 @@ from selfmix.data import Dataset, Example, one_hot
 from selfmix.encoder import (
     TRAINED,
     BatchItem,
-    FeatureVector,
     backward,
     corpus_buckets,
     encode,
@@ -305,8 +305,8 @@ def test_embmix_coefficients_and_dominance():
         for k, item in enumerate(mixed):
             assert (item.kind, item.row, item.partner) == ("ce", k, m + k)
             expected = (
-                item.lam * encode(params, bags_a[k])
-                + (1 - item.lam) * encode(params, bags_b[k])
+                item.lam * encode(params, bags_a[k])[0]
+                + (1 - item.lam) * encode(params, bags_b[k])[0]
             )
             loss = item_loss(params, item, features)
             assert np.isclose(loss, ce_at(params, expected, item.target))
@@ -321,13 +321,13 @@ def test_mixed_item_reads_and_trains_as_its_parents_concatenated_bag():
     params = init_params(64, 8, 2, 0.0, seed=3, buckets=range(64))
     a = featurize_text("red apple pie red", 64)
     b = featurize_text("apple tart blue sky", 64)
-    merged = FeatureVector(
+    merged = bag(
         np.concatenate([a.indices, b.indices]), np.concatenate([0.7 * a.weights, 0.3 * b.weights])
     )
     features = matrix_of([a, b, merged])
     targets = np.eye(2)
     (mixed,) = embmix([0], targets[:1], [1], targets[1:], np.array([0.7]))
-    expected = 0.7 * encode(params, a) + 0.3 * encode(params, b)
+    expected = 0.7 * encode(params, a)[0] + 0.3 * encode(params, b)[0]
     assert item_loss(params, mixed, features) == pytest.approx(
         ce_at(params, expected, mixed.target), rel=1e-12
     )
@@ -361,7 +361,7 @@ def test_embmix_boundary_coefficients():
     # bucket 0 pools to [1, 0] and bucket 1 to [0, 1]
     params = init_params(2, 2, 2, 0.0, seed=0, buckets=[0, 1])
     params.embedding[params.slot] = np.eye(2)
-    features = matrix_of([FeatureVector(np.array([b]), np.array([1.0])) for b in (0, 1)])
+    features = matrix_of([bag(np.array([b]), np.array([1.0])) for b in (0, 1)])
     ta = np.array([[1.0, 0.0]])
     tb = np.array([[0.0, 1.0]])
     # lam folds to max(lam, 1-lam): both 0 and 1 give the first parent
@@ -400,7 +400,7 @@ def constant_model(p):
 
 def mean_pseudo(p, copies: int = 1) -> float:
     """Mean confidence term of ``backward`` over ``copies`` items predicting ``p``."""
-    empty = matrix_of([FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))])
+    empty = bag(np.empty(0, dtype=np.int64), np.empty(0))
     items = [BatchItem(0, "pseudo")] * copies
     _, _, breakdown = backward(
         constant_model(p), items, empty, mask_seed=3, compute_grads=False
@@ -505,7 +505,7 @@ def test_per_sample_losses_match_manual():
     losses = per_sample_losses(params, train)
     assert losses.shape == (12,)
     for i, ex in enumerate(train):
-        p = predict_proba(params, featurize_text(ex.text, 256))
+        p = predict_proba(params, featurize_text(ex.text, 256))[0]
         assert losses[i] == pytest.approx(-np.log(p[ex.observed_label]))
     assert np.all(losses >= 0.0)
 
@@ -866,8 +866,8 @@ def test_non_finite_guess_names_epoch_and_batch():
     run.ce_epoch(0)
     split = select_split(run.losses(), cfg.tau)  # the epoch reuses these cached losses
     target = int(np.flatnonzero(~split.labeled)[0])
-    others = np.concatenate([f.indices for k, f in enumerate(run.features) if k != target])
-    own = np.setdiff1d(run.features[target].indices, others)
+    others = run.features.take(np.delete(np.arange(len(corrupted)), target)).indices
+    own = np.setdiff1d(run.features.take([target]).indices, others)
     run.params.embedding[run.params.slot[own[0]]] = np.nan
     batches = core._shuffled_batches(len(corrupted), cfg.batch_size, cfg.seed, 1)
     b = next(b for b, members in enumerate(batches) if target in members)

@@ -14,11 +14,13 @@ from dataclasses import replace
 
 from conftest import (
     N_CASES,
+    bag,
     matrix_of,
     random_distribution,
     random_features,
     reference_featurize,
     reference_fnv1a64,
+    rows_of,
     small_params,
 )
 from selfmix import encoder
@@ -28,7 +30,6 @@ from selfmix.encoder import (
     FNV_OFFSET,
     BatchItem,
     FeatureMatrix,
-    FeatureVector,
     ModelParams,
     adam_step,
     backward,
@@ -83,7 +84,7 @@ def test_fnv1a64_known_vectors():
     assert reference_fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert reference_fnv1a64(b"foobar") == 0x85944171F73967E8
     # the corpus featurizer hashes a lone word to the same value
-    fv = featurize_corpus(["foobar"], 2**63 - 1)[0]
+    fv = featurize_corpus(["foobar"], 2**63 - 1)
     assert fv.indices.tolist() == [0x85944171F73967E8 % (2**63 - 1)]
 
 
@@ -147,7 +148,8 @@ _TEXTS = st.one_of(
 )
 
 
-def _assert_bit_equal(got: FeatureVector, want: FeatureVector) -> None:
+def _assert_bit_equal(got: FeatureMatrix, want: FeatureMatrix) -> None:
+    assert got.indptr.tolist() == want.indptr.tolist()
     assert got.indices.dtype == want.indices.dtype == np.int64
     assert got.weights.dtype == want.weights.dtype == np.float64
     assert np.array_equal(got.indices, want.indices)
@@ -162,7 +164,7 @@ def test_featurize_corpus_matches_the_reference_bit_for_bit(texts, num_buckets, 
         patch.setattr(encoder, "_FEATURIZE_CHUNK", chunk)
         features = featurize_corpus(texts, num_buckets)
     assert len(features) == len(texts)
-    for text, got in zip(texts, features):
+    for text, got in zip(texts, rows_of(features)):
         _assert_bit_equal(got, reference_featurize(text, num_buckets))
         _assert_bit_equal(featurize_text(text, num_buckets), got)
 
@@ -173,7 +175,7 @@ def test_featurize_corpus_matches_the_reference_over_several_chunks(num_buckets)
     texts = [ex.text for ex in pool]
     texts[3::250] = ["", "solo", "Echo echo ECHO echo", "x" * 3000, "a b a b a"]
     assert len(texts) > 2 * encoder._FEATURIZE_CHUNK
-    for text, got in zip(texts, featurize_corpus(texts, num_buckets), strict=True):
+    for text, got in zip(texts, rows_of(featurize_corpus(texts, num_buckets)), strict=True):
         _assert_bit_equal(got, reference_featurize(text, num_buckets))
 
 
@@ -182,10 +184,10 @@ def test_a_token_longer_than_the_rest_hashes_as_the_reference(size):
     """The longest word's last stretch is folded alone; with short words
     around it and as a whole byte string, it hashes as the byte-loop reference."""
     long = "k" * (size - 1) + "z"
-    alone = featurize_corpus([long], 2**63 - 1)[0]
+    alone = featurize_corpus([long], 2**63 - 1)
     assert alone.indices.tolist() == [reference_fnv1a64(long.encode()) % (2**63 - 1)]
     texts = [f"a {long} b", "short words", "", f"{long} {long[:-1]} ab", "x y z"]
-    for text, got in zip(texts, featurize_corpus(texts, 2**18), strict=True):
+    for text, got in zip(texts, rows_of(featurize_corpus(texts, 2**18)), strict=True):
         _assert_bit_equal(got, reference_featurize(text, 2**18))
 
 
@@ -195,7 +197,7 @@ def test_several_long_tokens_hash_as_the_reference(count):
     integer loop, and hash as the byte-loop reference."""
     longs = [chr(ord("k") + i) * (20_000 + 7 * i) for i in range(count)]
     texts = [" ".join(longs), f"a {' b '.join(longs)} c", "short words"]
-    for text, got in zip(texts, featurize_corpus(texts, 2**18), strict=True):
+    for text, got in zip(texts, rows_of(featurize_corpus(texts, 2**18)), strict=True):
         _assert_bit_equal(got, reference_featurize(text, 2**18))
 
 
@@ -214,31 +216,30 @@ def test_featurize_corpus_refuses_bucket_ids_outside_int64(num_buckets):
 
 
 def test_featurize_corpus_accepts_the_largest_int64_bucket_count():
-    fv = featurize_corpus(["a"], 2**63 - 1)[0]
+    fv = featurize_corpus(["a"], 2**63 - 1)
     assert fv.indices.tolist() == [reference_fnv1a64(b"a") % (2**63 - 1)]
     empty = featurize_corpus([], 2**63 - 1)
     assert len(empty) == 0 and empty.indptr.tolist() == [0] and empty.indices.size == 0
 
 
 def test_feature_matrix_rows_and_take_agree():
-    """``take`` gathers rows, in order and with repeats, equal to ``m[i]``,
-    empty documents included; the rows, stacked again, rebuild the matrix."""
+    """``take`` gathers rows, in order and with repeats, equal to
+    ``m.take([i])`` and to each text featurized alone, empty documents
+    included; the rows, stacked again, rebuild the matrix."""
     texts = ["a b c", "", "solo", "a b a b", "", "x y"]
     m = featurize_corpus(texts, 2**18)
     assert len(m) == len(texts) and m.indptr.dtype == np.int64
-    for i, row in enumerate(m):
-        _assert_bit_equal(row, m[i])
-        assert np.shares_memory(m[i].indices, m.indices) or m[i].indices.size == 0
-    assert m[-1].indices.tolist() == m[5].indices.tolist()
+    for text, row in zip(texts, rows_of(m), strict=True):
+        _assert_bit_equal(row, featurize_text(text, 2**18))
     with pytest.raises(IndexError):
-        m[len(texts)]
+        m.take([len(texts)])
     positions = [3, 1, 3, 0, 4, 4, 5]
     taken = m.take(positions)
     assert len(taken) == len(positions)
-    for got, i in zip(taken, positions, strict=True):
-        _assert_bit_equal(got, m[i])
+    for got, i in zip(rows_of(taken), positions, strict=True):
+        _assert_bit_equal(got, m.take([i]))
     assert len(m.take([])) == 0 and m.take([]).indptr.tolist() == [0]
-    again = matrix_of(list(m))
+    again = matrix_of(rows_of(m))
     for name in ("indptr", "indices", "weights"):
         assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
     empty = matrix_of([])
@@ -248,23 +249,6 @@ def test_feature_matrix_rows_and_take_agree():
 def test_the_chunk_doc_key_fits_int16():
     """_featurize_chunk radix-sorts each chunk's doc ids as int16."""
     assert encoder._FEATURIZE_CHUNK < 2**15
-
-
-def test_featurizing_and_scoring_a_corpus_builds_no_per_document_objects(monkeypatch):
-    pool, _ = make_labeled_pool(20000, 4, class_vocab=400, seed=3)
-    texts = [ex.text for ex in pool]
-    params = init_params(2**18, 8, 4, 0.0, seed=1)
-    built = []
-    real_init = FeatureVector.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FeatureVector, "__init__", counting)
-    logits = predict_logits(params, featurize_corpus(texts, params.num_buckets))
-    assert logits.shape == (20000, 4)
-    assert len(built) == 0
 
 
 def _featurize_traced(texts: list[str]) -> tuple[int, int]:
@@ -298,26 +282,26 @@ def test_one_long_token_does_not_pad_the_byte_fold():
 
 def test_encode_empty_is_zero_vector():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    fv = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
-    assert np.array_equal(encode(params, fv), np.zeros(4))
+    fv = bag(np.empty(0, dtype=np.int64), np.empty(0))
+    assert np.array_equal(encode(params, fv)[0], np.zeros(4))
 
 
 def test_encode_single_feature_is_that_row():
     params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
-    fv = FeatureVector(np.array([3], dtype=np.int64), np.array([1.0]))
-    assert np.allclose(encode(params, fv), params.embedding[params.slot[3]])
+    fv = bag(np.array([3], dtype=np.int64), np.array([1.0]))
+    assert np.allclose(encode(params, fv)[0], params.embedding[params.slot[3]])
 
 
 def test_encode_two_features_mean():
     params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
-    fv = FeatureVector(np.array([1, 5], dtype=np.int64), np.array([0.5, 0.5]))
+    fv = bag(np.array([1, 5], dtype=np.int64), np.array([0.5, 0.5]))
     expected = (params.embedding[params.slot[1]] + params.embedding[params.slot[5]]) / 2.0
-    assert np.allclose(encode(params, fv), expected)
+    assert np.allclose(encode(params, fv)[0], expected)
 
 
 def test_encode_index_out_of_range():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    fv = FeatureVector(np.array([8], dtype=np.int64), np.array([1.0]))
+    fv = bag(np.array([8], dtype=np.int64), np.array([1.0]))
     with pytest.raises(ValueError):
         encode(params, fv)
 
@@ -325,7 +309,7 @@ def test_encode_index_out_of_range():
 def test_encode_checks_every_id_of_an_unsorted_bag():
     params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
     for ids in ([3, 8, 1], [3, -1, 5]):
-        fv = FeatureVector(np.array(ids, dtype=np.int64), np.full(3, 1 / 3))
+        fv = bag(np.array(ids, dtype=np.int64), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="out of range"):
             encode(params, fv)
 
@@ -334,18 +318,18 @@ def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
     """A bag may name a bucket twice, as a mixed bag does; it pools, scores
     and gets an embedding gradient as the bag with those weights added."""
     params = init_params(16, 6, 3, 0.3, seed=2, buckets=range(16))
-    repeated = FeatureVector(np.array([5, 2, 9, 2, 5]), np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
-    merged = FeatureVector(np.array([2, 5, 9]), np.array([0.35, 0.35, 0.3]))
+    repeated = bag(np.array([5, 2, 9, 2, 5]), np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+    merged = bag(np.array([2, 5, 9]), np.array([0.35, 0.35, 0.3]))
     np.testing.assert_allclose(
         encode(params, repeated), encode(params, merged), rtol=1e-12, atol=1e-15
     )
-    other = FeatureVector(np.array([1, 9]), np.array([0.5, 0.5]))
+    other = bag(np.array([1, 9]), np.array([0.5, 0.5]))
     target = np.array([0.2, 0.5, 0.3])
     items = [BatchItem(0, "ce", target), BatchItem(1, "ce", target),
              BatchItem(0, "rdrop", key=0), BatchItem(0, "pseudo", key=0)]
     results = [
-        backward(params, items, matrix_of([bag, other]), mask_seed=11)
-        for bag in (repeated, merged)
+        backward(params, items, matrix_of([doc, other]), mask_seed=11)
+        for doc in (repeated, merged)
     ]
     (total_r, grads_r, _), (total_m, grads_m, _) = results
     assert total_r == pytest.approx(total_m, rel=1e-12)
@@ -356,6 +340,29 @@ def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
         predict_logits(params, matrix_of([merged, other])),
         rtol=1e-12, atol=1e-15,
     )
+
+
+def test_a_multi_row_call_scores_each_row_as_its_one_row_call():
+    """``encode`` and ``predict_proba`` on a matrix give, row for row, what
+    one-row calls give, over several forward passes, a partial last pass
+    and empty rows. Pooled rows are bit-equal. A one-row head product runs
+    as a BLAS matrix-vector product, whose sums may round differently from
+    the matrix-matrix product of a multi-row pass, so probabilities agree
+    to within a few ulp."""
+    pool, _ = make_labeled_pool(2 * encoder._EVAL_CHUNK + 40, 4, class_vocab=60, seed=8)
+    texts = [ex.text for ex in pool]
+    texts[7::97] = ["", "solo", ""]
+    features = featurize_corpus(texts, 2**12)
+    assert len(features) % encoder._EVAL_CHUNK > 1
+    params = init_params(2**12, 16, 4, 0.3, seed=5, buckets=corpus_buckets(features, 2**12))
+    params.b1 += np.random.default_rng(5).normal(scale=0.05, size=params.b1.shape)
+    pooled, proba = encode(params, features), predict_proba(params, features)
+    assert pooled.shape == (len(texts), 16) and proba.shape == (len(texts), 4)
+    for i, row in enumerate(rows_of(features)):
+        assert encode(params, row).tobytes() == pooled[i : i + 1].tobytes()
+        np.testing.assert_allclose(predict_proba(params, row)[0], proba[i], rtol=0, atol=1e-15)
+    assert not pooled[7].any()
+    np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +448,8 @@ def test_softmax_shift_invariance_property():
 
 def test_backward_stationary_when_target_equals_prediction():
     params = init_params(8, 4, 3, 0.0, seed=3, buckets=range(8))
-    fv = FeatureVector(np.array([1, 4, 6]), np.array([0.5, 0.2, 0.3]))
-    target = softmax(head_forward(params, encode(params, fv)))
+    fv = bag(np.array([1, 4, 6]), np.array([0.5, 0.2, 0.3]))
+    target = softmax(head_forward(params, encode(params, fv)[0]))
     _, grads, _ = backward(params, [BatchItem(0, "ce", target)], matrix_of([fv]))
     for arr in (grads.w1, grads.b1, grads.w2, grads.b2, grads.emb_vals):
         assert np.all(np.abs(arr) <= 1e-12)
@@ -505,9 +512,9 @@ def test_evaluate_batch_weights_scale_total_not_breakdown():
     assert total == pytest.approx(0.25 * raw)
 
 
-def _empty() -> FeatureVector:
+def _empty() -> FeatureMatrix:
     """A bag with no features; it pools to the zero vector."""
-    return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
+    return bag(np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def _empty_row() -> FeatureMatrix:
@@ -546,12 +553,12 @@ def test_backward_refuses_a_row_that_is_not_a_position():
 def test_backward_checks_the_buckets_of_its_last_block():
     """A bucket out of range in the last document block is refused before any work."""
     params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
-    good = FeatureVector(np.array([1, 7]), np.array([0.5, 0.5]))
+    good = bag(np.array([1, 7]), np.array([0.5, 0.5]))
     items = [BatchItem(row, "pseudo") for row in range(40)]
     for bad in (8, -1):
-        bag = FeatureVector(np.array([3, bad, 5]), np.full(3, 1 / 3))
+        doc = bag(np.array([3, bad, 5]), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="out of range"):
-            backward(params, items, matrix_of([good] * 39 + [bag]))
+            backward(params, items, matrix_of([good] * 39 + [doc]))
 
 
 def _bag_mix(
@@ -564,7 +571,7 @@ def _bag_mix(
     for pos in range(n):
         kind = ("ce", "ce", "pseudo", "rdrop")[pos % 4]
         size = int(rng.integers(40, 61)) if kind == "ce" else int(rng.integers(20, 31))
-        bags.append(FeatureVector(rng.integers(0, num_buckets, size), np.full(size, 1.0 / size)))
+        bags.append(bag(rng.integers(0, num_buckets, size), np.full(size, 1.0 / size)))
         items.append(BatchItem(pos, kind, np.array([0.5, 0.5]) if kind == "ce" else None))
     return items, matrix_of(bags)
 
@@ -612,7 +619,7 @@ def test_shared_key_shares_dropout_masks_across_kinds():
     params = small_params(rng, dropout_rate=0.5)
     fv = random_features(rng, params.num_buckets)
     mask_seed = 99
-    e = encode(params, fv)
+    (e,) = encode(params, fv)
     z0 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=0)
     z1 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=1)
     expected = rdrop_from_probs(softmax(z0), softmax(z1))
@@ -658,8 +665,8 @@ def _mixed_batch(
     def weight() -> float:
         return float(rng.uniform(0.2, 1.5))
 
-    def row(bag: FeatureVector) -> int:
-        bags.append(bag)
+    def row(doc: FeatureMatrix) -> int:
+        bags.append(doc)
         return len(bags) - 1
 
     items = [
@@ -733,7 +740,7 @@ def test_backward_reports_the_first_non_finite_position():
         good,
         BatchItem(0, "ce", np.array([np.nan, 0.0])),
     ]
-    features = matrix_of([_empty(), FeatureVector(np.array([3]), np.array([np.nan]))])
+    features = matrix_of([_empty(), bag(np.array([3]), np.array([np.nan]))])
     with pytest.raises(NumericError, match="non-finite rdrop loss at batch position 2"):
         backward(params, items, features)
 
@@ -889,7 +896,7 @@ def test_adam_refuses_a_gradient_for_a_bucket_without_a_row():
     params = init_params(16, 4, 2, 0.0, seed=0, buckets=[2, 5])
     opt = init_optimizer(params, learning_rate=0.1)
     before = copy.deepcopy(params)
-    fv = FeatureVector(np.array([2, 9]), np.array([0.5, 0.5]))
+    fv = bag(np.array([2, 9]), np.array([0.5, 0.5]))
     grads = backward(params, [BatchItem(0, "ce", np.array([1.0, 0.0]))], matrix_of([fv]))[1]
     with pytest.raises(ValueError, match="bucket 9, which owns no embedding row"):
         adam_step(params, grads, opt)
@@ -1074,10 +1081,10 @@ def test_unowned_buckets_pool_to_zero():
     assert np.array_equal(np.flatnonzero(params.slot), [3, 10])
     assert np.array_equal(params.slot[[3, 10]], [1, 2])
     assert params.embedding.shape == (3, 4) and not params.embedding[0].any()
-    unowned = FeatureVector(np.array([0, 11, 63]), np.full(3, 1.0 / 3.0))
-    assert np.array_equal(encode(params, unowned), np.zeros(4))
-    mixed = FeatureVector(np.array([3, 11]), np.array([0.25, 0.75]))
-    np.testing.assert_allclose(encode(params, mixed), 0.25 * params.embedding[1], rtol=1e-15)
+    unowned = bag(np.array([0, 11, 63]), np.full(3, 1.0 / 3.0))
+    assert np.array_equal(encode(params, unowned)[0], np.zeros(4))
+    mixed = bag(np.array([3, 11]), np.array([0.25, 0.75]))
+    np.testing.assert_allclose(encode(params, mixed)[0], 0.25 * params.embedding[1], rtol=1e-15)
 
 
 def test_bucket_init_is_a_pure_function_of_seed_and_bucket():
@@ -1159,8 +1166,8 @@ def test_sparse_checkpoint_reproduces_logits(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     docs = [random_features(rng, 2**18) for _ in range(40)]  # untrained buckets
-    docs.append(FeatureVector(trained[:5], np.full(5, 0.2)))
-    docs.append(FeatureVector(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
+    docs.append(bag(trained[:5], np.full(5, 0.2)))
+    docs.append(bag(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
     docs = matrix_of(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
     dense_size = 36 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
@@ -1208,7 +1215,7 @@ def test_smx3_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert np.array_equal(loaded.slot, params.slot)
     trained = np.flatnonzero(params.slot)
-    docs = [FeatureVector(trained[k : k + 3], np.full(3, 1.0 / 3.0)) for k in range(0, 30, 3)]
+    docs = [bag(trained[k : k + 3], np.full(3, 1.0 / 3.0)) for k in range(0, 30, 3)]
     docs += [random_features(rng, 2**18) for _ in range(10)]
     docs = matrix_of(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))

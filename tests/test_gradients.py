@@ -21,6 +21,7 @@ import pytest
 
 from conftest import (
     N_CASES,
+    bag,
     finite_difference,
     grad_lookup,
     matrix_of,
@@ -30,7 +31,7 @@ from conftest import (
     relative_error,
     small_params,
 )
-from selfmix.encoder import BatchItem, FeatureVector, _masks, backward
+from selfmix.encoder import BatchItem, _masks, backward
 
 STEP = 1e-6
 REL_TOL = 1e-5
@@ -135,11 +136,11 @@ def _block_batch(rng: np.random.Generator, params, size: int):
     bags, items = zip(*(_random_item(rng, params, kind, row) for row, kind in enumerate(kinds)))
     bags = list(bags)
     repeated, shared = (int(b) for b in rng.choice(params.num_buckets, 2, replace=False))
-    bags[0] = FeatureVector(np.empty(0, dtype=np.int64), np.empty(0))
-    bags[1] = FeatureVector(np.array([repeated, shared, repeated]), np.array([0.3, 0.5, 0.2]))
+    bags[0] = bag(np.empty(0, dtype=np.int64), np.empty(0))
+    bags[1] = bag(np.array([repeated, shared, repeated]), np.array([0.3, 0.5, 0.2]))
     for pos in (2, size - 1):
-        bag = bags[pos]
-        bags[pos] = FeatureVector(np.append(bag.indices, shared), np.append(bag.weights, 0.4))
+        doc = bags[pos]
+        bags[pos] = bag(np.append(doc.indices, shared), np.append(doc.weights, 0.4))
     return list(items), matrix_of(bags), repeated, shared
 
 
@@ -170,10 +171,13 @@ def _reference_backward(params, items, features, mask_seed):
     for pos, item in enumerate(items):
         key = pos if item.key is None else item.key
         partner = item.row if item.partner is None else item.partner
-        parents = ((features[item.row], item.lam), (features[partner], 1.0 - item.lam))
+        parents = (
+            (features.take([item.row]), item.lam),
+            (features.take([partner]), 1.0 - item.lam),
+        )
         e = np.zeros(params.hidden)
-        for bag, coef in parents:
-            for bucket, weight in zip(bag.indices, bag.weights):
+        for doc, coef in parents:
+            for bucket, weight in zip(doc.indices, doc.weights):
                 e += coef * weight * params.embedding[params.slot[bucket]]
         passes = []
         for k in range(2 if item.kind == "rdrop" else 1):
@@ -209,8 +213,8 @@ def _reference_backward(params, items, features, mask_seed):
             head["w1"] += np.outer(e, d_hidden)
             head["b1"] += d_hidden
             d_e += params.w1 @ d_hidden
-        for bag, coef in parents:
-            for bucket, weight in zip(bag.indices.tolist(), bag.weights):
+        for doc, coef in parents:
+            for bucket, weight in zip(doc.indices.tolist(), doc.weights):
                 emb[bucket] = emb.get(bucket, np.zeros(params.hidden)) + coef * weight * d_e
     return total, breakdown, head, emb
 

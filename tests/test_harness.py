@@ -213,8 +213,15 @@ def _random_config_value(rng: np.random.Generator, key: str) -> str:
 
 def _random_config_lines(rng: np.random.Generator, keys: list[str]) -> list[str]:
     """``key = value`` lines for ``keys``, every value in range. Exactly one
-    warm-up setting is in effect, and warm-up epochs fit in total_epochs."""
+    warm-up setting is in effect, warm-up epochs fit in total_epochs, and
+    every noise setting has an effect: a nonzero ratio only with a noise
+    type, a transition map only with asymmetric noise."""
     values = {k: _random_config_value(rng, k) for k in keys}
+    noise_type = values.get("noise.type", "none")
+    if noise_type == "none" and "noise.ratio" in values:
+        values["noise.ratio"] = "0.0"
+    if noise_type not in ("asym", "asymmetric") and "noise.transition" in values:
+        values["noise.transition"] = "none"
     by_samples = "selfmix.warmup_samples" in values and rng.random() < 0.5
     if "selfmix.warmup_samples" in values:
         values["selfmix.warmup_samples"] = (
@@ -343,6 +350,18 @@ def test_effective_noise_seed():
          "line 1: data.num_classes"),
         ("run.seed = 2\ndata.num_classes = 0", "data.num_classes must be at least 2",
          "line 2: data.num_classes"),
+        # noise settings that would change nothing
+        ("noise.ratio = 0.3", "noise.ratio = 0.3 at noise.type = none flips no label",
+         "line 1: noise.ratio"),
+        ("noise.ratio = 0.3\nnoise.type = none",
+         "noise.ratio = 0.3 at noise.type = none flips no label", "line 2: noise.type"),
+        ("noise.transition = t.txt", "noise.transition needs noise.type = asym, not none",
+         "line 1: noise.transition"),
+        ("noise.type = uniform\nnoise.ratio = 0.2\nnoise.transition = t.txt",
+         "noise.transition needs noise.type = asym, not uniform", "line 3: noise.transition"),
+        ("noise.transition = t.txt\nnoise.type = idn\nnoise.ratio = 0.2",
+         "noise.transition needs noise.type = asym, not instance_dependent",
+         "line 2: noise.type"),
     ],
 )
 def test_out_of_range_values_are_refused_at_parse_time(text, message, where):
@@ -821,6 +840,11 @@ def test_run_requires_existing_inputs(corpus_dir, tmp_path):
     with pytest.raises(ValueError, match="no such file"):
         run_experiment(cfg)
     assert not out.exists()
+    missing = {"noise.type": "asym", "noise.transition": str(tmp_path / "nope.txt")}
+    cfg = ExperimentConfig.from_text(config_text(corpus_dir, out, **missing))
+    with pytest.raises(ValueError, match="^noise.transition: no such file: "):
+        run_experiment(cfg)
+    assert not out.exists()
 
 
 def test_run_requires_paths_in_config():
@@ -951,6 +975,21 @@ def test_cli_make_corpus_refuses_a_split_smaller_than_its_classes(
     ]) == 1
     assert f"error: {split}: 5 classes need at least one document each" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_inject_refuses_a_transition_for_other_noise_types(tmp_path, capsys):
+    train, _ = make_corpus(30, 10, 2, seed=1)
+    save_csv(train, tmp_path / "train.csv")
+    (tmp_path / "t.txt").write_text("0,1\n1,0\n", encoding="utf-8")
+    out = tmp_path / "noised"
+    for noise_type in ("uniform", "idn"):
+        assert cli.main([
+            "inject-noise", "--in", str(tmp_path / "train.csv"), "--out", str(out),
+            "--type", noise_type, "--ratio", "0.1", "--seed", "3",
+            "--transition", str(tmp_path / "t.txt"),
+        ]) == 1
+        assert "transition map applies to asymmetric noise only" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_argument_errors_exit_1(tmp_path, capsys):
@@ -1202,6 +1241,86 @@ def test_cli_analyze_losses_refuses_a_corpus_without_examples(finished_run, tmp_
         "--data", str(empty), "--out", str(tmp_path / "h.csv"),
     ]) == 1
     assert f"error: data: {empty} holds no examples" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize(
+    ("key", "where", "overrides"),
+    [
+        ("data.train", "corrupted_train.csv", {"noise.type": "none", "noise.ratio": "0.0"}),
+        ("data.test", "hist/test.csv", {}),
+        ("noise.transition", "selfmix/t.txt", {"noise.type": "asym"}),
+    ],
+)
+def test_cli_run_refuses_an_input_it_would_remove(
+    corpus_dir, tmp_path, capsys, key, where, overrides
+):
+    """An input that is one of the run's outputs, or lies inside one of its
+    directories, exits 1 naming the key before anything is read or written."""
+    out = tmp_path / "out"
+    path = out / where
+    path.parent.mkdir(parents=True)
+    if key == "noise.transition":
+        path.write_text("0,1\n1,0\n", encoding="utf-8")
+    else:
+        shutil.copy(corpus_dir / ("train.csv" if key == "data.train" else "test.csv"), path)
+    before = path.read_bytes()
+    cfg_path = tmp_path / "exp.cfg"
+    # a run directory reached through another spelling of its parent is still itself
+    spelled = tmp_path / "sub" / ".." / "out"
+    (tmp_path / "sub").mkdir()
+    cfg_path.write_text(
+        config_text(corpus_dir, spelled, **{key: str(path), **overrides}), encoding="utf-8"
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert f"error: {key}: {path} is a run output" in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == sorted(
+        {where, where.split("/")[0]}
+    )
+
+
+@pytest.mark.parametrize("target", ["--model", "--data"])
+def test_cli_analyze_losses_refuses_to_overwrite_its_inputs(
+    finished_run, tmp_path, capsys, target
+):
+    _, out, _ = finished_run
+    inputs = {"--model": tmp_path / "model.smx", "--data": tmp_path / "data.csv"}
+    shutil.copy(out / "baseline" / "model.smx", inputs["--model"])
+    shutil.copy(out / "corrupted_train.csv", inputs["--data"])
+    before = {flag: path.read_bytes() for flag, path in inputs.items()}
+    (tmp_path / "sub").mkdir()
+    spelled = tmp_path / "sub" / ".." / inputs[target].name  # the same file, spelled otherwise
+    assert cli.main([
+        "analyze-losses", "--model", str(inputs["--model"]), "--data", str(inputs["--data"]),
+        "--out", str(spelled),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"{spelled}: the histogram would overwrite" in err
+    assert str(inputs[target]) in err
+    assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{dir}"],
+        ["run", "--config", "{file}/exp.cfg"],
+        ["analyze-losses", "--model", "{dir}", "--data", "{data}", "--out", "{out}"],
+        ["analyze-losses", "--model", "{model}", "--data", "{dir}", "--out", "{out}"],
+    ],
+)
+def test_cli_a_directory_where_a_file_is_expected_exits_1(finished_run, tmp_path, capsys, argv):
+    _, out, _ = finished_run
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    paths = {
+        "dir": tmp_path / "dir", "file": tmp_path / "file", "out": tmp_path / "h.csv",
+        "model": out / "baseline" / "model.smx", "data": out / "corrupted_train.csv",
+    }
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "directory" in err
     assert not (tmp_path / "h.csv").exists()
 
 

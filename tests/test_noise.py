@@ -205,7 +205,7 @@ def test_idn_batched_margins_choose_the_per_document_flips(monkeypatch):
     margins = np.empty(len(pool))
     runner_up = np.empty(len(pool), dtype=np.int64)
     for i, ex in enumerate(pool):
-        p = predict_proba(params, featurize_text(ex.text, AUX_NUM_BUCKETS))
+        p = predict_proba(params, featurize_text(ex.text, AUX_NUM_BUCKETS))[0]
         others = p.copy()
         others[ex.observed_label] = -np.inf
         runner_up[i] = np.argmax(others)
@@ -335,6 +335,15 @@ def test_inject_accepts_aliases():
     assert via_alias.noise_type == "asymmetric"
     assert manifests_equal(via_alias, via_full)
     assert set(NOISE_TYPE_ALIASES.values()) <= set(NOISE_TYPES)
+
+
+@pytest.mark.parametrize("noise_type", ["uniform", "idn", "instance_dependent"])
+def test_inject_refuses_a_transition_it_would_not_read(noise_type):
+    ds = toy_dataset([0] * 5 + [1] * 5, 2)
+    with pytest.raises(ValueError, match="transition map applies to asymmetric noise only"):
+        inject(ds, noise_type, 0.2, seed=9, transition=TransitionMap.cyclic(2))
+    _, manifest = inject(ds, "asym", 0.2, seed=9, transition=TransitionMap.cyclic(2))
+    assert len(manifest.flips) == 2
 
 
 # ---------------------------------------------------------------------------
