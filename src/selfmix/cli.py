@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import harness
+from .common import located
 from .data import load_csv, save_csv
 from .noise import NOISE_TYPE_ALIASES, NOISE_TYPES, inject, save_manifest
 from .synthetic import make_corpus
@@ -71,8 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_inject(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
+    out = Path(args.out)
+    corrupted_path, manifest_path = out / "corrupted.csv", out / "manifest.csv"
+    outputs = {located(corrupted_path), located(manifest_path)}
+    for flag, path in (("--in", args.in_path), ("--transition", args.transition)):
+        if path is not None and located(path) in outputs:
+            raise ValueError(f"{flag}: {path} is a file inject-noise writes under --out {out}")
     dataset = load_csv(args.in_path)
     transition = None
     if args.transition is not None:
@@ -85,13 +91,12 @@ def _cmd_inject(args: argparse.Namespace) -> None:
         transition=transition,
         aux_subset_fraction=args.aux_fraction,
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_csv(corrupted, out / "corrupted.csv")
-    save_manifest(manifest, out / "manifest.csv")
+    save_csv(corrupted, corrupted_path)
+    save_manifest(manifest, manifest_path)
     print(f"flipped {len(manifest.flips)} of {len(dataset)} labels")
-    print(f"wrote {out / 'corrupted.csv'}")
-    print(f"wrote {out / 'manifest.csv'}")
+    print(f"wrote {corrupted_path}")
+    print(f"wrote {manifest_path}")
 
 
 def _cmd_train(args: argparse.Namespace, arms: tuple[str, ...]) -> None:
@@ -117,8 +122,6 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def _cmd_make_corpus(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
     train, test = make_corpus(args.train, args.test, args.classes, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Shared plumbing: error types, seed derivation, rounding, atomic writes."""
+"""Shared plumbing: error types, seed derivation, rounding, paths, atomic writes."""
 from __future__ import annotations
 
 import errno
@@ -28,6 +28,12 @@ def subseed(root: int, *names: object) -> int:
 def round_half_up(x: float) -> int:
     """round() with deterministic half-up ties, used for exact flip counts."""
     return int(math.floor(x + 0.5))
+
+
+def located(path: str | Path) -> Path:
+    """``path`` with its directory resolved and its last component as given:
+    two spellings of one file compare equal without the file existing."""
+    return Path(path).parent.resolve() / Path(path).name
 
 
 @contextmanager

@@ -36,7 +36,7 @@ full-pass warm-up epochs are one computation. Given a :class:`SharedWarmup`,
 the two trainers featurize, initialize and warm up once, and each arm ends
 where it would alone. What the warm-up changed on the run (parameters, Adam
 state, step count and records) is pickled to an anonymous temporary file,
-about 22 MB at 2^18 buckets on the quick-start corpus, and the second arm
+about 12 MB at 2^18 buckets on the quick-start corpus, and the second arm
 unpickles it onto fresh arrays over the first run's read-only corpus; the
 file is removed when the ``with`` block of the shared warm-up ends. A
 partial ``warmup_samples`` pass is not shared.
@@ -509,7 +509,8 @@ class _Run:
         self.eval_every = eval_every
         # The model owns a row for each bucket of the training corpus, so the
         # corpus is featurized first; the table and the Adam moments are then
-        # allocated once, at their final size, before the first forward pass.
+        # allocated once, at their final size and in float32, before the
+        # first forward pass.
         self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
         self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
         self.labels = train.observed_labels()
@@ -522,6 +523,7 @@ class _Run:
             model.dropout_rate,
             subseed(cfg.seed, "init"),
             buckets=corpus_buckets(self.features, model.num_buckets),
+            dtype=np.float32,
         )
         self.opt = init_optimizer(
             self.params,

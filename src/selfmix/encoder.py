@@ -1,9 +1,17 @@
 """A from-scratch text classifier with exact, hand-derived gradients.
 
 Pipeline: text -> hashed n-gram features -> embedding-bag average -> 2-layer
-MLP head -> softmax. Everything is numpy float64; no autodiff framework is
-involved, so every loss term exposes its logit gradient in closed form and
-the whole backward pass is checkable against finite differences.
+MLP head -> softmax. Everything is numpy; no autodiff framework is involved,
+so every loss term exposes its logit gradient in closed form and the whole
+backward pass is checkable against finite differences.
+
+The trained arrays take the dtype :func:`init_params` is asked for: a
+training run stores its embedding rows, head and Adam moments in float32
+(mixed precision in the sense of Micikevicius et al., ICLR 2018), and
+checkpoints store float32. The arithmetic on them stays float64: pooled
+rows, activations, logits, losses and the head's gradients. The embedding
+gradient, its lazy Adam update and the weighted sums of :func:`encode` run
+in the table's dtype.
 
 Three loss kinds are supported per batch item:
 
@@ -84,8 +92,8 @@ _FEATURIZE_CHUNK = 512  # texts per featurization chunk; bounds peak memory
 # on a 2-vCPU host, the integer loop about 0.13 us per byte per row.
 _FEW_ROWS = 8
 _LOG_FLOOR = 1e-12
-_MAGIC = b"SMX3"
-_OLD_MAGICS = (b"SMX1", b"SMX2")  # earlier checkpoint formats, refused by name
+_MAGIC = b"SMX4"
+_OLD_MAGICS = (b"SMX1", b"SMX2", b"SMX3")  # earlier checkpoint formats, refused by name
 # Buckets whose initial rows one array pass of init_params builds. A pass
 # holds a few (chunk, 2 * hidden) uint64 temporaries, so this bounds the
 # init's peak memory at a small multiple of the table itself.
@@ -237,7 +245,8 @@ class ModelParams:
     ``embedding`` holds row 0, all zeros and never trained, then one row per
     bucket the model owns, in bucket order. Bucket ``b`` reads row
     ``slot[b]``, which is 0 unless the model owns ``b``, so a bucket the
-    model does not own pools to zero.
+    model does not own pools to zero. The trained arrays share one dtype,
+    the one :func:`init_params` was asked for (float32 in a training run).
     """
 
     embedding: np.ndarray  # (1 + owned buckets, hidden)
@@ -278,12 +287,17 @@ def init_params(
     dropout_rate: float,
     seed: int,
     buckets: Sequence[int] | np.ndarray = (),
+    *,
+    dtype: np.dtype | type = np.float64,
 ) -> ModelParams:
     """A row for each distinct bucket of ``buckets``, a He-scaled head, zero biases.
 
     Owned rows are N(0, 0.1^2), a pure function of (seed, bucket); they are
     built ``_INIT_CHUNK`` buckets at a time. Every other bucket pools to
-    zero. The head is drawn from ``np.random.default_rng(seed)``.
+    zero. The head is drawn from ``np.random.default_rng(seed)``. Rows and
+    head are drawn in float64 and then rounded to ``dtype``, the dtype of
+    every trained array (and so of the Adam moments :func:`init_optimizer`
+    allocates); a training run asks for float32.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must lie in [0, 1)")
@@ -297,7 +311,7 @@ def init_params(
     if owned.size and (owned[0] < 0 or owned[-1] >= num_buckets):
         raise ValueError(f"owned buckets must lie in [0, {num_buckets})")
     slot = _slot_of(num_buckets, owned)
-    embedding = np.zeros((1 + owned.size, hidden))
+    embedding = np.zeros((1 + owned.size, hidden), dtype=dtype)
     for start in range(0, owned.size, _INIT_CHUNK):
         chunk = owned[start : start + _INIT_CHUNK]
         embedding[1 + start : 1 + start + chunk.size] = _initial_rows(seed, chunk, hidden)
@@ -306,10 +320,10 @@ def init_params(
     w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, num_classes))
     return ModelParams(
         embedding=embedding,
-        w1=w1,
-        b1=np.zeros(hidden),
-        w2=w2,
-        b2=np.zeros(num_classes),
+        w1=w1.astype(dtype, copy=False),
+        b1=np.zeros(hidden, dtype=dtype),
+        w2=w2.astype(dtype, copy=False),
+        b2=np.zeros(num_classes, dtype=dtype),
         dropout_rate=float(dropout_rate),
         slot=slot,
     )
@@ -326,7 +340,8 @@ def corpus_buckets(features: FeatureMatrix, num_buckets: int) -> np.ndarray:
 def encode(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     """Embedding-bag averages, one per row of ``features``: one gather plus
     one reduceat. Each bucket reads its row through ``params.slot``; an
-    empty row pools to the zero vector.
+    empty row pools to the zero vector. Rows are weighted and summed in the
+    table's dtype; the averages are returned as float64.
     """
     indices, sizes = features.indices, features.sizes()
     if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
@@ -336,7 +351,7 @@ def encode(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     if indices.size:
         filled = sizes > 0
         weighted = params.embedding[rows]
-        weighted *= features.weights[:, None]
+        weighted *= features.weights.astype(weighted.dtype, copy=False)[:, None]
         pooled[filled] = np.add.reduceat(weighted, features.indptr[:-1][filled], axis=0)
     return pooled
 
@@ -382,7 +397,7 @@ class Gradients:
     """Sparse embedding gradient (touched rows only) plus dense head grads."""
 
     emb_rows: np.ndarray  # (R,) int64 bucket ids, sorted
-    emb_vals: np.ndarray  # (R, hidden)
+    emb_vals: np.ndarray  # (R, hidden), in the embedding table's dtype
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -683,9 +698,9 @@ class OptimizerState:
     """Adam state: hyperparameters, step counter, and per-parameter moments.
 
     ``m`` and ``v`` map each name of :data:`TRAINED` to the first and second
-    moments of that parameter, in its shape: row ``r`` of the embedding
-    moments belongs to table row ``r``. Only rows that received gradient in
-    a step are ever touched, so row 0 stays zero.
+    moments of that parameter, in its shape and dtype: row ``r`` of the
+    embedding moments belongs to table row ``r``. Only rows that received
+    gradient in a step are ever touched, so row 0 stays zero.
     """
 
     learning_rate: float
@@ -748,47 +763,60 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-# SMX3 header after the magic: num_buckets, hidden, num_classes, number of
-# stored (owned) rows.
-_HEADER = struct.Struct("<qqqq")
+# SMX4 header after the magic: num_buckets, hidden, num_classes, number of
+# stored (owned) rows, dropout rate. Every array after the bitmap is <f4.
+_HEADER = struct.Struct("<qqqqd")
+_STORED = np.dtype("<f4")
 
 
-def _checkpoint_chunks(params: ModelParams):
-    """The bytes of an ``SMX3`` checkpoint of ``params``, in order.
+def _checkpoint_chunks(params: ModelParams) -> list:
+    """The bytes of an ``SMX4`` checkpoint of ``params``, in order.
 
-    Arrays are yielded as little-endian float64 buffers, not copied into
-    ``bytes``, so the owned rows are held once: as their gather.
+    Each array is cast to ``<f4`` once and written as that buffer, not
+    copied into ``bytes``; the owned rows of a float32 table are held once,
+    as their gather. Raises ``ValueError`` naming the first array that is
+    not finite as float32, such as a finite 1e200 that rounds to inf.
     """
     owned = params.slot > 0
     stored = np.flatnonzero(owned)
-    yield _MAGIC
-    yield _HEADER.pack(params.num_buckets, params.hidden, params.num_classes, stored.size)
-    yield np.packbits(owned, bitorder="little").tobytes()
-    rows = params.embedding[params.slot[stored]]
-    for arr in (rows, params.w1, params.b1, params.w2, params.b2, [params.dropout_rate]):
-        yield np.ascontiguousarray(arr, dtype="<f8")
+    arrays = {"embedding": params.embedding[params.slot[stored]], "w1": params.w1,
+              "b1": params.b1, "w2": params.w2, "b2": params.b2}
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = {name: np.ascontiguousarray(arr, dtype=_STORED) for name, arr in arrays.items()}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"cannot save {name}: it holds values that are not finite as float32")
+    header = _HEADER.pack(
+        params.num_buckets, params.hidden, params.num_classes, stored.size, params.dropout_rate
+    )
+    bitmap = np.packbits(owned, bitorder="little").tobytes()
+    return [_MAGIC, header, bitmap, *arrays.values()]
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write an ``SMX3`` checkpoint: the owned rows and the head.
+    """Write an ``SMX4`` checkpoint: the owned rows and the head, as float32.
 
-    Layout, little-endian: the magic, the ``_HEADER`` fields, a bitmap of
-    the owned buckets (``np.packbits``, little bit order), their rows in
-    bucket order, then ``w1``, ``b1``, ``w2``, ``b2`` and the dropout rate,
-    all float64. The write is atomic (:func:`common.atomic_open`): a failed
-    write leaves no partial checkpoint and an existing one untouched.
+    Layout, little-endian: the magic, the ``_HEADER`` fields (the dropout
+    rate as a float64), a bitmap of the owned buckets (``np.packbits``,
+    little bit order), their rows in bucket order, then ``w1``, ``b1``,
+    ``w2`` and ``b2``, all ``<f4``. An array that is not finite once cast to
+    float32 raises ``ValueError`` before anything is written. The write is
+    atomic (:func:`common.atomic_open`): a failed write leaves no partial
+    checkpoint and an existing one untouched.
     """
+    chunks = _checkpoint_chunks(params)
     with atomic_open(path, "wb") as fh:
-        for chunk in _checkpoint_chunks(params):
+        for chunk in chunks:
             fh.write(chunk)
 
 
-def _read_header(fh, path: str | Path) -> tuple[int, int, int, int]:
-    """Unpack and check ``_HEADER``: the model dimensions and the stored rows."""
+def _read_header(fh, path: str | Path) -> tuple[int, int, int, int, float]:
+    """Unpack and check ``_HEADER``: the model dimensions, the stored rows
+    and the dropout rate."""
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError(f"{path}: truncated checkpoint header")
-    num_buckets, hidden, num_classes, stored = _HEADER.unpack(raw)
+    num_buckets, hidden, num_classes, stored, dropout_rate = _HEADER.unpack(raw)
     if num_buckets < 1 or hidden < 1 or num_classes < 2:
         raise ValueError(
             f"{path}: invalid checkpoint dimensions ({num_buckets}, {hidden}, {num_classes})"
@@ -797,18 +825,20 @@ def _read_header(fh, path: str | Path) -> tuple[int, int, int, int]:
         raise ValueError(
             f"{path}: invalid checkpoint layout: {stored} stored rows for {num_buckets} buckets"
         )
-    return num_buckets, hidden, num_classes, stored
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"{path}: dropout_rate {dropout_rate!r} outside [0, 1)")
+    return num_buckets, hidden, num_classes, stored, dropout_rate
 
 
 def _shapes(rows: int, hidden: int, num_classes: int) -> dict[str, tuple]:
-    """The float64 arrays after the bitmap, keyed as ``ModelParams`` fields."""
+    """The ``<f4`` arrays after the bitmap, keyed as ``ModelParams`` fields."""
     return {"embedding": (rows, hidden), "w1": (hidden, hidden), "b1": (hidden,),
-            "w2": (hidden, num_classes), "b2": (num_classes,), "dropout_rate": (1,)}
+            "w2": (hidden, num_classes), "b2": (num_classes,)}
 
 
 def _check_file_size(fh, path: str | Path, shapes: dict[str, tuple], offset: int) -> None:
     """The header fixes the file size; check it before reading anything else."""
-    expected = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
+    expected = offset + _STORED.itemsize * sum(math.prod(shape) for shape in shapes.values())
     actual = os.fstat(fh.fileno()).st_size
     if actual != expected:
         problem = "truncated" if actual < expected else "trailing bytes in"
@@ -818,25 +848,24 @@ def _check_file_size(fh, path: str | Path, shapes: dict[str, tuple], offset: int
         )
 
 
-def _read_arrays(fh, path: str | Path, shapes: dict[str, tuple]) -> dict:
-    """Read the arrays of ``shapes`` in order, refusing non-finite values."""
-    arrays: dict = {}
+def _read_arrays(fh, path: str | Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Read the float32 arrays of ``shapes`` in order, refusing non-finite values."""
+    arrays = {}
     for name, shape in shapes.items():
-        raw = fh.read(8 * math.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        raw = fh.read(_STORED.itemsize * math.prod(shape))
+        arrays[name] = np.frombuffer(raw, dtype=_STORED).astype(np.float32).reshape(shape)
         if not np.all(np.isfinite(arrays[name])):
             raise ValueError(f"{path}: non-finite values in {name}")
-    arrays["dropout_rate"] = float(arrays["dropout_rate"][0])
-    if not 0.0 <= arrays["dropout_rate"] < 1.0:
-        raise ValueError(f"{path}: dropout_rate {arrays['dropout_rate']!r} outside [0, 1)")
     return arrays
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read an ``SMX3`` checkpoint; ``slot`` is rebuilt from its bucket bitmap.
+    """Read an ``SMX4`` checkpoint; ``slot`` is rebuilt from its bucket bitmap.
 
-    ``SMX1`` and ``SMX2`` files, written by earlier versions, are refused
-    with an error that names their format.
+    The trained arrays come back as the float32 they were stored as, so a
+    loaded model scores exactly as the float32 model that was saved.
+    ``SMX1``, ``SMX2`` and ``SMX3`` files, written by earlier versions, are
+    refused with an error that names their format.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -847,7 +876,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             )
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        num_buckets, hidden, num_classes, stored = _read_header(fh, path)
+        num_buckets, hidden, num_classes, stored, dropout_rate = _read_header(fh, path)
         bitmap_size = (num_buckets + 7) // 8
         shapes = _shapes(stored, hidden, num_classes)
         _check_file_size(fh, path, shapes, len(_MAGIC) + _HEADER.size + bitmap_size)
@@ -859,6 +888,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 f"but the checkpoint stores {stored} rows"
             )
         arrays = _read_arrays(fh, path, shapes)
-    table = np.zeros((1 + stored, hidden))
+    table = np.zeros((1 + stored, hidden), dtype=np.float32)
     table[1:] = arrays.pop("embedding")
-    return ModelParams(embedding=table, **arrays, slot=_slot_of(num_buckets, owned))
+    return ModelParams(
+        embedding=table, **arrays, dropout_rate=dropout_rate, slot=_slot_of(num_buckets, owned)
+    )

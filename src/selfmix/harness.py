@@ -33,7 +33,7 @@ once (:class:`~selfmix.core.SharedWarmup`), and its artifacts are those of
 two single-arm runs, byte for byte. Until the second arm starts, what the
 warm-up changed (parameters, Adam state, step count and records) waits,
 pickled, in an anonymous temporary file outside the run directory, about
-22 MB at 2^18 buckets on the quick-start corpus, which is removed when the
+12 MB at 2^18 buckets on the quick-start corpus, which is removed when the
 run ends. A partial ``warmup_samples`` pass is not shared.
 """
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .common import atomic_open, subseed
+from .common import atomic_open, located, subseed
 from .core import (
     ModelConfig,
     SelfMixConfig,
@@ -357,11 +357,6 @@ def _require_examples(dataset: Dataset, label: str, path: str | Path) -> None:
         raise ValueError(f"{label}: {path} holds no examples")
 
 
-def _located(path: str | Path) -> Path:
-    """``path`` with its directory resolved and its last component as given."""
-    return Path(path).parent.resolve() / Path(path).name
-
-
 def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMap | None]:
     """Everything that must succeed before any output is created, including
     that no input is one of ``_RUN_OUTPUTS`` or lies inside one of them."""
@@ -377,7 +372,7 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
     for label, path in paths.items():
         if path is None:
             continue
-        if outputs.intersection([_located(path), *_located(path).parents]):
+        if outputs.intersection([located(path), *located(path).parents]):
             raise ValueError(
                 f"{label}: {path} is a run output under run.output_dir = "
                 f"{cfg.output_dir}, which a run removes first"
@@ -546,7 +541,7 @@ def analyze_losses(
     if not Path(out_path).parent.is_dir():
         raise ValueError(f"{out_path}: no such directory: {Path(out_path).parent}")
     for what, path in (("model", model_path), ("data", data_path)):
-        if _located(out_path) == _located(path):
+        if located(out_path) == located(path):
             raise ValueError(f"{out_path}: the histogram would overwrite the {what} file {path}")
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)

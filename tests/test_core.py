@@ -44,9 +44,11 @@ from selfmix.encoder import (
     head_forward,
     init_optimizer,
     init_params,
+    load_checkpoint,
     log_softmax,
     predict_proba,
     rdrop_from_probs,
+    save_checkpoint,
 )
 from selfmix.gmm import fit_gmm_trace
 from selfmix.noise import inject_uniform
@@ -591,6 +593,7 @@ def test_warmup_matches_the_plain_arm_bit_for_bit():
         TINY_MODEL.dropout_rate,
         subseed(cfg.seed, "init"),
         buckets=buckets_of(corrupted, TINY_MODEL.num_buckets),
+        dtype=np.float32,  # as a run's model
     )
     opt = init_optimizer(params, learning_rate=TINY_MODEL.learning_rate)
     features = featurize_corpus([ex.text for ex in corrupted], TINY_MODEL.num_buckets)
@@ -619,6 +622,40 @@ def small_noisy_problem(seed=0):
     train, test = make_corpus(60, 20, 2, seed=seed)
     corrupted, _ = inject_uniform(train, 0.2, seed=seed + 1)
     return corrupted, test
+
+
+def test_a_run_trains_float32_state_that_its_checkpoint_keeps_bit_for_bit(
+    tmp_path, monkeypatch
+):
+    """The trained arrays and Adam moments of a run are float32. A saved and
+    reloaded model has the same bytes in the same dtype, saves to the same
+    file again, and scores every document exactly as the trained one."""
+    states = []
+
+    def recording_init_optimizer(*args, **kwargs):
+        states.append(init_optimizer(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(core, "init_optimizer", recording_init_optimizer)
+    corrupted, test = small_noisy_problem()
+    cfg = SelfMixConfig(total_epochs=3, warmup_epochs=1, batch_size=16, seed=5)
+    params = train_selfmix(corrupted, test, TINY_MODEL, cfg).final_params
+    (opt,) = states
+    assert opt.step > 0
+    for name in TRAINED:
+        assert getattr(params, name).dtype == np.float32, name
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
+    first, second = tmp_path / "first.smx", tmp_path / "second.smx"
+    save_checkpoint(params, first)
+    loaded = load_checkpoint(first)
+    for name in TRAINED:
+        got, want = getattr(loaded, name), getattr(params, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    save_checkpoint(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    features = featurize_corpus([ex.text for ex in corrupted], TINY_MODEL.num_buckets)
+    reloaded = per_sample_losses(loaded, corrupted, features)
+    assert reloaded.tobytes() == per_sample_losses(params, corrupted, features).tobytes()
 
 
 def test_each_arm_owns_its_training_buckets_and_never_trains_row_0():

@@ -28,6 +28,7 @@ from selfmix.common import NumericError
 from selfmix.core import embmix
 from selfmix.encoder import (
     FNV_OFFSET,
+    TRAINED,
     BatchItem,
     FeatureMatrix,
     ModelParams,
@@ -947,12 +948,13 @@ def test_lazy_embedding_moments_use_global_step_bias_correction():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = init_params(16, 6, 3, 0.25, seed=42, buckets=[1, 4, 9, 15])
+    params = init_params(16, 6, 3, 0.25, seed=42, buckets=[1, 4, 9, 15], dtype=np.float32)
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     for name in ("embedding", "w1", "b1", "w2", "b2", "slot"):
         assert np.array_equal(getattr(loaded, name), getattr(params, name))
+        assert getattr(loaded, name).dtype == getattr(params, name).dtype
     assert loaded.dropout_rate == params.dropout_rate
     # byte determinism: saving again produces identical bytes
     second = tmp_path / "again.smx"
@@ -991,7 +993,7 @@ def test_checkpoint_rejects_bad_dimensions(tmp_path):
     import struct
 
     path = tmp_path / "bad.smx"
-    path.write_bytes(b"SMX3" + struct.pack("<qqqq", 0, 4, 2, 0))
+    path.write_bytes(b"SMX4" + struct.pack("<qqqqd", 0, 4, 2, 0, 0.0))
     with pytest.raises(ValueError, match="dimensions"):
         load_checkpoint(path)
 
@@ -1004,8 +1006,8 @@ def test_checkpoint_header_is_checked_against_the_file_size(tmp_path, dims):
 
     path = tmp_path / "huge.smx"
     b, h, c = dims
-    path.write_bytes(b"SMX3" + struct.pack("<qqqq", b, h, c, b) + bytes(64))
-    implied = 36 + (b + 7) // 8 + 8 * (b * h + h * h + h + h * c + c + 1)
+    path.write_bytes(b"SMX4" + struct.pack("<qqqqd", b, h, c, b, 0.0) + bytes(56))
+    implied = 44 + (b + 7) // 8 + 4 * (b * h + h * h + h + h * c + c)
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert str(err.value) == (
@@ -1016,11 +1018,37 @@ def test_checkpoint_header_is_checked_against_the_file_size(tmp_path, dims):
 
 def test_checkpoint_rejects_non_finite(tmp_path):
     params = init_params(4, 2, 2, 0.0, seed=0)
-    params.w1[0, 0] = np.nan
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
-    with pytest.raises(ValueError, match="non-finite"):
+    blob = bytearray(path.read_bytes())
+    w1_at = 44 + 1  # after the magic, the header and a one-byte bitmap; no stored rows
+    blob[w1_at : w1_at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="non-finite values in w1"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("rate", [1.0, -0.25, np.nan])
+def test_checkpoint_refuses_a_header_dropout_rate_outside_0_1(tmp_path, rate):
+    path = tmp_path / "model.smx"
+    save_checkpoint(init_params(4, 2, 2, 0.0, seed=0), path)
+    blob = bytearray(path.read_bytes())
+    blob[36:44] = struct.pack("<d", rate)  # the header's last field
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"dropout_rate .* outside \[0, 1\)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+@pytest.mark.parametrize("name", ["embedding", "w1", "b2"])
+def test_save_checkpoint_refuses_what_float32_cannot_hold(tmp_path, name, value):
+    """A value that is not finite once cast to float32, such as a finite
+    1e200, is refused before anything is written; the error names the array."""
+    params = init_params(4, 2, 2, 0.0, seed=0, buckets=[1, 3])
+    getattr(params, name)[-1] = value
+    with pytest.raises(ValueError, match=f"cannot save {name}:"):
+        save_checkpoint(params, tmp_path / "model.smx")
+    assert not any(tmp_path.iterdir())
 
 
 def test_init_params_validates_dropout():
@@ -1102,6 +1130,11 @@ def test_bucket_init_is_a_pure_function_of_seed_and_bucket():
     assert np.array_equal(narrow.embedding[narrow.slot[77_777]], row[:4])
     other_seed = init_params(2**18, 8, 2, 0.0, seed=6, buckets=[77_777])
     assert not np.array_equal(other_seed.embedding[1], row)
+    single = init_params(2**18, 8, 2, 0.0, seed=5, buckets=crowd, dtype=np.float32)
+    for name in TRAINED:  # the same draw, rounded
+        rounded = getattr(many, name).astype(np.float32)
+        assert getattr(single, name).dtype == np.float32
+        assert np.array_equal(getattr(single, name), rounded)
     values = many.embedding[1:]
     assert abs(values.mean()) < 0.005 and abs(values.std() - 0.1) < 0.005
 
@@ -1149,8 +1182,10 @@ def test_training_keeps_the_row_table_and_moments():
 
 
 def _trained_sparse_model(rng):
+    """A model trained as a run trains it, in float32."""
     features, batches = _random_batches(rng, 2**18, 3, batches=4, size=8)
-    params = init_params(2**18, 8, 3, 0.2, seed=11, buckets=corpus_buckets(features, 2**18))
+    buckets = corpus_buckets(features, 2**18)
+    params = init_params(2**18, 8, 3, 0.2, seed=11, buckets=buckets, dtype=np.float32)
     opt = init_optimizer(params, learning_rate=0.05)
     for items in batches:
         adam_step(params, backward(params, items, features, mask_seed=2)[1], opt)
@@ -1170,7 +1205,7 @@ def test_sparse_checkpoint_reproduces_logits(tmp_path):
     docs.append(bag(np.sort([trained[0], 7]), np.array([0.5, 0.5])))
     docs = matrix_of(docs)
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
-    dense_size = 36 + 8 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3 + 1)
+    dense_size = 44 + 4 * (2**18 * 8 + 8 * 8 + 8 + 8 * 3 + 3)
     assert path.stat().st_size < dense_size / 10
 
 
@@ -1179,7 +1214,7 @@ def test_checkpoint_save_holds_the_owned_rows_once(tmp_path):
     traced peak stays below 1.5 times the rows' bytes (a second copy, as
     ``bytes``, would make it twice)."""
     buckets = np.random.default_rng(4).choice(2**18, 13797, replace=False)
-    params = init_params(2**18, 64, 4, 0.1, seed=0, buckets=buckets)
+    params = init_params(2**18, 64, 4, 0.1, seed=0, buckets=buckets, dtype=np.float32)
     path = tmp_path / "model.smx"
     tracemalloc.start()
     try:
@@ -1197,21 +1232,21 @@ def test_checkpoint_refuses_a_bitmap_that_disagrees_with_the_row_count(tmp_path)
     path = tmp_path / "model.smx"
     save_checkpoint(params, path)
     blob = bytearray(path.read_bytes())
-    blob[36] |= 0b1  # mark bucket 0 as well; the file still stores one row
+    blob[44] |= 0b1  # mark bucket 0 as well; the file still stores one row
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="bitmap") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 
 
-def test_smx3_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
+def test_smx4_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
     rng = np.random.default_rng(21)
     params = _trained_sparse_model(rng)
     first, second = tmp_path / "first.smx", tmp_path / "second.smx"
     save_checkpoint(params, first)
     loaded = load_checkpoint(first)
     save_checkpoint(loaded, second)
-    assert first.read_bytes()[:4] == b"SMX3"
+    assert first.read_bytes()[:4] == b"SMX4"
     assert first.read_bytes() == second.read_bytes()
     assert np.array_equal(loaded.slot, params.slot)
     trained = np.flatnonzero(params.slot)
@@ -1221,13 +1256,13 @@ def test_smx3_save_load_save_is_byte_identical_and_reproduces_logits(tmp_path):
     assert np.array_equal(predict_logits(loaded, docs), predict_logits(params, docs))
 
 
-def test_smx1_and_smx2_checkpoints_are_refused_by_name(tmp_path):
+def test_smx1_smx2_and_smx3_checkpoints_are_refused_by_name(tmp_path):
     path = tmp_path / "old.smx"
-    for magic in ("SMX1", "SMX2"):
+    for magic in ("SMX1", "SMX2", "SMX3"):
         path.write_bytes(magic.encode() + struct.pack("<qqq", 16, 4, 3) + bytes(64))
         with pytest.raises(ValueError, match=f"{magic} checkpoints no longer load") as err:
             load_checkpoint(path)
-        assert str(path) in str(err.value) and "SMX3" in str(err.value)
+        assert str(path) in str(err.value) and "reads SMX4 only" in str(err.value)
 
 
 def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -1237,7 +1272,7 @@ def test_failed_checkpoint_write_leaves_no_partial_file(tmp_path, monkeypatch):
     before = path.read_bytes()
 
     def failing_chunks(params):
-        yield b"SMX3"
+        yield b"SMX4"
         raise OSError("disk full")
 
     monkeypatch.setattr(encoder, "_checkpoint_chunks", failing_chunks)

@@ -19,7 +19,7 @@ from conftest import N_CASES, mask_of
 from selfmix.common import NumericError, atomic_open, round_half_up, subseed
 from selfmix.core import REPORT_CSV_FIELDS, ModelConfig, SelfMixConfig, selection_prf
 from selfmix.data import Dataset, Example, load_csv, save_csv
-from selfmix.encoder import init_params, load_checkpoint, save_checkpoint
+from selfmix.encoder import init_params, load_checkpoint
 from selfmix.harness import (
     _CONFIG_KEYS,
     ARMS,
@@ -992,6 +992,35 @@ def test_cli_inject_refuses_a_transition_for_other_noise_types(tmp_path, capsys)
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("flag", "name"),
+    [("--in", "corrupted.csv"), ("--in", "manifest.csv"), ("--transition", "manifest.csv"),
+     ("--transition", "corrupted.csv")],
+)
+def test_cli_inject_refuses_an_input_it_would_overwrite(tmp_path, capsys, flag, name):
+    """An input that is one of the files inject-noise writes, however it is
+    spelled, exits 1 before anything is read or written."""
+    train, _ = make_corpus(40, 10, 2, seed=1)
+    out = tmp_path / "d"
+    out.mkdir()
+    clean = out / "clean.csv"
+    save_csv(train, clean)
+    target = out / name
+    if flag == "--in":
+        shutil.copy(clean, target)
+        in_path, extra = target, []
+    else:
+        target.write_text("0,1\n1,0\n", encoding="utf-8")
+        in_path, extra = clean, ["--transition", str(target)]
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert cli.main([
+        "inject-noise", "--in", str(in_path), "--out", str(out / ".." / "d"),
+        "--type", "asym", "--ratio", "0.2", "--seed", "3", *extra,
+    ]) == 1
+    assert f"error: {flag}: {target} is a file inject-noise writes" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_cli_argument_errors_exit_1(tmp_path, capsys):
     assert cli.main(["inject-noise", "--in", "x.csv"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -1338,7 +1367,7 @@ def test_cli_analyze_losses_refuses_a_checkpoint_header_larger_than_the_file(
 ):
     _, out, _ = finished_run
     model = tmp_path / "huge.smx"
-    model.write_bytes(b"SMX3" + struct.pack("<qqqq", 10**9, 64, 4, 0) + bytes(64))
+    model.write_bytes(b"SMX4" + struct.pack("<qqqqd", 10**9, 64, 4, 0, 0.0) + bytes(56))
     assert cli.main([
         "analyze-losses", "--model", str(model),
         "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
@@ -1386,18 +1415,21 @@ def test_cli_diverging_model_exits_2_at_its_stage(tmp_path, capsys):
 
 
 def test_cli_analyze_losses_exits_2_when_the_forward_pass_overflows(
-    finished_run, tmp_path, capsys
+    finished_run, tmp_path, capsys, monkeypatch
 ):
+    """A forward pass that overflows exits 2 and writes nothing. A finite
+    float32 checkpoint cannot overflow the float64 head, so the scoring
+    call raises as a diverged model's would."""
     _, out, _ = finished_run
-    params = init_params(1024, 8, 2, 0.0, seed=0, buckets=range(1024))
-    params.w1[:] = 1e200  # finite weights whose products overflow
-    params.w2[:] = 1e200
-    save_checkpoint(params, tmp_path / "overflow.smx")
-    with np.errstate(all="ignore"):
-        assert cli.main([
-            "analyze-losses", "--model", str(tmp_path / "overflow.smx"),
-            "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
-        ]) == 2
+
+    def overflowing(params, dataset, features=None):
+        raise NumericError(f"non-finite logits for document 0 of {len(dataset)}")
+
+    monkeypatch.setattr(harness, "per_sample_losses", overflowing)
+    assert cli.main([
+        "analyze-losses", "--model", str(out / "baseline" / "model.smx"),
+        "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
+    ]) == 2
     assert "non-finite logits" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
 
