@@ -11,7 +11,7 @@ the rest have their labels replaced by the model's own sharpened predictions
     + lambda_p * confidence loss on the unlabeled set
     + lambda_r * symmetric-KL agreement between two dropout passes
 
-:func:`embmix` builds each mixed example as a batch item naming its two
+:func:`embmix` builds each mixed example as a batch record naming its two
 parents' rows and its coefficient: it reads the same mix of the parents'
 pooled embeddings, and the mixup term trains the embedding rows of both, as
 mixing hidden representations does in the paper. Only the unlabeled members
@@ -58,7 +58,6 @@ import numpy as np
 from .common import NumericError, subseed
 from .data import Dataset, one_hot
 from .encoder import (
-    BatchItem,
     FeatureMatrix,
     Gradients,
     ModelParams,
@@ -70,6 +69,7 @@ from .encoder import (
     featurize_text,
     init_optimizer,
     init_params,
+    make_batch,
     predict_logits,
     predict_proba,
     softmax,
@@ -329,18 +329,19 @@ def embmix(
     *,
     weight: float = 1.0,
     key: int = 0,
-) -> list[BatchItem]:
-    """Mixup items, one per pair of feature rows, with coefficients folded
+) -> np.recarray:
+    """Mixup terms, one per pair of feature rows, with coefficients folded
     into [0.5, 1].
 
     Folding ``lam`` to ``max(lam, 1 - lam)`` keeps each mixed example
     dominated by its first parent, so the mixed pair inherits that parent's
-    identity. Item ``k`` is a ``"ce"`` item on row ``rows_a[k]`` with
-    partner ``rows_b[k]`` and coefficient ``lam'``: it reads
-    ``lam' * e(a) + (1 - lam') * e(b)`` of the parents' pooled rows and
-    trains toward the same mix of their targets, so the mixup loss trains
-    the embedding rows of both, as mixing hidden representations does.
-    Every item has weight ``weight``; item ``k``'s dropout key is ``key + k``.
+    identity. Record ``k`` of the batch is a ``"ce"`` term on row
+    ``rows_a[k]`` with partner ``rows_b[k]`` and coefficient ``lam'``: it
+    reads ``lam' * e(a) + (1 - lam') * e(b)`` of the parents' pooled rows
+    and trains toward the same mix of their targets, so the mixup loss
+    trains the embedding rows of both, as mixing hidden representations
+    does. Every term has weight ``weight``; term ``k``'s dropout key is
+    ``key + k``.
     """
     lam = np.asarray(lam, dtype=np.float64)
     sizes = (len(rows_a), len(targets_a), len(rows_b), len(targets_b), lam.size)
@@ -348,10 +349,10 @@ def embmix(
         raise ValueError(f"embmix needs equal numbers of rows, targets and lam; got {sizes}")
     lam_prime = np.maximum(lam, 1.0 - lam)
     targets = lam_prime[:, None] * targets_a + (1.0 - lam_prime)[:, None] * targets_b
-    return [
-        BatchItem(int(a), "ce", target, weight, key + k, partner=int(b), lam=float(mix))
-        for k, (a, b, target, mix) in enumerate(zip(rows_a, rows_b, targets, lam_prime))
-    ]
+    return make_batch(
+        rows_a, "ce", target=targets, weight=weight, key=key + np.arange(lam.size),
+        partner=rows_b, lam=lam_prime,
+    )
 
 
 def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, float, float]:
@@ -431,19 +432,14 @@ def warmup_schedule(cfg: SelfMixConfig, size: int) -> list[int | None]:
 
 
 # builds batch b's loss terms from its training positions
-_ItemBuilder = Callable[[int, np.ndarray], list[BatchItem]]
+_ItemBuilder = Callable[[int, np.ndarray], np.recarray]
 
 
 def _ce_items(targets: np.ndarray) -> _ItemBuilder:
     """Batch builder for plain cross-entropy on the rows of ``targets``."""
-
-    def items_for(b: int, batch: np.ndarray) -> list[BatchItem]:
-        return [
-            BatchItem(int(i), "ce", targets[i], weight=1.0 / batch.size, key=int(i))
-            for i in batch
-        ]
-
-    return items_for
+    return lambda b, batch: make_batch(
+        batch, "ce", target=targets[batch], weight=1.0 / batch.size, key=batch
+    )
 
 
 def _epoch(
@@ -602,7 +598,7 @@ class _Run:
                 "training continues on model-assigned targets only"
             )
 
-        def items_for(b: int, batch: np.ndarray) -> list[BatchItem]:
+        def items_for(b: int, batch: np.ndarray) -> np.recarray:
             m = batch.size
             rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
             lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
@@ -612,17 +608,17 @@ class _Run:
             u_members = batch[u_rows]
             if u_rows.size:
                 targets[u_rows] = self.guess(u_members)
-            items = embmix(
+            parts = [embmix(
                 batch, targets, batch[partners], targets[partners], lam,
                 weight=1.0 / m, key=_MIX_KEY_BASE,
-            )
+            )]
             for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
-                if weight > 0.0:
-                    items.extend(
-                        BatchItem(int(i), kind, weight=weight / u_rows.size, key=int(i))
-                        for i in u_members
-                    )
-            return items
+                if weight > 0.0 and u_rows.size:
+                    parts.append(make_batch(
+                        u_members, kind, target=targets[u_rows], weight=weight / u_rows.size,
+                        key=u_members,
+                    ))
+            return np.concatenate(parts).view(np.recarray)
 
         return split, self._train_epoch(items_for, epoch)
 

@@ -13,23 +13,24 @@ rows, activations, logits, losses and the head's gradients. The embedding
 gradient, its lazy Adam update and the weighted sums of :func:`encode` run
 in the table's dtype.
 
-Three loss kinds are supported per batch item:
+A batch is one record array (:func:`make_batch`), one record per loss
+term, and each term is one of three kinds:
 
 - ``"ce"``     cross-entropy against a (possibly soft) target distribution
 - ``"pseudo"`` negative log of the model's own top probability (confidence)
 - ``"rdrop"``  half the symmetric KL between two dropout-perturbed passes
 
 :func:`backward` is the single batch evaluator and the only definition of
-each formula (``rdrop_from_probs`` is its agreement helper): it returns the
-weighted total, a per-kind breakdown and, unless ``compute_grads`` is off,
-the exact gradients.
+each formula (``rdrop_from_probs`` is its agreement helper): it reads the
+batch column by column and returns the weighted total, a per-kind breakdown
+and the exact gradients.
 
 A batch names rows of one :class:`FeatureMatrix` and is evaluated as one
 matrix pass. Each of its documents is pooled once, through one small dense
 (documents x distinct buckets) weight matrix per ``_BAG_BLOCK`` documents;
 the embedding gradient is its transpose times the documents' gradients. A
-mixup item reads ``lam * e(row) + (1 - lam) * e(partner)`` of two pooled
-rows. The head runs on one row per (item, dropout pass).
+mixup term reads ``lam * e(row) + (1 - lam) * e(partner)`` of two pooled
+rows. The head runs on one row per (term, dropout pass).
 
 A text's features are the fastText bag of its lowercased alphanumeric tokens
 and adjacent token pairs (Joulin et al., EACL 2017), hashed by 64-bit FNV-1a
@@ -62,8 +63,8 @@ the mask for (``mask_seed``, key, pass) is kept when the hash of those four
 numbers, read as a uniform in [0, 1), clears the dropout rate. A forward
 pass is therefore a pure function of (params, items, mask_seed), which is
 exactly what finite-difference checking and reproducible training need, and
-no random generator is built per item. Items of different kinds that share a
-key also share per-pass masks; this is how a confidence term can be
+no random generator is built per term. Terms of different kinds that share
+a key also share per-pass masks; this is how a confidence term can be
 evaluated on the same perturbed pass as a consistency term.
 """
 from __future__ import annotations
@@ -77,6 +78,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .common import NumericError, atomic_open
 
@@ -371,27 +373,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class BatchItem:
-    """One loss term: a feature row, a kind, an optional target, and a weight.
-
-    ``row`` is a position in the matrix given to :func:`backward`; every
-    bucket that row names receives gradient. A mixup item also sets
-    ``partner`` and ``lam``: its input is ``lam * e(row) + (1 - lam) *
-    e(partner)``. ``target`` is a class distribution for ``"ce"`` and
-    ignored otherwise. ``key`` names the item's dropout streams; it defaults
-    to the item's position in the batch.
-    """
-
-    row: int
-    kind: str = "ce"
-    target: np.ndarray | None = None
-    weight: float = 1.0
-    key: int | None = None
-    partner: int | None = None
-    lam: float = 1.0
-
-
 @dataclass
 class Gradients:
     """Sparse embedding gradient (touched rows only) plus dense head grads."""
@@ -455,19 +436,11 @@ def _masks(
     return (_uniforms(state, params.hidden) >= rate) / (1.0 - rate)
 
 
-@dataclass
-class _Pass:
-    """Forward intermediates, one row per (input, mask) pass."""
-
-    a1: np.ndarray
-    h_drop: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
-    log_p: np.ndarray
-
-
-def _forward(params: ModelParams, e: np.ndarray, mask: np.ndarray | None) -> _Pass:
-    """The head on one ``(hidden,)`` row or a ``(rows, hidden)`` matrix of rows.
+def _forward(
+    params: ModelParams, e: np.ndarray, mask: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head on one ``(hidden,)`` row or a ``(rows, hidden)`` matrix of
+    rows: the pre-activations, the (dropped) hidden units and the logits.
 
     ``mask=None`` is dropout off.
     """
@@ -475,9 +448,7 @@ def _forward(params: ModelParams, e: np.ndarray, mask: np.ndarray | None) -> _Pa
     h_drop = np.maximum(a1, 0.0)
     if mask is not None:
         h_drop *= mask
-    z = h_drop @ params.w2 + params.b2
-    log_p = log_softmax(z)
-    return _Pass(a1=a1, h_drop=h_drop, z=z, p=np.exp(log_p), log_p=log_p)
+    return a1, h_drop, h_drop @ params.w2 + params.b2
 
 
 def head_forward(
@@ -496,7 +467,7 @@ def head_forward(
     pure function of (params, e).
     """
     mask = _masks(params, mask_seed, [key], [pass_index])[0] if dropout_on else None
-    return _forward(params, np.asarray(e, dtype=np.float64), mask).z
+    return _forward(params, np.asarray(e, dtype=np.float64), mask)[2]
 
 
 def predict_logits(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
@@ -513,7 +484,7 @@ def predict_logits(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
         stop = min(start + _EVAL_CHUNK, n)
         lo, hi = bounds[start], bounds[stop]
         rows = FeatureMatrix(bounds[start : stop + 1] - lo, indices[lo:hi], weights[lo:hi])
-        logits[start:stop] = _forward(params, encode(params, rows), None).z
+        logits[start:stop] = _forward(params, encode(params, rows), None)[2]
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
         raise NumericError(f"non-finite logits for document {int(bad[0])} of {n}")
@@ -540,23 +511,62 @@ def rdrop_from_probs(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 _KINDS = ("ce", "pseudo", "rdrop")
 
 
+def _check_kinds(kinds: np.ndarray) -> None:
+    unknown = np.flatnonzero(~np.isin(kinds, _KINDS))
+    if unknown.size:
+        raise ValueError(f"unknown batch item kind {str(kinds[unknown[0]])!r}")
+
+
+def make_batch(
+    rows: ArrayLike, kind: ArrayLike, *, key: ArrayLike, target: ArrayLike,
+    weight: ArrayLike = 1.0, partner: ArrayLike | None = None, lam: ArrayLike = 1.0,
+) -> np.recarray:
+    """A batch of loss terms, one record per entry of ``rows``; every other
+    argument is one value for all records or one per record.
+
+    ``row`` is a position in the matrix given to :func:`backward`; a mixup
+    term reads ``lam * e(row) + (1 - lam) * e(partner)`` (``partner``
+    defaults to the row). ``kind`` is ``"ce"``, ``"pseudo"`` or ``"rdrop"``.
+    ``target`` is a class distribution; a ``"ce"`` term trains toward it and
+    the other kinds ignore it. ``key`` names the term's dropout streams. Rows, partners and
+    keys must be integers. Parts join with
+    ``np.concatenate(parts).view(np.recarray)``; iterating a batch yields
+    records whose fields read as attributes.
+    """
+    rows = np.asarray(rows)
+    kinds = np.broadcast_to(np.asarray(kind, dtype=str), rows.shape)
+    _check_kinds(kinds)
+    partner = rows if partner is None else partner
+    for name, values in (("row", rows), ("partner", partner), ("key", key)):
+        values = np.asarray(values)
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"batch {name}s must be integers, not {values.dtype}")
+    target = np.asarray(target, dtype=np.float64)
+    batch = np.recarray(rows.size, dtype=[
+        ("row", np.int64), ("partner", np.int64), ("lam", np.float64), ("kind", "U6"),
+        ("weight", np.float64), ("key", np.int64), ("target", np.float64, target.shape[-1:]),
+    ])
+    for name, values in zip(batch.dtype.names, (rows, partner, lam, kinds, weight, key, target)):
+        batch[name] = values
+    return batch
+
+
 def backward(
     params: ModelParams,
-    items: list[BatchItem] | tuple[BatchItem, ...],
+    items: np.recarray,
     features: FeatureMatrix,
     *,
     mask_seed: int | None = None,
-    compute_grads: bool = True,
-) -> tuple[float, Gradients | None, dict[str, tuple[float, int]]]:
-    """Evaluate (and optionally differentiate) a weighted sum of loss terms
-    on rows of ``features``.
+) -> tuple[float, Gradients, dict[str, tuple[float, int]]]:
+    """Evaluate and differentiate a weighted sum of loss terms on rows of
+    ``features``.
 
-    This is the one place each loss formula is defined. Returns
-    ``(total, grads, breakdown)`` where ``total`` is the weighted objective
-    (the sum of ``item.weight * loss`` over items), ``grads`` accumulates
-    exact parameter gradients of ``total`` (or None when ``compute_grads``
-    is false), and ``breakdown`` maps each loss kind to ``(sum of
-    unweighted item losses, item count)``.
+    This is the one place each loss formula is defined. ``items`` is a
+    batch of :func:`make_batch`, read column by column. Returns ``(total,
+    grads, breakdown)`` where ``total`` is the weighted objective (the sum
+    of ``weight * loss`` over items), ``grads`` holds the exact parameter
+    gradients of ``total``, and ``breakdown`` maps each loss kind to ``(sum
+    of unweighted item losses, item count)``.
 
     The whole batch is one matrix pass: every item gets a pass-0 row and
     every ``"rdrop"`` item also a pass-1 row. The rows the items name are
@@ -570,29 +580,20 @@ def backward(
     gather keeps memory and work linear in the number of items.
     """
     n, count = len(items), len(features)
-    positions: dict[str, list[int]] = {kind: [] for kind in _KINDS}
-    keys: list[int] = []
-    rows: list[int] = []
-    partners: list[int] = []  # an unset partner is the item's own row
-    for pos, item in enumerate(items):
-        if item.kind not in positions:
-            raise ValueError(f"unknown batch item kind {item.kind!r}")
-        if item.kind == "ce" and item.target is None:
-            raise ValueError("ce items require a target distribution")
-        partner = item.row if item.partner is None else item.partner
-        for row in (item.row, partner):
-            if not (isinstance(row, (int, np.integer)) and 0 <= row < count):
-                raise ValueError(
-                    f"batch position {pos}: row {row!r} is not a position in [0, {count})"
-                )
-        positions[item.kind].append(pos)
-        keys.append(pos if item.key is None else item.key)
-        rows.append(item.row)
-        partners.append(partner)
-    ce, pseudo, rdrop = (np.array(positions[kind], dtype=np.intp) for kind in _KINDS)
-    weights = np.array([item.weight for item in items], dtype=np.float64)
-    lam = np.array([item.lam for item in items], dtype=np.float64)
-    doc_ids, doc_of = np.unique(np.array(rows + partners, dtype=np.int64), return_inverse=True)
+    kinds, rows, partners = items["kind"], items["row"], items["partner"]
+    _check_kinds(kinds)
+    if items["target"].shape[1:] != (params.num_classes,):
+        raise ValueError(f"batch targets are not distributions over {params.num_classes} classes")
+    outside = (rows < 0) | (rows >= count)
+    bad = np.flatnonzero(outside | (partners < 0) | (partners >= count))
+    if bad.size:
+        pos = int(bad[0])
+        row = int(rows[pos] if outside[pos] else partners[pos])
+        raise ValueError(f"batch position {pos}: row {row} is not a position in [0, {count})")
+    ce, pseudo, rdrop = (np.flatnonzero(kinds == kind) for kind in _KINDS)
+    # a contiguous copy, so the total does not depend on the record layout
+    weights, lam = np.ascontiguousarray(items["weight"]), items["lam"]
+    doc_ids, doc_of = np.unique(np.concatenate([rows, partners]), return_inverse=True)
     doc_a, doc_b = doc_of[:n], doc_of[n:]
     # an item's two coefficients on one document add, as a bucket's weights in a bag do
     same = doc_a == doc_b
@@ -622,14 +623,14 @@ def backward(
     row_item = np.concatenate([np.arange(n), rdrop])
     passes = np.concatenate([np.zeros(n, dtype=np.intp), np.ones(rdrop.size, dtype=np.intp)])
     e_rows = e[row_item]
-    mask = _masks(params, mask_seed, np.asarray(keys, dtype=np.int64)[row_item], passes)
-    fwd = _forward(params, e_rows, mask)
-    p, log_p = fwd.p, fwd.log_p
+    mask = _masks(params, mask_seed, items["key"][row_item], passes)
+    a1, h_drop, z = _forward(params, e_rows, mask)
+    log_p = log_softmax(z)
+    p = np.exp(log_p)
     second = n + np.arange(rdrop.size)
 
     losses = np.empty(n)
-    targets = np.array([items[i].target for i in ce], dtype=np.float64)
-    targets = targets.reshape(ce.size, params.num_classes)
+    targets = items["target"][ce]
     losses[ce] = -(targets * log_p[ce]).sum(axis=1)
     top = np.argmax(p[pseudo], axis=1)
     losses[pseudo] = -log_p[pseudo, top]
@@ -638,17 +639,13 @@ def backward(
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         position = int(bad[0])
-        raise NumericError(
-            f"non-finite {items[position].kind} loss at batch position {position}"
-        )
+        raise NumericError(f"non-finite {kinds[position]} loss at batch position {position}")
     total = float(weights @ losses)
     breakdown = {
         kind: (float(losses[sel].sum()), int(sel.size))
         for kind, sel in zip(_KINDS, (ce, pseudo, rdrop))
         if sel.size
     }
-    if not compute_grads:
-        return total, None, breakdown
 
     g_z = np.empty_like(p)
     g_z[ce] = p[ce] - targets
@@ -662,7 +659,7 @@ def backward(
     g_z[second] = 0.5 * (p2 * (-delta - kl21) + (p2 - p1))
     g_z *= weights[row_item, None]
 
-    d_hidden = (g_z @ params.w2.T) * mask * (fwd.a1 > 0.0)
+    d_hidden = (g_z @ params.w2.T) * mask * (a1 > 0.0)
     d_e = d_hidden @ params.w1.T
     d_item = d_e[:n]
     d_item[rdrop] += d_e[n:]
@@ -677,7 +674,7 @@ def backward(
         emb_vals=emb_vals,
         w1=e_rows.T @ d_hidden,
         b1=d_hidden.sum(axis=0),
-        w2=fwd.h_drop.T @ g_z,
+        w2=h_drop.T @ g_z,
         b2=g_z.sum(axis=0),
     )
     return total, grads, breakdown
@@ -849,13 +846,20 @@ def _check_file_size(fh, path: str | Path, shapes: dict[str, tuple], offset: int
 
 
 def _read_arrays(fh, path: str | Path, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """Read the float32 arrays of ``shapes`` in order, refusing non-finite values."""
+    """Read the float32 arrays of ``shapes`` in order, refusing non-finite
+    values. Each is read straight into the array returned, so the stored
+    rows are held once, as rows 1.. of the embedding table."""
     arrays = {}
     for name, shape in shapes.items():
-        raw = fh.read(_STORED.itemsize * math.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype=_STORED).astype(np.float32).reshape(shape)
-        if not np.all(np.isfinite(arrays[name])):
+        pad = int(name == "embedding")
+        out = np.empty((shape[0] + pad, *shape[1:]), dtype=_STORED)
+        out[:pad] = 0.0  # the embedding's row 0; readinto fills the rest
+        stored = out[pad:]
+        if fh.readinto(stored) != stored.nbytes:
+            raise ValueError(f"{path}: truncated checkpoint")
+        if not np.all(np.isfinite(stored)):
             raise ValueError(f"{path}: non-finite values in {name}")
+        arrays[name] = out.astype(np.float32, copy=False)
     return arrays
 
 
@@ -888,8 +892,4 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 f"but the checkpoint stores {stored} rows"
             )
         arrays = _read_arrays(fh, path, shapes)
-    table = np.zeros((1 + stored, hidden), dtype=np.float32)
-    table[1:] = arrays.pop("embedding")
-    return ModelParams(
-        embedding=table, **arrays, dropout_rate=dropout_rate, slot=_slot_of(num_buckets, owned)
-    )
+    return ModelParams(**arrays, dropout_rate=dropout_rate, slot=_slot_of(num_buckets, owned))

@@ -123,6 +123,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise_ratio < 1.0:
             raise ValueError("noise.ratio must lie in [0, 1)")
+        if self.noise_seed is not None and self.noise_seed < 0:
+            raise ValueError(f"noise.seed must be non-negative; got {self.noise_seed}")
         if not 0.0 < self.aux_subset_fraction <= 1.0:
             raise ValueError("noise.aux_subset_fraction must lie in (0, 1]")
         if self.eval_every < 1:
@@ -233,13 +235,14 @@ def _blame(message: str, lines: dict[str, int]) -> str:
     names, or ``""`` when it names none the file sets.
 
     Each range check's message names the settings it reads: by field name
-    on the model and SelfMix configs, by key on the harness's own fields.
+    on the model and SelfMix configs, by key on the harness's own fields; a
+    field name after a dot, as ``seed`` in ``noise.seed``, is part of a key.
     """
     named = [
         (lineno, key)
         for key, lineno in lines.items()
         if any(
-            re.search(rf"\b{re.escape(word)}\b", message)
+            re.search(rf"(?<![\w.]){re.escape(word)}\b", message)
             for word in (key, _CONFIG_KEYS[key][1])
         )
     ]

@@ -88,7 +88,11 @@ class CorruptionManifest:
     flips: tuple[tuple[int, int, int], ...]
 
 
-def _require_clean(dataset: Dataset) -> None:
+def _check_inputs(dataset: Dataset, ratio: float, seed: int) -> None:
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError("noise ratio must lie in [0, 1)")
+    if seed < 0:
+        raise ValueError(f"noise seed must be non-negative; got {seed}")
     if dataset.num_classes < 2:
         raise ValueError("label corruption needs at least two classes")
     for ex in dataset:
@@ -133,9 +137,7 @@ def inject_uniform(
     dataset: Dataset, ratio: float, seed: int
 ) -> tuple[Dataset, CorruptionManifest]:
     """Flip round(ratio * N) labels, each to a uniformly random other class."""
-    _require_clean(dataset)
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("noise ratio must lie in [0, 1)")
+    _check_inputs(dataset, ratio, seed)
     n = len(dataset)
     num_flips = round_half_up(ratio * n)
     rng = np.random.default_rng(seed)
@@ -155,9 +157,7 @@ def inject_asymmetric(
     transition: TransitionMap | None = None,
 ) -> tuple[Dataset, CorruptionManifest]:
     """Flip round(ratio * N_c) members of each class c to its target class."""
-    _require_clean(dataset)
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("noise ratio must lie in [0, 1)")
+    _check_inputs(dataset, ratio, seed)
     if transition is None:
         transition = TransitionMap.cyclic(dataset.num_classes)
     if len(transition.targets) != dataset.num_classes:
@@ -192,9 +192,7 @@ def inject_instance_dependent(
     toward lower id. Each flipped example takes the aux model's strongest
     competing class.
     """
-    _require_clean(dataset)
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("noise ratio must lie in [0, 1)")
+    _check_inputs(dataset, ratio, seed)
     if not 0.0 < aux_subset_fraction <= 1.0:
         raise ValueError("aux_subset_fraction must lie in (0, 1]")
     n = len(dataset)

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, settings
 
 from selfmix.data import Dataset
 from selfmix.encoder import (
-    BatchItem,
     FeatureMatrix,
     Gradients,
     ModelParams,
@@ -99,6 +98,11 @@ def matrix_of(bags) -> FeatureMatrix:
     )
 
 
+def joined(*parts: np.recarray) -> np.recarray:
+    """The batches ``parts``, in order, as one batch."""
+    return np.concatenate(parts).view(np.recarray)
+
+
 def rows_of(features: FeatureMatrix) -> list[FeatureMatrix]:
     """Each row of ``features`` as a one-row matrix, in order."""
     return [features.take([i]) for i in range(len(features))]
@@ -173,7 +177,7 @@ def grad_lookup(grads: Gradients, params: ModelParams, name: str, flat_index: in
 
 def finite_difference(
     params: ModelParams,
-    items: list[BatchItem],
+    items: np.recarray,
     features: FeatureMatrix,
     mask_seed: int | None,
     name: str,
@@ -184,9 +188,9 @@ def finite_difference(
     arr = dict(param_arrays(params))[name].reshape(-1)
     saved = arr[flat_index]
     arr[flat_index] = saved + step
-    plus, _, _ = backward(params, items, features, mask_seed=mask_seed, compute_grads=False)
+    plus, _, _ = backward(params, items, features, mask_seed=mask_seed)
     arr[flat_index] = saved - step
-    minus, _, _ = backward(params, items, features, mask_seed=mask_seed, compute_grads=False)
+    minus, _, _ = backward(params, items, features, mask_seed=mask_seed)
     arr[flat_index] = saved
     return (plus - minus) / (2.0 * step)
 

@@ -16,6 +16,7 @@ from conftest import (
     bag,
     finite_difference,
     grad_lookup,
+    joined,
     mask_of,
     matrix_of,
     param_arrays,
@@ -39,10 +40,10 @@ from selfmix.core import (
 )
 from selfmix.data import one_hot
 from selfmix.encoder import (
-    BatchItem,
     backward,
     featurize_corpus,
     init_params,
+    make_batch,
     rdrop_from_probs,
 )
 from selfmix.gmm import fit_gmm_trace
@@ -80,26 +81,27 @@ def _composite_instance(rng: np.random.Generator):
         return bag(idx.astype(np.int64), w / w.sum())
 
     bags = [features()]
-    items = [
-        BatchItem(
-            0,
-            "ce",
-            one_hot(np.array([rng.integers(num_classes)]), num_classes)[0],
-            weight=float(rng.uniform(0.3, 1.2)),
-            key=0,
-        )
-    ]
+    observed = make_batch(
+        [0],
+        "ce",
+        target=one_hot(np.array([rng.integers(num_classes)]), num_classes)[0],
+        weight=float(rng.uniform(0.3, 1.2)),
+        key=0,
+    )
     bags += [features() for _ in range(4)]  # rows 1 and 2 mix with rows 3 and 4
     targets_a = np.stack([random_distribution(rng, num_classes) for _ in range(2)])
     targets_b = np.stack([random_distribution(rng, num_classes) for _ in range(2)])
-    items += embmix(
+    mixed = embmix(
         np.array([1, 2]), targets_a, np.array([3, 4]), targets_b, rng.beta(0.75, 0.75, 2),
         weight=0.5, key=10,
     )
     lambda_p, lambda_r = float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.1, 0.5))
     bags += [features(), features()]
-    items.append(BatchItem(5, "pseudo", weight=lambda_p, key=20))
-    items.append(BatchItem(6, "rdrop", weight=lambda_r, key=20))
+    unlabeled = make_batch(
+        [5, 6], ["pseudo", "rdrop"], target=np.zeros(num_classes), weight=[lambda_p, lambda_r],
+        key=20,
+    )
+    items = joined(observed, mixed, unlabeled)
     mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
     return params, items, matrix_of(bags), mask_seed
 
@@ -190,11 +192,10 @@ def test_criterion_4_formula_micro_checks():
     # the weighted total: l_mix + 0.2 * l_p + 0.3 * l_r, each from the breakdown
     features = featurize_corpus(["alpha beta gamma"], 64)
     params = init_params(64, 8, 3, 0.3, seed=4, buckets=features.indices)
-    items = [
-        BatchItem(0, "ce", np.array([0.2, 0.5, 0.3]), weight=1.0),
-        BatchItem(0, "pseudo", weight=0.2, key=7),
-        BatchItem(0, "rdrop", weight=0.3, key=7),
-    ]
+    items = make_batch(
+        [0, 0, 0], ["ce", "pseudo", "rdrop"], target=np.array([0.2, 0.5, 0.3]),
+        weight=[1.0, 0.2, 0.3], key=[0, 7, 7],
+    )
     total, _, breakdown = backward(params, items, features, mask_seed=11)
     l_mix, l_p, l_r = (breakdown[k][0] for k in ("ce", "pseudo", "rdrop"))
     assert l_r > 0.0

@@ -35,7 +35,6 @@ from selfmix.core import (
 from selfmix.data import Dataset, Example, one_hot
 from selfmix.encoder import (
     TRAINED,
-    BatchItem,
     backward,
     corpus_buckets,
     encode,
@@ -46,6 +45,7 @@ from selfmix.encoder import (
     init_params,
     load_checkpoint,
     log_softmax,
+    make_batch,
     predict_proba,
     rdrop_from_probs,
     save_checkpoint,
@@ -268,9 +268,9 @@ def test_sharpen_simplex_property():
         assert int(np.argmax(out)) == int(np.argmax(p))
 
 
-def item_loss(params, item: BatchItem, features) -> float:
-    """The dropout-off loss ``backward`` gives ``item`` alone."""
-    return backward(params, [item], features, compute_grads=False)[0]
+def item_loss(params, item: np.recarray, features) -> float:
+    """The dropout-off loss ``backward`` gives the one-item batch ``item``."""
+    return backward(params, item, features)[0]
 
 
 def ce_at(params, e: np.ndarray, target: np.ndarray) -> float:
@@ -297,8 +297,7 @@ def test_embmix_coefficients_and_dominance():
         features = matrix_of(bags_a + bags_b)
         rows = np.arange(m)
         mixed = embmix(rows, targets_a, m + rows, targets_b, lam)
-        mixed_lam = np.array([item.lam for item in mixed])
-        mixed_targets = np.stack([item.target for item in mixed])
+        mixed_lam, mixed_targets = mixed.lam, mixed.target
         assert np.all(mixed_lam >= 0.5) and np.all(mixed_lam <= 1.0)
         assert np.allclose(mixed_lam, np.maximum(lam, 1.0 - lam))
         assert np.all(mixed_targets >= 0.0)
@@ -310,7 +309,7 @@ def test_embmix_coefficients_and_dominance():
                 item.lam * encode(params, bags_a[k])[0]
                 + (1 - item.lam) * encode(params, bags_b[k])[0]
             )
-            loss = item_loss(params, item, features)
+            loss = item_loss(params, mixed[k : k + 1], features)
             assert np.isclose(loss, ce_at(params, expected, item.target))
             if labels_a[k] != labels_b[k] and item.lam > 0.5:
                 assert int(np.argmax(item.target)) == int(labels_a[k])
@@ -328,13 +327,13 @@ def test_mixed_item_reads_and_trains_as_its_parents_concatenated_bag():
     )
     features = matrix_of([a, b, merged])
     targets = np.eye(2)
-    (mixed,) = embmix([0], targets[:1], [1], targets[1:], np.array([0.7]))
+    mixed = embmix([0], targets[:1], [1], targets[1:], np.array([0.7]))
     expected = 0.7 * encode(params, a)[0] + 0.3 * encode(params, b)[0]
     assert item_loss(params, mixed, features) == pytest.approx(
-        ce_at(params, expected, mixed.target), rel=1e-12
+        ce_at(params, expected, mixed.target[0]), rel=1e-12
     )
-    plain = BatchItem(2, "ce", mixed.target, key=mixed.key)
-    got, want = (backward(params, [item], features) for item in (mixed, plain))
+    plain = make_batch([2], "ce", target=mixed.target, key=mixed.key)
+    got, want = (backward(params, items, features) for items in (mixed, plain))
     assert got[0] == pytest.approx(want[0], rel=1e-12)
     assert np.array_equal(got[1].emb_rows, want[1].emb_rows)
     for name in ("emb_vals", "w1", "b1", "w2", "b2"):
@@ -368,14 +367,15 @@ def test_embmix_boundary_coefficients():
     tb = np.array([[0.0, 1.0]])
     # lam folds to max(lam, 1-lam): both 0 and 1 give the first parent
     for lam in (0.0, 1.0):
-        (mixed,) = embmix([0], ta, [1], tb, np.array([lam]))
-        assert mixed.lam == 1.0
-        first = BatchItem(0, "ce", ta[0])
+        mixed = embmix([0], ta, [1], tb, np.array([lam]))
+        assert mixed.lam[0] == 1.0
+        first = make_batch([0], "ce", target=ta[0], key=0)
         assert item_loss(params, mixed, features) == item_loss(params, first, features)
-        assert np.array_equal(mixed.target, ta[0])
-    (halfway,) = embmix([0], ta, [1], tb, np.array([0.5]))
+        assert np.array_equal(mixed.target[0], ta[0])
+    halfway = embmix([0], ta, [1], tb, np.array([0.5]))
     assert np.isclose(
-        item_loss(params, halfway, features), ce_at(params, np.array([0.5, 0.5]), halfway.target)
+        item_loss(params, halfway, features),
+        ce_at(params, np.array([0.5, 0.5]), halfway.target[0]),
     )
 
 
@@ -403,16 +403,16 @@ def constant_model(p):
 def mean_pseudo(p, copies: int = 1) -> float:
     """Mean confidence term of ``backward`` over ``copies`` items predicting ``p``."""
     empty = bag(np.empty(0, dtype=np.int64), np.empty(0))
-    items = [BatchItem(0, "pseudo")] * copies
-    _, _, breakdown = backward(
-        constant_model(p), items, empty, mask_seed=3, compute_grads=False
-    )
+    rows = np.zeros(copies, dtype=np.int64)
+    items = make_batch(rows, "pseudo", key=np.arange(copies), target=np.zeros(np.size(p)))
+    _, _, breakdown = backward(constant_model(p), items, empty, mask_seed=3)
     raw, count = breakdown["pseudo"]
     return raw / count
 
 
 def test_pseudo_loss_values():
-    total, _, breakdown = backward(constant_model([0.5, 0.5]), [], matrix_of([]))
+    empty_batch = make_batch([], "pseudo", key=[], target=np.zeros(2))
+    total, _, breakdown = backward(constant_model([0.5, 0.5]), empty_batch, matrix_of([]))
     assert total == 0.0 and breakdown == {}
     assert mean_pseudo([1.0, 0.0]) == 0.0
     assert mean_pseudo([0.25, 0.75]) == pytest.approx(-np.log(0.75))
@@ -443,11 +443,12 @@ def test_loss_terms_non_negative_property():
         mix_items = embmix(
             rows, targets, rows[::-1], targets[::-1], rng.beta(0.75, 0.75, 2), weight=0.5
         )
-        mix, _, _ = backward(params, mix_items, features, compute_grads=False)
+        mix, _, _ = backward(params, mix_items, features)
         assert mix >= 0.0
 
         fv = featurize_corpus(["alpha beta gamma"], 64)
-        loss, _, _ = backward(params, [BatchItem(0, "rdrop")], fv, mask_seed=7)
+        rdrop = make_batch([0], "rdrop", key=0, target=p1)
+        loss, _, _ = backward(params, rdrop, fv, mask_seed=7)
         assert loss == 0.0  # dropout_rate 0: both passes identical
 
 
@@ -781,6 +782,38 @@ def test_adaptive_epochs_encode_only_the_unlabeled_members(monkeypatch):
     expected = [len(corrupted) - row.labeled_count for row in report.per_epoch[1:]]
     assert calls == expected
     assert 0 < sum(calls) < 3 * len(corrupted)
+
+
+def test_a_selfmix_batch_without_unlabeled_members_holds_only_ce_rows(monkeypatch):
+    """Selection leaves one training position unlabeled. The adaptive batch
+    holding it gets a pseudo and an rdrop row on it; every other adaptive
+    batch is its mixup rows alone."""
+    corrupted, test = small_noisy_problem()
+    n = len(corrupted)
+    unlabeled = mask_of(n, [3])
+    monkeypatch.setattr(
+        core, "select_split", lambda losses, tau: DataSplit(~unlabeled, np.ones(n), None)
+    )
+    batches = []
+
+    def recording(params, items, features, **kwargs):
+        batches.append(items.copy())
+        return backward(params, items, features, **kwargs)
+
+    monkeypatch.setattr(core, "backward", recording)
+    cfg = SelfMixConfig(total_epochs=2, warmup_epochs=1, batch_size=16, seed=5)
+    train_selfmix(corrupted, test, TINY_MODEL, cfg)
+    adaptive = batches[-(-n // 16) :]
+    assert len(batches) == 2 * len(adaptive)
+    for items in adaptive:
+        mixup = items.kind == "ce"
+        assert np.all(items.key[mixup] >= core._MIX_KEY_BASE)
+        if 3 in items.row[mixup]:
+            assert items.kind[~mixup].tolist() == ["pseudo", "rdrop"]
+            assert items.row[~mixup].tolist() == [3, 3]
+        else:
+            assert mixup.all()
+    assert sum(not np.all(items.kind == "ce") for items in adaptive) == 1
 
 
 def test_train_selfmix_report_shape():

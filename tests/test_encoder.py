@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
 from conftest import (
     N_CASES,
     bag,
+    joined,
     matrix_of,
     random_distribution,
     random_features,
@@ -29,7 +28,6 @@ from selfmix.core import embmix
 from selfmix.encoder import (
     FNV_OFFSET,
     TRAINED,
-    BatchItem,
     FeatureMatrix,
     ModelParams,
     adam_step,
@@ -43,6 +41,7 @@ from selfmix.encoder import (
     init_params,
     load_checkpoint,
     log_softmax,
+    make_batch,
     predict_logits,
     predict_proba,
     rdrop_from_probs,
@@ -326,8 +325,9 @@ def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
     )
     other = bag(np.array([1, 9]), np.array([0.5, 0.5]))
     target = np.array([0.2, 0.5, 0.3])
-    items = [BatchItem(0, "ce", target), BatchItem(1, "ce", target),
-             BatchItem(0, "rdrop", key=0), BatchItem(0, "pseudo", key=0)]
+    items = make_batch(
+        [0, 1, 0, 0], ["ce", "ce", "rdrop", "pseudo"], target=target, key=[0, 1, 0, 0]
+    )
     results = [
         backward(params, items, matrix_of([doc, other]), mask_seed=11)
         for doc in (repeated, merged)
@@ -451,7 +451,7 @@ def test_backward_stationary_when_target_equals_prediction():
     params = init_params(8, 4, 3, 0.0, seed=3, buckets=range(8))
     fv = bag(np.array([1, 4, 6]), np.array([0.5, 0.2, 0.3]))
     target = softmax(head_forward(params, encode(params, fv)[0]))
-    _, grads, _ = backward(params, [BatchItem(0, "ce", target)], matrix_of([fv]))
+    _, grads, _ = backward(params, make_batch([0], "ce", target=target, key=0), matrix_of([fv]))
     for arr in (grads.w1, grads.b1, grads.w2, grads.b2, grads.emb_vals):
         assert np.all(np.abs(arr) <= 1e-12)
     assert np.array_equal(grads.emb_rows, fv.indices)
@@ -460,17 +460,15 @@ def test_backward_stationary_when_target_equals_prediction():
 def test_backward_mean_invariance_under_duplication():
     rng = np.random.default_rng(17)
     params = small_params(rng, dropout_rate=0.0)
-    bags, items = [], []
+    bags, targets = [], np.zeros((3, params.num_classes))
     for row in range(3):
         bags.append(random_features(rng, params.num_buckets))
-        target = np.zeros(params.num_classes)
-        target[int(rng.integers(params.num_classes))] = 1.0
-        items.append(BatchItem(row, "ce", target, weight=1.0 / 3.0))
-    doubled = [
-        BatchItem(it.row, it.kind, it.target, weight=it.weight / 2.0)
-        for it in items
-        for _ in range(2)
-    ]
+        targets[row, int(rng.integers(params.num_classes))] = 1.0
+    items = make_batch(np.arange(3), "ce", target=targets, weight=1.0 / 3.0, key=np.arange(3))
+    doubled = make_batch(
+        np.repeat(items.row, 2), "ce", target=np.repeat(items.target, 2, axis=0),
+        weight=np.repeat(items.weight, 2) / 2.0, key=np.arange(6),
+    )
     features = matrix_of(bags)
     loss_a, grads_a, _ = backward(params, items, features)
     loss_b, grads_b, _ = backward(params, doubled, features)
@@ -486,12 +484,9 @@ def test_evaluate_batch_breakdown_counts_kinds():
     fv = random_features(rng, params.num_buckets)
     target = np.zeros(params.num_classes)
     target[0] = 1.0
-    items = [
-        BatchItem(0, "ce", target),
-        BatchItem(0, "pseudo"),
-        BatchItem(0, "pseudo"),
-        BatchItem(0, "rdrop"),
-    ]
+    items = make_batch(
+        [0, 0, 0, 0], ["ce", "pseudo", "pseudo", "rdrop"], target=target, key=np.arange(4)
+    )
     total, grads, breakdown = backward(params, items, matrix_of([fv]), mask_seed=4)
     assert breakdown["ce"][1] == 1
     assert breakdown["pseudo"][1] == 2
@@ -506,8 +501,8 @@ def test_evaluate_batch_weights_scale_total_not_breakdown():
     rng = np.random.default_rng(8)
     params = small_params(rng, dropout_rate=0.0)
     fv = random_features(rng, params.num_buckets)
-    item = BatchItem(0, "pseudo", weight=0.25)
-    total, _, breakdown = backward(params, [item], matrix_of([fv]))
+    item = make_batch([0], "pseudo", weight=0.25, key=0, target=np.zeros(params.num_classes))
+    total, _, breakdown = backward(params, item, matrix_of([fv]))
     raw, count = breakdown["pseudo"]
     assert count == 1
     assert total == pytest.approx(0.25 * raw)
@@ -524,38 +519,83 @@ def _empty_row() -> FeatureMatrix:
 
 
 def test_evaluate_batch_rejects_unknown_kind():
+    """Refused when the batch is built (a kind is stored in six characters,
+    so a longer one would otherwise be cut short) and by ``backward``."""
     params = init_params(8, 4, 2, 0.0, seed=0)
-    with pytest.raises(ValueError, match="unknown batch item kind"):
-        backward(params, [BatchItem(0, "nope")], _empty_row())
+    for kind in ("nope", "pseudonym"):
+        with pytest.raises(ValueError, match=f"unknown batch item kind '{kind}'"):
+            make_batch([0], kind, key=0, target=np.zeros(2))
+    items = make_batch([0, 0], "pseudo", key=[0, 1], target=np.zeros(2))
+    items.kind[1] = "nope"
+    with pytest.raises(ValueError, match="unknown batch item kind 'nope'"):
+        backward(params, items, _empty_row())
 
 
 def test_evaluate_batch_requires_ce_target():
-    params = init_params(8, 4, 2, 0.0, seed=0)
-    with pytest.raises(ValueError, match="target"):
-        backward(params, [BatchItem(0, "ce")], _empty_row())
+    with pytest.raises(TypeError, match="target"):
+        make_batch([0], "ce", key=0)
 
 
 def test_backward_refuses_a_row_that_is_not_a_position():
-    """A row or partner that is not an integer position of the matrix is
-    refused, naming the item's batch position."""
+    """A row or partner outside the matrix is refused, naming the item's
+    batch position."""
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(0, "ce", np.array([1.0, 0.0]))
+    good = make_batch([0, 0, 0], "ce", target=np.array([1.0, 0.0]), key=[0, 1, 2])
     features = matrix_of([_empty(), _empty()])
-    for bad in (np.zeros(4), 2, -1, 1.0, None):
-        wrong = replace(good, row=bad)
+    for bad in (2, -1):
+        wrong = good.copy()
+        wrong.row[1] = bad
         with pytest.raises(ValueError, match=r"position 1: row .* is not a position in \[0, 2\)"):
-            backward(params, [good, wrong, good], features)
-    for bad in (2, -1, 0.5):
-        wrong = replace(good, partner=bad, lam=0.5)
+            backward(params, wrong, features)
+    for bad in (2, -1):
+        wrong = good.copy()
+        wrong.partner[1], wrong.lam[1] = bad, 0.5
         with pytest.raises(ValueError, match=r"position 1: row .* is not a position in \[0, 2\)"):
-            backward(params, [good, wrong, good], features)
+            backward(params, wrong, features)
+
+
+def test_make_batch_refuses_a_row_that_is_not_an_integer():
+    """A float row would be cut to an integer by the int64 field, so a
+    non-integer row, partner or key is refused, as are rows that are not
+    one per record."""
+    target = np.array([1.0, 0.0])
+    for bad in ([0, 1.0, 0], [0, 1.5, 0], [0, None, 0]):
+        with pytest.raises(ValueError, match="batch rows must be integers"):
+            make_batch(bad, "ce", target=target, key=[0, 1, 2])
+    with pytest.raises(ValueError, match="batch partners must be integers"):
+        make_batch([0, 0, 0], "ce", target=target, key=[0, 1, 2], partner=[0, 0.5, 0], lam=0.5)
+    with pytest.raises(ValueError, match="batch keys must be integers"):
+        make_batch([0, 0, 0], "ce", target=target, key=[0, 1.0, 2])
+    with pytest.raises(ValueError):
+        make_batch(np.zeros((3, 4), dtype=np.int64), "ce", target=target, key=0)
+
+
+def test_a_batch_iterates_as_records_whose_kind_matches_its_column():
+    """``len`` counts the terms and each record reads its kind as an
+    attribute, as a caller counting terms per kind reads them."""
+    rng = np.random.default_rng(3)
+    kinds = [str(k) for k in rng.choice(["ce", "pseudo", "rdrop"], size=40)]
+    parts = [
+        make_batch(np.arange(20), kinds[:20], target=np.array([0.5, 0.5]), key=np.arange(20)),
+        embmix(np.arange(5), np.eye(2)[[0, 1, 0, 1, 0]], np.arange(5)[::-1],
+               np.eye(2)[[1, 0, 1, 0, 1]], rng.random(5), key=100),
+        make_batch(np.arange(20), kinds[20:], target=np.array([0.5, 0.5]), key=np.arange(20)),
+    ]
+    batch = joined(*parts)
+    assert isinstance(batch, np.recarray)
+    assert len(batch) == 45
+    assert [record.kind for record in batch] == batch.kind.tolist()
+    assert batch.kind.tolist() == kinds[:20] + ["ce"] * 5 + kinds[20:]
+    assert sum(record.kind in ("pseudo", "rdrop") for record in batch) == sum(
+        kind != "ce" for kind in kinds
+    )
 
 
 def test_backward_checks_the_buckets_of_its_last_block():
     """A bucket out of range in the last document block is refused before any work."""
     params = init_params(8, 4, 2, 0.0, seed=0, buckets=range(8))
     good = bag(np.array([1, 7]), np.array([0.5, 0.5]))
-    items = [BatchItem(row, "pseudo") for row in range(40)]
+    items = make_batch(np.arange(40), "pseudo", key=np.arange(40), target=np.zeros(2))
     for bad in (8, -1):
         doc = bag(np.array([3, bad, 5]), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="out of range"):
@@ -564,16 +604,17 @@ def test_backward_checks_the_buckets_of_its_last_block():
 
 def _bag_mix(
     rng: np.random.Generator, num_buckets: int, n: int
-) -> tuple[list[BatchItem], FeatureMatrix]:
+) -> tuple[np.recarray, FeatureMatrix]:
     """``n`` items, each on its own row, in a training step's proportions:
     half cross-entropy on bags of about 50 entries, a quarter each
     confidence and agreement terms on bags of about 25."""
-    bags, items = [], []
+    bags, kinds = [], []
     for pos in range(n):
         kind = ("ce", "ce", "pseudo", "rdrop")[pos % 4]
         size = int(rng.integers(40, 61)) if kind == "ce" else int(rng.integers(20, 31))
         bags.append(bag(rng.integers(0, num_buckets, size), np.full(size, 1.0 / size)))
-        items.append(BatchItem(pos, kind, np.array([0.5, 0.5]) if kind == "ce" else None))
+        kinds.append(kind)
+    items = make_batch(np.arange(n), kinds, target=np.array([0.5, 0.5]), key=np.arange(n))
     return items, matrix_of(bags)
 
 
@@ -598,10 +639,11 @@ def test_backward_memory_grows_linearly_with_the_batch():
 
 def test_evaluate_batch_names_non_finite_term_and_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(0, "ce", np.array([1.0, 0.0]))
-    poisoned = BatchItem(0, "ce", np.array([np.nan, 0.0]))
+    good_then_poisoned = make_batch(
+        [0, 0], "ce", target=np.array([[1.0, 0.0], [np.nan, 0.0]]), key=[0, 1]
+    )
     with pytest.raises(NumericError, match="non-finite ce loss at batch position 1"):
-        backward(params, [good, poisoned], _empty_row())
+        backward(params, good_then_poisoned, _empty_row())
 
 
 def test_rdrop_from_probs_basics():
@@ -624,27 +666,24 @@ def test_shared_key_shares_dropout_masks_across_kinds():
     z0 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=0)
     z1 = head_forward(params, e, dropout_on=True, mask_seed=mask_seed, key=5, pass_index=1)
     expected = rdrop_from_probs(softmax(z0), softmax(z1))
-    total, grads, _ = backward(
+    total, _, _ = backward(
         params,
-        [BatchItem(0, "rdrop", key=5)],
+        make_batch([0], "rdrop", key=5, target=np.zeros(params.num_classes)),
         matrix_of([fv]),
         mask_seed=mask_seed,
-        compute_grads=False,
     )
-    assert grads is None
     assert total == pytest.approx(expected, abs=1e-12)
     # pseudo with the same key sees exactly the pass-0 mask
     p0 = softmax(z0)
     expected_pseudo = -np.log(p0[int(np.argmax(p0))])
-    got, _, _ = backward(
-        params, [BatchItem(0, "pseudo", key=5)], matrix_of([fv]), mask_seed=mask_seed
-    )
+    pseudo = make_batch([0], "pseudo", key=5, target=np.zeros(params.num_classes))
+    got, _, _ = backward(params, pseudo, matrix_of([fv]), mask_seed=mask_seed)
     assert got == pytest.approx(expected_pseudo, abs=1e-12)
 
 
 def _mixed_batch(
     rng: np.random.Generator, params
-) -> tuple[list[BatchItem], FeatureMatrix]:
+) -> tuple[np.recarray, FeatureMatrix]:
     """Every item shape the trainer produces, plus the awkward cases: a
     pseudo and an rdrop item sharing a key, bucket ids repeated across
     items, an empty feature vector, and a mixed item with a soft target
@@ -654,7 +693,7 @@ def _mixed_batch(
     hard = np.zeros(params.num_classes)
     hard[int(rng.integers(params.num_classes))] = 1.0
     bags.append(random_features(rng, params.num_buckets))
-    (mixed,) = embmix(
+    mixed = embmix(
         [1],
         random_distribution(rng, params.num_classes)[None],
         [0],
@@ -670,16 +709,19 @@ def _mixed_batch(
         bags.append(doc)
         return len(bags) - 1
 
-    items = [
-        BatchItem(0, "ce", hard, weight(), key=0),
-        replace(mixed, weight=weight()),
-        BatchItem(row(random_features(rng, params.num_buckets)), "pseudo", weight=weight(), key=7),
-        BatchItem(row(random_features(rng, params.num_buckets)), "rdrop", weight=weight(), key=7),
-        BatchItem(0, "rdrop", weight=weight(), key=3),
-        BatchItem(row(_empty()), "pseudo", weight=weight(), key=4),
-        BatchItem(row(random_features(rng, params.num_buckets)), "rdrop", weight=weight(), key=5),
-        BatchItem(row(_empty()), "ce", hard, weight(), key=6),
+    first = make_batch([0], "ce", target=hard, weight=weight(), key=0)
+    mixed.weight[0] = weight()
+    # (row, kind, weight, key), drawn in this order
+    rest = [
+        (row(random_features(rng, params.num_buckets)), "pseudo", weight(), 7),
+        (row(random_features(rng, params.num_buckets)), "rdrop", weight(), 7),
+        (0, "rdrop", weight(), 3),
+        (row(_empty()), "pseudo", weight(), 4),
+        (row(random_features(rng, params.num_buckets)), "rdrop", weight(), 5),
+        (row(_empty()), "ce", weight(), 6),
     ]
+    rows, kinds, weights, keys = zip(*rest)
+    items = joined(first, mixed, make_batch(rows, kinds, target=hard, weight=weights, key=keys))
     return items, matrix_of(bags)
 
 
@@ -695,8 +737,8 @@ def test_batch_equals_the_sum_of_its_items():
         sum_breakdown: dict[str, list[float]] = {}
         head = {name: 0.0 for name in ("w1", "b1", "w2", "b2")}
         emb: dict[int, np.ndarray] = {}
-        for item in items:
-            t, g, b = backward(params, [item], features, mask_seed=mask_seed)
+        for k in range(len(items)):
+            t, g, b = backward(params, items[k : k + 1], features, mask_seed=mask_seed)
             sum_total += t
             for kind, (raw, count) in b.items():
                 entry = sum_breakdown.setdefault(kind, [0.0, 0])
@@ -722,7 +764,8 @@ def test_batch_equals_the_sum_of_its_items():
 
 def test_empty_batch_is_zero_loss_with_zero_gradients():
     params = init_params(8, 4, 3, 0.3, seed=0)
-    total, grads, breakdown = backward(params, [], matrix_of([]), mask_seed=1)
+    empty = make_batch([], "pseudo", key=[], target=np.zeros(3))
+    total, grads, breakdown = backward(params, empty, matrix_of([]), mask_seed=1)
     assert total == 0.0 and breakdown == {}
     assert grads.emb_rows.dtype == np.int64 and grads.emb_rows.size == 0
     assert grads.emb_vals.shape == (0, 4)
@@ -733,14 +776,10 @@ def test_empty_batch_is_zero_loss_with_zero_gradients():
 
 def test_backward_reports_the_first_non_finite_position():
     params = init_params(8, 4, 2, 0.0, seed=0)
-    good = BatchItem(0, "ce", np.array([1.0, 0.0]))
-    items = [
-        good,
-        BatchItem(0, "pseudo"),
-        BatchItem(1, "rdrop"),
-        good,
-        BatchItem(0, "ce", np.array([np.nan, 0.0])),
-    ]
+    targets = np.array([[1.0, 0.0]] * 4 + [[np.nan, 0.0]])
+    items = make_batch(
+        [0, 0, 1, 0, 0], ["ce", "pseudo", "rdrop", "ce", "ce"], target=targets, key=np.arange(5)
+    )
     features = matrix_of([_empty(), bag(np.array([3]), np.array([np.nan]))])
     with pytest.raises(NumericError, match="non-finite rdrop loss at batch position 2"):
         backward(params, items, features)
@@ -789,13 +828,13 @@ def test_an_item_sees_the_same_mask_at_any_batch_position():
     rng = np.random.default_rng(71)
     params = small_params(rng, dropout_rate=0.5)
     bags = [random_features(rng, params.num_buckets)]
-    probe = BatchItem(0, "rdrop", key=77)
-    _, _, alone = backward(params, [probe], matrix_of(bags), mask_seed=3)
+    probe = make_batch([0], "rdrop", key=77, target=np.zeros(params.num_classes))
+    _, _, alone = backward(params, probe, matrix_of(bags), mask_seed=3)
     hard = np.eye(params.num_classes)[0]
     bags += [random_features(rng, params.num_buckets) for _ in range(5)]
-    others = [BatchItem(k + 1, "ce", hard, key=k) for k in range(5)]
+    others = make_batch(np.arange(1, 6), "ce", target=hard, key=np.arange(5))
     _, _, crowded = backward(
-        params, others[:3] + [probe] + others[3:], matrix_of(bags), mask_seed=3
+        params, joined(others[:3], probe, others[3:]), matrix_of(bags), mask_seed=3
     )
     assert crowded["rdrop"][0] == pytest.approx(alone["rdrop"][0], rel=1e-12)
     assert alone["rdrop"][0] > 0.0
@@ -822,7 +861,8 @@ def test_adam_zero_gradient_is_identity():
     params = init_params(8, 4, 2, 0.0, seed=0)
     before = copy.deepcopy(params)
     opt = init_optimizer(params, learning_rate=0.1)
-    zero = backward(params, [BatchItem(0, "ce", softmax(np.zeros(2)))], _empty_row())[1]
+    zero = backward(params, make_batch([0], "ce", target=softmax(np.zeros(2)), key=0),
+                    _empty_row())[1]
     # force exact zeros regardless of float dust
     for arr in (zero.w1, zero.b1, zero.w2, zero.b2):
         arr[:] = 0.0
@@ -873,7 +913,7 @@ def test_adam_determinism():
             target = np.zeros(2)
             target[int(step_rng.integers(2))] = 1.0
             _, grads, _ = backward(
-                params, [BatchItem(0, "ce", target)], matrix_of([fv]), mask_seed=3
+                params, make_batch([0], "ce", target=target, key=0), matrix_of([fv]), mask_seed=3
             )
             adam_step(params, grads, opt)
         runs.append(params)
@@ -886,7 +926,8 @@ def test_adam_shape_mismatch_raises():
     params = init_params(8, 4, 2, 0.0, seed=0)
     other = init_params(8, 5, 2, 0.0, seed=0)
     opt = init_optimizer(params)
-    _, grads, _ = backward(other, [BatchItem(0, "ce", np.array([1.0, 0.0]))], _empty_row())
+    items = make_batch([0], "ce", target=np.array([1.0, 0.0]), key=0)
+    _, grads, _ = backward(other, items, _empty_row())
     with pytest.raises(ValueError, match="shape"):
         adam_step(params, grads, opt)
 
@@ -898,7 +939,8 @@ def test_adam_refuses_a_gradient_for_a_bucket_without_a_row():
     opt = init_optimizer(params, learning_rate=0.1)
     before = copy.deepcopy(params)
     fv = bag(np.array([2, 9]), np.array([0.5, 0.5]))
-    grads = backward(params, [BatchItem(0, "ce", np.array([1.0, 0.0]))], matrix_of([fv]))[1]
+    items = make_batch([0], "ce", target=np.array([1.0, 0.0]), key=0)
+    grads = backward(params, items, matrix_of([fv]))[1]
     with pytest.raises(ValueError, match="bucket 9, which owns no embedding row"):
         adam_step(params, grads, opt)
     assert opt.step == 0
@@ -1147,17 +1189,17 @@ def test_init_params_refuses_buckets_out_of_range():
 
 def _random_batches(
     rng: np.random.Generator, num_buckets: int, num_classes: int, *, batches: int, size: int
-) -> tuple[FeatureMatrix, list[list[BatchItem]]]:
+) -> tuple[FeatureMatrix, list[np.recarray]]:
     """``batches`` batches of ``size`` soft-target ce items, each on its own
     row of the returned matrix; item ``k`` of a batch has key ``k``."""
     bags, out = [], []
     for _ in range(batches):
-        out.append([])
-        for k in range(size):
+        targets = []
+        for _ in range(size):
             bags.append(random_features(rng, num_buckets))
-            out[-1].append(
-                BatchItem(len(bags) - 1, "ce", random_distribution(rng, num_classes), key=k)
-            )
+            targets.append(random_distribution(rng, num_classes))
+        rows = len(bags) - size + np.arange(size)
+        out.append(make_batch(rows, "ce", target=np.stack(targets), key=np.arange(size)))
     return matrix_of(bags), out
 
 
@@ -1225,6 +1267,26 @@ def test_checkpoint_save_holds_the_owned_rows_once(tmp_path):
     rows_bytes = params.embedding[1:].nbytes
     assert peak < 1.5 * rows_bytes, f"peak {peak / 2**20:.2f} MB"
     assert np.array_equal(load_checkpoint(path).embedding, params.embedding)
+
+
+def test_checkpoint_load_holds_the_stored_rows_once(tmp_path):
+    """Loading reads the stored rows straight into the table it returns: the
+    traced peak stays within 1 MB of what the loaded model holds (reading
+    the rows as ``bytes`` and casting them first would add two copies)."""
+    buckets = np.random.default_rng(4).choice(2**18, 13797, replace=False)
+    params = init_params(2**18, 64, 4, 0.1, seed=0, buckets=buckets, dtype=np.float32)
+    path = tmp_path / "model.smx"
+    save_checkpoint(params, path)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= held + 2**20, f"peak {peak / 2**20:.2f} MB, held {held / 2**20:.2f} MB"
+    for name in ("embedding", "w1", "b1", "w2", "b2", "slot"):
+        assert np.array_equal(getattr(loaded, name), getattr(params, name)), name
+        assert getattr(loaded, name).dtype == getattr(params, name).dtype, name
 
 
 def test_checkpoint_refuses_a_bitmap_that_disagrees_with_the_row_count(tmp_path):

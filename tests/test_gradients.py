@@ -14,8 +14,6 @@ per-item loop to 1e-12.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,6 +22,7 @@ from conftest import (
     bag,
     finite_difference,
     grad_lookup,
+    joined,
     matrix_of,
     param_arrays,
     random_distribution,
@@ -31,7 +30,7 @@ from conftest import (
     relative_error,
     small_params,
 )
-from selfmix.encoder import BatchItem, _masks, backward
+from selfmix.encoder import _masks, backward, make_batch
 
 STEP = 1e-6
 REL_TOL = 1e-5
@@ -39,19 +38,19 @@ COORDS_PER_ARRAY = 2
 
 
 def _random_item(rng: np.random.Generator, params, kind: str, row: int = 0):
-    """A random bag and an item of ``kind`` that names it as row ``row``."""
+    """A random bag and a one-item batch of ``kind`` that names it as row ``row``."""
     bag = random_features(rng, params.num_buckets)
-    target = None
+    target = np.zeros(params.num_classes)  # only a ce term reads it
     if kind == "ce":
         if rng.random() < 0.5:
             target = np.zeros(params.num_classes)
             target[int(rng.integers(params.num_classes))] = 1.0
         else:
             target = random_distribution(rng, params.num_classes)
-    return bag, BatchItem(
-        row,
+    return bag, make_batch(
+        [row],
         kind,
-        target,
+        target=target,
         weight=float(rng.uniform(0.2, 1.5)),
         key=int(rng.integers(0, 8)),
     )
@@ -89,7 +88,7 @@ def test_single_term_gradients_match_finite_differences():
             params = small_params(rng)
             mask_seed = int(rng.integers(2**31)) if rng.random() < 0.5 else None
             bag, item = _random_item(rng, params, kind)
-            worst = max(worst, _check_case(rng, [item], matrix_of([bag]), params, mask_seed))
+            worst = max(worst, _check_case(rng, item, matrix_of([bag]), params, mask_seed))
             case += 1
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
@@ -107,7 +106,7 @@ def test_composite_batch_gradients_match_finite_differences():
             bag, item = _random_item(rng, params, kind, row)
             bags.append(bag)
             items.append(item)
-        worst = max(worst, _check_case(rng, items, matrix_of(bags), params, mask_seed))
+        worst = max(worst, _check_case(rng, joined(*items), matrix_of(bags), params, mask_seed))
     assert worst <= REL_TOL, f"worst relative error {worst:.3e}"
 
 
@@ -116,7 +115,7 @@ def test_feature_input_touches_only_its_rows():
     for _ in range(50):
         params = small_params(rng)
         bag, item = _random_item(rng, params, "ce")
-        _, grads, _ = backward(params, [item], matrix_of([bag]), mask_seed=1)
+        _, grads, _ = backward(params, item, matrix_of([bag]), mask_seed=1)
         assert set(grads.emb_rows.tolist()) <= set(bag.indices.tolist())
 
 
@@ -141,7 +140,7 @@ def _block_batch(rng: np.random.Generator, params, size: int):
     for pos in (2, size - 1):
         doc = bags[pos]
         bags[pos] = bag(np.append(doc.indices, shared), np.append(doc.weights, 0.4))
-    return list(items), matrix_of(bags), repeated, shared
+    return joined(*items), matrix_of(bags), repeated, shared
 
 
 def test_batches_spanning_blocks_match_finite_differences():
@@ -161,37 +160,36 @@ def test_batches_spanning_blocks_match_finite_differences():
 
 
 def _reference_backward(params, items, features, mask_seed):
-    """``backward`` as a loop: each item's rows pooled and mixed, run through
-    the head and differentiated on its own, its embedding gradient added per
-    bucket."""
+    """``backward`` as a loop over the batch's records: each item's rows
+    pooled and mixed, run through the head and differentiated on its own,
+    its embedding gradient added per bucket."""
     total = 0.0
     breakdown: dict[str, tuple[float, int]] = {}
     head = {name: np.zeros_like(getattr(params, name)) for name in ("w1", "b1", "w2", "b2")}
     emb: dict[int, np.ndarray] = {}
-    for pos, item in enumerate(items):
-        key = pos if item.key is None else item.key
-        partner = item.row if item.partner is None else item.partner
+    for item in items:
+        kind = str(item.kind)
         parents = (
             (features.take([item.row]), item.lam),
-            (features.take([partner]), 1.0 - item.lam),
+            (features.take([item.partner]), 1.0 - item.lam),
         )
         e = np.zeros(params.hidden)
         for doc, coef in parents:
             for bucket, weight in zip(doc.indices, doc.weights):
                 e += coef * weight * params.embedding[params.slot[bucket]]
         passes = []
-        for k in range(2 if item.kind == "rdrop" else 1):
-            mask = _masks(params, mask_seed, np.array([key]), np.array([k]))[0]
+        for k in range(2 if kind == "rdrop" else 1):
+            mask = _masks(params, mask_seed, np.array([item.key]), np.array([k]))[0]
             a1 = e @ params.w1 + params.b1
             h = np.maximum(a1, 0.0) * mask
             z = h @ params.w2 + params.b2
             log_p = z - z.max() - np.log(np.exp(z - z.max()).sum())
             passes.append((a1, h, mask, np.exp(log_p), log_p))
         p, log_p = passes[0][3], passes[0][4]
-        if item.kind == "ce":
+        if kind == "ce":
             loss = -(item.target * log_p).sum()
             g_zs = [p - item.target]
-        elif item.kind == "pseudo":
+        elif kind == "pseudo":
             top = int(np.argmax(p))
             loss = -log_p[top]
             g_zs = [p - np.eye(p.size)[top]]
@@ -202,8 +200,8 @@ def _reference_backward(params, items, features, mask_seed):
             loss = 0.5 * (kl_pq + kl_qp)
             g_zs = [0.5 * (p * (delta - kl_pq) + p - q), 0.5 * (q * (-delta - kl_qp) + q - p)]
         total += item.weight * loss
-        raw, count = breakdown.get(item.kind, (0.0, 0))
-        breakdown[item.kind] = (raw + loss, count + 1)
+        raw, count = breakdown.get(kind, (0.0, 0))
+        breakdown[kind] = (raw + loss, count + 1)
         d_e = np.zeros(params.hidden)
         for (a1, h, mask, _, _), g_z in zip(passes, g_zs):
             g_z = item.weight * g_z
@@ -256,11 +254,9 @@ def test_a_mixed_item_at_full_weight_or_on_its_own_row_is_the_plain_item():
         k, partner = (int(i) for i in rng.integers(len(items), size=2))
         own_row = float(rng.uniform(0.5, 1.0))
         want = backward(params, items, features, mask_seed=mask_seed)
-        for mixed in (
-            replace(items[k], partner=partner, lam=1.0),
-            replace(items[k], partner=items[k].row, lam=own_row),
-        ):
-            batch = items[:k] + [mixed] + items[k + 1 :]
+        for mixed_partner, lam in ((partner, 1.0), (items.row[k], own_row)):
+            batch = items.copy()
+            batch.partner[k], batch.lam[k] = mixed_partner, lam
             got = backward(params, batch, features, mask_seed=mask_seed)
             assert got[0] == want[0] and got[2] == want[2]
             for name in ("emb_rows", "emb_vals", "w1", "b1", "w2", "b2"):

@@ -992,6 +992,35 @@ def test_cli_inject_refuses_a_transition_for_other_noise_types(tmp_path, capsys)
         assert not out.exists()
 
 
+@pytest.mark.parametrize("noise_type", ["uniform", "asym", "idn"])
+def test_a_negative_noise_seed_is_refused_naming_its_line_before_writing(
+    corpus_dir, tmp_path, capsys, noise_type
+):
+    out = tmp_path / "never"
+    cfg_path = tmp_path / "bad.cfg"
+    text = config_text(corpus_dir, out, **{"noise.type": noise_type, "noise.seed": "-5"})
+    cfg_path.write_text(text, encoding="utf-8")
+    lineno = text.splitlines().index("noise.seed = -5") + 1
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: line {lineno}: noise.seed: ")
+    assert "non-negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise_type", ["uniform", "asym", "idn"])
+def test_cli_inject_refuses_a_negative_seed_for_every_noise_type(tmp_path, capsys, noise_type):
+    train, _ = make_corpus(30, 10, 2, seed=1)
+    save_csv(train, tmp_path / "train.csv")
+    out = tmp_path / "noised"
+    assert cli.main([
+        "inject-noise", "--in", str(tmp_path / "train.csv"), "--out", str(out),
+        "--type", noise_type, "--ratio", "0.1", "--seed", "-5",
+    ]) == 1
+    assert "error: noise seed must be non-negative; got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("flag", "name"),
     [("--in", "corrupted.csv"), ("--in", "manifest.csv"), ("--transition", "manifest.csv"),
