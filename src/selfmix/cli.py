@@ -151,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_make_corpus(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, FloatingPointError) as exc:

@@ -107,24 +107,17 @@ def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
     total = len(dataset)
     if n > total:
         raise ValueError(f"requested {n} examples from a dataset of {total}")
-    by_class: dict[int, list[int]] = {}
-    for pos, ex in enumerate(dataset.examples):
-        by_class.setdefault(ex.observed_label, []).append(pos)
-    classes = sorted(by_class)
-    quotas = {c: n * len(by_class[c]) / total for c in classes}
-    counts = {c: int(np.floor(quotas[c])) for c in classes}
-    remainder = n - sum(counts.values())
-    by_fraction = sorted(classes, key=lambda c: (-(quotas[c] - counts[c]), c))
-    for c in by_fraction[:remainder]:
-        counts[c] += 1
+    labels = dataset.observed_labels()
+    classes, sizes = np.unique(labels, return_counts=True)
+    quotas = n * sizes / total
+    counts = np.floor(quotas).astype(np.int64)
+    counts[np.lexsort((classes, -(quotas - counts)))[: n - counts.sum()]] += 1
 
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for c in classes:
-        members = by_class[c]
-        picked = rng.choice(len(members), size=counts[c], replace=False)
-        chosen.extend(members[int(i)] for i in picked)
-    return np.sort(np.array(chosen, dtype=np.int64))
+    chosen = [np.zeros(0, dtype=np.int64)]
+    for c, size, k in zip(classes.tolist(), sizes.tolist(), counts.tolist()):
+        chosen.append(np.flatnonzero(labels == c)[rng.choice(size, size=k, replace=False)])
+    return np.sort(np.concatenate(chosen))
 
 
 _HEADER_PLAIN = ["label", "text"]

@@ -32,19 +32,19 @@ def _log_pdf(values: np.ndarray, mean: float, variance: float) -> np.ndarray:
     return -0.5 * (np.log(2.0 * np.pi * variance) + (values - mean) ** 2 / variance)
 
 
-def _component_log_joint(params: GMMParams, values: np.ndarray) -> np.ndarray:
-    """(n, 2) array of log(weight_k) + log N(x_i; mean_k, var_k)."""
-    cols = [
-        np.log(params.weights[k]) + _log_pdf(values, params.means[k], params.variances[k])
-        for k in range(2)
-    ]
-    return np.stack(cols, axis=1)
+def _e_step(params: GMMParams, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) log(weight_k) + log N(x_i; mean_k, var_k) and, per value,
+    their log-sum-exp, the log-likelihood of x_i."""
+    joint = np.stack(
+        [np.log(params.weights[k]) + _log_pdf(values, params.means[k], params.variances[k])
+         for k in range(2)],
+        axis=1,
+    )
+    return joint, np.logaddexp(joint[:, 0], joint[:, 1])
 
 
 def log_likelihood(params: GMMParams, values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=np.float64)
-    joint = _component_log_joint(params, values)
-    return float(np.logaddexp(joint[:, 0], joint[:, 1]).sum())
+    return float(_e_step(params, np.asarray(values, dtype=np.float64))[1].sum())
 
 
 def _ordered(means: np.ndarray, variances: np.ndarray, weights: np.ndarray) -> GMMParams:
@@ -63,9 +63,8 @@ def _init_params(values: np.ndarray) -> GMMParams:
     return _ordered(means, variances, weights)
 
 
-def _em_update(params: GMMParams, values: np.ndarray) -> GMMParams:
-    joint = _component_log_joint(params, values)
-    log_norm = np.logaddexp(joint[:, 0], joint[:, 1])
+def _m_step(values: np.ndarray, joint: np.ndarray, log_norm: np.ndarray) -> GMMParams:
+    """The next parameters from one E-step's log joints and log-sums."""
     resp = np.exp(joint - log_norm[:, None])  # (n, 2)
     nk = np.maximum(resp.sum(axis=0), 1e-12)
     means = (resp * values[:, None]).sum(axis=0) / nk
@@ -95,12 +94,13 @@ def fit_gmm_trace(
             "need at least two distinct values to fit a two-component mixture"
         )
     params = _init_params(values)
-    trace = [log_likelihood(params, values)]
+    e_step = _e_step(params, values)
+    trace = [float(e_step[1].sum())]
     for _ in range(max_iter):
-        candidate = _em_update(params, values)
-        candidate_ll = log_likelihood(candidate, values)
-        trace.append(candidate_ll)
-        if candidate_ll - trace[-2] < tol:
+        candidate = _m_step(values, *e_step)
+        e_step = _e_step(candidate, values)
+        trace.append(float(e_step[1].sum()))
+        if trace[-1] - trace[-2] < tol:
             break
         params = candidate
     return params, np.array(trace)
@@ -121,7 +121,6 @@ def posterior_clean(params: GMMParams, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if abs(float(params.means[1] - params.means[0])) <= _MEAN_TIE:
         return np.ones(values.shape)
-    joint = _component_log_joint(params, values.ravel())
-    log_norm = np.logaddexp(joint[:, 0], joint[:, 1])
+    joint, log_norm = _e_step(params, values.ravel())
     low = int(np.argmin(params.means))
     return np.exp(joint[:, low] - log_norm).reshape(values.shape)

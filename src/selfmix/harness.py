@@ -369,6 +369,8 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
         raise ValueError("data.test is required")
     if not cfg.output_dir:
         raise ValueError("run.output_dir is required")
+    if Path(cfg.output_dir).exists() and not Path(cfg.output_dir).is_dir():
+        raise ValueError(f"run.output_dir: {cfg.output_dir} exists and is not a directory")
     outputs = {Path(cfg.output_dir).resolve() / name for name in _RUN_OUTPUTS}
     paths = {"data.train": cfg.train_path, "data.test": cfg.test_path,
              "noise.transition": cfg.transition_path}
@@ -397,7 +399,7 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
     transition = None
     if cfg.transition_path is not None:
         transition = load_transition(cfg.transition_path, train.num_classes)
-    if cfg.noise_type != "none" and any(ex.true_label is not None for ex in train):
+    if cfg.noise_type != "none" and train.has_oracle():
         raise ValueError("data.train already carries an oracle column; refusing to re-inject")
     return train, test, transition
 
@@ -533,9 +535,10 @@ def analyze_losses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram a trained model's per-sample losses over a corpus.
 
-    ``bins``, the directory of ``out_path`` and an ``out_path`` naming the
-    model or the corpus are checked before either is read, and a corpus
-    without examples is refused before anything is written.
+    ``bins``, the directory of ``out_path`` and an ``out_path`` that is a
+    directory or names the model or the corpus are checked before either is
+    read, and a corpus without examples is refused before anything is
+    written.
     """
     from .encoder import load_checkpoint
 
@@ -543,6 +546,8 @@ def analyze_losses(
         raise ValueError("bins must be positive")
     if not Path(out_path).parent.is_dir():
         raise ValueError(f"{out_path}: no such directory: {Path(out_path).parent}")
+    if Path(out_path).is_dir():
+        raise ValueError(f"{out_path}: is a directory, not a histogram file")
     for what, path in (("model", model_path), ("data", data_path)):
         if located(out_path) == located(path):
             raise ValueError(f"{out_path}: the histogram would overwrite the {what} file {path}")

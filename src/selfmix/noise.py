@@ -12,11 +12,12 @@ Three corruption styles:
   (smallest true-class margin) flip to its most-confusable other class, so
   corruption concentrates on genuinely ambiguous inputs.
 
-Every injector takes clean data (observed == true everywhere), flips an
-exact number of labels (fraction rounded half-up), and returns both the
-corrupted dataset, with ``true_label`` recording the ground truth, and a
-manifest of what happened. Manifests round-trip through a small CSV sidecar
-format.
+Every injector takes clean data (observed == true everywhere) and computes
+one int array: each position's new observed label, differing from the old
+one at an exact number of positions (fraction rounded half-up).
+``_apply_flips`` alone turns that array into the corrupted dataset, with
+``true_label`` recording the ground truth, and a manifest of what happened.
+Manifests round-trip through a small CSV sidecar format.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .common import atomic_open, round_half_up, subseed
 from .core import warmup
-from .data import Dataset, Example, stratified_subsample
+from .data import Dataset, stratified_subsample
 from .encoder import (
     corpus_buckets,
     featurize_corpus,
@@ -95,42 +96,31 @@ def _check_inputs(dataset: Dataset, ratio: float, seed: int) -> None:
         raise ValueError(f"noise seed must be non-negative; got {seed}")
     if dataset.num_classes < 2:
         raise ValueError("label corruption needs at least two classes")
-    for ex in dataset:
-        if ex.true_label is not None and ex.true_label != ex.observed_label:
-            raise ValueError(
-                f"example {ex.id} already carries label noise; "
-                "injectors require clean input"
-            )
+    noisy = np.flatnonzero(dataset.noisy_mask())
+    if noisy.size:
+        raise ValueError(
+            f"example {dataset[int(noisy[0])].id} already carries label noise; "
+            "injectors require clean input"
+        )
 
 
 def _apply_flips(
-    dataset: Dataset,
-    new_labels: dict[int, int],
-    noise_type: str,
-    ratio: float,
-    seed: int,
+    dataset: Dataset, new: np.ndarray, noise_type: str, ratio: float, seed: int
 ) -> tuple[Dataset, CorruptionManifest]:
-    """Rewrite observed labels and build the manifest."""
-    num_classes = dataset.num_classes
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    flips: list[tuple[int, int, int]] = []
-    examples: list[Example] = []
-    for ex in dataset:
-        old = ex.observed_label
-        new = new_labels.get(ex.id, old)
-        if new != old:
-            counts[old, new] += 1
-            flips.append((ex.id, old, new))
-        examples.append(replace(ex, observed_label=new, true_label=old))
-    flips.sort()
-    manifest = CorruptionManifest(
-        noise_type=noise_type,
-        ratio=float(ratio),
-        seed=int(seed),
-        flip_counts=counts,
-        flips=tuple(flips),
+    """Give position i of ``dataset`` the observed label ``new[i]`` and build
+    the manifest of the positions that moved."""
+    old = dataset.observed_labels()
+    moved = np.flatnonzero(new != old)
+    counts = np.zeros((dataset.num_classes,) * 2, dtype=np.int64)
+    np.add.at(counts, (old[moved], new[moved]), 1)
+    ids = [dataset[i].id for i in moved.tolist()]
+    flips = sorted(zip(ids, old[moved].tolist(), new[moved].tolist()))
+    examples = tuple(
+        replace(ex, observed_label=label, true_label=ex.observed_label)
+        for ex, label in zip(dataset, new.tolist())
     )
-    return Dataset(tuple(examples), num_classes, dataset.name), manifest
+    manifest = CorruptionManifest(noise_type, float(ratio), int(seed), counts, tuple(flips))
+    return Dataset(examples, dataset.num_classes, dataset.name), manifest
 
 
 def inject_uniform(
@@ -138,16 +128,12 @@ def inject_uniform(
 ) -> tuple[Dataset, CorruptionManifest]:
     """Flip round(ratio * N) labels, each to a uniformly random other class."""
     _check_inputs(dataset, ratio, seed)
-    n = len(dataset)
-    num_flips = round_half_up(ratio * n)
+    new, n = dataset.observed_labels(), len(dataset)
     rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(n, size=num_flips, replace=False))
-    new_labels: dict[int, int] = {}
-    for pos in positions:
-        ex = dataset[int(pos)]
-        draw = int(rng.integers(0, dataset.num_classes - 1))
-        new_labels[ex.id] = draw + 1 if draw >= ex.observed_label else draw
-    return _apply_flips(dataset, new_labels, "uniform", ratio, seed)
+    positions = np.sort(rng.choice(n, size=round_half_up(ratio * n), replace=False))
+    draws = rng.integers(0, dataset.num_classes - 1, size=positions.size)
+    new[positions] = draws + (draws >= new[positions])
+    return _apply_flips(dataset, new, "uniform", ratio, seed)
 
 
 def inject_asymmetric(
@@ -163,17 +149,13 @@ def inject_asymmetric(
     if len(transition.targets) != dataset.num_classes:
         raise ValueError("transition map size does not match the class count")
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for ex in dataset:
-        by_class.setdefault(ex.observed_label, []).append(ex.id)
-    new_labels: dict[int, int] = {}
-    for c in sorted(by_class):
-        members = by_class[c]
-        k = round_half_up(ratio * len(members))
-        picked = rng.choice(len(members), size=k, replace=False)
-        for i in picked:
-            new_labels[members[int(i)]] = transition(c)
-    return _apply_flips(dataset, new_labels, "asymmetric", ratio, seed)
+    labels = dataset.observed_labels()
+    new = labels.copy()
+    for c in np.unique(labels).tolist():
+        members = np.flatnonzero(labels == c)
+        k = round_half_up(ratio * members.size)
+        new[members[rng.choice(members.size, size=k, replace=False)]] = transition(c)
+    return _apply_flips(dataset, new, "asymmetric", ratio, seed)
 
 
 def inject_instance_dependent(
@@ -229,10 +211,10 @@ def inject_instance_dependent(
     masked[rows, labels] = -np.inf
     runner_up = np.argmax(masked, axis=1)
     margins = p[rows, labels] - p[rows, runner_up]
-    order = np.lexsort((ids, margins))
-    chosen = order[:num_flips]
-    new_labels = {int(ids[i]): int(runner_up[i]) for i in chosen}
-    return _apply_flips(dataset, new_labels, "instance_dependent", ratio, seed)
+    chosen = np.lexsort((ids, margins))[:num_flips]
+    new = labels.copy()
+    new[chosen] = runner_up[chosen]
+    return _apply_flips(dataset, new, "instance_dependent", ratio, seed)
 
 
 def canonical_noise_type(noise_type: str) -> str:

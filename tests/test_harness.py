@@ -1366,20 +1366,43 @@ def test_cli_analyze_losses_refuses_to_overwrite_its_inputs(
         ["run", "--config", "{file}/exp.cfg"],
         ["analyze-losses", "--model", "{dir}", "--data", "{data}", "--out", "{out}"],
         ["analyze-losses", "--model", "{model}", "--data", "{dir}", "--out", "{out}"],
+        ["run", "--config", "{cfg}"],
+        ["make-corpus", "--out", "{file}", "--train", "8", "--test", "4"],
+        ["inject-noise", "--in", "{clean}", "--out", "{file}", "--type", "uniform",
+         "--ratio", "0.2", "--seed", "1"],
     ],
 )
-def test_cli_a_directory_where_a_file_is_expected_exits_1(finished_run, tmp_path, capsys, argv):
+def test_cli_a_directory_where_a_file_is_expected_exits_1(
+    corpus_dir, finished_run, tmp_path, capsys, argv
+):
     _, out, _ = finished_run
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    (tmp_path / "exp.cfg").write_text(config_text(corpus_dir, tmp_path / "file"), encoding="utf-8")
     paths = {
         "dir": tmp_path / "dir", "file": tmp_path / "file", "out": tmp_path / "h.csv",
         "model": out / "baseline" / "model.smx", "data": out / "corrupted_train.csv",
+        "cfg": tmp_path / "exp.cfg", "clean": corpus_dir / "train.csv",
     }
     assert cli.main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "directory" in err
     assert not (tmp_path / "h.csv").exists()
+
+
+def test_cli_analyze_losses_refuses_a_directory_as_out_before_reading_the_model(
+    finished_run, tmp_path, capsys
+):
+    _, out, _ = finished_run
+    (tmp_path / "outdir").mkdir()
+    assert cli.main([
+        "analyze-losses", "--model", str(tmp_path / "missing.smx"),
+        "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "outdir"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'outdir'}: is a directory")
+    assert "missing.smx" not in err and ".tmp" not in err
+    assert list((tmp_path / "outdir").iterdir()) == []
 
 
 def test_atomic_open_names_the_target_when_its_directory_is_missing(tmp_path):

@@ -26,7 +26,7 @@ from selfmix.noise import (
     load_manifest,
     save_manifest,
 )
-from selfmix.synthetic import make_labeled_pool
+from selfmix.synthetic import make_corpus, make_labeled_pool
 
 
 def toy_dataset(labels, num_classes):
@@ -119,6 +119,20 @@ def test_asymmetric_transition_size_mismatch():
     ds = toy_dataset([0, 1], 2)
     with pytest.raises(ValueError, match="transition map size"):
         inject_asymmetric(ds, 0.1, seed=0, transition=TransitionMap((1, 2, 0)))
+
+
+def test_uniform_and_asymmetric_flips_are_pinned():
+    """The exact flips of a fixed corpus and seed: a change to either
+    injector's draw order fails here."""
+    train, _ = make_corpus(40, 8, 4, seed=0)
+    assert inject_uniform(train, 0.25, seed=3)[1].flips == (
+        (1, 1, 0), (2, 2, 1), (3, 3, 1), (5, 1, 3), (6, 2, 1),
+        (8, 0, 2), (22, 2, 1), (25, 1, 2), (28, 0, 2), (32, 0, 1),
+    )
+    assert inject_asymmetric(train, 0.25, seed=3)[1].flips == (
+        (0, 0, 1), (4, 0, 1), (7, 3, 0), (10, 2, 3), (14, 2, 3), (21, 1, 2),
+        (24, 0, 1), (25, 1, 2), (26, 2, 3), (27, 3, 0), (29, 1, 2), (31, 3, 0),
+    )
 
 
 def test_zero_ratio_populates_oracle_without_flips():
