@@ -77,7 +77,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
     corrupted_path, manifest_path = out / "corrupted.csv", out / "manifest.csv"
     outputs = {located(corrupted_path), located(manifest_path)}
     for flag, path in (("--in", args.in_path), ("--transition", args.transition)):
-        if path is not None and located(path) in outputs:
+        if path is not None and outputs.intersection((located(path), Path(path).resolve())):
             raise ValueError(f"{flag}: {path} is a file inject-noise writes under --out {out}")
     dataset = load_csv(args.in_path)
     transition = None

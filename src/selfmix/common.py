@@ -1,12 +1,15 @@
-"""Shared plumbing: error types, seed derivation, rounding, paths, atomic writes."""
+"""Shared plumbing: error types, seed derivation, rounding, paths, atomic writes,
+and the one CSV writer."""
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
 import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
 
 class NumericError(ArithmeticError):
@@ -54,3 +57,23 @@ def atomic_open(path: str | Path, mode: str = "w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(
+    path: str | Path,
+    rows: Iterable[Iterable[object]],
+    *,
+    head: Iterable[str] = (),
+    tail: Iterable[str] = (),
+) -> None:
+    """Write ``rows`` as RFC-4180 CSV, one line each, atomically through
+    :func:`atomic_open`, after the ``# ``-prefixed comment lines ``head``
+    and before those of ``tail``. This is the one CSV writer: corpora,
+    manifests, histograms and the epoch and step tables all go through it.
+    Cells are Python ints, floats and strs; a NumPy scalar can print
+    otherwise than the Python number it equals, so convert arrays with
+    ``.tolist()``."""
+    with atomic_open(path) as fh:
+        fh.writelines(f"# {line}\n" for line in head)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+        fh.writelines(f"# {line}\n" for line in tail)

@@ -487,7 +487,7 @@ class _Run:
 
     PROGRESS = (
         "params", "opt", "global_step", "step_acc", "warnings",
-        "loss_snapshots", "per_epoch", "_losses",
+        "loss_snapshots", "per_epoch",
     )
 
     def __init__(
@@ -533,14 +533,6 @@ class _Run:
         self.warnings: list[str] = []
         self.loss_snapshots: list[np.ndarray] = []
         self.per_epoch: list[EpochStats] = []
-        self._losses: tuple[int, np.ndarray] | None = None
-
-    def losses(self) -> np.ndarray:
-        """Per-sample losses at the current parameters, computed once per step."""
-        if self._losses is None or self._losses[0] != self.global_step:
-            losses = per_sample_losses(self.params, self.train, self.features)
-            self._losses = (self.global_step, losses)
-        return self._losses[1]
 
     def test_accuracy(self) -> float:
         return accuracy(self.params, self.test_features, self.test_labels)
@@ -583,7 +575,12 @@ class _Run:
         dropout off, so label guesses track the parameters as they move.
         """
         cfg = self.cfg
-        losses = self.losses()
+        # the parameters have not moved since the last epoch's closing snapshot;
+        # only an adaptive first epoch, with no warm-up before it, has none
+        if self.loss_snapshots:
+            losses = self.loss_snapshots[-1]
+        else:
+            losses = per_sample_losses(self.params, self.train, self.features)
         if cfg.class_regularize:
             losses = class_regularize(losses, self.labels, self.train.num_classes)
         split = select_split(losses, cfg.tau)
@@ -647,7 +644,7 @@ class _Run:
                 split, means = None, self.ce_epoch(epoch, warmup_limits[epoch])
             else:
                 split, means = self.selfmix_epoch(epoch)
-            self.loss_snapshots.append(self.losses())
+            self.loss_snapshots.append(per_sample_losses(self.params, self.train, self.features))
             self.per_epoch.append(self.stats_for(means, split))
 
     def finish(self) -> TrainReport:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import atomic_open
+from .common import write_csv
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,12 @@ def load_csv(
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write the corpus CSV; the oracle column appears iff any example has one."""
-    with_oracle = dataset.has_oracle()
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER_ORACLE if with_oracle else _HEADER_PLAIN)
-        for ex in dataset.examples:
-            if with_oracle:
-                true = ex.true_label if ex.true_label is not None else ex.observed_label
-                writer.writerow([ex.observed_label, ex.text, true])
-            else:
-                writer.writerow([ex.observed_label, ex.text])
+    if not dataset.has_oracle():
+        rows = [_HEADER_PLAIN] + [[ex.observed_label, ex.text] for ex in dataset]
+    else:
+        rows = [_HEADER_ORACLE] + [
+            [ex.observed_label, ex.text,
+             ex.observed_label if ex.true_label is None else ex.true_label]
+            for ex in dataset
+        ]
+    write_csv(path, rows)

@@ -48,7 +48,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .common import atomic_open, located, subseed
+from .common import atomic_open, located, subseed, write_csv
 from .core import (
     ModelConfig,
     SelfMixConfig,
@@ -314,15 +314,11 @@ def emit_loss_histogram(
     edges = np.linspace(lo, hi, bins + 1)
     clean_counts, _ = np.histogram(losses[~noisy_mask], bins=edges)
     noisy_counts, _ = np.histogram(losses[noisy_mask], bins=edges)
-    with atomic_open(path) as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("bin_left,bin_right,clean_count,noisy_count\n")
-        for b in range(bins):
-            fh.write(
-                f"{float(edges[b])!r},{float(edges[b + 1])!r},"
-                f"{int(clean_counts[b])},{int(noisy_counts[b])}\n"
-            )
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), clean_counts.tolist(),
+               noisy_counts.tolist())
+    write_csv(
+        path, [["bin_left", "bin_right", "clean_count", "noisy_count"], *rows], head=header_lines
+    )
     return edges, clean_counts, noisy_counts
 
 
@@ -347,14 +343,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv_with_echo(path: Path, echo: list[str], rows: Iterable[list]) -> None:
-    with atomic_open(path) as fh:
-        for line in echo:
-            fh.write(f"# {line}\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
-
-
 def _require_examples(dataset: Dataset, label: str, path: str | Path) -> None:
     if not len(dataset):
         raise ValueError(f"{label}: {path} holds no examples")
@@ -362,7 +350,8 @@ def _require_examples(dataset: Dataset, label: str, path: str | Path) -> None:
 
 def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMap | None]:
     """Everything that must succeed before any output is created, including
-    that no input is one of ``_RUN_OUTPUTS`` or lies inside one of them."""
+    that no input, as spelled or through a symlink, is one of ``_RUN_OUTPUTS``
+    or lies inside one of them."""
     if not cfg.train_path:
         raise ValueError("data.train is required")
     if not cfg.test_path:
@@ -377,7 +366,8 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
     for label, path in paths.items():
         if path is None:
             continue
-        if outputs.intersection([located(path), *located(path).parents]):
+        spellings = (located(path), Path(path).resolve())
+        if outputs.intersection(p for s in spellings for p in (s, *s.parents)):
             raise ValueError(
                 f"{label}: {path} is a run output under run.output_dir = "
                 f"{cfg.output_dir}, which a run removes first"
@@ -488,12 +478,9 @@ def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
                     arm_dir / "report.json",
                     {"config": cfg.echo_dict(), **report.as_dict(), "warnings": report.warnings},
                 )
-                _write_csv_with_echo(arm_dir / "epochs.csv", echo, report.csv_rows())
-                _write_csv_with_echo(
-                    arm_dir / "steps.csv",
-                    echo,
-                    [["step", "test_acc"]] + [[s, a] for s, a in report.step_acc],
-                )
+                write_csv(arm_dir / "epochs.csv", report.csv_rows(), head=echo)
+                steps = [["step", "test_acc"], *report.step_acc]
+                write_csv(arm_dir / "steps.csv", steps, head=echo)
                 assert report.final_params is not None
                 save_checkpoint(report.final_params, arm_dir / "model.smx")
                 for e, losses in enumerate(report.per_epoch_losses):
@@ -536,9 +523,9 @@ def analyze_losses(
     """Histogram a trained model's per-sample losses over a corpus.
 
     ``bins``, the directory of ``out_path`` and an ``out_path`` that is a
-    directory or names the model or the corpus are checked before either is
-    read, and a corpus without examples is refused before anything is
-    written.
+    directory or names the model or the corpus (or a symlink's target) are
+    checked before either is read, and a corpus without examples is refused
+    before anything is written.
     """
     from .encoder import load_checkpoint
 
@@ -549,7 +536,7 @@ def analyze_losses(
     if Path(out_path).is_dir():
         raise ValueError(f"{out_path}: is a directory, not a histogram file")
     for what, path in (("model", model_path), ("data", data_path)):
-        if located(out_path) == located(path):
+        if located(out_path) in (located(path), Path(path).resolve()):
             raise ValueError(f"{out_path}: the histogram would overwrite the {what} file {path}")
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)

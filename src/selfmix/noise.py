@@ -17,17 +17,16 @@ one int array: each position's new observed label, differing from the old
 one at an exact number of positions (fraction rounded half-up).
 ``_apply_flips`` alone turns that array into the corrupted dataset, with
 ``true_label`` recording the ground truth, and a manifest of what happened.
-Manifests round-trip through a small CSV sidecar format.
+``save_manifest`` writes a manifest as a small CSV sidecar.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .common import atomic_open, round_half_up, subseed
+from .common import round_half_up, subseed, write_csv
 from .core import warmup
 from .data import Dataset, stratified_subsample
 from .encoder import (
@@ -260,66 +259,10 @@ def save_manifest(manifest: CorruptionManifest, path: str | Path) -> None:
     new_label`` CSV of flips in ascending id order; then one
     ``# counts,<old>,<new>,<count>`` comment per nonzero matrix cell.
     """
-    with atomic_open(path) as fh:
-        fh.write(f"# {manifest.noise_type},{manifest.ratio!r},{manifest.seed}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "old_label", "new_label"])
-        for flip in manifest.flips:
-            writer.writerow(list(flip))
-        c = manifest.flip_counts
-        for old in range(c.shape[0]):
-            for new in range(c.shape[1]):
-                if c[old, new]:
-                    fh.write(f"# counts,{old},{new},{int(c[old, new])}\n")
-
-
-def load_manifest(path: str | Path, num_classes: int | None = None) -> CorruptionManifest:
-    """Read a sidecar back; verifies the count comments against the rows."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError(f"{path}: missing metadata line")
-    meta = lines[0][2:].split(",")
-    if len(meta) != 3:
-        raise ValueError(f"{path}: malformed metadata line {lines[0]!r}")
-    noise_type, ratio, seed = meta[0], float(meta[1]), int(meta[2])
-    if noise_type not in NOISE_TYPES:
-        raise ValueError(f"{path}: unknown noise type {noise_type!r}")
-
-    flips: list[tuple[int, int, int]] = []
-    recorded_counts: dict[tuple[int, int], int] = {}
-    body = lines[1:]
-    if not body or body[0] != "id,old_label,new_label":
-        raise ValueError(f"{path}: missing flip table header")
-    for line in body[1:]:
-        if line.startswith("# counts,"):
-            old, new, count = (int(v) for v in line[len("# counts,") :].split(","))
-            recorded_counts[(old, new)] = count
-        elif line:
-            id_, old, new = (int(v) for v in line.split(","))
-            flips.append((id_, old, new))
-
-    max_label = max(
-        [old for _, old, _ in flips]
-        + [new for _, _, new in flips]
-        + [c for pair in recorded_counts for c in pair]
-        + [0]
-    )
-    size = num_classes if num_classes is not None else max_label + 1
-    if max_label >= size:
-        raise ValueError(f"{path}: label {max_label} out of range for {size} classes")
-    counts = np.zeros((size, size), dtype=np.int64)
-    for _, old, new in flips:
-        counts[old, new] += 1
-    for (old, new), count in recorded_counts.items():
-        if counts[old, new] != count:
-            raise ValueError(
-                f"{path}: count comment for ({old},{new}) disagrees with flip rows"
-            )
-    return CorruptionManifest(
-        noise_type=noise_type,
-        ratio=ratio,
-        seed=seed,
-        flip_counts=counts,
-        flips=tuple(sorted(flips)),
+    c = manifest.flip_counts
+    write_csv(
+        path,
+        [["id", "old_label", "new_label"], *manifest.flips],
+        head=[f"{manifest.noise_type},{manifest.ratio!r},{manifest.seed}"],
+        tail=[f"counts,{old},{new},{c[old, new]}" for old, new in zip(*np.nonzero(c))],
     )

@@ -933,8 +933,8 @@ def test_non_finite_guess_names_epoch_and_batch():
     corrupted, _ = inject_uniform(tagged, 0.2, seed=1)
     cfg = SelfMixConfig(total_epochs=2, warmup_epochs=1, batch_size=16, seed=5)
     run = core._Run(corrupted, test, TINY_MODEL, cfg, eval_every=50)
-    run.ce_epoch(0)
-    split = select_split(run.losses(), cfg.tau)  # the epoch reuses these cached losses
+    run.run_epochs([None], 1)
+    split = select_split(run.loss_snapshots[-1], cfg.tau)  # the adaptive epoch selects on these
     target = int(np.flatnonzero(~split.labeled)[0])
     others = run.features.take(np.delete(np.arange(len(corrupted)), target)).indices
     own = np.setdiff1d(run.features.take([target]).indices, others)

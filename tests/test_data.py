@@ -239,6 +239,29 @@ def test_csv_round_trip_oracle(tmp_path):
     assert loaded.noisy_mask().tolist() == [False, True, False]
 
 
+def test_csv_bytes_of_a_mixed_oracle_corpus(tmp_path):
+    """The exact bytes of a corpus in which only some examples carry a true
+    label (the others repeat their observed one) and whose texts need
+    quoting, or look like comments, or are not ASCII."""
+    texts = ["plain", "a,comma", 'a "quote"', "new\nline", "tab\there", "non-ascii é漢字",
+             "# leading hash", " spaced ", "\r\ncrlf"]
+    ds = make_dataset([0, 1, 2, 0, 1, 2, 0, 1, 2], 3, texts=texts,
+                      true_labels=[1, None, 0, None, 2, None, 1, None, 0])
+    save_csv(ds, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == (
+        "label,text,true_label\n"
+        "0,plain,1\n"
+        '1,"a,comma",1\n'
+        '2,"a ""quote""",0\n'
+        '0,"new\nline",0\n'
+        "1,tab\there,2\n"
+        "2,non-ascii é漢字,2\n"
+        "0,# leading hash,1\n"
+        "1, spaced ,1\n"
+        '2,"\r\ncrlf",0\n'
+    ).encode("utf-8")
+
+
 def test_csv_infers_class_count(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("label,text\n0,a\n3,b\n", encoding="utf-8")

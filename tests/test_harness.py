@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import N_CASES, mask_of
-from selfmix.common import NumericError, atomic_open, round_half_up, subseed
+from selfmix.common import NumericError, atomic_open, round_half_up, subseed, write_csv
 from selfmix.core import REPORT_CSV_FIELDS, ModelConfig, SelfMixConfig, selection_prf
 from selfmix.data import Dataset, Example, load_csv, save_csv
 from selfmix.encoder import init_params, load_checkpoint
@@ -30,12 +30,7 @@ from selfmix.harness import (
     load_transition,
     run_experiment,
 )
-from selfmix.noise import (
-    NOISE_TYPE_ALIASES,
-    NOISE_TYPES,
-    CorruptionManifest,
-    load_manifest,
-)
+from selfmix.noise import NOISE_TYPE_ALIASES, NOISE_TYPES, CorruptionManifest
 from selfmix.synthetic import make_corpus
 from selfmix import cli, core, encoder, harness
 
@@ -65,6 +60,12 @@ def one_class_dir(tmp_path_factory):
         examples = tuple(Example(i, ex.text, 0) for i, ex in enumerate(kept))
         save_csv(Dataset(examples, 1), root / name)
     return root
+
+
+def manifest_flip_ids(path: Path) -> list[int]:
+    """The ids of a noise manifest's flip rows, in file order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [int(line.split(",")[0]) for line in lines[2:] if not line.startswith("#")]
 
 
 def config_text(corpus_dir: Path, out_dir: Path, **overrides) -> str:
@@ -513,6 +514,35 @@ def test_histogram_csv_layout(tmp_path):
         assert int(c) == clean[b] and int(k) == noisy[b]
 
 
+@pytest.mark.parametrize(
+    ("losses", "noisy", "bins", "header", "expected"),
+    [
+        (
+            [0.25] * 5, [1, 0, 0, 1, 0], 3, ["x = 1", "y"],
+            "# x = 1\n# y\nbin_left,bin_right,clean_count,noisy_count\n"
+            "0.25,0.5833333333333333,3,2\n"
+            "0.5833333333333333,0.9166666666666666,0,0\n"
+            "0.9166666666666666,1.25,0,0\n",
+        ),
+        (
+            [0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e300], [0, 1, 0, 1, 1], 4, [],
+            "bin_left,bin_right,clean_count,noisy_count\n"
+            "0.0,4.4942328371557893e+307,2,2\n"
+            "4.4942328371557893e+307,8.988465674311579e+307,0,0\n"
+            "8.988465674311579e+307,1.3482698511467367e+308,0,0\n"
+            "1.3482698511467367e+308,1.7976931348623157e+308,0,1\n",
+        ),
+    ],
+    ids=["constant", "extreme"],
+)
+def test_histogram_bytes(tmp_path, losses, noisy, bins, header, expected):
+    """The exact bytes of a histogram of constant losses, whose range widens
+    to one unit, and of losses spanning subnormals to the largest double."""
+    path = tmp_path / "h.csv"
+    emit_loss_histogram(np.array(losses), np.array(noisy, bool), bins, path, header_lines=header)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_histogram_error_paths(tmp_path):
     path = tmp_path / "h.csv"
     with pytest.raises(ValueError, match="same shape"):
@@ -572,9 +602,8 @@ def test_run_artifact_details(finished_run):
     assert (out / "config_echo.txt").read_text(encoding="utf-8") == "\n".join(echo) + "\n"
 
     corrupted = load_csv(out / "corrupted_train.csv")
-    manifest = load_manifest(out / "noise_manifest.csv")
     assert corrupted.has_oracle()
-    flipped = [i for i, _, _ in manifest.flips]
+    flipped = manifest_flip_ids(out / "noise_manifest.csv")
     assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
     assert len(flipped) == 12
 
@@ -605,6 +634,34 @@ def test_run_artifact_details(finished_run):
                 int(row.split(",")[2]) + int(row.split(",")[3]) for row in body
             )
             assert total == 60
+
+
+def test_epoch_and_step_table_bytes(corpus_dir, tmp_path, monkeypatch):
+    """The exact bytes of an arm's epochs.csv and steps.csv: the config echo
+    as comments, then the rows, with each float at its shortest repr."""
+    per_epoch = [
+        core.EpochStats(0.854, 0.0, 0.0, 0.0, 1.3456662079910722, 0.0, 0.0, 60),
+        core.EpochStats(1 / 3, 0.5, 0.25, 1e-05, 0.1 + 0.2, 2.5e16, 7.0, 48),
+    ]
+    report = core.TrainReport(
+        2, 0.854, 1 / 3, per_epoch, step_acc=[(4, 0.5), (8, 0.1 + 0.2)],
+        final_params=init_params(1024, 8, 2, 0.0, seed=0),
+    )
+    monkeypatch.setattr(harness, "train_baseline", lambda *args, **kwargs: report)
+    cfg = ExperimentConfig.from_text(
+        config_text(corpus_dir, tmp_path / "out", **{"noise.type": "none", "noise.ratio": "0.0"})
+    )
+    run_experiment(cfg, arms=("baseline",))
+    echo = "".join(f"# {line}\n" for line in cfg.echo_lines())
+    epochs = (
+        "epoch,test_acc,sel_precision,sel_recall,sel_f1,l_mix,l_p,l_r,labeled_count\n"
+        "0,0.854,0.0,0.0,0.0,1.3456662079910722,0.0,0.0,60\n"
+        "1,0.3333333333333333,0.5,0.25,1e-05,0.30000000000000004,2.5e+16,7.0,48\n"
+    )
+    steps = "step,test_acc\n4,0.5\n8,0.30000000000000004\n"
+    arm = tmp_path / "out" / "baseline"
+    assert (arm / "epochs.csv").read_bytes() == (echo + epochs).encode("utf-8")
+    assert (arm / "steps.csv").read_bytes() == (echo + steps).encode("utf-8")
 
 
 def _tree_digest(root: Path) -> dict[str, str]:
@@ -866,7 +923,7 @@ def test_run_refuses_to_reinject_corrupted_data(finished_run, corpus_dir, tmp_pa
 
 def test_failed_artifact_write_keeps_the_previous_file_and_leaves_no_temporary(tmp_path):
     path = tmp_path / "epochs.csv"
-    harness._write_csv_with_echo(path, ["run.seed = 1"], [["epoch", "test_acc"], [0, 0.5]])
+    write_csv(path, [["epoch", "test_acc"], [0, 0.5]], head=["run.seed = 1"])
     before = path.read_bytes()
 
     def rows_then_disk_full():
@@ -874,10 +931,10 @@ def test_failed_artifact_write_keeps_the_previous_file_and_leaves_no_temporary(t
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        harness._write_csv_with_echo(path, ["run.seed = 2"], rows_then_disk_full())
+        write_csv(path, rows_then_disk_full(), head=["run.seed = 2"])
     assert path.read_bytes() == before
     with pytest.raises(OSError, match="disk full"):
-        harness._write_csv_with_echo(tmp_path / "fresh.csv", [], rows_then_disk_full())
+        write_csv(tmp_path / "fresh.csv", rows_then_disk_full())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.csv"]
 
 
@@ -947,9 +1004,9 @@ def test_cli_make_corpus_and_inject(tmp_path, capsys):
     out_text = capsys.readouterr().out
     # 0.1 of each 15-document class, rounded half-up: 2 + 2 flips
     assert "flipped 4 of 30 labels" in out_text
-    manifest = load_manifest(noised / "manifest.csv")
-    assert manifest.noise_type == "asymmetric"  # alias resolved
-    flipped = [i for i, _, _ in manifest.flips]
+    metadata = (noised / "manifest.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert metadata.startswith("# asymmetric,")  # alias resolved
+    flipped = manifest_flip_ids(noised / "manifest.csv")
     assert len(flipped) == 4
     corrupted = load_csv(noised / "corrupted.csv")
     assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
@@ -1028,7 +1085,8 @@ def test_cli_inject_refuses_a_negative_seed_for_every_noise_type(tmp_path, capsy
 )
 def test_cli_inject_refuses_an_input_it_would_overwrite(tmp_path, capsys, flag, name):
     """An input that is one of the files inject-noise writes, however it is
-    spelled, exits 1 before anything is read or written."""
+    spelled and also through a symlink, exits 1 before anything is read or
+    written."""
     train, _ = make_corpus(40, 10, 2, seed=1)
     out = tmp_path / "d"
     out.mkdir()
@@ -1037,17 +1095,20 @@ def test_cli_inject_refuses_an_input_it_would_overwrite(tmp_path, capsys, flag, 
     target = out / name
     if flag == "--in":
         shutil.copy(clean, target)
-        in_path, extra = target, []
     else:
         target.write_text("0,1\n1,0\n", encoding="utf-8")
-        in_path, extra = clean, ["--transition", str(target)]
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert cli.main([
-        "inject-noise", "--in", str(in_path), "--out", str(out / ".." / "d"),
-        "--type", "asym", "--ratio", "0.2", "--seed", "3", *extra,
-    ]) == 1
-    assert f"error: {flag}: {target} is a file inject-noise writes" in capsys.readouterr().err
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    for given in (target, link):
+        inputs = {"--in": clean, flag: given}
+        assert cli.main([
+            "inject-noise", "--in", str(inputs["--in"]), "--out", str(out / ".." / "d"),
+            "--type", "asym", "--ratio", "0.2", "--seed", "3",
+            *(["--transition", str(given)] if flag == "--transition" else []),
+        ]) == 1
+        assert f"error: {flag}: {given} is a file inject-noise writes" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_cli_argument_errors_exit_1(tmp_path, capsys):
@@ -1308,13 +1369,15 @@ def test_cli_analyze_losses_refuses_a_corpus_without_examples(finished_run, tmp_
         ("data.train", "corrupted_train.csv", {"noise.type": "none", "noise.ratio": "0.0"}),
         ("data.test", "hist/test.csv", {}),
         ("noise.transition", "selfmix/t.txt", {"noise.type": "asym"}),
+        ("data.train", "hist/train.csv", {}),
     ],
 )
 def test_cli_run_refuses_an_input_it_would_remove(
     corpus_dir, tmp_path, capsys, key, where, overrides
 ):
     """An input that is one of the run's outputs, or lies inside one of its
-    directories, exits 1 naming the key before anything is read or written."""
+    directories, exits 1 naming the key before anything is read or written,
+    whether the config names it or a symlink to it."""
     out = tmp_path / "out"
     path = out / where
     path.parent.mkdir(parents=True)
@@ -1323,19 +1386,22 @@ def test_cli_run_refuses_an_input_it_would_remove(
     else:
         shutil.copy(corpus_dir / ("train.csv" if key == "data.train" else "test.csv"), path)
     before = path.read_bytes()
+    link = tmp_path / "link"
+    link.symlink_to(path)
     cfg_path = tmp_path / "exp.cfg"
     # a run directory reached through another spelling of its parent is still itself
     spelled = tmp_path / "sub" / ".." / "out"
     (tmp_path / "sub").mkdir()
-    cfg_path.write_text(
-        config_text(corpus_dir, spelled, **{key: str(path), **overrides}), encoding="utf-8"
-    )
-    assert cli.main(["run", "--config", str(cfg_path)]) == 1
-    assert f"error: {key}: {path} is a run output" in capsys.readouterr().err
-    assert path.read_bytes() == before
-    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == sorted(
-        {where, where.split("/")[0]}
-    )
+    for given in (path, link):
+        cfg_path.write_text(
+            config_text(corpus_dir, spelled, **{key: str(given), **overrides}), encoding="utf-8"
+        )
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        assert f"error: {key}: {given} is a run output" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == sorted(
+            {where, where.split("/")[0]}
+        )
 
 
 @pytest.mark.parametrize("target", ["--model", "--data"])
@@ -1349,14 +1415,19 @@ def test_cli_analyze_losses_refuses_to_overwrite_its_inputs(
     before = {flag: path.read_bytes() for flag, path in inputs.items()}
     (tmp_path / "sub").mkdir()
     spelled = tmp_path / "sub" / ".." / inputs[target].name  # the same file, spelled otherwise
-    assert cli.main([
-        "analyze-losses", "--model", str(inputs["--model"]), "--data", str(inputs["--data"]),
-        "--out", str(spelled),
-    ]) == 1
-    err = capsys.readouterr().err
-    assert f"{spelled}: the histogram would overwrite" in err
-    assert str(inputs[target]) in err
-    assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
+    link = tmp_path / f"link-{inputs[target].name}"
+    link.symlink_to(inputs[target])
+    # the input as given with --out spelling it otherwise, and the input through a symlink
+    for given, out_path in ((inputs[target], spelled), (link, inputs[target])):
+        argv = {**inputs, target: given}
+        assert cli.main([
+            "analyze-losses", "--model", str(argv["--model"]), "--data", str(argv["--data"]),
+            "--out", str(out_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"{out_path}: the histogram would overwrite" in err
+        assert str(given) in err
+        assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
 
 
 @pytest.mark.parametrize(
