@@ -72,7 +72,13 @@ def write_csv(
     manifests, histograms and the epoch and step tables all go through it.
     Cells are Python ints, floats and strs; a NumPy scalar can print
     otherwise than the Python number it equals, so convert arrays with
-    ``.tolist()``."""
+    ``.tolist()``. A comment line holding a line break (anything
+    ``str.splitlines`` splits on) would end early, so it is refused with
+    ``ValueError`` before the file is opened."""
+    head, tail = list(head), list(tail)
+    for line in head + tail:
+        if line.splitlines() != line.splitlines(keepends=True):
+            raise ValueError(f"{path}: comment line {line!r} holds a line break")
     with atomic_open(path) as fh:
         fh.writelines(f"# {line}\n" for line in head)
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -746,14 +746,27 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
     bc1 = 1.0 - beta1 ** opt.step
     bc2 = 1.0 - beta2 ** opt.step
 
-    for name in TRAINED:
-        # the embedding's gradient covers the touched rows; a head's is dense
-        at, g = (rows, grads.emb_vals) if name == "embedding" else (..., getattr(grads, name))
-        m = beta1 * opt.m[name][at] + (1.0 - beta1) * g
-        v = beta2 * opt.v[name][at] + (1.0 - beta2) * np.square(g)
-        opt.m[name][at] = m
-        opt.v[name][at] = v
-        getattr(params, name)[at] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for name in ("w1", "b1", "w2", "b2"):
+        # A head's gradient is float64: its step reads the new moments
+        # unrounded, before they are stored in the state's dtype.
+        g = getattr(grads, name)
+        m = beta1 * opt.m[name] + (1.0 - beta1) * g
+        v = beta2 * opt.v[name] + (1.0 - beta2) * np.square(g)
+        opt.m[name][...] = m
+        opt.v[name][...] = v
+        getattr(params, name)[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    # The embedding's gradient covers the touched rows, in the table's dtype:
+    # their moments are gathered once and updated in place.
+    g = grads.emb_vals
+    m = opt.m["embedding"][rows]
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v = opt.v["embedding"][rows]
+    v *= beta2
+    v += (1.0 - beta2) * np.square(g)
+    opt.m["embedding"][rows] = m
+    opt.v["embedding"][rows] = v
+    params.embedding[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ one at an exact number of positions (fraction rounded half-up).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .common import round_half_up, subseed, write_csv
 from .core import warmup
-from .data import Dataset, stratified_subsample
+from .data import Dataset, Example, stratified_subsample
 from .encoder import (
     corpus_buckets,
     featurize_corpus,
@@ -115,7 +115,7 @@ def _apply_flips(
     ids = [dataset[i].id for i in moved.tolist()]
     flips = sorted(zip(ids, old[moved].tolist(), new[moved].tolist()))
     examples = tuple(
-        replace(ex, observed_label=label, true_label=ex.observed_label)
+        Example(ex.id, ex.text, label, ex.observed_label)
         for ex, label in zip(dataset, new.tolist())
     )
     manifest = CorruptionManifest(noise_type, float(ratio), int(seed), counts, tuple(flips))

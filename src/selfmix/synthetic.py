@@ -13,21 +13,52 @@ Generation is deterministic given the seed. Class assignment cycles
 (example i has true class i mod C) so corpora are exactly balanced whenever
 C divides the size. A pool smaller than C is refused, since it would lack
 classes its class count promises.
+
+A pool's draws are those of scalar calls on ``np.random.default_rng(seed)``
+in document order: per document ``integers(lo, hi + 1)`` for its length;
+per word ``random() < shared_fraction`` (skipped in an ambiguous document),
+then for a shared word ``random() < 0.5`` to pick the left pool and
+``integers(shared_vocab)``, else ``integers(class_vocab)``. They are decoded
+in one pass over the generator's raw PCG64 outputs, drawn in blocks through
+``bit_generator.random_raw``, the way NumPy consumes them: ``random()``
+takes one whole output, as ``(raw >> 11) * 2**-53``; ``integers(k)`` takes
+32-bit halves, the low half of a fresh output first and its high half at
+the next ``integers`` call, and keeps ``(half * k) >> 32`` by Lemire's
+rejection rule; ``integers(1)`` takes nothing. Corpora therefore depend on
+NumPy's PCG64 stream and on how its ``random`` and ``integers`` consume it:
+a NumPy release that changed either would change every corpus.
 """
 from __future__ import annotations
+
+import math
+import operator
+from itertools import chain
 
 import numpy as np
 
 from .common import round_half_up, subseed
 from .data import Dataset, Example
 
+_BLOCK = 4096  # raw outputs drawn per random_raw call
+_LOW32 = 0xFFFFFFFF
 
-def _class_word(c: int, j: int) -> str:
-    return f"c{c}w{j:03d}"
+
+class _Vocabulary(dict):
+    """Word j of one pool, ``{prefix}w{j:03d}``, formatted on first use."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, j: int) -> str:
+        word = self[j] = f"{self.prefix}w{j:03d}"
+        return word
 
 
-def _shared_word(pair: int, j: int) -> str:
-    return f"s{pair}w{j:03d}"
+def _raw_cut(fraction: float) -> int:
+    """The raw output below which ``random() < fraction``: ``random()`` is
+    ``(raw >> 11) * 2**-53``, and scaling by a power of two is exact."""
+    return math.ceil(fraction * 2**53) << 11
 
 
 def make_labeled_pool(
@@ -49,6 +80,9 @@ def make_labeled_pool(
     two ambiguity pools c shares with its neighbors. The first
     ``round(ambiguous_fraction * n)`` documents are fully ambiguous: every
     word comes from the shared pools, so no private word reveals the class.
+    The vocabulary sizes and ``doc_len`` bounds are integers; each
+    vocabulary size, and the number of lengths ``doc_len`` allows, must lie
+    in [1, 2**32).
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
@@ -60,27 +94,59 @@ def make_labeled_pool(
         raise ValueError("shared_fraction must lie in [0, 1]")
     if not 0.0 <= ambiguous_fraction <= 1.0:
         raise ValueError("ambiguous_fraction must lie in [0, 1]")
-    lo, hi = doc_len
+    # NumPy integers become Python ints: the decoder's products need 64 bits
+    class_vocab, shared_vocab, lo, hi = map(operator.index, (class_vocab, shared_vocab, *doc_len))
     if lo < 1 or hi < lo:
         raise ValueError("doc_len must satisfy 1 <= lo <= hi")
+    if hi - lo + 1 >= 2**32:
+        raise ValueError(f"doc_len allows {hi - lo + 1} lengths; at most 2**32 - 1 are supported")
+    for key, size in (("class_vocab", class_vocab), ("shared_vocab", shared_vocab)):
+        if not 1 <= size < 2**32:
+            raise ValueError(f"{key} must lie in [1, 2**32); got {size}")
 
-    rng = np.random.default_rng(seed)
+    # every raw 64-bit output in order, drawn a block at a time, without end
+    bitgen = np.random.default_rng(seed).bit_generator
+    next_raw = chain.from_iterable(iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None)).__next__
+    pending = -1  # the high half an earlier integers() call left, or -1
+
+    def integers(k: int) -> int:
+        """``Generator.integers(k)`` for 1 <= k < 2**32: PCG64's next_uint32
+        takes the low half of a fresh output and keeps the high half for
+        the next call, and Lemire's rule rejects the biased products."""
+        nonlocal pending
+        if k == 1:
+            return 0
+        floor = (2**32 - k) % k
+        while True:
+            if pending < 0:
+                raw = next_raw()
+                pending = raw >> 32
+                m = (raw & _LOW32) * k
+            else:
+                m = pending * k
+                pending = -1
+            if m & _LOW32 >= floor:
+                return m >> 32
+
+    # next_raw() < _raw_cut(f) is the draw random() < f
+    shared_cut, left_cut = _raw_cut(shared_fraction), _raw_cut(0.5)
+    private = [_Vocabulary(f"c{c}") for c in range(num_classes)]
+    shared = [_Vocabulary(f"s{pair}") for pair in range(num_classes)]
     num_ambiguous = round_half_up(ambiguous_fraction * n)
     examples = []
     for i in range(n):
         c = i % num_classes
-        length = int(rng.integers(lo, hi + 1))
+        # the two pools adjacent to class c: (c-1, c) and (c, c+1)
+        own, left, right = private[c], shared[(c - 1) % num_classes], shared[c]
         ambiguous = i < num_ambiguous
         words = []
-        for _ in range(length):
-            from_shared = ambiguous or rng.random() < shared_fraction
-            if from_shared:
-                # the two pools adjacent to class c: (c-1, c) and (c, c+1)
-                pair = (c - 1) % num_classes if rng.random() < 0.5 else c
-                words.append(_shared_word(pair, int(rng.integers(shared_vocab))))
+        for _ in range(lo + integers(hi - lo + 1)):
+            if ambiguous or next_raw() < shared_cut:
+                pool = left if next_raw() < left_cut else right
+                words.append(pool[integers(shared_vocab)])
             else:
-                words.append(_class_word(c, int(rng.integers(class_vocab))))
-        examples.append(Example(id=i, text=" ".join(words), observed_label=c))
+                words.append(own[integers(class_vocab)])
+        examples.append(Example(i, " ".join(words), c))
     dataset = Dataset(tuple(examples), num_classes, name)
     return dataset, frozenset(range(num_ambiguous))
 

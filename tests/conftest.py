@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from selfmix.data import Dataset
+from selfmix.common import round_half_up
+from selfmix.data import Dataset, Example
 from selfmix.encoder import (
     FeatureMatrix,
     Gradients,
@@ -119,6 +120,40 @@ def reference_fnv1a64(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def reference_labeled_pool(
+    n: int,
+    num_classes: int,
+    *,
+    class_vocab: int = 40,
+    shared_vocab: int = 40,
+    doc_len: tuple[int, int] = (8, 14),
+    shared_fraction: float = 0.3,
+    ambiguous_fraction: float = 0.0,
+    seed: int = 0,
+    name: str = "synthetic",
+) -> tuple[Dataset, frozenset[int]]:
+    """The reference ``make_labeled_pool``: one scalar ``Generator`` call per
+    draw, in the order the documents and their words are written."""
+    rng = np.random.default_rng(seed)
+    lo, hi = doc_len
+    num_ambiguous = round_half_up(ambiguous_fraction * n)
+    examples = []
+    for i in range(n):
+        c = i % num_classes
+        length = int(rng.integers(lo, hi + 1))
+        ambiguous = i < num_ambiguous
+        words = []
+        for _ in range(length):
+            from_shared = ambiguous or rng.random() < shared_fraction
+            if from_shared:
+                pair = (c - 1) % num_classes if rng.random() < 0.5 else c
+                words.append(f"s{pair}w{int(rng.integers(shared_vocab)):03d}")
+            else:
+                words.append(f"c{c}w{int(rng.integers(class_vocab)):03d}")
+        examples.append(Example(id=i, text=" ".join(words), observed_label=c))
+    return Dataset(tuple(examples), num_classes, name), frozenset(range(num_ambiguous))
 
 
 def reference_featurize(text: str, num_buckets: int) -> FeatureMatrix:

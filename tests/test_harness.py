@@ -938,6 +938,22 @@ def test_failed_artifact_write_keeps_the_previous_file_and_leaves_no_temporary(t
     assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.csv"]
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("where", ["head", "tail"])
+def test_write_csv_refuses_a_comment_line_with_a_line_break(tmp_path, brk, where):
+    """A comment holding any line break ``str.splitlines`` knows is refused
+    before the file is opened: an existing file keeps its bytes, a new one
+    is not created."""
+    path = tmp_path / "epochs.csv"
+    write_csv(path, [["epoch"], [0]], head=["run.seed = 1"])
+    before = path.read_bytes()
+    for target in (path, tmp_path / "fresh.csv"):
+        with pytest.raises(ValueError, match="holds a line break"):
+            write_csv(target, [["epoch"], [1]], **{where: ["ok", f"m{brk}x.smx"]})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.csv"]
+
+
 def test_analyze_losses_on_finished_run(finished_run, tmp_path):
     _, out, _ = finished_run
     hist_path = tmp_path / "losses.csv"
@@ -1349,6 +1365,20 @@ def test_cli_analyze_losses_checks_its_arguments_before_reading(
     assert message in err and ".tmp" not in err
     assert loads == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_analyze_losses_refuses_a_model_name_with_a_line_break(finished_run, tmp_path, capsys):
+    """The model path goes into a histogram comment line; a newline in it
+    would split that line, so the command exits 1 and writes nothing."""
+    _, out, _ = finished_run
+    model = tmp_path / "m\nx.smx"
+    shutil.copyfile(out / "baseline" / "model.smx", model)
+    assert cli.main([
+        "analyze-losses", "--model", str(model),
+        "--data", str(out / "corrupted_train.csv"), "--out", str(tmp_path / "h.csv"),
+    ]) == 1
+    assert "holds a line break" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m\nx.smx"]
 
 
 def test_cli_analyze_losses_refuses_a_corpus_without_examples(finished_run, tmp_path, capsys):
