@@ -120,6 +120,15 @@ def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(chosen))
 
 
+def _strict_rows(reader, path: Path):
+    """The rows of ``reader``, a ``csv.reader(..., strict=True)``; malformed
+    quoting raises ``ValueError`` naming the line the parser reached."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: malformed CSV: {exc}") from None
+
+
 _HEADER_PLAIN = ["label", "text"]
 _HEADER_ORACLE = ["label", "text", "true_label"]
 
@@ -127,7 +136,9 @@ _HEADER_ORACLE = ["label", "text", "true_label"]
 def load_csv(
     path: str | Path, num_classes: int | None = None, name: str | None = None
 ) -> Dataset:
-    """Read a corpus CSV (``label,text[,true_label]``; RFC-4180 quoting).
+    """Read a corpus CSV (``label,text[,true_label]``; RFC-4180 quoting,
+    parsed strictly: a quote still open at the end of the file, or text
+    after a closing quote, raises ``ValueError``).
 
     When ``num_classes`` is given, labels are checked against it while
     parsing; otherwise the class count is inferred as max label + 1. The
@@ -137,12 +148,13 @@ def load_csv(
     examples: list[Example] = []
     labels_seen: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        reader = csv.reader(fh, strict=True)
+        rows = _strict_rows(reader, path)
+        header = next(rows, None)
         if header not in (_HEADER_PLAIN, _HEADER_ORACLE):
             raise ValueError(f"{path}: unknown header {header!r}")
         has_true = header == _HEADER_ORACLE
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if len(row) != len(header):
                 raise ValueError(

@@ -34,7 +34,10 @@ rows. The head runs on one row per (term, dropout pass).
 
 A text's features are the fastText bag of its lowercased alphanumeric tokens
 and adjacent token pairs (Joulin et al., EACL 2017), hashed by 64-bit FNV-1a
-into ``num_buckets`` buckets (Weinberger et al., ICML 2009).
+into ``num_buckets`` buckets (Weinberger et al., ICML 2009). A token is a
+run of ``str.isalnum()`` code points: :func:`tokenize` lowercases the text,
+maps every other code point to a space with one ``str.translate``, and
+splits at whitespace.
 :func:`featurize_corpus` runs the hash on ``uint64`` arrays once per
 distinct word and once per distinct pair of a chunk of ``_FEATURIZE_CHUNK``
 texts; a pair continues its left word's state over the separator byte.
@@ -51,7 +54,9 @@ carry information. A model owns one row for each bucket its training
 corpus names, and no other. ``ModelParams.embedding`` holds an all-zero
 row 0, which nothing trains, then the owned rows in bucket order; ``slot``
 maps each bucket to the row it reads, so a bucket the model does not own
-reads row 0 and pools to zero. An owned row starts as N(0, 0.1^2) normals
+reads row 0 and pools to zero. :func:`encode` drops such entries before it
+gathers rows, so a text of mostly unseen n-grams costs only the buckets
+the model owns. An owned row starts as N(0, 0.1^2) normals
 from the counter hash below, keyed by (init seed, bucket, unit), so it does
 not depend on which other buckets the model owns. Adam updates owned rows
 in place, and a checkpoint stores them.
@@ -71,7 +76,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,7 +92,6 @@ _FNV_OFFSET = np.uint64(FNV_OFFSET)
 _FNV_PRIME = np.uint64(FNV_PRIME)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BIGRAM_SEP = np.uint64(0x1F)  # the byte between a bigram's two words
-_TOKEN = re.compile(r"[^\W_]+")  # a run of str.isalnum() code points
 _FEATURIZE_CHUNK = 512  # texts per featurization chunk; bounds peak memory
 # Rows _fnv_fold finishes one at a time. A NumPy column step costs 1.2-1.9 us
 # on a 2-vCPU host, the integer loop about 0.13 us per byte per row.
@@ -101,9 +104,10 @@ _OLD_MAGICS = (b"SMX1", b"SMX2", b"SMX3")  # earlier checkpoint formats, refused
 # init's peak memory at a small multiple of the table itself.
 _INIT_CHUNK = 1024
 # Documents per dropout-off forward pass of predict_logits. The pass gathers
-# one embedding row per feature of its documents; at 32-128 documents those
-# rows stay in cache. On a 2-vCPU host a 20,000-document pool of a 2^18-bucket
-# model scores in 0.18 s at 128, 0.20 s at 32 and 0.26-0.30 s at 256-1024.
+# one embedding row per owned feature of its documents; at 64-128 documents
+# those rows stay in cache. On a 2-vCPU host the benchmark's 20,000-document
+# pool of a 2^18-bucket model scores in 0.037 s at 128 (median of 9), 0.040 s
+# at 64, 0.048 s at 32 and 0.057-0.066 s at 256-1024.
 _EVAL_CHUNK = 128
 # Documents per dense bag matrix in backward. A block's products stay below
 # about 10^6 multiply-adds, which OpenBLAS runs on the calling thread; at 32
@@ -114,9 +118,23 @@ _EVAL_CHUNK = 128
 _BAG_BLOCK = 16
 
 
+class _Separators(dict):
+    """A ``str.translate`` table filled on first use: a code point maps to
+    itself when ``str.isalnum()`` and to a space otherwise."""
+
+    def __missing__(self, code: int) -> int:
+        self[code] = mapped = code if chr(code).isalnum() else 0x20
+        return mapped
+
+
+_SEPARATORS = _Separators()
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric code points."""
-    return _TOKEN.findall(text.lower())
+    """Lowercase and split on runs of non-alphanumeric code points: one
+    ``str.translate`` turns each of those into a space, and ``str.split``
+    cuts at the spaces (no alphanumeric code point is whitespace)."""
+    return text.lower().translate(_SEPARATORS).split()
 
 
 def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -342,19 +360,23 @@ def corpus_buckets(features: FeatureMatrix, num_buckets: int) -> np.ndarray:
 def encode(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     """Embedding-bag averages, one per row of ``features``: one gather plus
     one reduceat. Each bucket reads its row through ``params.slot``; an
-    empty row pools to the zero vector. Rows are weighted and summed in the
-    table's dtype; the averages are returned as float64.
+    entry whose bucket the model does not own would read the zero row 0, so
+    it is dropped before the gather, and a row with no owned bucket (an
+    empty row too) pools to the zero vector. Rows are weighted and summed
+    in the table's dtype; the averages are returned as float64.
     """
-    indices, sizes = features.indices, features.sizes()
+    indices = features.indices
     if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
         raise ValueError("feature index out of range for the embedding table")
     rows = params.slot[indices]
-    pooled = np.zeros((len(sizes), params.hidden))
-    if indices.size:
-        filled = sizes > 0
-        weighted = params.embedding[rows]
-        weighted *= features.weights.astype(weighted.dtype, copy=False)[:, None]
-        pooled[filled] = np.add.reduceat(weighted, features.indptr[:-1][filled], axis=0)
+    kept = np.flatnonzero(rows)
+    # bounds[i]: the kept entries before entry indptr[i]
+    bounds = np.searchsorted(kept, features.indptr)
+    filled = bounds[1:] > bounds[:-1]
+    weighted = params.embedding[rows[kept]]
+    weighted *= features.weights[kept].astype(weighted.dtype, copy=False)[:, None]
+    pooled = np.zeros((len(features), params.hidden))
+    pooled[filled] = np.add.reduceat(weighted, bounds[:-1][filled], axis=0)
     return pooled
 
 

@@ -296,6 +296,24 @@ def test_csv_field_count_mismatch(tmp_path):
         load_csv(path)
 
 
+# An unterminated quote that would swallow the rest of the file, and text
+# after a closing quote; a lenient parser reads them as "abc\n" and "abc".
+MALFORMED_CSV = [
+    ("label,text\n0,\"abc\n", "line 2: malformed CSV: unexpected end of data"),
+    ("label,text\n0,\"ab\"c\n", "line 2: malformed CSV: ',' expected after '\"'"),
+    ("label,text\n0,a\n1,\"x\n2,y\n", "line 4: malformed CSV: unexpected end of data"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CSV)
+def test_csv_malformed_quoting_is_refused_naming_its_line(tmp_path, text, message):
+    path = tmp_path / "c.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_csv_empty_corpus_needs_explicit_classes(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("label,text\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from conftest import (
     random_features,
     reference_featurize,
     reference_fnv1a64,
+    reference_tokenize,
     rows_of,
     small_params,
 )
@@ -76,6 +77,34 @@ def test_tokenize_pure_and_lossless_under_rejoin(text):
     assert all(ch.isalnum() for tok in tokens for ch in tok)
     # splitting is stable: re-tokenizing the joined tokens is the identity
     assert tokenize(" ".join(tokens)) == tokens
+
+
+# Any code point, lone surrogates included (``st.characters()`` leaves them out).
+_ANY_CODE_POINT = st.one_of(st.characters(), st.characters(categories=["Cs"]))
+
+
+@given(st.text(_ANY_CODE_POINT, max_size=80))
+def test_tokenize_matches_the_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("ΑΣ Σ", ["ας", "σ"]),  # final sigma: lowercasing reads the whole text
+        ("ΟΔΟΣ.ΣΑ", ["οδοσ", "σα"]),  # a cased letter after the full stop: no final sigma
+        ("İSTANBUL", ["i", "stanbul"]),  # lowers to i + U+0307, a combining mark
+        ("e\u0301te", ["e", "te"]),  # combining marks are not alphanumeric
+        ("x\u20dd\u0308y", ["x", "y"]),
+        ("\U0001d7d8\U0001d7d9 \U0001d7e0x", ["\U0001d7d8\U0001d7d9", "\U0001d7e0x"]),
+        ("\U00010400\U00010401", ["\U00010428\U00010429"]),  # non-BMP letters lower too
+        ("a\ud800b\udfffc", ["a", "b", "c"]),  # lone surrogates separate
+        ("a\u00b2b \u216b \ufb01", ["a\u00b2b", "\u217b", "\ufb01"]),
+        ("\U0001f600 x\x1fy\u3000z", ["x", "y", "z"]),
+    ],
+)
+def test_tokenize_case_and_plane_edges(text, tokens):
+    assert tokenize(text) == tokens == reference_tokenize(text)
 
 
 def test_fnv1a64_known_vectors():
@@ -202,10 +231,18 @@ def test_several_long_tokens_hash_as_the_reference(count):
 
 
 def test_token_pattern_matches_exactly_the_alphanumeric_code_points():
-    pattern = encoder._TOKEN
-    mismatches = [
-        c for c in range(0x110000) if chr(c).isalnum() != bool(pattern.fullmatch(chr(c)))
-    ]
+    """The tokenizer's translate table maps every code point to itself when
+    it is alphanumeric and to a space otherwise. The table fills on first
+    use, so the entries this check adds are removed again afterwards."""
+    table = encoder._SEPARATORS
+    before = dict(table)
+    try:
+        mismatches = [
+            c for c in range(0x110000) if table[c] != (c if chr(c).isalnum() else ord(" "))
+        ]
+    finally:
+        table.clear()
+        table.update(before)
     assert mismatches == []
 
 
@@ -346,24 +383,53 @@ def test_a_repeated_bucket_pools_and_trains_as_its_merged_bag():
 def test_a_multi_row_call_scores_each_row_as_its_one_row_call():
     """``encode`` and ``predict_proba`` on a matrix give, row for row, what
     one-row calls give, over several forward passes, a partial last pass
-    and empty rows. Pooled rows are bit-equal. A one-row head product runs
-    as a BLAS matrix-vector product, whose sums may round differently from
-    the matrix-matrix product of a multi-row pass, so probabilities agree
-    to within a few ulp."""
+    and empty rows, for a model that owns every bucket of the corpus and
+    for one that owns about half of them. Pooled rows are bit-equal. A
+    one-row head product runs as a BLAS matrix-vector product, whose sums
+    may round differently from the matrix-matrix product of a multi-row
+    pass, so probabilities agree to within a few ulp."""
     pool, _ = make_labeled_pool(2 * encoder._EVAL_CHUNK + 40, 4, class_vocab=60, seed=8)
     texts = [ex.text for ex in pool]
     texts[7::97] = ["", "solo", ""]
     features = featurize_corpus(texts, 2**12)
     assert len(features) % encoder._EVAL_CHUNK > 1
-    params = init_params(2**12, 16, 4, 0.3, seed=5, buckets=corpus_buckets(features, 2**12))
-    params.b1 += np.random.default_rng(5).normal(scale=0.05, size=params.b1.shape)
-    pooled, proba = encode(params, features), predict_proba(params, features)
-    assert pooled.shape == (len(texts), 16) and proba.shape == (len(texts), 4)
+    buckets = corpus_buckets(features, 2**12)
+    for owned in (buckets, buckets[::2]):
+        params = init_params(2**12, 16, 4, 0.3, seed=5, buckets=owned)
+        params.b1 += np.random.default_rng(5).normal(scale=0.05, size=params.b1.shape)
+        pooled, proba = encode(params, features), predict_proba(params, features)
+        assert pooled.shape == (len(texts), 16) and proba.shape == (len(texts), 4)
+        for i, row in enumerate(rows_of(features)):
+            assert encode(params, row).tobytes() == pooled[i : i + 1].tobytes()
+            np.testing.assert_allclose(predict_proba(params, row)[0], proba[i], rtol=0, atol=1e-15)
+        assert not pooled[7].any()
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=1e-15)
+
+
+def test_encode_skips_unowned_buckets_as_pooling_through_the_zero_row_would():
+    """A float32 model that owns about half of a corpus's buckets pools each
+    row as the float64 weighted sum of the rows its buckets read through
+    ``slot``, row 0 for an unowned bucket, to within the rounding error of
+    a float32 sum of its terms. A document
+    whose buckets are all unowned pools to exact zeros (no ``-0.0``), and
+    scores as the head on the zero vector."""
+    pool, _ = make_labeled_pool(300, 4, class_vocab=60, seed=3)
+    texts = [ex.text for ex in pool] + ["qqz0 qqz1 qqz2", ""]
+    features = featurize_corpus(texts, 2**12)
+    unowned = features.take([len(texts) - 2]).indices
+    buckets = np.setdiff1d(corpus_buckets(features, 2**12)[::2], unowned)
+    params = init_params(2**12, 16, 4, 0.0, seed=7, buckets=buckets, dtype=np.float32)
+    assert (params.slot[features.indices] == 0).mean() == pytest.approx(0.5, abs=0.1)
+    pooled = encode(params, features)
+    table = params.embedding.astype(np.float64)[params.slot]
     for i, row in enumerate(rows_of(features)):
-        assert encode(params, row).tobytes() == pooled[i : i + 1].tobytes()
-        np.testing.assert_allclose(predict_proba(params, row)[0], proba[i], rtol=0, atol=1e-15)
-    assert not pooled[7].any()
-    np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=1e-15)
+        terms = row.weights[:, None] * table[row.indices]
+        # rounding the weight, the product and each of the sum's additions
+        bound = (row.indices.size + 1) * np.finfo(np.float32).eps * np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(pooled[i] - terms.sum(axis=0)) <= bound)
+    assert pooled[-2:].tobytes() == np.zeros((2, 16)).tobytes()
+    zero = head_forward(params, np.zeros(16))
+    np.testing.assert_allclose(predict_logits(params, features)[-2:], [zero, zero], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

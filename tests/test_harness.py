@@ -1065,6 +1065,20 @@ def test_cli_inject_refuses_a_transition_for_other_noise_types(tmp_path, capsys)
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ['label,text\n0,"abc\n', 'label,text\n0,"ab"c\n'])
+def test_cli_inject_refuses_malformed_quoting_before_writing(tmp_path, capsys, text):
+    """Malformed quoting is a bad input (exit 1), not a runtime failure
+    (exit 2), and nothing is written."""
+    (tmp_path / "train.csv").write_bytes(text.encode("utf-8"))
+    out = tmp_path / "noised"
+    assert cli.main([
+        "inject-noise", "--in", str(tmp_path / "train.csv"), "--out", str(out),
+        "--type", "uniform", "--ratio", "0.1", "--seed", "3",
+    ]) == 1
+    assert "train.csv: line 2: malformed CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("noise_type", ["uniform", "asym", "idn"])
 def test_a_negative_noise_seed_is_refused_naming_its_line_before_writing(
     corpus_dir, tmp_path, capsys, noise_type
