@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .common import located
+from .common import refuse_overwrite
 from .data import load_csv, save_csv
 from .noise import NOISE_TYPE_ALIASES, NOISE_TYPES, inject, save_manifest
 from .synthetic import make_corpus
@@ -75,10 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_inject(args: argparse.Namespace) -> None:
     out = Path(args.out)
     corrupted_path, manifest_path = out / "corrupted.csv", out / "manifest.csv"
-    outputs = {located(corrupted_path), located(manifest_path)}
-    for flag, path in (("--in", args.in_path), ("--transition", args.transition)):
-        if path is not None and outputs.intersection((located(path), Path(path).resolve())):
-            raise ValueError(f"{flag}: {path} is a file inject-noise writes under --out {out}")
+    refuse_overwrite(
+        {"--in": args.in_path, "--transition": args.transition},
+        (corrupted_path, manifest_path),
+        f"{{label}}: {{path}} is a file inject-noise writes under --out {out}",
+    )
     dataset = load_csv(args.in_path)
     transition = None
     if args.transition is not None:

@@ -1,5 +1,5 @@
-"""Shared plumbing: error types, seed derivation, rounding, paths, atomic writes,
-and the one CSV writer."""
+"""Shared plumbing: error types, seed derivation, rounding, atomic writes, the
+one guard against overwriting an input, and the one CSV writer."""
 from __future__ import annotations
 
 import csv
@@ -9,7 +9,7 @@ import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class NumericError(ArithmeticError):
@@ -33,10 +33,9 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def located(path: str | Path) -> Path:
-    """``path`` with its directory resolved and its last component as given:
-    two spellings of one file compare equal without the file existing."""
-    return Path(path).parent.resolve() / Path(path).name
+def temp_path(path: str | Path) -> Path:
+    """The temporary file :func:`atomic_open` writes beside ``path``."""
+    return Path(f"{path}.tmp")
 
 
 @contextmanager
@@ -45,7 +44,7 @@ def atomic_open(path: str | Path, mode: str = "w"):
     so a write that fails part-way leaves an existing file untouched and no
     temporary file. Text is UTF-8, written without newline translation.
     A missing directory raises ``FileNotFoundError`` naming ``path``."""
-    tmp = Path(f"{path}.tmp")
+    tmp = temp_path(path)
     text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
     try:
         fh = open(tmp, mode, **text)
@@ -57,6 +56,34 @@ def atomic_open(path: str | Path, mode: str = "w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def refuse_overwrite(
+    inputs: Mapping[str, str | Path | None],
+    outputs: Iterable[str | Path],
+    message: str,
+) -> None:
+    """Raise ``ValueError`` for the first input, in ``inputs`` order, that a
+    command writing ``outputs`` would overwrite or remove: one that, as
+    spelled or through a symlink, is an output, lies inside an output
+    directory, or is the temporary file :func:`atomic_open` writes beside an
+    output. ``inputs`` maps a label (a flag or config key) to a path, or to
+    ``None`` for an input not given. The error is ``message`` with each
+    ``{label}`` and ``{path}`` filled in. No path needs to exist."""
+
+    def located(path: str | Path) -> Path:
+        # the directory resolved and the last component as given: two spellings
+        # of one file compare equal, and an output that is a symlink names the
+        # link that a write replaces, not its target
+        return Path(path).parent.resolve() / Path(path).name
+
+    taken = {located(p) for out in outputs for p in (out, temp_path(out))}
+    for label, path in inputs.items():
+        if path is None:
+            continue
+        spellings = (located(path), Path(path).resolve())
+        if taken.intersection(p for s in spellings for p in (s, *s.parents)):
+            raise ValueError(message.replace("{label}", label).replace("{path}", str(path)))
 
 
 def write_csv(

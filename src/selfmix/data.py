@@ -121,21 +121,24 @@ def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
 
 
 def _strict_rows(reader, path: Path):
-    """The rows of ``reader``, a ``csv.reader(..., strict=True)``; malformed
-    quoting raises ``ValueError`` naming the line the parser reached."""
+    """``(line, row)`` for each record of ``reader``, a
+    ``csv.reader(..., strict=True)``, where ``line`` is the 1-based line the
+    record starts on; malformed quoting raises ``ValueError`` naming the line
+    its record starts on."""
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: malformed CSV: {exc}") from None
+        raise ValueError(f"{path}: line {line}: malformed CSV: {exc}") from None
 
 
 _HEADER_PLAIN = ["label", "text"]
 _HEADER_ORACLE = ["label", "text", "true_label"]
 
 
-def load_csv(
-    path: str | Path, num_classes: int | None = None, name: str | None = None
-) -> Dataset:
+def load_csv(path: str | Path, num_classes: int | None = None) -> Dataset:
     """Read a corpus CSV (``label,text[,true_label]``; RFC-4180 quoting,
     parsed strictly: a quote still open at the end of the file, or text
     after a closing quote, raises ``ValueError``).
@@ -150,12 +153,11 @@ def load_csv(
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, strict=True)
         rows = _strict_rows(reader, path)
-        header = next(rows, None)
+        _, header = next(rows, (None, None))
         if header not in (_HEADER_PLAIN, _HEADER_ORACLE):
             raise ValueError(f"{path}: unknown header {header!r}")
         has_true = header == _HEADER_ORACLE
-        for row in rows:
-            line = reader.line_num
+        for line, row in rows:
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
@@ -178,7 +180,7 @@ def load_csv(
         if not labels_seen:
             raise ValueError(f"{path}: cannot infer class count from an empty corpus")
         num_classes = max(labels_seen) + 1
-    return Dataset(tuple(examples), num_classes, name if name is not None else path.stem)
+    return Dataset(tuple(examples), num_classes, path.stem)
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 VARIANCE_FLOOR = 1e-6
 WEIGHT_FLOOR = 1e-4
 _MEAN_TIE = 1e-9
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,6 @@ def _e_step(params: GMMParams, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
         axis=1,
     )
     return joint, np.logaddexp(joint[:, 0], joint[:, 1])
-
-
-def log_likelihood(params: GMMParams, values: np.ndarray) -> float:
-    return float(_e_step(params, np.asarray(values, dtype=np.float64))[1].sum())
 
 
 def _ordered(means: np.ndarray, variances: np.ndarray, weights: np.ndarray) -> GMMParams:
@@ -77,9 +74,7 @@ def _m_step(values: np.ndarray, joint: np.ndarray, log_norm: np.ndarray) -> GMMP
     return _ordered(means, variances, weights)
 
 
-def fit_gmm_trace(
-    values: np.ndarray, max_iter: int = 100, tol: float = 1e-6
-) -> tuple[GMMParams, np.ndarray]:
+def fit_gmm_trace(values: np.ndarray, tol: float = 1e-6) -> tuple[GMMParams, np.ndarray]:
     """Fit the mixture and return the per-evaluation log-likelihood trace.
 
     The trace starts with the initializer's log-likelihood and then records
@@ -96,7 +91,7 @@ def fit_gmm_trace(
     params = _init_params(values)
     e_step = _e_step(params, values)
     trace = [float(e_step[1].sum())]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         candidate = _m_step(values, *e_step)
         e_step = _e_step(candidate, values)
         trace.append(float(e_step[1].sum()))
@@ -106,8 +101,8 @@ def fit_gmm_trace(
     return params, np.array(trace)
 
 
-def fit_gmm(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6) -> GMMParams:
-    params, _ = fit_gmm_trace(values, max_iter=max_iter, tol=tol)
+def fit_gmm(values: np.ndarray, tol: float = 1e-6) -> GMMParams:
+    params, _ = fit_gmm_trace(values, tol=tol)
     return params
 
 

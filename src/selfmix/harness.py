@@ -48,7 +48,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .common import atomic_open, located, subseed, write_csv
+from .common import atomic_open, refuse_overwrite, subseed, temp_path, write_csv
 from .core import (
     ModelConfig,
     SelfMixConfig,
@@ -350,8 +350,9 @@ def _require_examples(dataset: Dataset, label: str, path: str | Path) -> None:
 
 def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMap | None]:
     """Everything that must succeed before any output is created, including
-    that no input, as spelled or through a symlink, is one of ``_RUN_OUTPUTS``
-    or lies inside one of them."""
+    that no input, as spelled or through a symlink, is one of ``_RUN_OUTPUTS``,
+    lies inside one of them, or is the temporary file beside one
+    (:func:`common.refuse_overwrite`)."""
     if not cfg.train_path:
         raise ValueError("data.train is required")
     if not cfg.test_path:
@@ -360,19 +361,16 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
         raise ValueError("run.output_dir is required")
     if Path(cfg.output_dir).exists() and not Path(cfg.output_dir).is_dir():
         raise ValueError(f"run.output_dir: {cfg.output_dir} exists and is not a directory")
-    outputs = {Path(cfg.output_dir).resolve() / name for name in _RUN_OUTPUTS}
     paths = {"data.train": cfg.train_path, "data.test": cfg.test_path,
              "noise.transition": cfg.transition_path}
+    refuse_overwrite(
+        paths,
+        (Path(cfg.output_dir) / name for name in _RUN_OUTPUTS),
+        f"{{label}}: {{path}} is a run output under run.output_dir = "
+        f"{cfg.output_dir}, which a run removes first",
+    )
     for label, path in paths.items():
-        if path is None:
-            continue
-        spellings = (located(path), Path(path).resolve())
-        if outputs.intersection(p for s in spellings for p in (s, *s.parents)):
-            raise ValueError(
-                f"{label}: {path} is a run output under run.output_dir = "
-                f"{cfg.output_dir}, which a run removes first"
-            )
-        if not Path(path).is_file():
+        if path is not None and not Path(path).is_file():
             raise ValueError(f"{label}: no such file: {path}")
     train = load_csv(cfg.train_path, num_classes=cfg.num_classes)
     if train.num_classes < 2:
@@ -395,13 +393,15 @@ def _load_startup(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, TransitionMa
 
 
 def _clear_run_outputs(out: Path) -> None:
-    """Remove what an earlier run left in ``out``; any other file stays."""
+    """Remove what an earlier run left in ``out``, including the temporary
+    file a killed run's :func:`atomic_open` left beside an output; any other
+    file stays."""
     for name in _RUN_OUTPUTS:
-        path = out / name
-        if path.is_dir() and not path.is_symlink():
-            shutil.rmtree(path)
-        else:
-            path.unlink(missing_ok=True)
+        for path in (out / name, temp_path(out / name)):
+            if path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
 
 
 def run_experiment(cfg: ExperimentConfig, arms: tuple[str, ...] = ARMS) -> dict:
@@ -522,10 +522,11 @@ def analyze_losses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram a trained model's per-sample losses over a corpus.
 
-    ``bins``, the directory of ``out_path`` and an ``out_path`` that is a
-    directory or names the model or the corpus (or a symlink's target) are
-    checked before either is read, and a corpus without examples is refused
-    before anything is written.
+    ``bins``, the directory of ``out_path``, an ``out_path`` that is a
+    directory, and a model or corpus that writing ``out_path`` would
+    overwrite (:func:`common.refuse_overwrite`) are checked before either is
+    read, and a corpus without examples is refused before anything is
+    written.
     """
     from .encoder import load_checkpoint
 
@@ -535,9 +536,11 @@ def analyze_losses(
         raise ValueError(f"{out_path}: no such directory: {Path(out_path).parent}")
     if Path(out_path).is_dir():
         raise ValueError(f"{out_path}: is a directory, not a histogram file")
-    for what, path in (("model", model_path), ("data", data_path)):
-        if located(out_path) in (located(path), Path(path).resolve()):
-            raise ValueError(f"{out_path}: the histogram would overwrite the {what} file {path}")
+    refuse_overwrite(
+        {"model": model_path, "data": data_path},
+        (out_path,),
+        f"{out_path}: the histogram would overwrite the {{label}} file {{path}}",
+    )
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)
     _require_examples(dataset, "data", data_path)

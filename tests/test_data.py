@@ -298,10 +298,11 @@ def test_csv_field_count_mismatch(tmp_path):
 
 # An unterminated quote that would swallow the rest of the file, and text
 # after a closing quote; a lenient parser reads them as "abc\n" and "abc".
+# Each error names the line its record starts on, not where the parser stopped.
 MALFORMED_CSV = [
     ("label,text\n0,\"abc\n", "line 2: malformed CSV: unexpected end of data"),
     ("label,text\n0,\"ab\"c\n", "line 2: malformed CSV: ',' expected after '\"'"),
-    ("label,text\n0,a\n1,\"x\n2,y\n", "line 4: malformed CSV: unexpected end of data"),
+    ("label,text\n0,a\n1,\"x\n2,y\n", "line 3: malformed CSV: unexpected end of data"),
 ]
 
 
@@ -312,6 +313,14 @@ def test_csv_malformed_quoting_is_refused_naming_its_line(tmp_path, text, messag
     with pytest.raises(ValueError) as info:
         load_csv(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_csv_error_in_a_multi_line_record_names_its_first_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b'label,text\n0,"a\nb",extra\n')
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: line 2: expected 2 fields, got 3"
 
 
 def test_csv_empty_corpus_needs_explicit_classes(tmp_path):

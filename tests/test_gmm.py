@@ -10,7 +10,6 @@ from selfmix.gmm import (
     GMMParams,
     fit_gmm,
     fit_gmm_trace,
-    log_likelihood,
     posterior_clean,
 )
 
@@ -79,7 +78,14 @@ def test_fit_infinite_tol_returns_initialization():
     assert params.weights.tolist() == [0.5, 0.5]
     # init evaluated, one candidate evaluated and rejected
     assert trace.size == 2
-    assert trace[0] == pytest.approx(log_likelihood(params, values))
+    manual = 0.0
+    for x in values:
+        density = sum(
+            w * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
+            for w, m, v in zip(params.weights, params.means, params.variances)
+        )
+        manual += np.log(density)
+    assert trace[0] == pytest.approx(manual, rel=1e-12)
 
 
 @pytest.mark.parametrize("values", [[], [3.0], [2.0, 2.0, 2.0]])
@@ -193,19 +199,3 @@ def test_posterior_non_increasing_with_equal_spread_property():
         w = posterior_clean(params, grid)
         assert np.all(np.diff(w) <= 1e-12)
 
-
-def test_log_likelihood_matches_manual_computation():
-    params = GMMParams(
-        means=np.array([0.0, 3.0]),
-        variances=np.array([1.0, 0.5]),
-        weights=np.array([0.4, 0.6]),
-    )
-    values = np.array([-1.0, 0.5, 2.9, 4.0])
-    manual = 0.0
-    for x in values:
-        density = sum(
-            w * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
-            for w, m, v in zip(params.weights, params.means, params.variances)
-        )
-        manual += np.log(density)
-    assert log_likelihood(params, values) == pytest.approx(manual, rel=1e-12)

@@ -703,6 +703,20 @@ def test_rerun_into_a_used_directory_leaves_no_stale_files(corpus_dir, tmp_path)
     assert not (out / "selfmix").exists()
 
 
+def test_a_run_removes_the_temporary_files_a_killed_run_left(corpus_dir, tmp_path):
+    """A temporary file beside a top-level output is from an earlier run and
+    goes; another .tmp file stays."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("noise_manifest.csv.tmp", "summary.json.tmp", "notes.tmp"):
+        (out / name).write_text("stale\n", encoding="utf-8")
+    clean = config_text(
+        corpus_dir, out, **{"noise.type": "none", "noise.ratio": "0.0", "noise.seed": "none"}
+    )
+    run_experiment(ExperimentConfig.from_text(clean), arms=("baseline",))
+    assert [p.name for p in out.glob("*.tmp")] == ["notes.tmp"]
+
+
 def test_each_arm_model_is_freed_once_its_checkpoint_is_written(
     corpus_dir, tmp_path, monkeypatch
 ):
@@ -1111,12 +1125,12 @@ def test_cli_inject_refuses_a_negative_seed_for_every_noise_type(tmp_path, capsy
 @pytest.mark.parametrize(
     ("flag", "name"),
     [("--in", "corrupted.csv"), ("--in", "manifest.csv"), ("--transition", "manifest.csv"),
-     ("--transition", "corrupted.csv")],
+     ("--transition", "corrupted.csv"), ("--in", "corrupted.csv.tmp")],
 )
 def test_cli_inject_refuses_an_input_it_would_overwrite(tmp_path, capsys, flag, name):
-    """An input that is one of the files inject-noise writes, however it is
-    spelled and also through a symlink, exits 1 before anything is read or
-    written."""
+    """An input that is one of the files inject-noise writes, or the temporary
+    file written beside one, however it is spelled and also through a
+    symlink, exits 1 before anything is read or written."""
     train, _ = make_corpus(40, 10, 2, seed=1)
     out = tmp_path / "d"
     out.mkdir()
@@ -1414,14 +1428,16 @@ def test_cli_analyze_losses_refuses_a_corpus_without_examples(finished_run, tmp_
         ("data.test", "hist/test.csv", {}),
         ("noise.transition", "selfmix/t.txt", {"noise.type": "asym"}),
         ("data.train", "hist/train.csv", {}),
+        ("data.train", "summary.json.tmp", {}),
     ],
 )
 def test_cli_run_refuses_an_input_it_would_remove(
     corpus_dir, tmp_path, capsys, key, where, overrides
 ):
-    """An input that is one of the run's outputs, or lies inside one of its
-    directories, exits 1 naming the key before anything is read or written,
-    whether the config names it or a symlink to it."""
+    """An input that is one of the run's outputs, lies inside one of its
+    directories, or is the temporary file written beside one, exits 1 naming
+    the key before anything is read or written, whether the config names it
+    or a symlink to it."""
     out = tmp_path / "out"
     path = out / where
     path.parent.mkdir(parents=True)
@@ -1448,21 +1464,29 @@ def test_cli_run_refuses_an_input_it_would_remove(
         )
 
 
-@pytest.mark.parametrize("target", ["--model", "--data"])
+@pytest.mark.parametrize(
+    ("target", "suffix"),
+    [("--model", ""), ("--data", ""), ("--data", ".tmp")],
+    ids=["--model", "--data", "--data.tmp"],
+)
 def test_cli_analyze_losses_refuses_to_overwrite_its_inputs(
-    finished_run, tmp_path, capsys, target
+    finished_run, tmp_path, capsys, target, suffix
 ):
+    """--out names the input, or, with suffix .tmp, the file whose temporary
+    file the input is."""
     _, out, _ = finished_run
     inputs = {"--model": tmp_path / "model.smx", "--data": tmp_path / "data.csv"}
+    written = inputs[target]
+    inputs[target] = Path(f"{written}{suffix}")
     shutil.copy(out / "baseline" / "model.smx", inputs["--model"])
     shutil.copy(out / "corrupted_train.csv", inputs["--data"])
     before = {flag: path.read_bytes() for flag, path in inputs.items()}
     (tmp_path / "sub").mkdir()
-    spelled = tmp_path / "sub" / ".." / inputs[target].name  # the same file, spelled otherwise
+    spelled = tmp_path / "sub" / ".." / written.name  # the same file, spelled otherwise
     link = tmp_path / f"link-{inputs[target].name}"
     link.symlink_to(inputs[target])
     # the input as given with --out spelling it otherwise, and the input through a symlink
-    for given, out_path in ((inputs[target], spelled), (link, inputs[target])):
+    for given, out_path in ((inputs[target], spelled), (link, written)):
         argv = {**inputs, target: given}
         assert cli.main([
             "analyze-losses", "--model", str(argv["--model"]), "--data", str(argv["--data"]),
