@@ -38,14 +38,19 @@ into ``num_buckets`` buckets (Weinberger et al., ICML 2009). A token is a
 run of ``str.isalnum()`` code points: :func:`tokenize` lowercases the text,
 maps every other code point to a space with one ``str.translate``, and
 splits at whitespace.
-:func:`featurize_corpus` runs the hash on ``uint64`` arrays once per
-distinct word and once per distinct pair of a chunk of ``_FEATURIZE_CHUNK``
-texts; a pair continues its left word's state over the separator byte.
-Once one word is longer than every other word still being hashed, its
-remaining bytes go through a plain integer loop. A chunk's entries are
-ordered by (document, bucket) with a sort by bucket and then a stable sort
-by document id as an ``int16`` key, which NumPy radix-sorts. A corpus is one
-CSR :class:`FeatureMatrix`, the only bag type (a text alone is a one-row
+:func:`featurize_corpus` tokenizes and hashes a chunk of ``_FEATURIZE_CHUNK``
+texts as one array of UTF-8 bytes, with no Python step per token: the
+lowercased texts are joined by spaces, translated and encoded once, and a
+token is a run of bytes other than the space. The hash runs on ``uint64``
+arrays once per token occurrence and once per adjacent pair within a text;
+a pair continues its left token's state over the separator byte. Once at
+most ``_FEW_ROWS`` tokens are still being hashed, their remaining bytes go
+through a plain integer loop, so hashing each occurrence costs more than
+hashing each distinct word only where one long token repeats more than
+``_FEW_ROWS`` times in a chunk. A chunk's entries are ordered by
+(document, bucket) with a sort by bucket and then a stable sort by document
+id as an ``int16`` key, which NumPy radix-sorts. A corpus is one CSR
+:class:`FeatureMatrix`, the only bag type (a text alone is a one-row
 matrix); each chunk is written straight into it, and :func:`predict_logits`
 scores slices of it.
 
@@ -96,6 +101,10 @@ _FEATURIZE_CHUNK = 512  # texts per featurization chunk; bounds peak memory
 # Rows _fnv_fold finishes one at a time. A NumPy column step costs 1.2-1.9 us
 # on a 2-vCPU host, the integer loop about 0.13 us per byte per row.
 _FEW_ROWS = 8
+# Bytes _fnv_fold gathers per step of its column loop. The gather's int64
+# index takes 8 bytes per byte, so this bounds the memory that many copies
+# of one long token fold in.
+_FOLD_BLOCK = 2**16
 _LOG_FLOOR = 1e-12
 _MAGIC = b"SMX4"
 _OLD_MAGICS = (b"SMX1", b"SMX2", b"SMX3")  # earlier checkpoint formats, refused by name
@@ -157,9 +166,11 @@ def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndar
                 h[k] = state
             break
         state = h[:rows]
-        for column in buf[pos[:rows, None] + np.arange(done, size)].T:
-            state ^= column
-            state *= _FNV_PRIME
+        step = max(_FOLD_BLOCK // rows, 1)  # columns gathered at once
+        for lo in range(done, size, step):
+            for column in buf[pos[:rows, None] + np.arange(lo, min(lo + step, size))].T:
+                state ^= column
+                state *= _FNV_PRIME
         done = size
     return h[np.argsort(order)]
 
@@ -187,8 +198,23 @@ class FeatureMatrix:
         return np.diff(self.indptr)
 
     def take(self, positions: Sequence[int] | np.ndarray) -> "FeatureMatrix":
-        """Rows ``positions``, in that order (repeats allowed), by one gather."""
-        positions = np.asarray(positions, dtype=np.int64)
+        """Rows ``positions``, in that order (repeats allowed), by one gather.
+
+        ``positions`` is one-dimensional, of integers in ``[0, len(self))``.
+        """
+        positions, count = np.asarray(positions), len(self)
+        if positions.ndim != 1:
+            raise ValueError(f"positions must be one-dimensional, not of shape {positions.shape}")
+        if positions.size and positions.dtype.kind not in "iu":
+            raise ValueError(
+                f"position 0: {positions[0].item()!r} is not an integer ({positions.dtype})"
+            )
+        if positions.size and (positions.min() < 0 or positions.max() >= count):
+            pos = int(np.flatnonzero((positions < 0) | (positions >= count))[0])
+            raise ValueError(
+                f"position {pos}: row {positions[pos]} is not a position in [0, {count})"
+            )
+        positions = positions.astype(np.int64, copy=False)
         starts = self.indptr[positions]
         sizes = self.indptr[positions + 1] - starts
         indptr = np.zeros(positions.size + 1, dtype=np.int64)
@@ -201,24 +227,39 @@ class FeatureMatrix:
 def _featurize_chunk(
     texts: Sequence[str], num_buckets: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indices, weights, indptr)`` of the CSR rows of ``texts``."""
-    docs = [tokenize(text) for text in texts]
-    sizes = np.array([len(d) for d in docs], dtype=np.int64)
-    vocab: dict[str, int] = {}
-    ids = np.array([vocab.setdefault(t, len(vocab)) for d in docs for t in d], dtype=np.int64)
-    words = [w.encode("utf-8") for w in vocab]
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    buf = np.frombuffer(b"".join(words), np.uint8)
-    unigrams = _fnv_fold(np.full(len(words), _FNV_OFFSET), buf, starts, lengths)
-    doc = np.repeat(np.arange(len(docs)), sizes)
-    inner = doc[1:] == doc[:-1]
-    distinct, which = np.unique(ids[:-1][inner] * len(words) + ids[1:][inner], return_inverse=True)
-    left, right = np.divmod(distinct, max(len(words), 1))
-    state = (unigrams[left] ^ _BIGRAM_SEP) * _FNV_PRIME
+    """``(indices, weights, indptr)`` of the CSR rows of ``texts``.
+
+    The chunk is tokenized as one byte array: the lowercased texts, joined
+    by spaces, go through one ``translate`` and one UTF-8 encode, and a
+    token is a maximal run of bytes other than the space, which is then the
+    only whitespace left and in UTF-8 the only byte 0x20. ``translate`` keeps
+    each code point's position, so text ``i`` starts at the code point after
+    the lowercased lengths before it, and at the same byte when every code
+    point is one byte.
+    """
+    lowered = [text.lower() for text in texts]
+    spans = np.fromiter(map(len, lowered), np.int64, len(lowered)) + 1  # a text and its space
+    joined = " ".join(lowered).translate(_SEPARATORS)
+    del lowered
+    buf = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    text_starts = np.cumsum(spans) - spans
+    if buf.size != len(joined):  # a code point starts at each byte but a continuation byte
+        text_starts = np.append(np.flatnonzero((buf & 0xC0) != 0x80), buf.size)[text_starts]
+    del joined
+    # padded[1:-1] marks token bytes; its int8 steps mark token starts (+1) and ends (-1)
+    padded = np.zeros(buf.size + 2, dtype=np.int8)
+    np.not_equal(buf, 0x20, out=padded[1:-1].view(bool))
+    starts, ends = np.flatnonzero(np.diff(padded)).reshape(-1, 2).T
+    del padded
+    lengths = ends - starts
+    doc = np.searchsorted(text_starts, starts, side="right") - 1
+    unigrams = _fnv_fold(np.full(starts.size, _FNV_OFFSET), buf, starts, lengths)
+    right = np.flatnonzero(doc[1:] == doc[:-1]) + 1  # the second token of each pair
+    state = (unigrams[right - 1] ^ _BIGRAM_SEP) * _FNV_PRIME
     bigrams = _fnv_fold(state, buf, starts[right], lengths[right])
-    bucket = np.concatenate([unigrams[ids], bigrams[which]]) % np.uint64(num_buckets)
-    doc = np.concatenate([doc, doc[1:][inner]])
+    bucket = np.concatenate([unigrams, bigrams]) % np.uint64(num_buckets)
+    sizes = np.bincount(doc, minlength=len(texts))
+    doc = np.concatenate([doc, doc[right]])
     # Sort by (doc, bucket): by bucket, then stably by doc. An int16 doc key
     # is radix-sorted, which holds while _FEATURIZE_CHUNK < 2**15.
     order = np.argsort(bucket)
@@ -228,7 +269,7 @@ def _featurize_chunk(
     indices, doc = bucket[runs], doc[runs]
     grams = 2 * sizes - (sizes > 0)  # n unigrams and n - 1 bigrams in a text of n tokens
     weights = np.diff(runs, append=bucket.size) / grams[doc]
-    return indices, weights, np.searchsorted(doc, np.arange(len(docs) + 1))
+    return indices, weights, np.searchsorted(doc, np.arange(len(texts) + 1))
 
 
 def featurize_corpus(texts: Sequence[str], num_buckets: int) -> FeatureMatrix:

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -51,7 +52,7 @@ from selfmix.encoder import (
     tokenize,
 )
 from selfmix.encoder import _masks
-from selfmix.synthetic import make_labeled_pool
+from selfmix.synthetic import make_corpus, make_labeled_pool
 
 # ---------------------------------------------------------------------------
 # Tokenizer and feature hashing
@@ -172,7 +173,7 @@ def test_featurize_purity_property():
 _BUCKET_COUNTS = (1, 2, 16, 2**15, 2**18, 2**62)
 _WORDS = ("a", "b", "A", "ß", "İx", "café", "日本", "x_y", "42", "a1", "🙂", "", "--", " ")
 _TEXTS = st.one_of(
-    st.text(max_size=40),
+    st.text(_ANY_CODE_POINT, max_size=40),
     st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
 )
 
@@ -186,9 +187,16 @@ def _assert_bit_equal(got: FeatureMatrix, want: FeatureMatrix) -> None:
 
 
 @given(st.lists(_TEXTS, max_size=8), st.sampled_from(_BUCKET_COUNTS), st.sampled_from((1, 3, 512)))
+# A chunk is one UTF-8 byte array, so a text starts at the byte after the
+# texts before it, not at their code-point count:
+@example(["日本 ab", "cd ef"], 2**18, 512)  # a multi-byte text before ASCII texts
+@example(["İx", "ΑΣ", "Σα"], 7, 512)  # lowercasing lengthens a text; a final sigma ends one
+@example(["ΑΣ", "İx", "Σα"], 2**18, 512)  # the same texts, a multi-byte text first
+@example(["a\nb", "", "--", "x"], 7, 512)  # a newline, an empty text, only separators
 def test_featurize_corpus_matches_the_reference_bit_for_bit(texts, num_buckets, chunk):
-    """Random Unicode, empty, one-token and repeated-token texts, in corpora
-    of one or several chunks, featurize exactly as the per-n-gram reference."""
+    """Random Unicode, lone surrogates included, and empty, one-token and
+    repeated-token texts, in corpora of one or several chunks, featurize
+    exactly as the per-n-gram reference."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(encoder, "_FEATURIZE_CHUNK", chunk)
         features = featurize_corpus(texts, num_buckets)
@@ -206,6 +214,18 @@ def test_featurize_corpus_matches_the_reference_over_several_chunks(num_buckets)
     assert len(texts) > 2 * encoder._FEATURIZE_CHUNK
     for text, got in zip(texts, rows_of(featurize_corpus(texts, num_buckets)), strict=True):
         _assert_bit_equal(got, reference_featurize(text, num_buckets))
+
+
+def test_the_documented_corpus_features_are_pinned():
+    """The README quick-start corpus's training texts featurize to these
+    exact bytes (indptr and indices as ``<i8``, then weights as ``<f8``)."""
+    train, _ = make_corpus(2000, 500, 4, seed=0)
+    m = featurize_corpus([ex.text for ex in train], 2**18)
+    assert m.indices.size == 40_726
+    digest = hashlib.sha256()
+    for part, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.weights, "<f8")):
+        digest.update(part.astype(dtype).tobytes())
+    assert digest.hexdigest() == "42b4fae1d358cbf554e2fdc40351728cf088e277c599fe948520f91df8d92f71"
 
 
 @pytest.mark.parametrize("size", [1, 2, 1000, 100_000])
@@ -268,11 +288,12 @@ def test_feature_matrix_rows_and_take_agree():
     assert len(m) == len(texts) and m.indptr.dtype == np.int64
     for text, row in zip(texts, rows_of(m), strict=True):
         _assert_bit_equal(row, featurize_text(text, 2**18))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="row 6 is not a position"):
         m.take([len(texts)])
     positions = [3, 1, 3, 0, 4, 4, 5]
     taken = m.take(positions)
     assert len(taken) == len(positions)
+    _assert_bit_equal(m.take(np.array(positions, dtype=np.uint8)), taken)
     for got, i in zip(rows_of(taken), positions, strict=True):
         _assert_bit_equal(got, m.take([i]))
     assert len(m.take([])) == 0 and m.take([]).indptr.tolist() == [0]
@@ -281,6 +302,25 @@ def test_feature_matrix_rows_and_take_agree():
         assert getattr(again, name).tobytes() == getattr(m, name).tobytes()
     empty = matrix_of([])
     assert len(empty) == 0 and empty.indices.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        ([-1], "position 0: row -1 is not a position in \\[0, 3\\)"),
+        ([3], "position 0: row 3 is not a position in \\[0, 3\\)"),
+        ([0, 2, 5, -1], "position 2: row 5 is not"),
+        ([0.7], "position 0: 0.7 is not an integer"),
+        (np.array([1.0]), "position 0: 1.0 is not an integer"),
+        ([True], "position 0: True is not an integer"),
+        ([[0, 1]], "one-dimensional, not of shape \\(1, 2\\)"),
+    ],
+    ids=["negative", "past-the-end", "third", "fraction", "float", "bool", "matrix"],
+)
+def test_feature_matrix_take_refuses_positions_it_cannot_serve(positions, message):
+    m = featurize_corpus(["a b", "c", "d e f"], 16)
+    with pytest.raises(ValueError, match=message):
+        m.take(positions)
 
 
 def test_the_chunk_doc_key_fits_int16():
@@ -310,6 +350,12 @@ def test_one_long_token_does_not_pad_the_byte_fold():
     words = [f"w{i}" for i in range(100)]
     _, peak = _featurize_traced([" ".join(words + ["x" * 100_000] + words)])
     assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # 16 copies of one long token are hashed per occurrence, more than
+    # _FEW_ROWS side by side: the array fold gathers their bytes in blocks
+    text = " ".join(words + [w for _ in range(16) for w in ["x" * 100_000, *words[:10]]])
+    _, peak = _featurize_traced([text])
+    assert peak < 6 * len(text), f"peak {peak / len(text):.1f} times the text"
+    _assert_bit_equal(featurize_corpus([text], 2**18), reference_featurize(text, 2**18))
 
 
 # ---------------------------------------------------------------------------
