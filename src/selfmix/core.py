@@ -11,14 +11,14 @@ the rest have their labels replaced by the model's own sharpened predictions
     + lambda_p * confidence loss on the unlabeled set
     + lambda_r * symmetric-KL agreement between two dropout passes
 
-:func:`embmix` builds each mixed example as a batch record naming its two
-parents' rows and its coefficient: it reads the same mix of the parents'
-pooled embeddings, and the mixup term trains the embedding rows of both, as
-mixing hidden representations does in the paper. Only the unlabeled members
-of a batch get a forward pass of their own, to guess their targets. Every
-dropout-off inference (per-sample losses, test accuracy, those guesses and
-the instance-dependent injector's margins) runs through
-:func:`~selfmix.encoder.predict_logits` on rows of a
+A mixed example is a batch record naming its two parents' rows and its
+coefficient (:func:`embmix` builds such records): it reads the same mix of
+the parents' pooled embeddings, and the mixup term trains the embedding
+rows of both, as mixing hidden representations does in the paper. Only the
+unlabeled members of a batch get a forward pass of their own, to guess
+their targets. Every dropout-off inference (per-sample losses, test
+accuracy, those guesses and the instance-dependent injector's margins) runs
+through :func:`~selfmix.encoder.predict_logits` on rows of a
 :class:`~selfmix.encoder.FeatureMatrix`. A corpus is featurized once, by
 :func:`~selfmix.encoder.featurize_corpus`, and a training batch names rows
 of that one matrix by position.
@@ -26,10 +26,14 @@ Warm-up epochs of plain cross-entropy precede selection so that early
 losses are informative. One batch loop, :func:`_epoch`, runs every epoch of
 the warm-up, the plain arm, the standalone :func:`warmup` and the adaptive
 arm; they differ only in the loss terms each batch gets, and every loss
-formula lives in :func:`selfmix.encoder.backward`. A selection is a bool
-mask over training positions (:class:`DataSplit`), as is the ground-truth
-noise it is scored against. A per-class loss standardization switch makes
-selection robust when different classes have different loss scales.
+formula lives in :func:`selfmix.encoder.backward`. The loop builds the
+records of ``_PLAN_SLICE`` consecutive batches as one record array and
+plans their structure at once (:func:`~selfmix.encoder.plan_batches`);
+each step then writes only its batch's guessed targets and evaluates it.
+A selection is a bool mask over training positions (:class:`DataSplit`), as
+is the ground-truth noise it is scored against. A per-class loss
+standardization switch makes selection robust when different classes have
+different loss scales.
 
 Both arms draw the same init seed, shuffles and dropout keys, so their
 full-pass warm-up epochs are one computation. Given a :class:`SharedWarmup`,
@@ -70,6 +74,7 @@ from .encoder import (
     init_optimizer,
     init_params,
     make_batch,
+    plan_batches,
     predict_logits,
     predict_proba,
     softmax,
@@ -79,6 +84,9 @@ from .encoder import head_forward  # noqa: F401  (perfbench/spans.py wraps this 
 from .gmm import GMMParams, fit_gmm, posterior_clean
 
 _MIX_KEY_BASE = 1_000_000
+# Batches whose structure _epoch plans at once. A quick-start batch's plan
+# holds about 80 KB of bag matrices, so a slice stays near 1 MB.
+_PLAN_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -347,12 +355,21 @@ def embmix(
     sizes = (len(rows_a), len(targets_a), len(rows_b), len(targets_b), lam.size)
     if len(set(sizes)) > 1:
         raise ValueError(f"embmix needs equal numbers of rows, targets and lam; got {sizes}")
-    lam_prime = np.maximum(lam, 1.0 - lam)
-    targets = lam_prime[:, None] * targets_a + (1.0 - lam_prime)[:, None] * targets_b
+    lam_prime = _fold(lam)
     return make_batch(
-        rows_a, "ce", target=targets, weight=weight, key=key + np.arange(lam.size),
-        partner=rows_b, lam=lam_prime,
+        rows_a, "ce", target=_mix_targets(lam_prime, targets_a, targets_b), weight=weight,
+        key=key + np.arange(lam.size), partner=rows_b, lam=lam_prime,
     )
+
+
+def _fold(lam: np.ndarray) -> np.ndarray:
+    """Mixup coefficients folded into [0.5, 1]: ``max(lam, 1 - lam)``."""
+    return np.maximum(lam, 1.0 - lam)
+
+
+def _mix_targets(lam: np.ndarray, targets_a: np.ndarray, targets_b: np.ndarray) -> np.ndarray:
+    """The target of each mixup pair: ``lam * targets_a + (1 - lam) * targets_b``, row by row."""
+    return lam[:, None] * targets_a + (1.0 - lam)[:, None] * targets_b
 
 
 def selection_prf(unlabeled: np.ndarray, noisy: np.ndarray) -> tuple[float, float, float]:
@@ -431,21 +448,106 @@ def warmup_schedule(cfg: SelfMixConfig, size: int) -> list[int | None]:
     return [None] * full + ([rest] if rest else [])
 
 
-# builds batch b's loss terms from its training positions
-_ItemBuilder = Callable[[int, np.ndarray], np.recarray]
+class _CrossEntropy:
+    """Plain cross-entropy on the rows of ``targets``: each member of a
+    batch of m is one ``"ce"`` record of weight 1/m, keyed by its position.
+
+    The loss terms of an epoch are an object with two methods, this class
+    or :class:`_SelfMix`. ``items(first, batches)`` returns the records of
+    batches ``first, first + 1, ...``, whose training positions are
+    ``batches``, as one record array, with the bounds of each batch's
+    records in it. ``fill(k, items)`` writes the targets that depend on
+    the parameters into the records ``items`` of batch ``k`` of the last
+    ``items`` call, just before its step.
+    """
+
+    def __init__(self, targets: np.ndarray):
+        self.targets = targets
+
+    def items(self, first: int, batches: list[np.ndarray]) -> tuple[np.recarray, np.ndarray]:
+        sizes = np.array([batch.size for batch in batches])
+        rows = np.concatenate(batches)
+        weight = np.repeat(1.0 / sizes, sizes)
+        items = make_batch(rows, "ce", target=self.targets[rows], weight=weight, key=rows)
+        return items, np.concatenate([[0], np.cumsum(sizes)])
+
+    def fill(self, k: int, items: np.recarray) -> None:
+        pass
 
 
-def _ce_items(targets: np.ndarray) -> _ItemBuilder:
-    """Batch builder for plain cross-entropy on the rows of ``targets``."""
-    return lambda b, batch: make_batch(
-        batch, "ce", target=targets[batch], weight=1.0 / batch.size, key=batch
-    )
+class _SelfMix:
+    """The terms of an adaptive epoch under the selection ``split``.
+
+    A batch of m members holds m mixup records, then one ``"pseudo"``
+    record per unlabeled member, then one ``"rdrop"`` record per unlabeled
+    member; a kind whose weight is zero has none. Batch ``b`` draws its
+    coefficients and partners from its own stream, ``subseed(seed, "mixup",
+    epoch, b)``. The unlabeled members' targets are the run's guesses at
+    the step, so :meth:`fill` computes them and mixes the batch's targets.
+    """
+
+    def __init__(self, run: _Run, split: DataSplit, epoch: int):
+        self.run, self.split, self.epoch = run, split, epoch
+        weights = (("pseudo", run.cfg.lambda_p), ("rdrop", run.cfg.lambda_r))
+        self.extra = [(kind, weight) for kind, weight in weights if weight > 0.0]
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def items(self, first: int, batches: list[np.ndarray]) -> tuple[np.recarray, np.ndarray]:
+        cfg = self.run.cfg
+        sizes = np.array([batch.size for batch in batches])
+        lams, partners = [], []
+        for b, m in enumerate(sizes.tolist(), first):
+            rng = np.random.default_rng(subseed(cfg.seed, "mixup", self.epoch, b))
+            lams.append(rng.beta(cfg.alpha, cfg.alpha, size=m))
+            partners.append(rng.integers(0, m, size=m))
+        members = np.concatenate(batches)
+        starts = np.cumsum(sizes) - sizes
+        batch_of = np.repeat(np.arange(sizes.size), sizes)
+        unlabeled = np.flatnonzero(~self.split.labeled[members])
+        u_batch = batch_of[unlabeled]
+        u_sizes = np.bincount(u_batch, minlength=sizes.size)
+        bounds = np.concatenate([[0], np.cumsum(sizes + len(self.extra) * u_sizes)])
+        total = int(bounds[-1])
+        rows, partner, key = (np.empty(total, dtype=np.int64) for _ in range(3))
+        lam, weight, kind = np.ones(total), np.empty(total), np.empty(total, dtype="U6")
+
+        # member j of batch k is mixup record j of the batch, keyed _MIX_KEY_BASE + j
+        place = np.arange(members.size) - starts[batch_of]
+        mix = bounds[batch_of] + place
+        rows[mix], kind[mix], key[mix] = members, "ce", _MIX_KEY_BASE + place
+        partner[mix] = members[starts[batch_of] + np.concatenate(partners)]
+        lam[mix] = _fold(np.concatenate(lams))
+        weight[mix] = np.repeat(1.0 / sizes, sizes)
+        # then each kind's records, one per unlabeled member, in member order
+        rank = np.arange(unlabeled.size) - (np.cumsum(u_sizes) - u_sizes)[u_batch]
+        for i, (name, w) in enumerate(self.extra):
+            at = bounds[u_batch] + sizes[u_batch] + i * u_sizes[u_batch] + rank
+            rows[at] = partner[at] = key[at] = members[unlabeled]
+            weight[at], kind[at] = w / u_sizes[u_batch], name
+        u_rows = np.split(unlabeled - starts[u_batch], np.cumsum(u_sizes)[:-1])
+        self.parts = list(zip(batches, partners, u_rows))
+        items = make_batch(
+            rows, kind, key=key, target=np.zeros((total, self.run.train.num_classes)),
+            weight=weight, partner=partner, lam=lam,
+        )
+        return items, bounds
+
+    def fill(self, k: int, items: np.recarray) -> None:
+        batch, partners, u_rows = self.parts[k]
+        targets = self.run.targets[batch]
+        if u_rows.size:
+            targets[u_rows] = self.run.guess(batch[u_rows])
+        m, u = batch.size, u_rows.size
+        target = items["target"]
+        target[:m] = _mix_targets(items["lam"][:m], targets, targets[partners])
+        for i in range(len(self.extra)):
+            target[m + i * u : m + (i + 1) * u] = targets[u_rows]
 
 
 def _epoch(
     params: ModelParams,
     features: FeatureMatrix,
-    items_for: _ItemBuilder,
+    terms: _CrossEntropy | _SelfMix,
     step: Callable[[Gradients], None],
     *,
     size: int,
@@ -456,24 +558,35 @@ def _epoch(
 ) -> dict[str, float]:
     """One shuffled pass over ``size`` training positions; the mean loss of each kind.
 
-    Every epoch of every trainer runs this loop. ``items_for(b, batch)``
-    builds batch ``b``'s loss terms on rows of ``features`` from its
-    positions and ``step`` applies its gradients, so equal seeds give
-    identical shuffles and dropout masks.
+    Every epoch of every trainer runs this loop. ``terms`` builds the loss
+    terms on rows of ``features`` and ``step`` applies each batch's
+    gradients, so equal seeds give identical shuffles and dropout masks.
+    The records and the :func:`~selfmix.encoder.plan_batches` plans of
+    ``_PLAN_SLICE`` consecutive batches are built at once; each step then
+    fills its batch's targets and calls :func:`backward` on that batch's
+    records with its plan.
     A :class:`NumericError` is re-raised naming the epoch and the batch.
     """
     sums = {"ce": [0.0, 0], "pseudo": [0.0, 0], "rdrop": [0.0, 0]}
-    for b, batch in enumerate(_shuffled_batches(size, batch_size, seed, epoch, limit)):
-        try:
-            items = items_for(b, batch)
-            mask_seed = subseed(seed, "dropout", epoch, b)
-            _, grads, breakdown = backward(params, items, features, mask_seed=mask_seed)
-            step(grads)
-        except NumericError as err:
-            raise NumericError(f"epoch {epoch}, batch {b}: {err}") from err
-        for kind, (raw, n) in breakdown.items():
-            sums[kind][0] += raw
-            sums[kind][1] += n
+    batches = _shuffled_batches(size, batch_size, seed, epoch, limit)
+    for first in range(0, len(batches), _PLAN_SLICE):
+        part = batches[first : first + _PLAN_SLICE]
+        mask_seeds = [subseed(seed, "dropout", epoch, b) for b in range(first, first + len(part))]
+        items, bounds = terms.items(first, part)
+        plans = plan_batches(params, items, features, bounds, mask_seeds)
+        for k, (plan, mask_seed) in enumerate(zip(plans, mask_seeds)):
+            batch_items = items[bounds[k] : bounds[k + 1]]
+            try:
+                terms.fill(k, batch_items)
+                _, grads, breakdown = backward(
+                    params, batch_items, features, mask_seed=mask_seed, plan=plan
+                )
+                step(grads)
+            except NumericError as err:
+                raise NumericError(f"epoch {epoch}, batch {first + k}: {err}") from err
+            for kind, (raw, n) in breakdown.items():
+                sums[kind][0] += raw
+                sums[kind][1] += n
     return {kind: (s / n if n else 0.0) for kind, (s, n) in sums.items()}
 
 
@@ -544,12 +657,12 @@ class _Run:
             self.step_acc.append((self.global_step, self.test_accuracy()))
 
     def _train_epoch(
-        self, items_for: _ItemBuilder, epoch: int, limit: int | None = None
+        self, terms: _CrossEntropy | _SelfMix, epoch: int, limit: int | None = None
     ) -> dict[str, float]:
         return _epoch(
             self.params,
             self.features,
-            items_for,
+            terms,
             self._step,
             size=len(self.train),
             batch_size=self.cfg.batch_size,
@@ -559,7 +672,7 @@ class _Run:
         )
 
     def ce_epoch(self, epoch: int, limit: int | None = None) -> dict[str, float]:
-        return self._train_epoch(_ce_items(self.targets), epoch, limit)
+        return self._train_epoch(_CrossEntropy(self.targets), epoch, limit)
 
     def guess(self, members: np.ndarray) -> np.ndarray:
         """Sharpened dropout-off predictions for the training positions
@@ -595,29 +708,7 @@ class _Run:
                 "training continues on model-assigned targets only"
             )
 
-        def items_for(b: int, batch: np.ndarray) -> np.recarray:
-            m = batch.size
-            rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
-            lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
-            partners = rng.integers(0, m, size=m)
-            targets = self.targets[batch]
-            u_rows = np.flatnonzero(~split.labeled[batch])
-            u_members = batch[u_rows]
-            if u_rows.size:
-                targets[u_rows] = self.guess(u_members)
-            parts = [embmix(
-                batch, targets, batch[partners], targets[partners], lam,
-                weight=1.0 / m, key=_MIX_KEY_BASE,
-            )]
-            for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
-                if weight > 0.0 and u_rows.size:
-                    parts.append(make_batch(
-                        u_members, kind, target=targets[u_rows], weight=weight / u_rows.size,
-                        key=u_members,
-                    ))
-            return np.concatenate(parts).view(np.recarray)
-
-        return split, self._train_epoch(items_for, epoch)
+        return split, self._train_epoch(_SelfMix(self, split, epoch), epoch)
 
     def stats_for(self, means: dict[str, float], split: DataSplit | None) -> EpochStats:
         if split is not None and self.train.has_oracle():
@@ -682,12 +773,12 @@ def warmup(
     otherwise the first step raises ``ValueError``. The instance-dependent
     noise injector trains its auxiliary model with it.
     """
-    items_for = _ce_items(one_hot(labels, params.num_classes))
+    terms = _CrossEntropy(one_hot(labels, params.num_classes))
     for epoch in range(epochs):
         _epoch(
             params,
             features,
-            items_for,
+            terms,
             lambda grads: adam_step(params, grads, opt),
             size=len(features),
             batch_size=batch_size,

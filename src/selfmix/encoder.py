@@ -32,6 +32,17 @@ the embedding gradient is its transpose times the documents' gradients. A
 mixup term reads ``lam * e(row) + (1 - lam) * e(partner)`` of two pooled
 rows. The head runs on one row per (term, dropout pass).
 
+Everything about a batch but the parameters, the targets and the weights
+is fixed by its records, its mask seed and ``params.slot``: its distinct
+documents and buckets, the bag matrices, which head row reads which term
+and the dropout masks. That is a :class:`BatchPlan`. :func:`plan_batches`
+builds the plans of many batches in a few array passes (one ``np.unique``
+each over all their documents, buckets and block columns, and one hash
+pass for all their masks), and :func:`backward` evaluates one batch from
+its plan, building a one-batch plan itself when given none. The training
+loop plans a slice of consecutive batches at once, so no step repeats
+that work.
+
 A text's features are the fastText bag of its lowercased alphanumeric tokens
 and adjacent token pairs (Joulin et al., EACL 2017), hashed by 64-bit FNV-1a
 into ``num_buckets`` buckets (Weinberger et al., ICML 2009). A token is a
@@ -45,9 +56,10 @@ token is a run of bytes other than the space. The hash runs on ``uint64``
 arrays once per token occurrence and once per adjacent pair within a text;
 a pair continues its left token's state over the separator byte. Once at
 most ``_FEW_ROWS`` tokens are still being hashed, their remaining bytes go
-through a plain integer loop, so hashing each occurrence costs more than
-hashing each distinct word only where one long token repeats more than
-``_FEW_ROWS`` times in a chunk. A chunk's entries are ordered by
+through a plain integer loop. A token longer than ``_LONG_ROW`` bytes is
+hashed once per distinct (state, bytes) in a chunk, so a long token that
+repeats costs one hash as a word and one per distinct word before it as
+the right word of a pair. A chunk's entries are ordered by
 (document, bucket) with a sort by bucket and then a stable sort by document
 id as an ``int16`` key, which NumPy radix-sorts. A corpus is one CSR
 :class:`FeatureMatrix`, the only bag type (a text alone is a one-row
@@ -105,6 +117,10 @@ _FEW_ROWS = 8
 # index takes 8 bytes per byte, so this bounds the memory that many copies
 # of one long token fold in.
 _FOLD_BLOCK = 2**16
+# Rows longer than this many bytes _fnv_fold folds once per distinct (state,
+# bytes), at one Python step each; a NumPy column step folds a byte of every
+# row at once, so shorter rows fold as they come.
+_LONG_ROW = 64
 _LOG_FLOOR = 1e-12
 _MAGIC = b"SMX4"
 _OLD_MAGICS = (b"SMX1", b"SMX2", b"SMX3")  # earlier checkpoint formats, refused by name
@@ -148,6 +164,26 @@ def tokenize(text: str) -> list[str]:
 
 def _fnv_fold(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Continue each FNV-1a state ``h[i]`` over the bytes ``buf[starts[i]:][:sizes[i]]``.
+
+    The result is a function of (state, bytes), so rows longer than
+    ``_LONG_ROW`` bytes are folded once per distinct (state, bytes) and the
+    result is copied to their repeats: one long token repeated in a chunk,
+    as a unigram or as the right word of a bigram, costs one fold.
+    """
+    source = np.arange(h.size)  # the row whose fold each row copies
+    firsts: dict[tuple[int, bytes], int] = {}
+    long_rows = np.flatnonzero(sizes > _LONG_ROW).tolist()
+    for k in long_rows:
+        key = (int(h[k]), buf[starts[k] : starts[k] + sizes[k]].tobytes())
+        source[k] = firsts.setdefault(key, k)
+    if len(firsts) == len(long_rows):
+        return _fold_rows(h, buf, starts, sizes)
+    rows, inverse = np.unique(source, return_inverse=True)
+    return _fold_rows(h[rows], buf, starts[rows], sizes[rows])[inverse]
+
+
+def _fold_rows(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:func:`_fnv_fold` on every row.
 
     Byte ``j`` of every row still folding is one array step. Once at most
     ``_FEW_ROWS`` rows are left, each of them finishes in a plain integer
@@ -460,9 +496,14 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _streams(seed: int, keys: np.ndarray) -> np.ndarray:
-    """One SplitMix64 stream state per key: a hash of (seed, key)."""
-    base = _mix64(np.array([seed & _MASK64], dtype=np.uint64) + _GOLDEN)
+def _bases(seeds: Sequence[int]) -> np.ndarray:
+    """The stream base of each seed: a SplitMix64 hash of it."""
+    return _mix64(np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64) + _GOLDEN)
+
+
+def _streams(base: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """One SplitMix64 stream state per key: a hash of (base, key), where
+    ``base`` holds one seed's base for every key or one per key."""
     return _mix64(base ^ np.asarray(keys, dtype=np.int64).astype(np.uint64))
 
 
@@ -476,27 +517,36 @@ def _initial_rows(seed: int, buckets: np.ndarray, hidden: int) -> np.ndarray:
     """N(0, 0.1^2) embedding rows, one per bucket, by Box-Muller: unit ``j``
     of bucket ``b`` reads outputs ``2j + 1`` and ``2j + 2`` of the stream of
     (seed, b), so it is a pure function of (seed, b, j)."""
-    u = _uniforms(_streams(seed, buckets), 2 * hidden)
+    u = _uniforms(_streams(_bases([seed]), buckets), 2 * hidden)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     return 0.1 * radius * np.cos(2.0 * np.pi * u[:, 1::2])
+
+
+def _kept(
+    base: np.ndarray, keys: np.ndarray, passes: np.ndarray, hidden: int, rate: float
+) -> np.ndarray:
+    """Which hidden units dropout keeps, one bool row per (base, key, pass).
+
+    Row ``r`` is a SplitMix64 stream whose state is a hash of (base[r],
+    keys[r], passes[r]); unit ``j`` is kept when the stream's ``j``-th
+    output, read as a uniform in [0, 1), clears ``rate``.
+    """
+    passes = np.asarray(passes, dtype=np.uint64) + np.uint64(1)
+    return _uniforms(_mix64(_streams(base, keys) + passes * _GOLDEN), hidden) >= rate
 
 
 def _masks(
     params: ModelParams, mask_seed: int | None, keys: np.ndarray, passes: np.ndarray
 ) -> np.ndarray:
-    """Inverted-dropout masks, one row per (key, pass), from a counter hash.
-
-    Row ``r`` is a SplitMix64 stream whose state is a hash of (mask_seed,
-    keys[r], passes[r]); unit ``j`` reads the stream's ``j``-th output, so
-    a mask is a pure function of (mask_seed, key, pass, unit). With no
-    ``mask_seed`` or a zero rate every mask is all ones.
+    """Inverted-dropout masks, one row per (key, pass), from a counter hash:
+    the units :func:`_kept` keeps for ``mask_seed``'s base, divided by
+    ``1 - rate``, so a mask is a pure function of (mask_seed, key, pass,
+    unit). With no ``mask_seed`` or a zero rate every mask is all ones.
     """
     rate = params.dropout_rate
     if mask_seed is None or rate == 0.0:
         return np.ones((len(keys), params.hidden))
-    state = _streams(mask_seed, keys)
-    state = _mix64(state + (np.asarray(passes, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
-    return (_uniforms(state, params.hidden) >= rate) / (1.0 - rate)
+    return _kept(_bases([mask_seed]), keys, passes, params.hidden, rate) / (1.0 - rate)
 
 
 def _forward(
@@ -614,12 +664,183 @@ def make_batch(
     return batch
 
 
+@dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """What :func:`backward` reads of a batch besides the parameters, the
+    targets and the weights. The batch's records, its mask seed and
+    ``params.slot`` fix all of it, so :func:`plan_batches` can build it
+    before the step that evaluates the batch.
+
+    The batch's distinct rows are its documents, in row order: record ``i``
+    reads ``coef_a[i] * e(doc_a[i]) + coef_b[i] * e(doc_b[i])`` of their
+    pooled rows. ``buckets`` are the documents' distinct buckets, sorted.
+    Each block of ``_BAG_BLOCK`` documents is ``(start, stop, cols, rows,
+    bags)``: documents ``start:stop``, the positions ``cols`` in
+    ``buckets`` that they name, the table rows of those buckets, and the
+    dense (documents x cols) matrix of their bag weights. Head row ``r`` is
+    pass 0 of every record, in order, then pass 1 of each ``"rdrop"``
+    record; ``row_item[r]`` is its record and ``kept[r]`` the hidden units
+    its dropout keeps (None with dropout off). ``kinds`` holds the
+    positions of each kind of ``_KINDS``.
+    """
+
+    size: int
+    mask_seed: int | None
+    kinds: tuple[np.ndarray, np.ndarray, np.ndarray]
+    doc_a: np.ndarray
+    doc_b: np.ndarray
+    coef_a: np.ndarray
+    coef_b: np.ndarray
+    docs: int
+    buckets: np.ndarray
+    blocks: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
+    row_item: np.ndarray
+    kept: np.ndarray | None
+
+
+def _distinct(group: np.ndarray, values: np.ndarray, groups: int) -> tuple[np.ndarray, ...]:
+    """The distinct ``values`` of each of ``groups`` groups, by one
+    ``np.unique`` over the keys ``group << 32 | value`` (values in [0,
+    2**32)).
+
+    Returns the distinct values, sorted within each group and grouped in
+    group order; the index of each value among them; and the bounds of each
+    group's run of distinct values.
+    """
+    keys, inverse = np.unique((group << 32) | values, return_inverse=True)
+    return keys & 0xFFFFFFFF, inverse, np.searchsorted(keys >> 32, np.arange(groups + 1))
+
+
+def plan_batches(
+    params: ModelParams,
+    items: np.recarray,
+    features: FeatureMatrix,
+    bounds: Sequence[int] | np.ndarray,
+    mask_seeds: Sequence[int | None],
+) -> list[BatchPlan]:
+    """The plan of each batch ``items[bounds[k]:bounds[k + 1]]`` under the
+    mask seed ``mask_seeds[k]``, built in array passes over all of them.
+
+    The distinct documents of every batch come from one ``np.unique``, as
+    do the distinct buckets of every batch and the columns of every block;
+    every batch's documents are taken from ``features`` at once, their bag
+    matrices come from one ``np.bincount``, and their dropout units from
+    one hash pass over every head row. Refuses what :func:`backward`
+    refuses, naming the position in its batch.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    nb, n, count = sizes.size, len(items), len(features)
+    kinds, rows, partners = items["kind"], items["row"], items["partner"]
+    _check_kinds(kinds)
+    if items["target"].shape[1:] != (params.num_classes,):
+        raise ValueError(f"batch targets are not distributions over {params.num_classes} classes")
+    batch_of = np.repeat(np.arange(nb), sizes)
+    outside = (rows < 0) | (rows >= count)
+    bad = np.flatnonzero(outside | (partners < 0) | (partners >= count))
+    if bad.size:
+        pos = int(bad[0])
+        row = int(rows[pos] if outside[pos] else partners[pos])
+        pos -= int(bounds[batch_of[pos]])
+        raise ValueError(f"batch position {pos}: row {row} is not a position in [0, {count})")
+
+    both = np.concatenate([batch_of, batch_of])
+    doc_rows, doc_of, doc_bounds = _distinct(both, np.concatenate([rows, partners]), nb)
+    doc_of -= doc_bounds[both]  # a document's index in its batch
+    doc_a, doc_b = doc_of[:n], doc_of[n:]
+    # an item's two coefficients on one document add, as a bucket's weights in a bag do
+    lam, same = items["lam"], doc_a == doc_b
+    coef_a, coef_b = np.where(same, lam + (1.0 - lam), lam), np.where(same, 0.0, 1.0 - lam)
+
+    docs = features.take(doc_rows)
+    indices = docs.indices
+    if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
+        raise ValueError("feature index out of range for the embedding table")
+    doc_batch = np.repeat(np.arange(nb), np.diff(doc_bounds))
+    entry_doc = np.repeat(np.arange(doc_rows.size), docs.sizes())
+    buckets, bucket_of, bucket_bounds = _distinct(doc_batch[entry_doc], indices, nb)
+    # a block starts at every _BAG_BLOCK-th document of a batch and ends where the next starts
+    starts = (np.arange(doc_rows.size) - doc_bounds[doc_batch]) % _BAG_BLOCK == 0
+    entry_block = (np.cumsum(starts) - 1)[entry_doc]
+    starts = np.flatnonzero(starts)
+    block_docs = np.diff(starts, append=doc_rows.size)
+    block_bounds = np.searchsorted(doc_batch[starts], np.arange(nb + 1))
+    columns, local, col_bounds = _distinct(entry_block, bucket_of, starts.size)
+    local -= col_bounds[entry_block]
+    # bags[cell_bounds[j]:cell_bounds[j + 1]] is block j's matrix, row-major
+    width = np.diff(col_bounds)
+    cell_bounds = np.zeros(starts.size + 1, dtype=np.int64)
+    np.cumsum(block_docs * width, out=cell_bounds[1:])
+    cell = cell_bounds[entry_block] + (entry_doc - starts[entry_block]) * width[entry_block]
+    bags = np.bincount(cell + local, docs.weights, int(cell_bounds[-1]))
+    table_rows = params.slot[buckets[columns]]
+    columns -= np.repeat(bucket_bounds[doc_batch[starts]], width)  # a column's index in its batch
+
+    # every record's pass 0, then the batch's rdrop records' pass 1
+    is_kind = [kinds == kind for kind in _KINDS]
+    rdrop = np.flatnonzero(is_kind[2])
+    rdrop_batch = batch_of[rdrop]
+    rdrop_counts = np.bincount(rdrop_batch, minlength=nb)
+    head_bounds = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(sizes + rdrop_counts, out=head_bounds[1:])
+    row_item = np.empty(int(head_bounds[-1]), dtype=np.int64)
+    passes = np.zeros(row_item.size, dtype=np.int64)
+    row_item[head_bounds[batch_of] + np.arange(n) - bounds[batch_of]] = np.arange(n)
+    second = (
+        head_bounds[rdrop_batch] + sizes[rdrop_batch]
+        + np.arange(rdrop.size) - (np.cumsum(rdrop_counts) - rdrop_counts)[rdrop_batch]
+    )
+    row_item[second], passes[second] = rdrop, 1
+    kept = None
+    if params.dropout_rate > 0.0 and any(seed is not None for seed in mask_seeds):
+        base = np.repeat(_bases([seed or 0 for seed in mask_seeds]), np.diff(head_bounds))
+        kept = _kept(base, items["key"][row_item], passes, params.hidden, params.dropout_rate)
+    # the positions of each kind in each batch: a stable sort by (batch, kind)
+    group = 3 * batch_of + is_kind[1] + 2 * is_kind[2]
+    order = np.argsort(group, kind="stable")
+    kind_bounds = np.searchsorted(group[order], np.arange(3 * nb + 1)).tolist()
+    order -= bounds[batch_of[order]]
+
+    plans = []
+    doc_bounds, bucket_bounds, head_bounds, lo_hi = (
+        doc_bounds.tolist(), bucket_bounds.tolist(), head_bounds.tolist(), bounds.tolist()
+    )
+    block_bounds, col_bounds, cell_bounds = (
+        block_bounds.tolist(), col_bounds.tolist(), cell_bounds.tolist()
+    )
+    starts, block_docs = starts.tolist(), block_docs.tolist()
+    for k, seed in enumerate(mask_seeds):
+        lo, hi = lo_hi[k], lo_hi[k + 1]
+        blocks = []
+        for j in range(block_bounds[k], block_bounds[k + 1]):
+            start, c0, c1 = starts[j] - doc_bounds[k], col_bounds[j], col_bounds[j + 1]
+            cells = bags[cell_bounds[j] : cell_bounds[j + 1]].reshape(block_docs[j], c1 - c0)
+            blocks.append((start, start + block_docs[j], columns[c0:c1], table_rows[c0:c1], cells))
+        h0, h1, groups = head_bounds[k], head_bounds[k + 1], range(3 * k, 3 * k + 3)
+        plans.append(BatchPlan(
+            size=hi - lo,
+            mask_seed=seed,
+            kinds=tuple(order[kind_bounds[g] : kind_bounds[g + 1]] for g in groups),
+            doc_a=doc_a[lo:hi],
+            doc_b=doc_b[lo:hi],
+            coef_a=coef_a[lo:hi],
+            coef_b=coef_b[lo:hi],
+            docs=doc_bounds[k + 1] - doc_bounds[k],
+            buckets=buckets[bucket_bounds[k] : bucket_bounds[k + 1]],
+            blocks=blocks,
+            row_item=row_item[h0:h1] - lo,
+            kept=None if kept is None or seed is None else kept[h0:h1],
+        ))
+    return plans
+
+
 def backward(
     params: ModelParams,
     items: np.recarray,
     features: FeatureMatrix,
     *,
     mask_seed: int | None = None,
+    plan: BatchPlan | None = None,
 ) -> tuple[float, Gradients, dict[str, tuple[float, int]]]:
     """Evaluate and differentiate a weighted sum of loss terms on rows of
     ``features``.
@@ -631,62 +852,38 @@ def backward(
     gradients of ``total``, and ``breakdown`` maps each loss kind to ``(sum
     of unweighted item losses, item count)``.
 
+    ``plan`` is the batch's :class:`BatchPlan` under ``mask_seed``, as
+    :func:`plan_batches` builds it; without one, ``backward`` builds it
+    here. The evaluation reads the parameters, the targets and the weights.
     The whole batch is one matrix pass: every item gets a pass-0 row and
-    every ``"rdrop"`` item also a pass-1 row. The rows the items name are
-    taken from ``features`` once, and the embedding rows of their buckets
-    gathered once. Each block of ``_BAG_BLOCK`` documents pools through one
-    dense matrix of its bag weights over its buckets (a bucket named twice
-    in a bag has its weights added); the transpose scatters the block's
+    every ``"rdrop"`` item also a pass-1 row. Each block of ``_BAG_BLOCK``
+    documents pools through its dense bag matrix (a bucket named twice in
+    a bag has its weights added); the transpose scatters the block's
     gradients. Items gather their inputs from the pooled rows and scatter
     their input gradients back. Unlike a dense (items x documents) mixing
     matrix, whose zeros would carry one document's NaN into every item, a
     gather keeps memory and work linear in the number of items.
     """
-    n, count = len(items), len(features)
-    kinds, rows, partners = items["kind"], items["row"], items["partner"]
-    _check_kinds(kinds)
-    if items["target"].shape[1:] != (params.num_classes,):
-        raise ValueError(f"batch targets are not distributions over {params.num_classes} classes")
-    outside = (rows < 0) | (rows >= count)
-    bad = np.flatnonzero(outside | (partners < 0) | (partners >= count))
-    if bad.size:
-        pos = int(bad[0])
-        row = int(rows[pos] if outside[pos] else partners[pos])
-        raise ValueError(f"batch position {pos}: row {row} is not a position in [0, {count})")
-    ce, pseudo, rdrop = (np.flatnonzero(kinds == kind) for kind in _KINDS)
+    n = len(items)
+    if plan is None:
+        plan = plan_batches(params, items, features, [0, n], [mask_seed])[0]
+    elif plan.size != n or plan.mask_seed != mask_seed:
+        raise ValueError("the plan was built for another batch or mask seed")
+    ce, pseudo, rdrop = plan.kinds
     # a contiguous copy, so the total does not depend on the record layout
-    weights, lam = np.ascontiguousarray(items["weight"]), items["lam"]
-    doc_ids, doc_of = np.unique(np.concatenate([rows, partners]), return_inverse=True)
-    doc_a, doc_b = doc_of[:n], doc_of[n:]
-    # an item's two coefficients on one document add, as a bucket's weights in a bag do
-    same = doc_a == doc_b
-    coef_a, coef_b = np.where(same, lam + (1.0 - lam), lam), np.where(same, 0.0, 1.0 - lam)
-
-    docs = features.take(doc_ids)
-    indices, sizes = docs.indices, docs.sizes()
-    if indices.size and (indices.min() < 0 or indices.max() >= params.num_buckets):
-        raise ValueError("feature index out of range for the embedding table")
-    buckets, col = np.unique(indices, return_inverse=True)
-    table = params.embedding[params.slot[buckets]]
-    blocks = []
-    pooled = np.empty((doc_ids.size, params.hidden))
-    for start in range(0, doc_ids.size, _BAG_BLOCK):
-        stop = min(start + _BAG_BLOCK, doc_ids.size)
-        lo, hi = docs.indptr[start], docs.indptr[stop]
-        cols, local = np.unique(col[lo:hi], return_inverse=True)
-        # bags[i, k]: document start + i's total weight on bucket buckets[cols[k]]
-        cell = np.repeat(np.arange(stop - start) * cols.size, sizes[start:stop]) + local
-        bags = np.bincount(cell, docs.weights[lo:hi], (stop - start) * cols.size)
-        bags = bags.reshape(stop - start, cols.size)
-        pooled[start:stop] = bags @ table[cols]
-        blocks.append((start, stop, cols, bags))
+    weights = np.ascontiguousarray(items["weight"])
+    pooled = np.empty((plan.docs, params.hidden))
+    for start, stop, _, rows, bags in plan.blocks:
+        pooled[start:stop] = bags @ params.embedding[rows]
+    doc_a, doc_b, coef_a, coef_b = plan.doc_a, plan.doc_b, plan.coef_a, plan.coef_b
     e = coef_a[:, None] * pooled[doc_a] + coef_b[:, None] * pooled[doc_b]
 
-    # rows 0..n-1 are every item's pass 0; rows n.. are the rdrop items' pass 1
-    row_item = np.concatenate([np.arange(n), rdrop])
-    passes = np.concatenate([np.zeros(n, dtype=np.intp), np.ones(rdrop.size, dtype=np.intp)])
+    row_item = plan.row_item
     e_rows = e[row_item]
-    mask = _masks(params, mask_seed, items["key"][row_item], passes)
+    if plan.kept is None:
+        mask = np.ones((row_item.size, params.hidden))
+    else:
+        mask = plan.kept / (1.0 - params.dropout_rate)
     a1, h_drop, z = _forward(params, e_rows, mask)
     log_p = log_softmax(z)
     p = np.exp(log_p)
@@ -702,7 +899,9 @@ def backward(
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         position = int(bad[0])
-        raise NumericError(f"non-finite {kinds[position]} loss at batch position {position}")
+        raise NumericError(
+            f"non-finite {items['kind'][position]} loss at batch position {position}"
+        )
     total = float(weights @ losses)
     breakdown = {
         kind: (float(losses[sel].sum()), int(sel.size))
@@ -729,11 +928,11 @@ def backward(
     d_docs = np.zeros_like(pooled)
     np.add.at(d_docs, doc_a, coef_a[:, None] * d_item)
     np.add.at(d_docs, doc_b, coef_b[:, None] * d_item)
-    emb_vals = np.zeros_like(table)
-    for start, stop, cols, bags in blocks:
+    emb_vals = np.zeros((plan.buckets.size, params.hidden), dtype=params.embedding.dtype)
+    for start, stop, cols, _, bags in plan.blocks:
         emb_vals[cols] += bags.T @ d_docs[start:stop]
     grads = Gradients(
-        emb_rows=buckets,
+        emb_rows=plan.buckets,
         emb_vals=emb_vals,
         w1=e_rows.T @ d_hidden,
         b1=d_hidden.sum(axis=0),
@@ -795,12 +994,19 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
     Head parameters get the textbook dense update. Embedding rows are
     updated lazily: only rows with gradient this step have their moments
     decayed and applied, with bias correction from the shared global step.
-    A gradient for a bucket the model owns no row for raises ``ValueError``
-    before anything changes: it would otherwise train the shared zero row.
+    A gradient for a bucket outside ``[0, num_buckets)``, or for one the
+    model owns no row for, raises ``ValueError`` before anything changes: it
+    would otherwise train another bucket's row or the shared zero row.
     """
     if grads.w1.shape != params.w1.shape or grads.w2.shape != params.w2.shape:
         raise ValueError("gradient shapes do not match the parameters")
-    rows = params.slot[grads.emb_rows]
+    buckets = grads.emb_rows
+    if buckets.size and (buckets.min() < 0 or buckets.max() >= params.num_buckets):
+        bucket = int(buckets[(buckets < 0) | (buckets >= params.num_buckets)][0])
+        raise ValueError(
+            f"gradient for bucket {bucket}, which is not a bucket in [0, {params.num_buckets})"
+        )
+    rows = params.slot[buckets]
     if not rows.all():
         bucket = int(grads.emb_rows[np.argmin(rows)])
         raise ValueError(f"gradient for bucket {bucket}, which owns no embedding row")

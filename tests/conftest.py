@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from selfmix.common import round_half_up
+from selfmix import core
+from selfmix.common import round_half_up, subseed
 from selfmix.data import Dataset, Example
 from selfmix.encoder import (
     FeatureMatrix,
@@ -21,6 +22,7 @@ from selfmix.encoder import (
     ModelParams,
     backward,
     init_params,
+    make_batch,
 )
 
 N_CASES = 200
@@ -171,6 +173,47 @@ def reference_featurize(text: str, num_buckets: int) -> FeatureMatrix:
     weights = np.array([counts[i] for i in indices], dtype=np.float64)
     weights /= weights.sum()
     return bag(indices, weights)
+
+
+def reference_ce_items(targets: np.ndarray):
+    """The reference plain cross-entropy batch ``b``: one ``make_batch``
+    call on its positions ``batch``, as the trainer built it one batch at a
+    time."""
+    return lambda b, batch: make_batch(
+        batch, "ce", target=targets[batch], weight=1.0 / batch.size, key=batch
+    )
+
+
+def reference_selfmix_items(run, split, epoch: int):
+    """The reference adaptive batch ``b`` of ``run`` under ``split``: its
+    coefficients and partners drawn, its unlabeled members guessed by
+    ``run.guess``, and its mixup, pseudo and rdrop records made by
+    ``core.embmix`` and ``make_batch``, one batch at a time."""
+    cfg = run.cfg
+
+    def items_for(b: int, batch: np.ndarray) -> np.recarray:
+        m = batch.size
+        rng = np.random.default_rng(subseed(cfg.seed, "mixup", epoch, b))
+        lam = rng.beta(cfg.alpha, cfg.alpha, size=m)
+        partners = rng.integers(0, m, size=m)
+        targets = run.targets[batch]
+        u_rows = np.flatnonzero(~split.labeled[batch])
+        u_members = batch[u_rows]
+        if u_rows.size:
+            targets[u_rows] = run.guess(u_members)
+        parts = [core.embmix(
+            batch, targets, batch[partners], targets[partners], lam,
+            weight=1.0 / m, key=core._MIX_KEY_BASE,
+        )]
+        for kind, weight in (("pseudo", cfg.lambda_p), ("rdrop", cfg.lambda_r)):
+            if weight > 0.0 and u_rows.size:
+                parts.append(make_batch(
+                    u_members, kind, target=targets[u_rows], weight=weight / u_rows.size,
+                    key=u_members,
+                ))
+        return np.concatenate(parts).view(np.recarray)
+
+    return items_for
 
 
 def mask_of(size: int, positions) -> np.ndarray:

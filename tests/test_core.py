@@ -11,6 +11,8 @@ from conftest import (
     matrix_of,
     random_distribution,
     random_features,
+    reference_ce_items,
+    reference_selfmix_items,
     without_oracle,
 )
 from selfmix import core, encoder
@@ -51,7 +53,7 @@ from selfmix.encoder import (
     save_checkpoint,
 )
 from selfmix.gmm import fit_gmm_trace
-from selfmix.noise import inject_uniform
+from selfmix.noise import inject_instance_dependent, inject_uniform
 from selfmix.synthetic import make_corpus
 
 TINY_MODEL = ModelConfig(num_buckets=1024, hidden=8, learning_rate=1e-2)
@@ -814,6 +816,99 @@ def test_a_selfmix_batch_without_unlabeled_members_holds_only_ce_rows(monkeypatc
         else:
             assert mixup.all()
     assert sum(not np.all(items.kind == "ce") for items in adaptive) == 1
+
+
+def _check_every_step(monkeypatch) -> list[tuple[int, int, frozenset[str]]]:
+    """Wrap ``core._epoch`` and ``core.backward`` so that every training
+    step is checked against the per-batch reference builders: the batch's
+    records equal the reference's in every field and in order, and
+    ``backward`` with the epoch's plan equals ``backward`` without one, bit
+    for bit. Returns the (epoch, batch, kinds) of each step checked."""
+    steps: list[tuple[int, int, frozenset[str]]] = []
+    loop: dict = {}
+    real_epoch, real_backward = core._epoch, core.backward
+
+    def checked_epoch(params, features, terms, step, **kw):
+        if isinstance(terms, core._SelfMix):
+            build = reference_selfmix_items(terms.run, terms.split, kw["epoch"])
+        else:
+            build = reference_ce_items(terms.targets)
+        batches = core._shuffled_batches(
+            kw["size"], kw["batch_size"], kw["seed"], kw["epoch"], kw.get("limit")
+        )
+        loop.update(build=build, batches=batches, epoch=kw["epoch"], seed=kw["seed"], b=0)
+        means = real_epoch(params, features, terms, step, **kw)
+        assert loop["b"] == len(batches)
+        return means
+
+    def checked_backward(params, items, features, *, mask_seed=None, plan=None):
+        e, b = loop["epoch"], loop["b"]
+        loop["b"] += 1
+        assert mask_seed == subseed(loop["seed"], "dropout", e, b)
+        want = loop["build"](b, loop["batches"][b])
+        assert items.dtype == want.dtype and items.tobytes() == want.tobytes(), (e, b)
+        planned = real_backward(params, items, features, mask_seed=mask_seed, plan=plan)
+        (total, grads, breakdown), alone = planned, real_backward(
+            params, items, features, mask_seed=mask_seed
+        )
+        assert np.float64(total).tobytes() == np.float64(alone[0]).tobytes(), (e, b)
+        assert breakdown == alone[2], (e, b)
+        for name in ("emb_rows", "emb_vals", "w1", "b1", "w2", "b2"):
+            got, expected = getattr(grads, name), getattr(alone[1], name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        steps.append((e, b, frozenset(items.kind.tolist())))
+        return planned
+
+    monkeypatch.setattr(core, "_epoch", checked_epoch)
+    monkeypatch.setattr(core, "backward", checked_backward)
+    return steps
+
+
+def _planning_problem():
+    """600 documents in batches of 20: 30 batches an epoch, more than one
+    plan slice, and up to 20 distinct documents a batch, more than one bag
+    block."""
+    train, test = make_corpus(600, 100, 3, seed=4)
+    corrupted, _ = inject_uniform(train, 0.3, seed=5)
+    return corrupted, test
+
+
+@pytest.mark.parametrize("plan_slice", [3, core._PLAN_SLICE])
+def test_planned_steps_of_two_arms_sharing_a_warmup_equal_the_reference(monkeypatch, plan_slice):
+    monkeypatch.setattr(core, "_PLAN_SLICE", plan_slice)
+    steps = _check_every_step(monkeypatch)
+    corrupted, test = _planning_problem()
+    cfg = SelfMixConfig(total_epochs=3, warmup_epochs=1, batch_size=20, seed=7)
+    assert cfg.batch_size > encoder._BAG_BLOCK and cfg.lambda_p > 0.0 and cfg.lambda_r > 0.0
+    with SharedWarmup() as shared:
+        train_baseline(corrupted, test, TINY_MODEL, cfg, shared=shared)
+        train_selfmix(corrupted, test, TINY_MODEL, cfg, shared=shared)
+    # the shared warm-up epoch once, then two epochs of each arm
+    assert [e for e, _, _ in steps] == [0] * 30 + [1] * 30 + [2] * 30 + [1] * 30 + [2] * 30
+    assert any(kinds == {"ce", "pseudo", "rdrop"} for _, _, kinds in steps)
+
+
+def test_planned_steps_with_class_regularize_and_a_partial_warmup_pass_equal_the_reference(
+    monkeypatch,
+):
+    steps = _check_every_step(monkeypatch)
+    corrupted, test = _planning_problem()
+    n = len(corrupted)
+    cfg = SelfMixConfig(
+        warmup_epochs=None, warmup_samples=n + 250, total_epochs=4, batch_size=20, seed=7,
+        class_regularize=True,
+    )
+    train_selfmix(corrupted, test, TINY_MODEL, cfg)
+    per_epoch = [sum(e == epoch for e, _, _ in steps) for epoch in range(4)]
+    assert per_epoch == [30, 13, 30, 30]  # the second warm-up pass covers 250 samples
+    assert any(kinds == {"ce", "pseudo", "rdrop"} for _, _, kinds in steps)
+
+
+def test_planned_steps_of_the_idn_injectors_warmup_equal_the_reference(monkeypatch):
+    steps = _check_every_step(monkeypatch)
+    train, _ = make_corpus(600, 100, 3, seed=4)
+    inject_instance_dependent(train, 0.2, seed=3, aux_subset_fraction=1.0)
+    assert len(steps) == 2 * 19  # two epochs of 600 samples in batches of 32
 
 
 def test_train_selfmix_report_shape():

@@ -31,6 +31,7 @@ from selfmix.encoder import (
     FNV_OFFSET,
     TRAINED,
     FeatureMatrix,
+    Gradients,
     ModelParams,
     adam_step,
     backward,
@@ -350,12 +351,34 @@ def test_one_long_token_does_not_pad_the_byte_fold():
     words = [f"w{i}" for i in range(100)]
     _, peak = _featurize_traced([" ".join(words + ["x" * 100_000] + words)])
     assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MB"
-    # 16 copies of one long token are hashed per occurrence, more than
-    # _FEW_ROWS side by side: the array fold gathers their bytes in blocks
+    # 16 copies of one long token, more than _FEW_ROWS: it folds once as a
+    # unigram and once as the right word of each distinct left word's bigram
     text = " ".join(words + [w for _ in range(16) for w in ["x" * 100_000, *words[:10]]])
     _, peak = _featurize_traced([text])
     assert peak < 6 * len(text), f"peak {peak / len(text):.1f} times the text"
     _assert_bit_equal(featurize_corpus([text], 2**18), reference_featurize(text, 2**18))
+
+
+def test_a_long_token_folds_once_per_distinct_start_state(monkeypatch):
+    """FNV-1a is a function of (state, bytes), so a token longer than
+    ``_LONG_ROW`` bytes folds once per distinct state it continues: 17
+    copies fold once as a unigram, once as the right word of the 15
+    (long, long) bigrams and once after each other left word. Every row
+    still hashes as the byte-loop reference."""
+    folded = []
+    fold_rows = encoder._fold_rows
+
+    def recording(h, buf, starts, sizes):
+        folded.extend(sizes.tolist())
+        return fold_rows(h, buf, starts, sizes)
+
+    monkeypatch.setattr(encoder, "_fold_rows", recording)
+    long = "k" * 999 + "z"
+    texts = [" ".join([long] * 16 + ["a", long]), f"b {long}", long]
+    got = featurize_corpus(texts, 2**18)
+    assert sorted(size for size in folded if size > encoder._LONG_ROW) == [1000] * 4
+    for text, row in zip(texts, rows_of(got), strict=True):
+        _assert_bit_equal(row, reference_featurize(text, 2**18))
 
 
 # ---------------------------------------------------------------------------
@@ -1054,6 +1077,26 @@ def test_adam_refuses_a_gradient_for_a_bucket_without_a_row():
     items = make_batch([0], "ce", target=np.array([1.0, 0.0]), key=0)
     grads = backward(params, items, matrix_of([fv]))[1]
     with pytest.raises(ValueError, match="bucket 9, which owns no embedding row"):
+        adam_step(params, grads, opt)
+    assert opt.step == 0
+    for name in ("embedding", "w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(params, name), getattr(before, name))
+
+
+@pytest.mark.parametrize("bucket", [-1, -64, 64, 70])
+def test_adam_refuses_a_gradient_for_an_id_that_is_not_a_bucket(bucket):
+    """Bucket -1 would index ``slot`` from its end and train bucket 63's row;
+    bucket 70 lies past it. Both are refused, naming the id, before anything
+    changes."""
+    params = init_params(64, 8, 2, 0.0, seed=1, buckets=[63])
+    opt = init_optimizer(params, learning_rate=0.1)
+    before = copy.deepcopy(params)
+    grads = Gradients(
+        np.array([bucket], dtype=np.int64), np.ones((1, 8), dtype=params.embedding.dtype),
+        np.zeros_like(params.w1), np.zeros_like(params.b1),
+        np.zeros_like(params.w2), np.zeros_like(params.b2),
+    )
+    with pytest.raises(ValueError, match=rf"bucket {bucket}, which is not a bucket in \[0, 64\)"):
         adam_step(params, grads, opt)
     assert opt.step == 0
     for name in ("embedding", "w1", "b1", "w2", "b2"):
