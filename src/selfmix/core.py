@@ -85,8 +85,11 @@ from .gmm import GMMParams, fit_gmm, posterior_clean
 
 _MIX_KEY_BASE = 1_000_000
 # Batches whose structure _epoch plans at once. A quick-start batch's plan
-# holds about 80 KB of bag matrices, so a slice stays near 1 MB.
-_PLAN_SLICE = 16
+# holds about 80 KB of bag matrices. Under tracemalloc, planning 8 batches
+# at a time raised a quick-start epoch's peak by about 1 MB over planning
+# each step alone, and 16 by 2-3 MB, which moved the process's peak RSS by
+# more than 5 %; 16 saved 0.016 s of a 1.25 s operation over 8.
+_PLAN_SLICE = 8
 
 
 @dataclass(frozen=True)
@@ -587,6 +590,9 @@ def _epoch(
             for kind, (raw, n) in breakdown.items():
                 sums[kind][0] += raw
                 sums[kind][1] += n
+        # a plan's arrays are views of its slice's, so this frees the slice
+        # before the next is planned
+        del plans, plan, batch_items
     return {kind: (s / n if n else 0.0) for kind, (s, n) in sums.items()}
 
 

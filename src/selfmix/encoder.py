@@ -490,10 +490,17 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: a bijective avalanche on uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer: a bijective avalanche on uint64 arrays, in
+    place on its temporaries, so it holds two arrays of ``z``'s size."""
+    t = z >> np.uint64(30)
+    t ^= z
+    t *= _MIX1
+    z = t >> np.uint64(27)
+    z ^= t
+    z *= _MIX2
+    t = z >> np.uint64(31)
+    t ^= z
+    return t
 
 
 def _bases(seeds: Sequence[int]) -> np.ndarray:
@@ -507,10 +514,17 @@ def _streams(base: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return _mix64(base ^ np.asarray(keys, dtype=np.int64).astype(np.uint64))
 
 
+def _outputs(state: np.ndarray, count: int) -> np.ndarray:
+    """Outputs ``1..count`` of each stream ``state[r]``, as their top 53 bits."""
+    units = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+    out = _mix64(state[:, None] + units)
+    out >>= np.uint64(11)
+    return out
+
+
 def _uniforms(state: np.ndarray, count: int) -> np.ndarray:
     """Outputs ``1..count`` of each stream ``state[r]``, as uniforms in [0, 1)."""
-    units = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
-    return (_mix64(state[:, None] + units) >> np.uint64(11)) * 2.0**-53
+    return _outputs(state, count) * 2.0**-53
 
 
 def _initial_rows(seed: int, buckets: np.ndarray, hidden: int) -> np.ndarray:
@@ -529,10 +543,13 @@ def _kept(
 
     Row ``r`` is a SplitMix64 stream whose state is a hash of (base[r],
     keys[r], passes[r]); unit ``j`` is kept when the stream's ``j``-th
-    output, read as a uniform in [0, 1), clears ``rate``.
+    output, read as a uniform in [0, 1), clears ``rate``. The uniform of
+    output ``k`` is ``k * 2**-53`` exactly, so it clears ``rate`` when ``k``
+    reaches ``rate * 2**53`` rounded up, and no float array is made.
     """
     passes = np.asarray(passes, dtype=np.uint64) + np.uint64(1)
-    return _uniforms(_mix64(_streams(base, keys) + passes * _GOLDEN), hidden) >= rate
+    state = _mix64(_streams(base, keys) + passes * _GOLDEN)
+    return _outputs(state, hidden) >= np.uint64(math.ceil(rate * 2.0**53))
 
 
 def _masks(
