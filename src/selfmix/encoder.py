@@ -761,6 +761,27 @@ def plan_batches(
         pos -= int(bounds[batch_of[pos]])
         raise ValueError(f"batch position {pos}: row {row} is not a position in [0, {count})")
 
+    # every record's pass 0, then the batch's rdrop records' pass 1; the
+    # masks' hash temporaries are freed before the bag matrices are made
+    is_kind = [kinds == kind for kind in _KINDS]
+    rdrop = np.flatnonzero(is_kind[2])
+    rdrop_batch = batch_of[rdrop]
+    rdrop_counts = np.bincount(rdrop_batch, minlength=nb)
+    head_bounds = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(sizes + rdrop_counts, out=head_bounds[1:])
+    row_item = np.empty(int(head_bounds[-1]), dtype=np.int64)
+    passes = np.zeros(row_item.size, dtype=np.int64)
+    row_item[head_bounds[batch_of] + np.arange(n) - bounds[batch_of]] = np.arange(n)
+    second = (
+        head_bounds[rdrop_batch] + sizes[rdrop_batch]
+        + np.arange(rdrop.size) - (np.cumsum(rdrop_counts) - rdrop_counts)[rdrop_batch]
+    )
+    row_item[second], passes[second] = rdrop, 1
+    kept = None
+    if params.dropout_rate > 0.0 and any(seed is not None for seed in mask_seeds):
+        base = np.repeat(_bases([seed or 0 for seed in mask_seeds]), np.diff(head_bounds))
+        kept = _kept(base, items["key"][row_item], passes, params.hidden, params.dropout_rate)
+
     both = np.concatenate([batch_of, batch_of])
     doc_rows, doc_of, doc_bounds = _distinct(both, np.concatenate([rows, partners]), nb)
     doc_of -= doc_bounds[both]  # a document's index in its batch
@@ -793,25 +814,6 @@ def plan_batches(
     table_rows = params.slot[buckets[columns]]
     columns -= np.repeat(bucket_bounds[doc_batch[starts]], width)  # a column's index in its batch
 
-    # every record's pass 0, then the batch's rdrop records' pass 1
-    is_kind = [kinds == kind for kind in _KINDS]
-    rdrop = np.flatnonzero(is_kind[2])
-    rdrop_batch = batch_of[rdrop]
-    rdrop_counts = np.bincount(rdrop_batch, minlength=nb)
-    head_bounds = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(sizes + rdrop_counts, out=head_bounds[1:])
-    row_item = np.empty(int(head_bounds[-1]), dtype=np.int64)
-    passes = np.zeros(row_item.size, dtype=np.int64)
-    row_item[head_bounds[batch_of] + np.arange(n) - bounds[batch_of]] = np.arange(n)
-    second = (
-        head_bounds[rdrop_batch] + sizes[rdrop_batch]
-        + np.arange(rdrop.size) - (np.cumsum(rdrop_counts) - rdrop_counts)[rdrop_batch]
-    )
-    row_item[second], passes[second] = rdrop, 1
-    kept = None
-    if params.dropout_rate > 0.0 and any(seed is not None for seed in mask_seeds):
-        base = np.repeat(_bases([seed or 0 for seed in mask_seeds]), np.diff(head_bounds))
-        kept = _kept(base, items["key"][row_item], passes, params.hidden, params.dropout_rate)
     # the positions of each kind in each batch: a stable sort by (batch, kind)
     group = 3 * batch_of + is_kind[1] + 2 * is_kind[2]
     order = np.argsort(group, kind="stable")
