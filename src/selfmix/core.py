@@ -255,12 +255,12 @@ def per_sample_losses(
     :class:`NumericError` naming the document; a row count other than the
     dataset's raises ``ValueError``.
     """
-    labels = dataset.observed_labels()
+    labels = dataset.labels
     if features is None:
         p = np.empty((labels.size, params.num_classes))
-        for i, ex in enumerate(dataset):
+        for i, text in enumerate(dataset.texts):
             try:
-                p[i] = predict_proba(params, featurize_text(ex.text, params.num_buckets))[0]
+                p[i] = predict_proba(params, featurize_text(text, params.num_buckets))[0]
             except NumericError:
                 raise NumericError(f"non-finite logits for document {i} of {labels.size}") from None
     else:
@@ -626,11 +626,11 @@ class _Run:
         # corpus is featurized first; the table and the Adam moments are then
         # allocated once, at their final size and in float32, before the
         # first forward pass.
-        self.features = featurize_corpus([ex.text for ex in train], model.num_buckets)
-        self.test_features = featurize_corpus([ex.text for ex in test], model.num_buckets)
-        self.labels = train.observed_labels()
+        self.features = featurize_corpus(train.texts, model.num_buckets)
+        self.test_features = featurize_corpus(test.texts, model.num_buckets)
+        self.labels = train.labels
         self.targets = one_hot(self.labels, train.num_classes)
-        self.test_labels = test.observed_labels()
+        self.test_labels = test.labels
         self.params = init_params(
             model.num_buckets,
             model.hidden,

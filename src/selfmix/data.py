@@ -1,9 +1,10 @@
-"""Dataset containers, label helpers, and the CSV corpus format.
+"""Dataset columns, label helpers, and the CSV corpus format.
 
-Labels are stored as integer class indices; one-hot vectors are materialized
-only where a formula needs them. The oracle field ``true_label`` exists to
+A :class:`Dataset` holds a corpus as read-only columns, and a row's position
+is its id. Labels are integer class indices; one-hot vectors are
+materialized only where a formula needs them. ``true_labels`` exists to
 evaluate noise injection and sample selection and must never feed a
-training decision: training reads only ``text`` and ``observed_label``.
+training decision: training reads only ``texts`` and ``labels``.
 
 Datasets are immutable after construction and safe to share across threads.
 """
@@ -20,7 +21,8 @@ from .common import write_csv
 
 @dataclass(frozen=True)
 class Example:
-    """One text/label pair. ``true_label`` is evaluation-only."""
+    """One row for the adapter ``Dataset(examples, num_classes, name)``.
+    ``id`` must equal the row's position; ``true_label`` is evaluation-only."""
 
     id: int
     text: str
@@ -28,34 +30,56 @@ class Example:
     true_label: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    examples: tuple[Example, ...]
+    """A corpus as read-only columns, built by :meth:`from_columns`;
+    ``true_labels`` is ``None`` for a corpus without an oracle.
+    ``Dataset(examples, num_classes, name)`` adapts rows: it refuses an id
+    other than the position, and fills a missing true label of an oracle
+    corpus with the observed label."""
+
+    texts: tuple[str, ...]
+    labels: np.ndarray
+    true_labels: np.ndarray | None
     num_classes: int
-    name: str = ""
+    name: str
+
+    def __init__(self, examples: tuple[Example, ...], num_classes: int, name: str = "") -> None:
+        examples = tuple(examples)
+        for i, ex in enumerate(examples):
+            if ex.id != i:
+                raise ValueError(f"example at position {i} has id {ex.id}, not {i}")
+        labels = [ex.observed_label for ex in examples]
+        true = [y if ex.true_label is None else ex.true_label for ex, y in zip(examples, labels)]
+        oracle = any(ex.true_label is not None for ex in examples)
+        texts = [ex.text for ex in examples]
+        columns = Dataset.from_columns(texts, labels, true if oracle else None, num_classes, name)
+        vars(self).update(vars(columns))
+
+    @classmethod
+    def from_columns(cls, texts, labels, true_labels, num_classes: int, name: str = "") -> Dataset:
+        """The dataset of ``texts`` with the observed ``labels`` and the
+        ``true_labels`` (or ``None``); the label columns are copied."""
+        texts, dataset = tuple(texts), cls.__new__(cls)
+        columns = {"labels": labels, "true_labels": true_labels}
+        for field, values in columns.items():
+            if values is not None:
+                columns[field] = column = np.array(values, dtype=np.int64)
+                if column.shape != (len(texts),):
+                    raise ValueError(f"{field} has shape {column.shape} for {len(texts)} texts")
+                column.flags.writeable = False
+        vars(dataset).update(texts=texts, num_classes=int(num_classes), name=name, **columns)
+        return dataset
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    def __getitem__(self, i: int) -> Example:
-        return self.examples[i]
-
-    def observed_labels(self) -> np.ndarray:
-        return np.array([ex.observed_label for ex in self.examples], dtype=np.int64)
+        return len(self.texts)
 
     def has_oracle(self) -> bool:
-        return any(ex.true_label is not None for ex in self.examples)
+        return self.true_labels is not None
 
     def noisy_mask(self) -> np.ndarray:
-        """One bool per position, true where a known true label differs
-        from the observed one."""
-        return np.array(
-            [ex.true_label is not None and ex.true_label != ex.observed_label for ex in self],
-            dtype=bool,
-        )
+        """One bool per position, true where the true label differs from the observed one."""
+        return self.labels != (self.labels if self.true_labels is None else self.true_labels)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -78,22 +102,18 @@ class ValidationReport:
 
 
 def validate(dataset: Dataset) -> ValidationReport:
-    """Collect every invariant violation instead of raising on the first."""
-    findings: list[str] = []
-    seen: set[int] = set()
-    for ex in dataset.examples:
-        if ex.id in seen:
-            findings.append(f"duplicate id {ex.id}")
-        seen.add(ex.id)
-        if not 0 <= ex.observed_label < dataset.num_classes:
-            findings.append(f"example {ex.id}: observed label out of range")
-        if ex.true_label is not None and not 0 <= ex.true_label < dataset.num_classes:
-            findings.append(f"example {ex.id}: true label out of range")
-        if not ex.text:
-            findings.append(f"example {ex.id}: empty text")
-    if seen != set(range(len(dataset.examples))):
-        findings.append("ids are not exactly 0..N-1")
-    return ValidationReport(tuple(findings))
+    """Collect every invariant violation instead of raising on the first:
+    each label in [0, num_classes) and each text non-empty."""
+    n, c = len(dataset), dataset.num_classes
+    true = dataset.true_labels
+    checks = {
+        "observed label out of range": (dataset.labels < 0) | (dataset.labels >= c),
+        "true label out of range": np.zeros(n, bool) if true is None else (true < 0) | (true >= c),
+        "empty text": np.array([not text for text in dataset.texts], dtype=bool),
+    }
+    names, masks = zip(*checks.items())
+    failed = np.argwhere(np.column_stack(masks))  # (example, check) pairs in example order
+    return ValidationReport(tuple(f"example {i}: {names[k]}" for i, k in failed.tolist()))
 
 
 def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
@@ -105,9 +125,9 @@ def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
     ``seed``.
     """
     total = len(dataset)
-    if n > total:
-        raise ValueError(f"requested {n} examples from a dataset of {total}")
-    labels = dataset.observed_labels()
+    if not 0 <= n <= total:
+        raise ValueError(f"requested n={n} examples from a dataset of {total}")
+    labels = dataset.labels
     classes, sizes = np.unique(labels, return_counts=True)
     quotas = n * sizes / total
     counts = np.floor(quotas).astype(np.int64)
@@ -120,77 +140,62 @@ def stratified_subsample(dataset: Dataset, n: int, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(chosen))
 
 
-def _strict_rows(reader, path: Path):
-    """``(line, row)`` for each record of ``reader``, a
-    ``csv.reader(..., strict=True)``, where ``line`` is the 1-based line the
-    record starts on; malformed quoting raises ``ValueError`` naming the line
-    its record starts on."""
-    line = 1
-    try:
-        for row in reader:
-            yield line, row
-            line = reader.line_num + 1
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {line}: malformed CSV: {exc}") from None
-
-
-_HEADER_PLAIN = ["label", "text"]
-_HEADER_ORACLE = ["label", "text", "true_label"]
+_HEADER = ["label", "text", "true_label"]  # the last column is optional
 
 
 def load_csv(path: str | Path, num_classes: int | None = None) -> Dataset:
     """Read a corpus CSV (``label,text[,true_label]``; RFC-4180 quoting,
     parsed strictly: a quote still open at the end of the file, or text
-    after a closing quote, raises ``ValueError``).
+    after a closing quote, raises ``ValueError``). Every error names the
+    1-based line its record starts on.
 
     When ``num_classes`` is given, labels are checked against it while
     parsing; otherwise the class count is inferred as max label + 1. The
-    optional ``true_label`` column populates the oracle channel.
+    optional ``true_label`` column fills ``true_labels``.
     """
     path = Path(path)
-    examples: list[Example] = []
-    labels_seen: list[int] = []
+    limit = float("inf") if num_classes is None else num_classes
+    texts, labels, true_labels = [], [], []
+    line = 1  # where the record being read starts
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, strict=True)
-        rows = _strict_rows(reader, path)
-        _, header = next(rows, (None, None))
-        if header not in (_HEADER_PLAIN, _HEADER_ORACLE):
-            raise ValueError(f"{path}: unknown header {header!r}")
-        has_true = header == _HEADER_ORACLE
-        for line, row in rows:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                label = int(row[0])
-                true = int(row[2]) if has_true else None
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: {exc}") from None
-            for value in (label,) + ((true,) if has_true else ()):
-                if value < 0 or (num_classes is not None and value >= num_classes):
+        try:
+            header = next(reader, None)
+            if header not in (_HEADER[:2], _HEADER):
+                raise ValueError(f"{path}: unknown header {header!r}")
+            has_true = header == _HEADER
+            line = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(header):
                     raise ValueError(
-                        f"{path}: line {line}: label {value} out of range"
+                        f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
                     )
-            examples.append(Example(len(examples), row[1], label, true))
-            labels_seen.append(label)
-            if has_true:
-                labels_seen.append(true)
+                try:
+                    label = int(row[0])
+                    true = int(row[2]) if has_true else label
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line}: {exc}") from None
+                for value in (label, true):
+                    if not 0 <= value < limit:
+                        raise ValueError(f"{path}: line {line}: label {value} out of range")
+                texts.append(row[1])
+                labels.append(label)
+                true_labels.append(true)
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {line}: malformed CSV: {exc}") from None
     if num_classes is None:
-        if not labels_seen:
+        if not labels:
             raise ValueError(f"{path}: cannot infer class count from an empty corpus")
-        num_classes = max(labels_seen) + 1
-    return Dataset(tuple(examples), num_classes, path.stem)
+        num_classes = max(labels + true_labels) + 1
+    true_labels = true_labels if has_true else None
+    return Dataset.from_columns(texts, labels, true_labels, num_classes, path.stem)
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write the corpus CSV; the oracle column appears iff any example has one."""
-    if not dataset.has_oracle():
-        rows = [_HEADER_PLAIN] + [[ex.observed_label, ex.text] for ex in dataset]
-    else:
-        rows = [_HEADER_ORACLE] + [
-            [ex.observed_label, ex.text,
-             ex.observed_label if ex.true_label is None else ex.true_label]
-            for ex in dataset
-        ]
-    write_csv(path, rows)
+    """Write the corpus CSV: ``label,text``, then ``true_label`` iff the
+    dataset has an oracle."""
+    columns = [dataset.labels.tolist(), dataset.texts]
+    if dataset.true_labels is not None:
+        columns.append(dataset.true_labels.tolist())
+    write_csv(path, [_HEADER[: len(columns)], *zip(*columns)])

@@ -544,7 +544,7 @@ def analyze_losses(
     params = load_checkpoint(model_path)
     dataset = load_csv(data_path, num_classes=params.num_classes)
     _require_examples(dataset, "data", data_path)
-    features = featurize_corpus([ex.text for ex in dataset], params.num_buckets)
+    features = featurize_corpus(dataset.texts, params.num_buckets)
     losses = per_sample_losses(params, dataset, features)
     header = [
         f"model = {Path(model_path).name}",

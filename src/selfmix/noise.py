@@ -16,7 +16,7 @@ Every injector takes clean data (observed == true everywhere) and computes
 one int array: each position's new observed label, differing from the old
 one at an exact number of positions (fraction rounded half-up).
 ``_apply_flips`` alone turns that array into the corrupted dataset, with
-``true_label`` recording the ground truth, and a manifest of what happened.
+``true_labels`` recording the ground truth, and a manifest of what happened.
 ``save_manifest`` writes a manifest as a small CSV sidecar.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .common import round_half_up, subseed, write_csv
 from .core import warmup
-from .data import Dataset, Example, stratified_subsample
+from .data import Dataset, stratified_subsample
 from .encoder import (
     corpus_buckets,
     featurize_corpus,
@@ -98,8 +98,7 @@ def _check_inputs(dataset: Dataset, ratio: float, seed: int) -> None:
     noisy = np.flatnonzero(dataset.noisy_mask())
     if noisy.size:
         raise ValueError(
-            f"example {dataset[int(noisy[0])].id} already carries label noise; "
-            "injectors require clean input"
+            f"example {noisy[0]} already carries label noise; injectors require clean input"
         )
 
 
@@ -107,19 +106,16 @@ def _apply_flips(
     dataset: Dataset, new: np.ndarray, noise_type: str, ratio: float, seed: int
 ) -> tuple[Dataset, CorruptionManifest]:
     """Give position i of ``dataset`` the observed label ``new[i]`` and build
-    the manifest of the positions that moved."""
-    old = dataset.observed_labels()
+    the manifest of the positions that moved; the old labels become the
+    true labels."""
+    old = dataset.labels
     moved = np.flatnonzero(new != old)
     counts = np.zeros((dataset.num_classes,) * 2, dtype=np.int64)
     np.add.at(counts, (old[moved], new[moved]), 1)
-    ids = [dataset[i].id for i in moved.tolist()]
-    flips = sorted(zip(ids, old[moved].tolist(), new[moved].tolist()))
-    examples = tuple(
-        Example(ex.id, ex.text, label, ex.observed_label)
-        for ex, label in zip(dataset, new.tolist())
-    )
-    manifest = CorruptionManifest(noise_type, float(ratio), int(seed), counts, tuple(flips))
-    return Dataset(examples, dataset.num_classes, dataset.name), manifest
+    flips = tuple(zip(moved.tolist(), old[moved].tolist(), new[moved].tolist()))
+    manifest = CorruptionManifest(noise_type, float(ratio), int(seed), counts, flips)
+    corrupted = Dataset.from_columns(dataset.texts, new, old, dataset.num_classes, dataset.name)
+    return corrupted, manifest
 
 
 def inject_uniform(
@@ -127,7 +123,7 @@ def inject_uniform(
 ) -> tuple[Dataset, CorruptionManifest]:
     """Flip round(ratio * N) labels, each to a uniformly random other class."""
     _check_inputs(dataset, ratio, seed)
-    new, n = dataset.observed_labels(), len(dataset)
+    new, n = dataset.labels.copy(), len(dataset)
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(n, size=round_half_up(ratio * n), replace=False))
     draws = rng.integers(0, dataset.num_classes - 1, size=positions.size)
@@ -148,7 +144,7 @@ def inject_asymmetric(
     if len(transition.targets) != dataset.num_classes:
         raise ValueError("transition map size does not match the class count")
     rng = np.random.default_rng(seed)
-    labels = dataset.observed_labels()
+    labels = dataset.labels
     new = labels.copy()
     for c in np.unique(labels).tolist():
         members = np.flatnonzero(labels == c)
@@ -179,8 +175,8 @@ def inject_instance_dependent(
     n = len(dataset)
     num_flips = round_half_up(ratio * n)
 
-    features = featurize_corpus([ex.text for ex in dataset], AUX_NUM_BUCKETS)
-    labels = dataset.observed_labels()
+    features = featurize_corpus(dataset.texts, AUX_NUM_BUCKETS)
+    labels = dataset.labels
     aux_size = max(dataset.num_classes, round_half_up(aux_subset_fraction * n))
     aux = stratified_subsample(dataset, min(aux_size, n), subseed(seed, "subsample"))
     aux_features = features.take(aux)
@@ -203,14 +199,13 @@ def inject_instance_dependent(
         seed=subseed(seed, "aux-train"),
     )
 
-    ids = np.array([ex.id for ex in dataset], dtype=np.int64)
     rows = np.arange(n)
     p = predict_proba(params, features)
     masked = p.copy()
     masked[rows, labels] = -np.inf
     runner_up = np.argmax(masked, axis=1)
     margins = p[rows, labels] - p[rows, runner_up]
-    chosen = np.lexsort((ids, margins))[:num_flips]
+    chosen = np.argsort(margins, kind="stable")[:num_flips]
     new = labels.copy()
     new[chosen] = runner_up[chosen]
     return _apply_flips(dataset, new, "instance_dependent", ratio, seed)

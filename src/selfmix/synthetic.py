@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .common import round_half_up, subseed
-from .data import Dataset, Example
+from .data import Dataset
 
 _BLOCK = 4096  # raw outputs drawn per random_raw call
 _LOW32 = 0xFFFFFFFF
@@ -133,7 +133,7 @@ def make_labeled_pool(
     private = [_Vocabulary(f"c{c}") for c in range(num_classes)]
     shared = [_Vocabulary(f"s{pair}") for pair in range(num_classes)]
     num_ambiguous = round_half_up(ambiguous_fraction * n)
-    examples = []
+    texts = []
     for i in range(n):
         c = i % num_classes
         # the two pools adjacent to class c: (c-1, c) and (c, c+1)
@@ -146,8 +146,8 @@ def make_labeled_pool(
                 words.append(pool[integers(shared_vocab)])
             else:
                 words.append(own[integers(class_vocab)])
-        examples.append(Example(i, " ".join(words), c))
-    dataset = Dataset(tuple(examples), num_classes, name)
+        texts.append(" ".join(words))
+    dataset = Dataset.from_columns(texts, np.arange(n) % num_classes, None, num_classes, name)
     return dataset, frozenset(range(num_ambiguous))
 
 

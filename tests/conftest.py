@@ -6,7 +6,6 @@ derandomized generation so a green suite stays green.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import HealthCheck, settings
 
 from selfmix import core
 from selfmix.common import round_half_up, subseed
-from selfmix.data import Dataset, Example
+from selfmix.data import Dataset
 from selfmix.encoder import (
     FeatureMatrix,
     Gradients,
@@ -39,8 +38,13 @@ settings.load_profile("invariants")
 
 def without_oracle(ds: Dataset) -> Dataset:
     """``ds`` with every true label removed: what training sees."""
-    stripped = tuple(replace(ex, true_label=None) for ex in ds)
-    return Dataset(stripped, ds.num_classes, ds.name)
+    return Dataset.from_columns(ds.texts, ds.labels, None, ds.num_classes, ds.name)
+
+
+def columns(ds: Dataset) -> tuple:
+    """Everything ``ds`` holds, in a form that ``==`` compares by value."""
+    true_labels = None if ds.true_labels is None else ds.true_labels.tolist()
+    return ds.texts, ds.labels.tolist(), true_labels, ds.num_classes, ds.name
 
 
 def small_params(
@@ -141,7 +145,7 @@ def reference_labeled_pool(
     rng = np.random.default_rng(seed)
     lo, hi = doc_len
     num_ambiguous = round_half_up(ambiguous_fraction * n)
-    examples = []
+    texts = []
     for i in range(n):
         c = i % num_classes
         length = int(rng.integers(lo, hi + 1))
@@ -154,8 +158,10 @@ def reference_labeled_pool(
                 words.append(f"s{pair}w{int(rng.integers(shared_vocab)):03d}")
             else:
                 words.append(f"c{c}w{int(rng.integers(class_vocab)):03d}")
-        examples.append(Example(id=i, text=" ".join(words), observed_label=c))
-    return Dataset(tuple(examples), num_classes, name), frozenset(range(num_ambiguous))
+        texts.append(" ".join(words))
+    labels = [i % num_classes for i in range(n)]
+    dataset = Dataset.from_columns(texts, labels, None, num_classes, name)
+    return dataset, frozenset(range(num_ambiguous))
 
 
 def reference_featurize(text: str, num_buckets: int) -> FeatureMatrix:

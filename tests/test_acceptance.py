@@ -151,7 +151,7 @@ def test_criterion_3_noise_injection_exactness():
     explicit = TransitionMap((2, 3, 1, 0))
     for ratio in (0.1, 0.2, 0.4):
         pool, _ = make_labeled_pool(2000, 4, seed=31)
-        assert list(np.bincount(pool.observed_labels())) == [500] * 4
+        assert list(np.bincount(pool.labels)) == [500] * 4
 
         _, uniform = inject_uniform(pool, ratio, seed=7)
         assert len(uniform.flips) == round_half_up(ratio * 2000)

@@ -34,7 +34,7 @@ from selfmix.core import (
     train_selfmix,
     warmup,
 )
-from selfmix.data import Dataset, Example, one_hot
+from selfmix.data import Dataset, one_hot
 from selfmix.encoder import (
     TRAINED,
     backward,
@@ -61,7 +61,7 @@ TINY_MODEL = ModelConfig(num_buckets=1024, hidden=8, learning_rate=1e-2)
 
 def buckets_of(dataset: Dataset, num_buckets: int) -> np.ndarray:
     """The buckets a model trained on ``dataset`` must own."""
-    features = featurize_corpus([ex.text for ex in dataset], num_buckets)
+    features = featurize_corpus(dataset.texts, num_buckets)
     return corpus_buckets(features, num_buckets)
 
 
@@ -509,9 +509,9 @@ def test_per_sample_losses_match_manual():
     params = init_params(256, 4, 2, 0.0, seed=1, buckets=range(256))
     losses = per_sample_losses(params, train)
     assert losses.shape == (12,)
-    for i, ex in enumerate(train):
-        p = predict_proba(params, featurize_text(ex.text, 256))[0]
-        assert losses[i] == pytest.approx(-np.log(p[ex.observed_label]))
+    for i, (text, label) in enumerate(zip(train.texts, train.labels.tolist())):
+        p = predict_proba(params, featurize_text(text, 256))[0]
+        assert losses[i] == pytest.approx(-np.log(p[label]))
     assert np.all(losses >= 0.0)
 
 
@@ -520,8 +520,8 @@ def test_scoring_refuses_a_feature_matrix_of_another_row_count():
     would score only its first rows, a shorter one fail mid-index."""
     train, _ = make_corpus(40, 4, 2, seed=6)
     params = init_params(256, 4, 2, 0.0, seed=1, buckets=range(256))
-    texts = [ex.text for ex in train]
-    labels = train.observed_labels()
+    texts = list(train.texts)
+    labels = train.labels
     for rows in (52, 5):
         features = featurize_corpus((texts * 2)[:rows], 256)
         with pytest.raises(ValueError, match=f"has {rows} rows for 40 examples"):
@@ -540,14 +540,13 @@ def test_batched_losses_match_the_per_document_path():
     per-document path, across a partial last chunk, an empty text and a
     one-token text."""
     train, _ = make_corpus(2 * encoder._EVAL_CHUNK + 35, 3, 3, seed=9)
-    texts = [ex.text for ex in train] + ["", "lonely"]
-    labels = [ex.observed_label for ex in train] + [0, 2]
-    data = Dataset(tuple(Example(i, t, y) for i, (t, y) in enumerate(zip(texts, labels))), 3)
+    texts = train.texts + ("", "lonely")
+    data = Dataset.from_columns(texts, train.labels.tolist() + [0, 2], None, 3)
     assert len(data) % encoder._EVAL_CHUNK
     params = init_params(2**17, 16, 3, 0.3, seed=4, buckets=buckets_of(data, 2**17))
     features = featurize_corpus(texts, params.num_buckets)
     opt = init_optimizer(params, learning_rate=1e-2)
-    warmup(params, opt, features, data.observed_labels(), epochs=1, seed=4)
+    warmup(params, opt, features, data.labels, epochs=1, seed=4)
     batched = per_sample_losses(params, data, features)
     single = per_sample_losses(params, data)
     np.testing.assert_allclose(batched, single, rtol=1e-12)
@@ -574,10 +573,10 @@ def test_per_document_losses_raise_for_a_diverged_model():
 def test_warmup_reduces_training_loss():
     train, _ = make_corpus(800, 200, 4, seed=0)
     params = init_params(2**16, 48, 4, 0.3, seed=5, buckets=buckets_of(train, 2**16))
-    features = featurize_corpus([ex.text for ex in train], params.num_buckets)
+    features = featurize_corpus(train.texts, params.num_buckets)
     before = per_sample_losses(params, train, features).mean()
     opt = init_optimizer(params, learning_rate=1e-3)
-    warmup(params, opt, features, train.observed_labels(), epochs=2, seed=5)
+    warmup(params, opt, features, train.labels, epochs=2, seed=5)
     after = per_sample_losses(params, train, features).mean()
     assert after < before
     assert opt.step > 0
@@ -599,8 +598,8 @@ def test_warmup_matches_the_plain_arm_bit_for_bit():
         dtype=np.float32,  # as a run's model
     )
     opt = init_optimizer(params, learning_rate=TINY_MODEL.learning_rate)
-    features = featurize_corpus([ex.text for ex in corrupted], TINY_MODEL.num_buckets)
-    labels = corrupted.observed_labels()
+    features = featurize_corpus(corrupted.texts, TINY_MODEL.num_buckets)
+    labels = corrupted.labels
     warmup(params, opt, features, labels, epochs=2, batch_size=16, seed=cfg.seed)
     for name in ("embedding", "w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(params, name), getattr(report.final_params, name))
@@ -656,7 +655,7 @@ def test_a_run_trains_float32_state_that_its_checkpoint_keeps_bit_for_bit(
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     save_checkpoint(loaded, second)
     assert first.read_bytes() == second.read_bytes()
-    features = featurize_corpus([ex.text for ex in corrupted], TINY_MODEL.num_buckets)
+    features = featurize_corpus(corrupted.texts, TINY_MODEL.num_buckets)
     reloaded = per_sample_losses(loaded, corrupted, features)
     assert reloaded.tobytes() == per_sample_losses(params, corrupted, features).tobytes()
 
@@ -1005,16 +1004,16 @@ def test_trainers_refuse_eval_every_below_one(trainer):
 @pytest.mark.parametrize("label", [-1, 2])
 def test_a_label_outside_the_classes_raises_instead_of_wrapping(label):
     train, test = make_corpus(20, 8, 2, seed=0)
-    bad = Dataset(
-        tuple(Example(ex.id, ex.text, label if ex.id == 3 else ex.observed_label) for ex in train), 2
-    )
+    labels = train.labels.copy()
+    labels[3] = label
+    bad = Dataset.from_columns(train.texts, labels, None, 2)
     cfg = SelfMixConfig(total_epochs=1, warmup_epochs=1, batch_size=16, seed=5)
     with pytest.raises(ValueError, match=f"label {label} out of range"):
         train_baseline(bad, test, TINY_MODEL, cfg)
     params = init_params(TINY_MODEL.num_buckets, TINY_MODEL.hidden, 2, 0.0, seed=0)
-    features = featurize_corpus([ex.text for ex in bad], TINY_MODEL.num_buckets)
+    features = featurize_corpus(bad.texts, TINY_MODEL.num_buckets)
     with pytest.raises(ValueError, match=f"label {label} out of range"):
-        warmup(params, init_optimizer(params), features, bad.observed_labels(), epochs=1)
+        warmup(params, init_optimizer(params), features, bad.labels, epochs=1)
 
 
 def test_non_finite_guess_names_epoch_and_batch():
@@ -1022,9 +1021,8 @@ def test_non_finite_guess_names_epoch_and_batch():
     naming the epoch and the batch that holds the document."""
     train, test = make_corpus(60, 20, 2, seed=0)
     # each text ends in a word of its own, so one document's features can be poisoned alone
-    tagged = Dataset(
-        tuple(Example(ex.id, f"{ex.text} solo{ex.id}", ex.observed_label) for ex in train), 2
-    )
+    texts = [f"{text} solo{i}" for i, text in enumerate(train.texts)]
+    tagged = Dataset.from_columns(texts, train.labels, None, 2)
     corrupted, _ = inject_uniform(tagged, 0.2, seed=1)
     cfg = SelfMixConfig(total_epochs=2, warmup_epochs=1, batch_size=16, seed=5)
     run = core._Run(corrupted, test, TINY_MODEL, cfg, eval_every=50)

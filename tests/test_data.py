@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import N_CASES, without_oracle
+from conftest import N_CASES, columns, without_oracle
 from selfmix.data import (
     Dataset,
     Example,
@@ -23,10 +23,15 @@ from selfmix.data import (
 
 def make_dataset(labels, num_classes, texts=None, true_labels=None):
     texts = texts or [f"doc {i}" for i in range(len(labels))]
-    examples = []
-    for i, label in enumerate(labels):
-        true = true_labels[i] if true_labels else None
-        examples.append(Example(i, texts[i], label, true))
+    return Dataset.from_columns(texts, labels, true_labels, num_classes)
+
+
+def make_rows(labels, num_classes, texts=None, true_labels=None):
+    """``make_dataset``'s corpus built through the row adapter; a ``None``
+    true label leaves that example without one."""
+    texts = texts or [f"doc {i}" for i in range(len(labels))]
+    true_labels = true_labels or [None] * len(labels)
+    examples = (Example(i, *row) for i, row in enumerate(zip(texts, labels, true_labels)))
     return Dataset(tuple(examples), num_classes)
 
 
@@ -65,12 +70,44 @@ def test_one_hot_is_distribution(case):
 def test_dataset_accessors():
     ds = make_dataset([0, 1, 1], 2, true_labels=[0, 0, 1])
     assert len(ds) == 3
-    assert ds[1].observed_label == 1
-    assert [ex.id for ex in ds] == [0, 1, 2]
-    assert np.array_equal(ds.observed_labels(), [0, 1, 1])
-    assert ds.observed_labels().dtype == np.int64
+    assert ds.texts == ("doc 0", "doc 1", "doc 2")
+    assert ds.labels.tolist() == [0, 1, 1] and ds.labels.dtype == np.int64
+    assert ds.true_labels.tolist() == [0, 0, 1] and ds.true_labels.dtype == np.int64
     assert ds.has_oracle()
     assert np.flatnonzero(ds.noisy_mask()).tolist() == [1]
+
+
+@pytest.mark.parametrize("true_labels", [None, [0, 0, 1, 2]], ids=["plain", "oracle"])
+def test_the_row_adapter_and_the_columnar_constructor_agree(tmp_path, true_labels):
+    texts = ["a", "b, c", 'd "e"', "f\ng"]
+    by_rows = make_rows([0, 1, 1, 2], 3, texts=texts, true_labels=true_labels)
+    by_columns = make_dataset([0, 1, 1, 2], 3, texts=texts, true_labels=true_labels)
+    assert columns(by_rows) == columns(by_columns)
+    assert by_rows.labels.dtype == by_columns.labels.dtype == np.int64
+    assert by_rows.noisy_mask().tolist() == by_columns.noisy_mask().tolist()
+    assert by_rows.has_oracle() == by_columns.has_oracle() == (true_labels is not None)
+    save_csv(by_rows, tmp_path / "rows.csv")
+    save_csv(by_columns, tmp_path / "columns.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+
+
+def test_a_dataset_cannot_be_written_through_its_columns():
+    labels, true_labels = np.array([0, 1, 1]), np.array([0, 0, 1])
+    ds = make_dataset(labels, 2, true_labels=true_labels)
+    for column in (ds.labels, ds.true_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    labels[0] = true_labels[0] = 1  # the caller's arrays were copied
+    assert ds.labels.tolist() == [0, 1, 1] and ds.true_labels.tolist() == [0, 0, 1]
+    with pytest.raises(AttributeError):
+        ds.labels = labels
+
+
+def test_the_columnar_constructor_refuses_a_column_of_another_length():
+    with pytest.raises(ValueError, match=r"labels has shape \(2,\) for 3 texts"):
+        Dataset.from_columns(["a", "b", "c"], [0, 1], None, 2)
+    with pytest.raises(ValueError, match=r"true_labels has shape \(4,\) for 3 texts"):
+        Dataset.from_columns(["a", "b", "c"], [0, 1, 1], [0, 1, 1, 0], 2)
 
 
 def test_noisy_mask_marks_exactly_the_corrupted_positions():
@@ -87,8 +124,8 @@ def test_strip_oracle_removes_evaluation_channel():
     stripped = without_oracle(ds)
     assert not stripped.has_oracle()
     assert not stripped.noisy_mask().any()
-    assert [ex.observed_label for ex in stripped] == [0, 1]
-    assert all(ex.true_label is None for ex in stripped)
+    assert stripped.labels.tolist() == [0, 1]
+    assert stripped.true_labels is None
     # the original is untouched
     assert ds.has_oracle()
 
@@ -110,11 +147,11 @@ def test_validate_label_out_of_range():
     assert any("out of range" in f for f in report.findings)
 
 
-def test_validate_duplicate_and_gap_ids():
-    examples = (Example(0, "a", 0), Example(0, "b", 1))
-    report = validate(Dataset(examples, 2))
-    assert any("duplicate id" in f for f in report.findings)
-    assert any("0..N-1" in f for f in report.findings)
+def test_the_row_adapter_refuses_an_id_other_than_its_position():
+    for second_id in (0, 2):  # a duplicate id, and a gap
+        examples = (Example(0, "a", 0), Example(second_id, "b", 1))
+        with pytest.raises(ValueError, match=f"example at position 1 has id {second_id}, not 1"):
+            Dataset(examples, 2)
 
 
 def test_validate_empty_text():
@@ -124,21 +161,20 @@ def test_validate_empty_text():
 
 def _invariants_hold(ds: Dataset) -> bool:
     """Brute-force restatement of the typed invariants."""
-    ids = [ex.id for ex in ds]
-    if sorted(ids) != list(range(len(ds))):
-        return False
-    for ex in ds:
-        if not 0 <= ex.observed_label < ds.num_classes:
+    true_labels = [None] * len(ds) if ds.true_labels is None else ds.true_labels.tolist()
+    for text, label, true in zip(ds.texts, ds.labels.tolist(), true_labels):
+        if not 0 <= label < ds.num_classes:
             return False
-        if ex.true_label is not None and not 0 <= ex.true_label < ds.num_classes:
+        if true is not None and not 0 <= true < ds.num_classes:
             return False
-        if not ex.text:
+        if not text:
             return False
     return True
 
 
 def test_validate_ok_iff_invariants_hold():
-    """A clean report certifies the invariants; every planted defect is found."""
+    """A clean report certifies the invariants; every planted defect is found,
+    and an id other than its position is refused when the rows are adapted."""
     rng = np.random.default_rng(7)
     for _ in range(N_CASES):
         n = int(rng.integers(1, 12))
@@ -159,6 +195,10 @@ def test_validate_ok_iff_invariants_hold():
                 examples[pos] = Example(ex.id + n, ex.text, ex.observed_label, ex.true_label)
             else:
                 examples[pos] = Example(ex.id, "", ex.observed_label, ex.true_label)
+        if any(ex.id != i for i, ex in enumerate(examples)):
+            with pytest.raises(ValueError, match=f"example at position {pos} has id"):
+                Dataset(tuple(examples), num_classes)
+            continue
         ds = Dataset(tuple(examples), num_classes)
         assert validate(ds).ok == _invariants_hold(ds)
 
@@ -172,7 +212,7 @@ def test_subsample_balanced_quota():
     ds = make_dataset([i % 4 for i in range(4000)], 4)
     picked = stratified_subsample(ds, 400, seed=3)
     assert picked.shape == (400,) and picked.dtype == np.int64
-    counts = Counter(ds[int(i)].observed_label for i in picked)
+    counts = Counter(ds.labels[picked].tolist())
     assert counts == {0: 100, 1: 100, 2: 100, 3: 100}
 
 
@@ -183,8 +223,13 @@ def test_subsample_full_size_is_identity_up_to_ids():
 
 
 def test_subsample_too_large_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requested n=3 examples from a dataset of 2"):
         stratified_subsample(make_dataset([0, 1], 2), 3, seed=0)
+
+
+def test_subsample_negative_size_raises_naming_n():
+    with pytest.raises(ValueError, match="requested n=-1 examples"):
+        stratified_subsample(make_dataset([0, 1], 2), -1, seed=0)
 
 
 def test_subsample_determinism_and_quota_property():
@@ -222,9 +267,8 @@ def test_csv_round_trip_plain(tmp_path):
     save_csv(ds, path)
     assert path.read_text(encoding="utf-8").startswith("label,text\n")
     loaded = load_csv(path, num_classes=2)
-    assert [(ex.text, ex.observed_label) for ex in loaded] == [
-        (ex.text, ex.observed_label) for ex in ds
-    ]
+    assert loaded.texts == ds.texts
+    assert loaded.labels.tolist() == ds.labels.tolist()
     assert not loaded.has_oracle()
 
 
@@ -235,7 +279,7 @@ def test_csv_round_trip_oracle(tmp_path):
     assert path.read_text(encoding="utf-8").startswith("label,text,true_label\n")
     loaded = load_csv(path)
     assert loaded.num_classes == 2
-    assert [ex.true_label for ex in loaded] == [0, 0, 1]
+    assert loaded.true_labels.tolist() == [0, 0, 1]
     assert loaded.noisy_mask().tolist() == [False, True, False]
 
 
@@ -245,8 +289,8 @@ def test_csv_bytes_of_a_mixed_oracle_corpus(tmp_path):
     quoting, or look like comments, or are not ASCII."""
     texts = ["plain", "a,comma", 'a "quote"', "new\nline", "tab\there", "non-ascii é漢字",
              "# leading hash", " spaced ", "\r\ncrlf"]
-    ds = make_dataset([0, 1, 2, 0, 1, 2, 0, 1, 2], 3, texts=texts,
-                      true_labels=[1, None, 0, None, 2, None, 1, None, 0])
+    ds = make_rows([0, 1, 2, 0, 1, 2, 0, 1, 2], 3, texts=texts,
+                   true_labels=[1, None, 0, None, 2, None, 1, None, 0])
     save_csv(ds, tmp_path / "c.csv")
     assert (tmp_path / "c.csv").read_bytes() == (
         "label,text,true_label\n"
@@ -351,4 +395,4 @@ def test_csv_round_trip_survives_arbitrary_text(tmp_path_factory, rows):
     ds = make_dataset([r[0] for r in rows], 4, texts=[r[1] for r in rows])
     save_csv(ds, path)
     loaded = load_csv(path, num_classes=4)
-    assert [(ex.observed_label, ex.text) for ex in loaded] == rows
+    assert list(zip(loaded.labels.tolist(), loaded.texts)) == rows

@@ -210,7 +210,7 @@ def test_featurize_corpus_matches_the_reference_bit_for_bit(texts, num_buckets, 
 @pytest.mark.parametrize("num_buckets", _BUCKET_COUNTS)
 def test_featurize_corpus_matches_the_reference_over_several_chunks(num_buckets):
     pool, _ = make_labeled_pool(1100, 4, class_vocab=400, seed=5)
-    texts = [ex.text for ex in pool]
+    texts = list(pool.texts)
     texts[3::250] = ["", "solo", "Echo echo ECHO echo", "x" * 3000, "a b a b a"]
     assert len(texts) > 2 * encoder._FEATURIZE_CHUNK
     for text, got in zip(texts, rows_of(featurize_corpus(texts, num_buckets)), strict=True):
@@ -221,7 +221,7 @@ def test_the_documented_corpus_features_are_pinned():
     """The README quick-start corpus's training texts featurize to these
     exact bytes (indptr and indices as ``<i8``, then weights as ``<f8``)."""
     train, _ = make_corpus(2000, 500, 4, seed=0)
-    m = featurize_corpus([ex.text for ex in train], 2**18)
+    m = featurize_corpus(train.texts, 2**18)
     assert m.indices.size == 40_726
     digest = hashlib.sha256()
     for part, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.weights, "<f8")):
@@ -343,7 +343,7 @@ def _featurize_traced(texts: list[str]) -> tuple[int, int]:
 
 def test_featurize_corpus_peaks_near_the_features_it_returns():
     pool, _ = make_labeled_pool(20000, 4, class_vocab=400, seed=3)
-    kept, peak = _featurize_traced([ex.text for ex in pool])
+    kept, peak = _featurize_traced(list(pool.texts))
     assert peak - kept < 4 * 2**20, f"peak {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
 
 
@@ -458,7 +458,7 @@ def test_a_multi_row_call_scores_each_row_as_its_one_row_call():
     may round differently from the matrix-matrix product of a multi-row
     pass, so probabilities agree to within a few ulp."""
     pool, _ = make_labeled_pool(2 * encoder._EVAL_CHUNK + 40, 4, class_vocab=60, seed=8)
-    texts = [ex.text for ex in pool]
+    texts = list(pool.texts)
     texts[7::97] = ["", "solo", ""]
     features = featurize_corpus(texts, 2**12)
     assert len(features) % encoder._EVAL_CHUNK > 1
@@ -483,7 +483,7 @@ def test_encode_skips_unowned_buckets_as_pooling_through_the_zero_row_would():
     whose buckets are all unowned pools to exact zeros (no ``-0.0``), and
     scores as the head on the zero vector."""
     pool, _ = make_labeled_pool(300, 4, class_vocab=60, seed=3)
-    texts = [ex.text for ex in pool] + ["qqz0 qqz1 qqz2", ""]
+    texts = [*pool.texts, "qqz0 qqz1 qqz2", ""]
     features = featurize_corpus(texts, 2**12)
     unowned = features.take([len(texts) - 2]).indices
     buckets = np.setdiff1d(corpus_buckets(features, 2**12)[::2], unowned)

@@ -18,7 +18,7 @@ import pytest
 from conftest import N_CASES, mask_of
 from selfmix.common import NumericError, atomic_open, round_half_up, subseed, write_csv
 from selfmix.core import REPORT_CSV_FIELDS, ModelConfig, SelfMixConfig, selection_prf
-from selfmix.data import Dataset, Example, load_csv, save_csv
+from selfmix.data import Dataset, load_csv, save_csv
 from selfmix.encoder import init_params, load_checkpoint
 from selfmix.harness import (
     _CONFIG_KEYS,
@@ -56,9 +56,8 @@ def one_class_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("one-class")
     train, test = make_corpus(60, 20, 2, seed=11)
     for ds, name in ((train, "train.csv"), (test, "test.csv")):
-        kept = [ex for ex in ds if ex.observed_label == 0]
-        examples = tuple(Example(i, ex.text, 0) for i, ex in enumerate(kept))
-        save_csv(Dataset(examples, 1), root / name)
+        kept = [text for text, label in zip(ds.texts, ds.labels.tolist()) if label == 0]
+        save_csv(Dataset.from_columns(kept, [0] * len(kept), None, 1), root / name)
     return root
 
 
@@ -1331,7 +1330,7 @@ def test_cli_degenerate_selection_losses_fall_back_and_warn(tmp_path, capsys):
     """One fixed text per class makes every class-standardized loss 0; the
     run keeps all samples labeled and records why, instead of failing."""
     texts = ("alpha beta", "gamma delta")
-    data = Dataset(tuple(Example(i, texts[i % 2], i % 2) for i in range(32)), 2, "twin")
+    data = Dataset.from_columns(texts * 16, [0, 1] * 16, None, 2, "twin")
     save_csv(data, tmp_path / "train.csv")
     save_csv(data, tmp_path / "test.csv")
     out = tmp_path / "out"

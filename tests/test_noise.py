@@ -10,7 +10,7 @@ import pytest
 from conftest import N_CASES
 from selfmix import core, noise
 from selfmix.common import round_half_up
-from selfmix.data import Dataset, Example, validate
+from selfmix.data import Dataset, validate
 from selfmix.encoder import featurize_text, predict_proba
 from selfmix.noise import (
     AUX_NUM_BUCKETS,
@@ -29,10 +29,8 @@ from selfmix.synthetic import make_corpus, make_labeled_pool
 
 
 def toy_dataset(labels, num_classes):
-    examples = tuple(
-        Example(i, f"token{i} word{label}", int(label)) for i, label in enumerate(labels)
-    )
-    return Dataset(examples, num_classes)
+    texts = [f"token{i} word{label}" for i, label in enumerate(labels)]
+    return Dataset.from_columns(texts, labels, None, num_classes)
 
 
 def manifests_equal(a: CorruptionManifest, b: CorruptionManifest) -> bool:
@@ -82,12 +80,22 @@ def test_uniform_flips_exact_count_and_other_class():
     assert len(manifest.flips) == 2
     assert manifest.noise_type == "uniform"
     flipped = {i for i, _, _ in manifest.flips}
-    for ex, noisy in zip(corrupted, corrupted.noisy_mask()):
-        assert ex.true_label is not None
-        if ex.id in flipped:
-            assert noisy and ex.observed_label != ex.true_label
+    assert corrupted.true_labels is not None
+    rows = zip(corrupted.labels.tolist(), corrupted.true_labels.tolist(), corrupted.noisy_mask())
+    for i, (observed, true, noisy) in enumerate(rows):
+        if i in flipped:
+            assert noisy and observed != true
         else:
-            assert not noisy and ex.observed_label == ex.true_label
+            assert not noisy and observed == true
+
+
+@pytest.mark.parametrize("injector", [inject_uniform, inject_asymmetric])
+def test_injectors_leave_their_input_unchanged(injector):
+    ds = toy_dataset([0, 1, 2] * 10, 3)
+    corrupted, manifest = injector(ds, 0.4, seed=3)
+    assert manifest.flips
+    assert ds.labels.tolist() == [0, 1, 2] * 10 and not ds.has_oracle()
+    assert corrupted.true_labels.tolist() == [0, 1, 2] * 10
 
 
 def test_noisy_mask_marks_the_manifest_flips():
@@ -141,7 +149,7 @@ def test_zero_ratio_populates_oracle_without_flips():
         assert manifest.flips == ()
         assert corrupted.has_oracle()
         assert not corrupted.noisy_mask().any()
-        assert all(ex.observed_label == ex.true_label for ex in corrupted)
+        assert corrupted.labels.tolist() == corrupted.true_labels.tolist()
 
 
 def test_injectors_require_clean_input():
@@ -214,19 +222,19 @@ def test_idn_batched_margins_choose_the_per_document_flips(monkeypatch):
     (params,) = trained  # trained in place, so it holds the model that scored the margins
 
     num_flips = round_half_up(ratio * len(pool))
-    ids = np.array([ex.id for ex in pool])
+    ids = np.arange(len(pool))  # a document's id is its position
+    labels = pool.labels.tolist()
     margins = np.empty(len(pool))
     runner_up = np.empty(len(pool), dtype=np.int64)
-    for i, ex in enumerate(pool):
-        p = predict_proba(params, featurize_text(ex.text, AUX_NUM_BUCKETS))[0]
+    for i, text in enumerate(pool.texts):
+        p = predict_proba(params, featurize_text(text, AUX_NUM_BUCKETS))[0]
         others = p.copy()
-        others[ex.observed_label] = -np.inf
+        others[labels[i]] = -np.inf
         runner_up[i] = np.argmax(others)
-        margins[i] = p[ex.observed_label] - others[runner_up[i]]
+        margins[i] = p[labels[i]] - others[runner_up[i]]
     order = np.lexsort((ids, margins))
     assert margins[order[num_flips]] - margins[order[num_flips - 1]] > 1e-9
-    expected = sorted((int(ids[i]), pool[int(i)].observed_label, int(runner_up[i]))
-                      for i in order[:num_flips])
+    expected = sorted((int(ids[i]), labels[i], int(runner_up[i])) for i in order[:num_flips])
     assert len(manifest.flips) == num_flips
     assert list(manifest.flips) == expected
 
@@ -297,8 +305,7 @@ def test_injector_count_validity_determinism_property():
         assert validate(corrupted).ok
         flipped = [i for i, _, _ in manifest.flips]
         assert np.flatnonzero(corrupted.noisy_mask()).tolist() == flipped
-        for ex, orig in zip(corrupted, ds):
-            assert ex.true_label == orig.observed_label
+        assert corrupted.true_labels.tolist() == ds.labels.tolist()
 
         _, again = inject(ds, noise_type, ratio, seed, **kwargs)
         assert manifests_equal(manifest, again)

@@ -13,7 +13,7 @@ from selfmix import synthetic
 from selfmix.data import save_csv, validate
 from selfmix.synthetic import make_corpus, make_labeled_pool
 
-from conftest import reference_labeled_pool
+from conftest import columns, reference_labeled_pool
 
 # Sizes at which Lemire's rule rejects often (2**31 + 1, 3 * 2**30) or where
 # integers() takes no draw at all (1), besides the ordinary ones.
@@ -24,9 +24,9 @@ def test_pool_is_balanced_and_valid():
     dataset, ambiguous = make_labeled_pool(40, 4, seed=2)
     assert len(dataset) == 40
     assert ambiguous == frozenset()
-    counts = np.bincount(dataset.observed_labels(), minlength=4)
+    counts = np.bincount(dataset.labels, minlength=4)
     assert list(counts) == [10, 10, 10, 10]
-    assert [ex.observed_label for ex in dataset[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert dataset.labels[:8].tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
     assert validate(dataset).ok
 
 
@@ -34,23 +34,23 @@ def test_pool_is_deterministic_per_seed():
     a, _ = make_labeled_pool(25, 3, seed=9)
     b, _ = make_labeled_pool(25, 3, seed=9)
     c, _ = make_labeled_pool(25, 3, seed=10)
-    assert [ex.text for ex in a] == [ex.text for ex in b]
-    assert [ex.text for ex in a] != [ex.text for ex in c]
+    assert a.texts == b.texts
+    assert a.texts != c.texts
 
 
 def test_document_lengths_respect_bounds():
     dataset, _ = make_labeled_pool(60, 2, doc_len=(3, 5), seed=4)
-    lengths = [len(ex.text.split()) for ex in dataset]
+    lengths = [len(text.split()) for text in dataset.texts]
     assert min(lengths) >= 3 and max(lengths) <= 5
     fixed, _ = make_labeled_pool(10, 2, doc_len=(4, 4), seed=4)
-    assert all(len(ex.text.split()) == 4 for ex in fixed)
+    assert all(len(text.split()) == 4 for text in fixed.texts)
 
 
 def test_private_words_name_their_class():
     dataset, _ = make_labeled_pool(80, 3, shared_fraction=0.0, seed=7)
-    for ex in dataset:
-        for word in ex.text.split():
-            assert word.startswith(f"c{ex.observed_label}w")
+    for text, label in zip(dataset.texts, dataset.labels.tolist()):
+        for word in text.split():
+            assert word.startswith(f"c{label}w")
 
 
 def test_ambiguous_documents_use_only_shared_pools():
@@ -58,11 +58,10 @@ def test_ambiguous_documents_use_only_shared_pools():
         50, 4, ambiguous_fraction=0.2, shared_fraction=0.3, seed=5
     )
     assert ambiguous == frozenset(range(10))  # round(0.2 * 50) leading ids
-    for ex in dataset:
-        words = ex.text.split()
-        if ex.id in ambiguous:
+    for i, (text, c) in enumerate(zip(dataset.texts, dataset.labels.tolist())):
+        words = text.split()
+        if i in ambiguous:
             assert all(w.startswith("s") for w in words)
-        c = ex.observed_label
         allowed_pools = (f"s{(c - 1) % 4}w", f"s{c}w")
         for w in words:
             if w.startswith("s"):
@@ -107,15 +106,15 @@ def test_corpus_pair_shares_settings_but_not_randomness():
     assert train.num_classes == test.num_classes == 3
     assert train.name == "synthetic-train" and test.name == "synthetic-test"
     assert validate(train).ok and validate(test).ok
-    assert [ex.text for ex in train[:12]] != [ex.text for ex in test]
+    assert train.texts[:12] != test.texts
     again_train, again_test = make_corpus(24, 12, 3, seed=8)
-    assert [ex.text for ex in again_train] == [ex.text for ex in train]
-    assert [ex.text for ex in again_test] == [ex.text for ex in test]
+    assert again_train.texts == train.texts
+    assert again_test.texts == test.texts
 
 
 def test_corpus_forwards_pool_knobs():
     train, _ = make_corpus(10, 5, 2, seed=1, doc_len=(2, 2), shared_fraction=0.0)
-    assert all(len(ex.text.split()) == 2 for ex in train)
+    assert all(len(text.split()) == 2 for text in train.texts)
 
 
 @given(
@@ -149,7 +148,7 @@ def test_pool_matches_the_scalar_reference(
         patch.setattr(synthetic, "_BLOCK", block)
         got, ambiguous = make_labeled_pool(n, num_classes, **kwargs)
     want, want_ambiguous = reference_labeled_pool(n, num_classes, **kwargs)
-    assert got == want
+    assert columns(got) == columns(want)
     assert ambiguous == want_ambiguous
 
 
@@ -163,7 +162,10 @@ def test_numpy_integer_sizes_draw_the_python_int_pool():
         shared_vocab=np.int64(3 * 2**30),
         doc_len=(np.int64(2), np.uint8(5)),
     )
-    assert make_labeled_pool(30, 3, **as_numpy) == make_labeled_pool(30, 3, **sizes)
+    (got, got_ambiguous), (want, want_ambiguous) = (
+        make_labeled_pool(30, 3, **as_numpy), make_labeled_pool(30, 3, **sizes)
+    )
+    assert columns(got) == columns(want) and got_ambiguous == want_ambiguous
     with pytest.raises(TypeError):
         make_labeled_pool(30, 3, class_vocab=40.0)
 
