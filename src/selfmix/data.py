@@ -71,6 +71,13 @@ class Dataset:
         vars(dataset).update(texts=texts, num_classes=int(num_classes), name=name, **columns)
         return dataset
 
+    def __reduce__(self):
+        """Pickle and copy through :meth:`from_columns`, so a copy's label
+        columns are read-only as the original's are."""
+        return Dataset.from_columns, (
+            self.texts, self.labels, self.true_labels, self.num_classes, self.name
+        )
+
     def __len__(self) -> int:
         return len(self.texts)
 

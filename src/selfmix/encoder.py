@@ -78,6 +78,15 @@ from the counter hash below, keyed by (init seed, bucket, unit), so it does
 not depend on which other buckets the model owns. Adam updates owned rows
 in place, and a checkpoint stores them.
 
+The Adam state (:class:`OptimizerState`) holds the head's moments as one
+flat vector each, ``w1``, ``b1``, ``w2`` and ``b2`` joined in
+:data:`TRAINED` order, and the embedding's as tables of the table's shape.
+``opt.m[name]`` and ``opt.v[name]`` are views into that state, made on
+each read, so a pickled state (a shared warm-up spills one) holds no copy
+that could go stale. :func:`adam_step` updates the head in one pass over
+the flat vectors, and the embedding's touched rows with one gather, in
+place arithmetic and one scatter per table.
+
 Dropout is inverted dropout with one site (the hidden layer). Masks come
 from a counter-based hash (SplitMix64 mixing, in the spirit of Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): unit ``j`` of
@@ -94,7 +103,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -450,7 +459,7 @@ def encode(params: ModelParams, features: FeatureMatrix) -> np.ndarray:
     # bounds[i]: the kept entries before entry indptr[i]
     bounds = np.searchsorted(kept, features.indptr)
     filled = bounds[1:] > bounds[:-1]
-    weighted = params.embedding[rows[kept]]
+    weighted = np.take(params.embedding, rows[kept], axis=0)
     weighted *= features.weights[kept].astype(weighted.dtype, copy=False)[:, None]
     pooled = np.zeros((len(features), params.hidden))
     pooled[filled] = np.add.reduceat(weighted, bounds[:-1][filled], axis=0)
@@ -893,7 +902,7 @@ def backward(
     weights = np.ascontiguousarray(items["weight"])
     pooled = np.empty((plan.docs, params.hidden))
     for start, stop, _, rows, bags in plan.blocks:
-        pooled[start:stop] = bags @ params.embedding[rows]
+        pooled[start:stop] = bags @ np.take(params.embedding, rows, axis=0)
     doc_a, doc_b, coef_a, coef_b = plan.doc_a, plan.doc_b, plan.coef_a, plan.coef_b
     e = coef_a[:, None] * pooled[doc_a] + coef_b[:, None] * pooled[doc_b]
 
@@ -969,25 +978,58 @@ def backward(
 # The ``ModelParams`` fields that Adam trains, in update order; ``slot`` and
 # the dropout rate stay as initialized.
 TRAINED = ("w1", "b1", "w2", "b2", "embedding")
+_HEAD = TRAINED[:-1]  # the dense fields, whose moments one flat vector holds
+
+
+def _head_views(flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> dict[str, np.ndarray]:
+    """Each field of ``_HEAD`` as a view of its slice of ``flat``, where the
+    fields of ``shapes`` lie raveled, one after another."""
+    views, start = {}, 0
+    for name, shape in zip(_HEAD, shapes):
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
 
 
 @dataclass
 class OptimizerState:
     """Adam state: hyperparameters, step counter, and per-parameter moments.
 
-    ``m`` and ``v`` map each name of :data:`TRAINED` to the first and second
-    moments of that parameter, in its shape and dtype: row ``r`` of the
-    embedding moments belongs to table row ``r``. Only rows that received
-    gradient in a step are ever touched, so row 0 stays zero.
+    The head's first and second moments are one flat vector each,
+    ``head_m`` and ``head_v``: the moments of ``w1``, ``b1``, ``w2`` and
+    ``b2``, raveled and joined in :data:`TRAINED` order, with the shapes
+    ``head_shapes``. The embedding's are ``emb_m`` and ``emb_v``, in the
+    table's shape: row ``r`` belongs to table row ``r``. All of them have
+    the dtype of the trained arrays. Only rows that received gradient in a
+    step are ever touched, so row 0 stays zero.
+
+    ``m`` and ``v`` map each name of :data:`TRAINED` to that parameter's
+    moments, in its shape: views into this state, made on each read, so a
+    write through them changes the state and a pickled state keeps no stale
+    copy. They cannot be rebound.
     """
 
     learning_rate: float
     beta1: float
     beta2: float
     epsilon: float
+    head_shapes: tuple[tuple[int, ...], ...]
+    head_m: np.ndarray
+    head_v: np.ndarray
+    emb_m: np.ndarray
+    emb_v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        """The first moments of each trained parameter, as views into the state."""
+        return {**_head_views(self.head_m, self.head_shapes), "embedding": self.emb_m}
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        """The second moments of each trained parameter, as views into the state."""
+        return {**_head_views(self.head_v, self.head_shapes), "embedding": self.emb_v}
 
 
 def init_optimizer(
@@ -997,29 +1039,36 @@ def init_optimizer(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> OptimizerState:
+    """Zero moments in the dtype of ``params``'s trained arrays."""
+    head = sum(getattr(params, name).size for name in _HEAD)
     return OptimizerState(
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
-        m={name: np.zeros_like(getattr(params, name)) for name in TRAINED},
-        v={name: np.zeros_like(getattr(params, name)) for name in TRAINED},
+        head_shapes=tuple(getattr(params, name).shape for name in _HEAD),
+        head_m=np.zeros(head, dtype=params.w1.dtype),
+        head_v=np.zeros(head, dtype=params.w1.dtype),
+        emb_m=np.zeros_like(params.embedding),
+        emb_v=np.zeros_like(params.embedding),
     )
 
 
-def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
-    """One bias-corrected Adam update, in place.
-
-    Head parameters get the textbook dense update. Embedding rows are
-    updated lazily: only rows with gradient this step have their moments
-    decayed and applied, with bias correction from the shared global step.
-    A gradient for a bucket outside ``[0, num_buckets)``, or for one the
-    model owns no row for, raises ``ValueError`` before anything changes: it
-    would otherwise train another bucket's row or the shared zero row.
-    """
-    if grads.w1.shape != params.w1.shape or grads.w2.shape != params.w2.shape:
-        raise ValueError("gradient shapes do not match the parameters")
+def _check_gradients(params: ModelParams, grads: Gradients) -> np.ndarray:
+    """The table rows ``grads`` trains; refuses, naming the field or the
+    bucket, a gradient that does not fit ``params``."""
+    for name in _HEAD:
+        got, want = np.shape(getattr(grads, name)), getattr(params, name).shape
+        if got != want:
+            raise ValueError(f"gradient {name} has shape {got}, not the parameter's {want}")
     buckets = grads.emb_rows
+    if buckets.ndim != 1:
+        raise ValueError(f"gradient emb_rows has shape {buckets.shape}, not one dimension")
+    got, want = np.shape(grads.emb_vals), (buckets.size, params.hidden)
+    if got != want:
+        raise ValueError(
+            f"gradient emb_vals has shape {got}, not {want} for {buckets.size} emb_rows"
+        )
     if buckets.size and (buckets.min() < 0 or buckets.max() >= params.num_buckets):
         bucket = int(buckets[(buckets < 0) | (buckets >= params.num_buckets)][0])
         raise ValueError(
@@ -1027,34 +1076,79 @@ def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> Non
         )
     rows = params.slot[buckets]
     if not rows.all():
-        bucket = int(grads.emb_rows[np.argmin(rows)])
+        bucket = int(buckets[np.argmin(rows)])
         raise ValueError(f"gradient for bucket {bucket}, which owns no embedding row")
+    return rows
+
+
+def adam_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
+    """One bias-corrected Adam update, in place.
+
+    The head gets the textbook dense update as one pass over its flat
+    moments: its four float64 gradients are joined once, the new moments
+    are computed in float64 from the stored ones (``beta1 * m`` in the
+    state's dtype), stored in the state's dtype, and the step reads them
+    unrounded; each parameter takes its slice of the step. Embedding rows
+    are updated lazily, in the table's dtype: only rows with gradient this
+    step have their moments decayed and applied, with bias correction from
+    the shared global step. Each moment table's touched rows are gathered
+    once, updated in place and scattered once, as are the table's own.
+
+    A gradient whose shape does not fit the parameters, or one for a bucket
+    outside ``[0, num_buckets)`` or for one the model owns no row for,
+    raises ``ValueError`` before anything changes: it would otherwise shift
+    the head's slices, train another bucket's row or train the shared zero
+    row.
+    """
+    rows = _check_gradients(params, grads)
     lr, beta1, beta2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon
     opt.step += 1
     bc1 = 1.0 - beta1 ** opt.step
     bc2 = 1.0 - beta2 ** opt.step
 
-    for name in ("w1", "b1", "w2", "b2"):
-        # A head's gradient is float64: its step reads the new moments
-        # unrounded, before they are stored in the state's dtype.
-        g = getattr(grads, name)
-        m = beta1 * opt.m[name] + (1.0 - beta1) * g
-        v = beta2 * opt.v[name] + (1.0 - beta2) * np.square(g)
-        opt.m[name][...] = m
-        opt.v[name][...] = v
-        getattr(params, name)[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    # The embedding's gradient covers the touched rows, in the table's dtype:
-    # their moments are gathered once and updated in place.
+    # The head: ``beta1 * m`` in the state's dtype plus ``(1 - beta1) * g``
+    # in float64, and likewise for ``v``; the new moments are stored in the
+    # state's dtype, and the step reads them unrounded.
+    g = np.concatenate([getattr(grads, name) for name in _HEAD], axis=None)
+    m = np.multiply(g, 1.0 - beta1)
+    m += np.multiply(opt.head_m, beta1, out=opt.head_m)
+    v = np.square(g, out=g)
+    v *= 1.0 - beta2
+    v += np.multiply(opt.head_v, beta2, out=opt.head_v)
+    opt.head_m[...] = m
+    opt.head_v[...] = v
+    m /= bc1
+    m *= lr
+    v /= bc2
+    np.sqrt(v, out=v)
+    v += eps
+    m /= v
+    for name, step in _head_views(m, opt.head_shapes).items():
+        param = getattr(params, name)
+        param -= step
+
+    # The touched rows, in the table's dtype; ``t`` is the one temporary.
     g = grads.emb_vals
-    m = opt.m["embedding"][rows]
+    m = np.take(opt.emb_m, rows, axis=0)
     m *= beta1
-    m += (1.0 - beta1) * g
-    v = opt.v["embedding"][rows]
+    t = np.multiply(g, 1.0 - beta1)
+    m += t
+    v = np.take(opt.emb_v, rows, axis=0)
     v *= beta2
-    v += (1.0 - beta2) * np.square(g)
-    opt.m["embedding"][rows] = m
-    opt.v["embedding"][rows] = v
-    params.embedding[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.square(g, out=t)
+    t *= 1.0 - beta2
+    v += t
+    opt.emb_m[rows] = m
+    opt.emb_v[rows] = v
+    m /= bc1
+    m *= lr
+    v /= bc2
+    np.sqrt(v, out=v)
+    v += eps
+    m /= v
+    table = np.take(params.embedding, rows, axis=0)
+    table -= m
+    params.embedding[rows] = table
 
 
 # ---------------------------------------------------------------------------

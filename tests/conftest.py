@@ -7,6 +7,7 @@ derandomized generation so a green suite stays green.
 from __future__ import annotations
 
 from itertools import groupby
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from selfmix import core
 from selfmix.common import round_half_up, subseed
 from selfmix.data import Dataset
 from selfmix.encoder import (
+    TRAINED,
     FeatureMatrix,
     Gradients,
     ModelParams,
+    OptimizerState,
     backward,
     init_params,
     make_batch,
@@ -220,6 +223,61 @@ def reference_selfmix_items(run, split, epoch: int):
         return np.concatenate(parts).view(np.recarray)
 
     return items_for
+
+
+def reference_optimizer(opt: OptimizerState) -> SimpleNamespace:
+    """A copy of ``opt`` for :func:`reference_adam_step`: its hyperparameters
+    and step, and its moments as separately stored arrays, one per name of
+    ``TRAINED``."""
+    return SimpleNamespace(
+        learning_rate=opt.learning_rate, beta1=opt.beta1, beta2=opt.beta2,
+        epsilon=opt.epsilon, step=opt.step,
+        m={name: moments.copy() for name, moments in opt.m.items()},
+        v={name: moments.copy() for name, moments in opt.v.items()},
+    )
+
+
+def reference_adam_step(params: ModelParams, grads: Gradients, opt: SimpleNamespace) -> None:
+    """The reference Adam step: one dense update per head parameter, and a
+    lazy update of the embedding rows ``grads`` names, on the per-name
+    moments of :func:`reference_optimizer`."""
+    rows = params.slot[grads.emb_rows]
+    lr, beta1, beta2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon
+    opt.step += 1
+    bc1 = 1.0 - beta1 ** opt.step
+    bc2 = 1.0 - beta2 ** opt.step
+    for name in ("w1", "b1", "w2", "b2"):
+        g = getattr(grads, name)
+        m = beta1 * opt.m[name] + (1.0 - beta1) * g
+        v = beta2 * opt.v[name] + (1.0 - beta2) * np.square(g)
+        opt.m[name][...] = m
+        opt.v[name][...] = v
+        getattr(params, name)[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g = grads.emb_vals
+    m = opt.m["embedding"][rows]
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v = opt.v["embedding"][rows]
+    v *= beta2
+    v += (1.0 - beta2) * np.square(g)
+    opt.m["embedding"][rows] = m
+    opt.v["embedding"][rows] = v
+    params.embedding[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def assert_same_adam_state(params, opt, ref_params, ref_opt) -> None:
+    """``params`` and ``opt`` hold the bytes of ``ref_params`` and
+    ``ref_opt``, in the same dtypes, for every name of ``TRAINED``."""
+    assert opt.step == ref_opt.step
+    for name in TRAINED:
+        pairs = (
+            (getattr(params, name), getattr(ref_params, name)),
+            (opt.m[name], ref_opt.m[name]),
+            (opt.v[name], ref_opt.v[name]),
+        )
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def mask_of(size: int, positions) -> np.ndarray:

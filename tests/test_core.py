@@ -6,12 +6,15 @@ import pytest
 
 from conftest import (
     N_CASES,
+    assert_same_adam_state,
     bag,
     mask_of,
     matrix_of,
     random_distribution,
     random_features,
+    reference_adam_step,
     reference_ce_items,
+    reference_optimizer,
     reference_selfmix_items,
     without_oracle,
 )
@@ -710,10 +713,12 @@ def test_arms_continue_a_shared_warmup_as_if_each_ran_alone():
     assert base.per_epoch[2] != mix.per_epoch[2]
 
 
-def test_a_resumed_run_copies_the_branch_point_onto_arrays_of_its_own():
+def test_a_resumed_run_copies_the_branch_point_onto_arrays_of_its_own(monkeypatch):
     """The second resume gets the first run's state at the end of the shared
     warm-up: equal trained arrays and Adam moments on fresh, writable
-    memory, the same step count, and records that are equal but its own."""
+    memory, the same step count, and records that are equal but its own.
+    Both runs hold the parameters and moments that the per-parameter
+    reference Adam step reaches over the same warm-up epochs."""
     corrupted, test = small_noisy_problem()
     cfg = SelfMixConfig(total_epochs=4, warmup_epochs=2, batch_size=16, seed=5)
     inputs = (corrupted, test, TINY_MODEL, cfg, 3)
@@ -723,6 +728,12 @@ def test_a_resumed_run_copies_the_branch_point_onto_arrays_of_its_own():
         spill = shared._spill
         assert not spill.closed
     assert spill.closed
+    reference = core._Run(*inputs)
+    reference.opt = reference_optimizer(reference.opt)
+    monkeypatch.setattr(core, "adam_step", reference_adam_step)
+    reference.run_epochs(core.warmup_schedule(cfg, len(corrupted)), cfg.warmup_epochs)
+    for run in (first, second):
+        assert_same_adam_state(run.params, run.opt, reference.params, reference.opt)
 
     def trained(run):
         return [getattr(run.params, name) for name in TRAINED] + [

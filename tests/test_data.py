@@ -1,6 +1,8 @@
 """Dataset containers, label helpers, and the CSV corpus format."""
 from __future__ import annotations
 
+import copy
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -101,6 +103,19 @@ def test_a_dataset_cannot_be_written_through_its_columns():
     assert ds.labels.tolist() == [0, 1, 1] and ds.true_labels.tolist() == [0, 0, 1]
     with pytest.raises(AttributeError):
         ds.labels = labels
+
+
+@pytest.mark.parametrize("true_labels", [None, [0, 0, 1]])
+def test_a_pickled_or_copied_dataset_keeps_its_columns_read_only(true_labels):
+    ds = make_dataset([0, 1, 1], 2, texts=["a", "b c", ""], true_labels=true_labels)
+    for copied in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds), copy.copy(ds)):
+        assert type(copied) is Dataset and copied is not ds
+        assert columns(copied) == columns(ds)
+        for column in (copied.labels, copied.true_labels):
+            if column is not None:
+                assert column.dtype == np.int64 and not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1
 
 
 def test_the_columnar_constructor_refuses_a_column_of_another_length():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import pickle
 import struct
 import tracemalloc
 
@@ -13,13 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     N_CASES,
+    assert_same_adam_state,
     bag,
     joined,
     matrix_of,
     random_distribution,
     random_features,
+    reference_adam_step,
     reference_featurize,
     reference_fnv1a64,
+    reference_optimizer,
     reference_tokenize,
     rows_of,
     small_params,
@@ -1137,6 +1141,89 @@ def test_lazy_embedding_moments_use_global_step_bias_correction():
         np.sqrt(v / (1 - b2**t)) + eps
     )
     assert np.allclose(params.embedding[row], expected, atol=1e-15)
+
+
+def _random_gradients(rng, params, buckets):
+    """Head gradients in float64, as ``backward`` gives them, and embedding
+    gradients in the table's dtype for a sorted, distinct draw of
+    ``buckets`` (possibly none)."""
+    rows = np.sort(rng.choice(buckets, size=int(rng.integers(0, buckets.size + 1)), replace=False))
+    return Gradients(
+        rows.astype(np.int64),
+        rng.normal(size=(rows.size, params.hidden)).astype(params.embedding.dtype),
+        *(rng.normal(size=getattr(params, name).shape) for name in ("w1", "b1", "w2", "b2")),
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_the_reference_step_bit_for_bit(dtype):
+    """60 random steps over a few owned buckets, so rows recur across steps
+    and some steps touch none, match the per-parameter reference on every
+    parameter and moment, across a pickle round trip of (params, opt)
+    halfway, as a shared warm-up makes."""
+    rng = np.random.default_rng(31)
+    buckets = np.array([2, 3, 7, 11, 12, 30])
+    params = init_params(32, 5, 3, 0.0, seed=4, buckets=buckets, dtype=dtype)
+    opt = init_optimizer(params, learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
+    ref_params, ref_opt = copy.deepcopy(params), reference_optimizer(opt)
+    for step in range(60):
+        if step == 30:
+            params, opt = pickle.loads(pickle.dumps((params, opt), protocol=5))
+        grads = _random_gradients(rng, params, buckets)
+        adam_step(params, grads, opt)
+        reference_adam_step(ref_params, grads, ref_opt)
+        assert_same_adam_state(params, opt, ref_params, ref_opt)
+    assert not params.embedding[0].any() and not opt.m["embedding"][0].any()
+
+
+def test_adam_moments_are_views_of_the_flat_head_state():
+    """``m`` and ``v`` read the state, also after a pickle round trip: a
+    write through them is a write to the state, and they cannot be rebound."""
+    params = init_params(8, 4, 3, 0.0, seed=0, buckets=[1, 5], dtype=np.float32)
+    opt = pickle.loads(pickle.dumps(init_optimizer(params), protocol=5))
+    assert opt.head_m.shape == opt.head_v.shape == (4 * 4 + 4 + 4 * 3 + 3,)
+    for moments, head, emb in ((opt.m, opt.head_m, opt.emb_m), (opt.v, opt.head_v, opt.emb_v)):
+        assert list(moments) == list(TRAINED)
+        for name in TRAINED:
+            assert moments[name].shape == getattr(params, name).shape, name
+            assert moments[name].dtype == np.float32, name
+            assert np.shares_memory(moments[name], emb if name == "embedding" else head), name
+    opt.m["b1"][2] = 1.5
+    opt.v["w2"][3, 1] = 2.5
+    assert opt.head_m[4 * 4 + 2] == 1.5
+    assert opt.head_v[4 * 4 + 4 + 3 * 3 + 1] == 2.5
+    with pytest.raises(AttributeError):
+        opt.m = {}
+
+
+@pytest.mark.parametrize(
+    "field, shape, message",
+    [
+        ("emb_vals", (3, 8), r"emb_vals has shape \(3, 8\), not \(2, 8\) for 2 emb_rows"),
+        ("emb_vals", (2, 7), r"emb_vals has shape \(2, 7\), not \(2, 8\)"),
+        ("b1", (7,), r"gradient b1 has shape \(7,\), not the parameter's \(8,\)"),
+        ("w2", (8, 2, 1), r"gradient w2 has shape \(8, 2, 1\)"),
+        ("b2", (), r"gradient b2 has shape \(\)"),
+        ("emb_rows", (2, 1), r"emb_rows has shape \(2, 1\), not one dimension"),
+    ],
+)
+def test_adam_refuses_a_gradient_of_the_wrong_shape(field, shape, message):
+    """A gradient that does not fit its parameter is refused, naming the
+    field, before the step count, a parameter or a moment changes: a
+    wrong-size b1 would otherwise shift the flat head's later slices."""
+    params = init_params(16, 8, 2, 0.0, seed=3, buckets=[2, 5, 9], dtype=np.float32)
+    opt = init_optimizer(params, learning_rate=0.1)
+    grads = Gradients(
+        np.array([2, 9], dtype=np.int64), np.ones((2, 8), dtype=np.float32),
+        np.ones_like(params.w1, dtype=np.float64), np.ones(8),
+        np.ones((8, 2)), np.ones(2),
+    )
+    before, state = copy.deepcopy(params), copy.deepcopy(opt)
+    setattr(grads, field, np.ones(shape, dtype=getattr(grads, field).dtype))
+    with pytest.raises(ValueError, match=message):
+        adam_step(params, grads, opt)
+    assert opt.step == 0
+    assert_same_adam_state(params, opt, before, state)
 
 
 # ---------------------------------------------------------------------------
